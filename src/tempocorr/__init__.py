@@ -17,6 +17,7 @@ from .correlations import (
     factorize,
     marginal,
     named_vertex,
+    require_member,
     vertex_behavior,
 )
 from .qmath import (

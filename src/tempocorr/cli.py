@@ -114,9 +114,7 @@ _BUILTIN_NAMES = ("B1", "B2", "B3", "B4")
 
 def cmd_witness(args) -> int:
     behavior = serialize.behavior_from_json(_load_json(args.behavior))
-    report = correlations.check_membership(behavior)
-    if not report.is_member:
-        raise NotAMember("behavior is not in the polytope:\n" + report.summary(), report)
+    correlations.require_member(behavior)
 
     if args.functional in _BUILTIN_NAMES:
         cert = witness.certify(behavior)

@@ -13,6 +13,9 @@ Index conventions, used throughout the package: a setting sequence
 ``(x1..xL)`` is stored as the base-S integer with x1 as the most significant
 digit, and outcome sequences likewise in base R.  Setting-history contexts
 are ordered by time step first and lexicographically within a step.
+:func:`history_tree` is the one place where that ordering is decided: every
+context position, setting prefix, parent link and per-row path through the
+tree is read from it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,22 +91,49 @@ class Scenario:
         return sum(self.S**t for t in range(1, self.L + 1))
 
 
-@lru_cache(maxsize=None)
-def _context_order(L: int, S: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for t in range(1, L + 1):
-        out.extend(itertools.product(range(S), repeat=t))
-    return tuple(out)
+# --- the setting-history tree ----------------------------------------------------
+
+def context_position(history, S: int) -> int:
+    """Position of the setting history ``(x1..xt)`` in :func:`context_order`:
+    the (S^t - S)/(S - 1) shorter histories come first (-1 for ``()``)."""
+    return (S ** len(history) - S) // (S - 1) + index_of_digits(history, S)
+
+
+class HistoryTree(NamedTuple):
+    """Index of the setting-history tree of one scenario.
+
+    Per context (in :func:`context_order`): ``level`` is its time step t,
+    ``prefix`` the base-S index of its settings x1..xt (its row in
+    ``ConditionalChain.levels[t-1]``) and ``parent`` the position of x1..x(t-1),
+    -1 at t = 1.  ``context[row, t-1]`` is the position of x1..xt for the
+    setting sequence stored in table row ``row``.  Arrays are read-only.
+    """
+
+    contexts: tuple[tuple[int, ...], ...]
+    level: np.ndarray
+    prefix: np.ndarray
+    parent: np.ndarray
+    context: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _context_positions(L: int, S: int) -> dict[tuple[int, ...], int]:
-    return {h: i for i, h in enumerate(_context_order(L, S))}
+def history_tree(scenario: Scenario) -> HistoryTree:
+    """The cached :class:`HistoryTree` of a scenario."""
+    L, S = scenario.L, scenario.S
+    contexts = tuple(h for t in range(1, L + 1) for h in itertools.product(range(S), repeat=t))
+    level = np.array([len(h) for h in contexts])
+    prefix = np.array([index_of_digits(h, S) for h in contexts])
+    parent = np.array([context_position(h[:-1], S) for h in contexts])
+    rows = np.arange(S**L)
+    context = np.stack([(S**t - S) // (S - 1) + rows // S ** (L - t) for t in range(1, L + 1)], 1)
+    for a in (level, prefix, parent, context):
+        a.setflags(write=False)
+    return HistoryTree(contexts, level, prefix, parent, context)
 
 
 def context_order(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
     """All setting histories, ordered by length then lexicographically."""
-    return _context_order(scenario.L, scenario.S)
+    return history_tree(scenario).contexts
 
 
 @dataclass(frozen=True)
@@ -177,25 +208,15 @@ class MembershipReport:
 
 def check_membership(b: Behavior, tol: float = MEMBERSHIP_TOL) -> MembershipReport:
     """Full polytope membership report for a behavior."""
-    s = b.scenario
-    L, R, S = s.L, s.R, s.S
-    table = b.table
-
-    neg = []
+    s, L, table = b.scenario, b.scenario.L, b.table
     rows, cols = np.nonzero(table < -tol)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        neg.append((i, j, float(table[i, j])))
-
-    norm = []
+    neg = [(i, j, float(table[i, j])) for i, j in zip(rows.tolist(), cols.tolist())]
     sums = table.sum(axis=1)
-    for i in np.nonzero(np.abs(sums - 1.0) > tol)[0].tolist():
-        norm.append((i, float(sums[i])))
+    norm = [(i, float(sums[i])) for i in np.nonzero(np.abs(sums - 1.0) > tol)[0].tolist()]
 
     aot = []
-    arr = table.reshape((S,) * L + (R,) * L)
     for t in range(1, L):
-        # marginal over outcomes after step t, shape (S,)*L + (R,)*t
-        m = arr.sum(axis=tuple(range(L + t, 2 * L)))
+        m = _level_marginal(b, t)
         future = tuple(range(t, L))
         dev = m.max(axis=future) - m.min(axis=future)
         for idx in np.argwhere(dev > tol):
@@ -205,10 +226,25 @@ def check_membership(b: Behavior, tol: float = MEMBERSHIP_TOL) -> MembershipRepo
     return MembershipReport(s, tol, tuple(neg), tuple(norm), tuple(aot))
 
 
-def _require_member(b: Behavior, tol: float) -> None:
+def require_member(b: Behavior, tol: float = MEMBERSHIP_TOL) -> None:
+    """Raise :class:`NotAMember`, carrying the report, unless ``b`` is a member."""
     report = check_membership(b, tol)
     if not report.is_member:
         raise NotAMember("behavior is not in the polytope:\n" + report.summary(), report)
+
+
+def _level_marginal(b: Behavior, t: int) -> np.ndarray:
+    """p(a1..at | x1..xL) of shape (S,)*L + (R,)*t."""
+    L, R, S = b.scenario.L, b.scenario.R, b.scenario.S
+    arr = b.table.reshape((S,) * L + (R,) * L)
+    return arr.sum(axis=tuple(range(L + t, 2 * L)))
+
+
+def _pinned_marginal(b: Behavior, t: int) -> np.ndarray:
+    """Level-t marginal table (S^t, R^t); later settings pinned to 0."""
+    L, R, S = b.scenario.L, b.scenario.R, b.scenario.S
+    m = _level_marginal(b, t)[(slice(None),) * t + (0,) * (L - t)]
+    return m.reshape(S**t, R**t)
 
 
 def marginal(b: Behavior, t: int, tol: float = MEMBERSHIP_TOL) -> Behavior:
@@ -220,13 +256,8 @@ def marginal(b: Behavior, t: int, tol: float = MEMBERSHIP_TOL) -> Behavior:
     s = b.scenario
     if not 1 <= t < s.L:
         raise ShapeMismatch(f"truncation level must be in 1..{s.L - 1}, got {t}")
-    _require_member(b, tol)
-    L, R, S = s.L, s.R, s.S
-    arr = b.table.reshape((S,) * L + (R,) * L)
-    m = arr.sum(axis=tuple(range(L + t, 2 * L)))
-    m = m[(slice(None),) * t + (0,) * (L - t)]
-    small = Scenario(t, R, S)
-    return Behavior(small, m.reshape(small.n_setting_seqs, small.n_outcome_seqs))
+    require_member(b, tol)
+    return Behavior(Scenario(t, s.R, s.S), _pinned_marginal(b, t))
 
 
 # --- factorization into a conditional chain -------------------------------------
@@ -268,25 +299,14 @@ def factorize(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConditionalChain:
     :func:`compose_from_conditionals` inverts this exactly.
     """
     s = b.scenario
-    _require_member(b, tol)
+    require_member(b, tol)
     L, R, S = s.L, s.R, s.S
-
-    # marginal tables m_t of shape (S^t, R^t), future settings fixed to 0
-    arr = b.table.reshape((S,) * L + (R,) * L)
-    marginals = []
-    for t in range(1, L + 1):
-        m = arr.sum(axis=tuple(range(L + t, 2 * L)))
-        m = m[(slice(None),) * t + (0,) * (L - t)]
-        marginals.append(m.reshape(S**t, R**t))
+    marginals = [np.ones((1, 1))] + [_pinned_marginal(b, t) for t in range(1, L + 1)]
 
     levels = []
     for t in range(1, L + 1):
-        m_t = marginals[t - 1].reshape(S**t, R ** (t - 1), R)
-        if t == 1:
-            parent = np.ones((S, 1))
-        else:
-            parent = marginals[t - 2][np.repeat(np.arange(S ** (t - 1)), S)]
-            parent = parent.reshape(S**t, R ** (t - 1))
+        m_t = marginals[t].reshape(S**t, R ** (t - 1), R)
+        parent = marginals[t - 1][np.arange(S**t) // S]
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = m_t / parent[:, :, None]
         unreachable = parent <= ZERO_MEASURE_TOL
@@ -302,7 +322,7 @@ def compose_from_conditionals(chain: ConditionalChain) -> Behavior:
     The result satisfies the arrow-of-time constraints by construction.
     """
     s = chain.scenario
-    L, R, S = s.L, s.R, s.S
+    L, R = s.L, s.R
     for t, lvl in enumerate(chain.levels, start=1):
         if float(lvl.min()) < -ZERO_MEASURE_TOL:
             raise UnnormalizedConditional(f"level {t} has a negative conditional {lvl.min()!r}")
@@ -311,19 +331,15 @@ def compose_from_conditionals(chain: ConditionalChain) -> Behavior:
         if dev > MEMBERSHIP_TOL:
             raise UnnormalizedConditional(f"level {t} conditionals deviate from sum 1 by {dev:.3e}")
 
+    tree = history_tree(s)
+    cols = np.arange(s.n_outcome_seqs)
     table = np.ones((s.n_setting_seqs, s.n_outcome_seqs))
-    for srow in range(s.n_setting_seqs):
-        xs = digits_of_index(srow, S, L)
-        for ocol in range(s.n_outcome_seqs):
-            As = digits_of_index(ocol, R, L)
-            p = 1.0
-            for t in range(1, L + 1):
-                xi = index_of_digits(xs[:t], S)
-                ai = index_of_digits(As[: t - 1], R)
-                p *= chain.levels[t - 1][xi, ai, As[t - 1]]
-                if p == 0.0:
-                    break
-            table[srow, ocol] = p
+    for t in range(1, L + 1):
+        xs = tree.prefix[tree.context[:, t - 1]][:, None]
+        As = cols // R ** (L - t)
+        factor = chain.levels[t - 1][xs, As // R, As % R]
+        # step by step, left to right; a product that reached 0 stays as it is
+        table = np.where(table == 0.0, table, table * factor)
     return Behavior(s, table)
 
 
@@ -372,12 +388,10 @@ class DeterministicVertex:
 
     def outcome_for(self, history) -> int:
         """Assigned outcome after the setting history ``(x1..xt)``."""
-        pos = _context_positions(self.scenario.L, self.scenario.S)
-        return self.outcomes[pos[tuple(history)]]
-
-    def realized_outcomes(self, settings) -> tuple[int, ...]:
-        """Outcome sequence produced when measuring ``settings`` in order."""
-        return tuple(self.outcome_for(settings[: t + 1]) for t in range(len(settings)))
+        s = self.scenario
+        if not 1 <= len(history) <= s.L or any(not 0 <= x < s.S for x in history):
+            raise ShapeMismatch(f"{tuple(history)} is not a setting history of {s}")
+        return self.outcomes[context_position(history, s.S)]
 
 
 def count_vertices(scenario: Scenario) -> int:
@@ -386,27 +400,33 @@ def count_vertices(scenario: Scenario) -> int:
     return (scenario.R**scenario.S) ** exponent
 
 
+def _capped_count(scenario: Scenario, cap: int) -> int:
+    n = count_vertices(scenario)
+    if n > cap:
+        raise TooManyVertices(n, cap)
+    return n
+
+
+def _all_assignments(scenario: Scenario, cap: int) -> np.ndarray:
+    """Outcomes of every vertex, one row each in enumeration order; raises
+    :class:`TooManyVertices` above ``cap`` before allocating."""
+    k = np.arange(_capped_count(scenario, cap))
+    out = np.empty((len(k), scenario.n_contexts), dtype=np.min_scalar_type(scenario.R))
+    for c in range(scenario.n_contexts - 1, -1, -1):
+        k, out[:, c] = np.divmod(k, scenario.R)
+    return out
+
+
 def enumerate_vertices(
     scenario: Scenario, cap: int = DEFAULT_VERTEX_CAP
 ) -> list[DeterministicVertex]:
     """All vertices in lexicographic assignment order; errors above ``cap``."""
-    n = count_vertices(scenario)
-    if n > cap:
-        raise TooManyVertices(n, cap)
-    return [
-        DeterministicVertex(scenario, outcomes)
-        for outcomes in itertools.product(range(scenario.R), repeat=scenario.n_contexts)
-    ]
+    return [DeterministicVertex(scenario, row) for row in _all_assignments(scenario, cap).tolist()]
 
 
 def vertex_behavior(v: DeterministicVertex) -> Behavior:
     """The 0/1 probability table induced by a deterministic assignment."""
-    s = v.scenario
-    table = np.zeros((s.n_setting_seqs, s.n_outcome_seqs))
-    for srow in range(s.n_setting_seqs):
-        xs = digits_of_index(srow, s.S, s.L)
-        table[srow, index_of_digits(v.realized_outcomes(xs), s.R)] = 1.0
-    return Behavior(s, table)
+    return mixture_behavior(ConvexDecomposition(((1.0, v),)))
 
 
 def vertex_from_unit_entries(scenario: Scenario, entries) -> DeterministicVertex:
@@ -503,19 +523,22 @@ class RelabelingGroup:
         return len(self.elements)
 
 
-def relabel_vertex(v: DeterministicVertex, element) -> DeterministicVertex:
-    """Image of a vertex under one relabeling element."""
+def _relabel_action(scenario: Scenario, element) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Per context: the position whose outcome it receives, and the outcome
+    permutation applied on the way."""
     setting_perm, outcome_perms = element
-    s = v.scenario
-    inverse = [0] * s.S
+    inverse = [0] * scenario.S
     for i, p in enumerate(setting_perm):
         inverse[p] = i
-    pos = _context_positions(s.L, s.S)
-    out = []
-    for h in context_order(s):
-        src = tuple(inverse[x] for x in h)
-        out.append(outcome_perms[h[-1]][v.outcomes[pos[src]]])
-    return DeterministicVertex(s, tuple(out))
+    ctxs = context_order(scenario)
+    src = [context_position([inverse[x] for x in h], scenario.S) for h in ctxs]
+    return src, [outcome_perms[h[-1]] for h in ctxs]
+
+
+def relabel_vertex(v: DeterministicVertex, element) -> DeterministicVertex:
+    """Image of a vertex under one relabeling element."""
+    src, omap = _relabel_action(v.scenario, element)
+    return DeterministicVertex(v.scenario, tuple(m[v.outcomes[i]] for i, m in zip(src, omap)))
 
 
 @dataclass(frozen=True)
@@ -554,21 +577,8 @@ def classify_vertices(
         group = RelabelingGroup.full(scenario)
     if group.scenario != scenario:
         raise ShapeMismatch("relabeling group belongs to a different scenario")
-    n = count_vertices(scenario)
-    if n > cap:
-        raise TooManyVertices(n, cap)
-
-    ctxs = context_order(scenario)
-    pos = _context_positions(scenario.L, scenario.S)
-    # per element: source position per context, and the outcome map per context
-    actions = []
-    for setting_perm, outcome_perms in group.elements:
-        inverse = [0] * scenario.S
-        for i, p in enumerate(setting_perm):
-            inverse[p] = i
-        src = [pos[tuple(inverse[x] for x in h)] for h in ctxs]
-        omap = [outcome_perms[h[-1]] for h in ctxs]
-        actions.append((src, omap))
+    n = _capped_count(scenario, cap)
+    actions = [_relabel_action(scenario, element) for element in group.elements]
 
     orbits = []
     seen = [False] * n
@@ -578,7 +588,7 @@ def classify_vertices(
         v = digits_of_index(start, scenario.R, scenario.n_contexts)
         orbit = set()
         for src, omap in actions:
-            img = tuple(omap[i][v[src[i]]] for i in range(len(ctxs)))
+            img = (m[v[i]] for i, m in zip(src, omap))
             orbit.add(index_of_digits(img, scenario.R))
         for k in orbit:
             seen[k] = True
@@ -601,9 +611,13 @@ class ConvexDecomposition:
         if not self.terms:
             raise ShapeMismatch("decomposition needs at least one vertex")
         total = 0.0
-        for w, _v in self.terms:
+        for w, v in self.terms:
+            if not np.isfinite(w):
+                raise ShapeMismatch(f"weight {w!r} is not finite")
             if w < -ZERO_MEASURE_TOL:
                 raise ShapeMismatch(f"negative weight {w!r}")
+            if v.scenario != self.terms[0][1].scenario:
+                raise ShapeMismatch("decomposition mixes vertices of different scenarios")
             total += w
         if abs(total - 1.0) > MEMBERSHIP_TOL:
             raise ShapeMismatch(f"weights sum to {total!r}, not 1")
@@ -616,9 +630,17 @@ class ConvexDecomposition:
 def mixture_behavior(decomp: ConvexDecomposition) -> Behavior:
     """Weighted sum of the vertex behaviors."""
     s = decomp.scenario
+    weights = np.array([w for w, _v in decomp.terms])
+    outcomes = np.array([v.outcomes for _w, v in decomp.terms], dtype=np.min_scalar_type(s.R))
+    # outcome column each vertex reaches in each row: the base-R index of the
+    # outcomes it assigns along the row's path through the tree
+    context = history_tree(s).context
+    cols = np.zeros((len(outcomes), s.n_setting_seqs), dtype=np.min_scalar_type(s.n_outcome_seqs))
+    for t in range(s.L):
+        cols = cols * s.R + outcomes[:, context[:, t]]
     table = np.zeros((s.n_setting_seqs, s.n_outcome_seqs))
-    for w, v in decomp.terms:
-        table += w * vertex_behavior(v).table
+    for row, col in zip(table, cols.T):
+        np.add.at(row, col, weights)  # unbuffered: each entry sums its terms in term order
     return Behavior(s, table)
 
 
@@ -634,23 +656,18 @@ def decompose_behavior(
     """
     s = b.scenario
     chain = factorize(b, tol)
-    vertices = enumerate_vertices(s, cap)
-    ctxs = context_order(s)
-    pos = _context_positions(s.L, s.S)
-
-    terms = []
-    for v in vertices:
-        w = 1.0
-        for i, h in enumerate(ctxs):
-            t = len(h)
-            a_prefix = 0
-            for u in range(1, t):
-                a_prefix = a_prefix * s.R + v.outcomes[pos[h[:u]]]
-            w *= float(chain.levels[t - 1][index_of_digits(h, s.S), a_prefix, v.outcomes[i]])
-            if w == 0.0:
-                break
-        if w > ZERO_MEASURE_TOL:
-            terms.append((w, v))
-    total = sum(w for w, _ in terms)
-    terms = [(w / total, v) for w, v in terms]
-    return ConvexDecomposition(tuple(terms))
+    outcomes = _all_assignments(s, cap)
+    tree = history_tree(s)
+    # realized outcome prefix (base R) of every vertex before every context
+    prefix = np.zeros(outcomes.shape, dtype=np.min_scalar_type(s.R ** (s.L - 1)))
+    w = np.ones(len(outcomes))
+    for c, (t, up) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
+        if up >= 0:
+            prefix[:, c] = prefix[:, up] * s.R + outcomes[:, up]
+        factor = chain.levels[t - 1][tree.prefix[c], prefix[:, c], outcomes[:, c]]
+        # context by context, left to right; a product that reached 0 stays as it is
+        w = np.where(w == 0.0, w, w * factor)
+    keep = np.flatnonzero(w > ZERO_MEASURE_TOL)
+    total = sum(w[keep].tolist())
+    vertices = [DeterministicVertex(s, row) for row in outcomes[keep].tolist()]
+    return ConvexDecomposition(tuple(zip((w[keep] / total).tolist(), vertices)))

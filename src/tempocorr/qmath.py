@@ -87,12 +87,6 @@ def ketbra(i: int, j: int, dim: int) -> np.ndarray:
     return m
 
 
-def projector(vec: np.ndarray) -> np.ndarray:
-    """Rank-1 projector onto a (normalized) state vector."""
-    v = np.asarray(vec, dtype=complex)
-    return np.outer(v, v.conj())
-
-
 # --- validated quantum objects -----------------------------------------------
 
 @dataclass(frozen=True)
@@ -326,12 +320,6 @@ def effect_from_params(a: float, b: float, axis) -> Effect:
 
 
 # --- random objects (seeded; used by property tests and sampling searches) ----
-
-def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random state vector."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

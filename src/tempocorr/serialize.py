@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -19,8 +20,10 @@ from .correlations import (
     DeterministicVertex,
     Scenario,
     context_order,
+    context_position,
     digits_of_index,
     digits_string,
+    index_of_digits,
 )
 from .errors import SchemaError, TempocorrError
 from .qmath import DensityMatrix, SystemModel, validate_instrument
@@ -31,6 +34,23 @@ from .witness import (
     WitnessFunctional,
     WitnessTerm,
 )
+
+
+# --- numbers ----------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max  # ints beyond it overflow float(); NaN fails every comparison
+
+def _number(value, path: str, integer: bool = False, minimum: int | None = None):
+    """A JSON number: finite, never a bool, an ``int`` when ``integer``
+    (otherwise returned as a float), at least ``minimum`` when given."""
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise SchemaError(path, f"expected {kind}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SchemaError(path, f"expected {kind} >= {minimum}, got {value!r}")
+    if not integer and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
+    return value if integer else float(value)
 
 
 # --- matrices ---------------------------------------------------------------
@@ -47,13 +67,10 @@ def matrix_from_json(data, path: str) -> np.ndarray:
         raise SchemaError(path, f"{len(data)} entries do not form a square matrix")
     flat = np.empty(len(data), dtype=complex)
     for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
-        ):
-            raise SchemaError(f"{path}[{i}]", "expected an [re, im] pair of numbers")
-        flat[i] = complex(pair[0], pair[1])
+        at = f"{path}[{i}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(at, "expected an [re, im] pair of numbers")
+        flat[i] = complex(_number(pair[0], at), _number(pair[1], at))
     return flat.reshape(dim, dim)
 
 
@@ -73,9 +90,7 @@ def system_model_to_json(sys: SystemModel) -> dict:
 def system_model_from_json(data) -> SystemModel:
     if not isinstance(data, dict):
         raise SchemaError("$", "expected an object")
-    dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError("dim", f"expected a positive integer, got {dim!r}")
+    dim = _number(data.get("dim"), "dim", integer=True, minimum=1)
     if "initial" not in data:
         raise SchemaError("initial", "missing")
     initial = matrix_from_json(data["initial"], "initial")
@@ -120,12 +135,20 @@ def system_model_from_json(data) -> SystemModel:
 
 # --- behaviors -----------------------------------------------------------------
 
-def _scenario_from_json(data) -> Scenario:
-    for key in ("L", "R", "S"):
-        if not isinstance(data.get(key), int):
-            raise SchemaError(key, f"expected an integer, got {data.get(key)!r}")
+def _scenario_to_json(s: Scenario) -> dict:
+    return {"L": s.L, "R": s.R, "S": s.S}
+
+
+def _scenario_from_json(data, R: int | None = None, S: int | None = None) -> Scenario:
+    """Scenario from the "L", "R" and "S" fields of a top-level object; ``R``
+    and ``S`` are the defaults for absent fields (required when None)."""
+    if not isinstance(data, dict):
+        raise SchemaError("$", "expected an object")
+    L = _number(data.get("L"), "L", integer=True, minimum=1)
+    R = _number(data.get("R", R), "R", integer=True, minimum=2)
+    S = _number(data.get("S", S), "S", integer=True, minimum=2)
     try:
-        return Scenario(data["L"], data["R"], data["S"])
+        return Scenario(L, R, S)
     except TempocorrError as exc:
         raise SchemaError("L/R/S", str(exc)) from exc
 
@@ -136,12 +159,10 @@ def behavior_to_json(b: Behavior) -> dict:
     for srow in range(s.n_setting_seqs):
         key = digits_string(digits_of_index(srow, s.S, s.L))
         table[key] = [float(v) for v in b.table[srow]]
-    return {"L": s.L, "R": s.R, "S": s.S, "table": table}
+    return {**_scenario_to_json(s), "table": table}
 
 
 def behavior_from_json(data) -> Behavior:
-    if not isinstance(data, dict):
-        raise SchemaError("$", "expected an object")
     scenario = _scenario_from_json(data)
     raw = data.get("table")
     if not isinstance(raw, dict):
@@ -158,12 +179,8 @@ def behavior_from_json(data) -> Behavior:
             raise SchemaError(
                 f"table.{key}", f"expected {scenario.n_outcome_seqs} probabilities"
             )
-        if not all(isinstance(v, (int, float)) for v in row):
-            raise SchemaError(f"table.{key}", "probabilities must be numbers")
-        srow = 0
-        for x in xs:
-            srow = srow * scenario.S + x
-        table[srow] = row
+        srow = index_of_digits(xs, scenario.S)
+        table[srow] = [_number(v, f"table.{key}[{j}]") for j, v in enumerate(row)]
         seen.add(srow)
     if len(seen) != scenario.n_setting_seqs:
         raise SchemaError("table", f"expected {scenario.n_setting_seqs} setting blocks, got {len(seen)}")
@@ -172,76 +189,61 @@ def behavior_from_json(data) -> Behavior:
 
 # --- vertices and decompositions --------------------------------------------------
 
+def _context_key(h: tuple[int, ...], outcomes, S: int) -> str:
+    """Key of the setting history ``h``: its time step, its settings and the
+    outcome prefix it realizes under ``outcomes`` (read up to its parent)."""
+    realized = [outcomes[context_position(h[:u], S)] for u in range(1, len(h))]
+    return f"t={len(h)};x={digits_string(h)};a={digits_string(realized)}"
+
+
 def _assignment_to_json(v: DeterministicVertex) -> dict[str, int]:
-    s = v.scenario
-    out = {}
-    for h in context_order(s):
-        t = len(h)
-        realized = v.realized_outcomes(h)
-        key = f"t={t};x={digits_string(h)};a={digits_string(realized[:-1])}"
-        out[key] = int(realized[-1])
-    return out
+    ctxs = context_order(v.scenario)
+    return {_context_key(h, v.outcomes, v.scenario.S): a for h, a in zip(ctxs, v.outcomes)}
 
 
 def vertex_to_json(v: DeterministicVertex) -> dict:
-    s = v.scenario
-    return {"L": s.L, "R": s.R, "S": s.S, "assignment": _assignment_to_json(v)}
+    return {**_scenario_to_json(v.scenario), "assignment": _assignment_to_json(v)}
 
 
 def _assignment_from_json(scenario: Scenario, data, path: str) -> DeterministicVertex:
     if not isinstance(data, dict):
         raise SchemaError(path, "expected an object of context -> outcome")
     outcomes = []
-    partial: dict[tuple[int, ...], int] = {}
     for h in context_order(scenario):
-        t = len(h)
-        realized = tuple(partial[h[: u + 1]] for u in range(t - 1))
-        key = f"t={t};x={digits_string(h)};a={digits_string(realized)}"
+        key = _context_key(h, outcomes, scenario.S)
         if key not in data:
             raise SchemaError(f"{path}.{key}", "missing context")
-        a = data[key]
-        if not isinstance(a, int) or not 0 <= a < scenario.R:
+        a = _number(data[key], f"{path}.{key}", integer=True)
+        if not 0 <= a < scenario.R:
             raise SchemaError(f"{path}.{key}", f"outcome must be in 0..{scenario.R - 1}, got {a!r}")
-        partial[h] = a
         outcomes.append(a)
-    expected = scenario.n_contexts
-    if len(data) != expected:
-        raise SchemaError(path, f"expected {expected} contexts, got {len(data)}")
+    if len(data) != scenario.n_contexts:
+        raise SchemaError(path, f"expected {scenario.n_contexts} contexts, got {len(data)}")
     return DeterministicVertex(scenario, tuple(outcomes))
 
 
 def vertex_from_json(data) -> DeterministicVertex:
-    if not isinstance(data, dict):
-        raise SchemaError("$", "expected an object")
     scenario = _scenario_from_json(data)
     return _assignment_from_json(scenario, data.get("assignment"), "assignment")
 
 
 def decomposition_to_json(d: ConvexDecomposition) -> dict:
-    s = d.scenario
-    return {
-        "L": s.L,
-        "R": s.R,
-        "S": s.S,
-        "terms": [
-            {"weight": float(w), "assignment": _assignment_to_json(v)} for w, v in d.terms
-        ],
-    }
+    terms = [{"weight": float(w), "assignment": _assignment_to_json(v)} for w, v in d.terms]
+    return {**_scenario_to_json(d.scenario), "terms": terms}
 
 
 def decomposition_from_json(data) -> ConvexDecomposition:
-    if not isinstance(data, dict):
-        raise SchemaError("$", "expected an object")
     scenario = _scenario_from_json(data)
     raw = data.get("terms")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("terms", "expected a nonempty array")
     terms = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or not isinstance(entry.get("weight"), (int, float)):
+        if not isinstance(entry, dict):
             raise SchemaError(f"terms[{i}]", "expected an object with numeric 'weight'")
+        w = _number(entry.get("weight"), f"terms[{i}].weight")
         v = _assignment_from_json(scenario, entry.get("assignment"), f"terms[{i}].assignment")
-        terms.append((float(entry["weight"]), v))
+        terms.append((w, v))
     try:
         return ConvexDecomposition(tuple(terms))
     except TempocorrError as exc:
@@ -252,9 +254,7 @@ def decomposition_from_json(data) -> ConvexDecomposition:
 
 def functional_to_json(f: WitnessFunctional) -> dict:
     return {
-        "L": 2,
-        "R": f.scenario.R,
-        "S": f.scenario.S,
+        **_scenario_to_json(f.scenario),
         "name": f.name,
         "terms": [
             {
@@ -272,7 +272,7 @@ def functional_from_json(data) -> WitnessFunctional:
         raise SchemaError("$", "expected an object")
     if data.get("L") != 2:
         raise SchemaError("L", f"witness functionals need L=2, got {data.get('L')!r}")
-    scenario = Scenario(2, int(data.get("R", 2)), int(data.get("S", 2)))
+    scenario = _scenario_from_json(data, R=2, S=2)
     raw = data.get("terms")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("terms", "expected a nonempty array")
@@ -285,8 +285,7 @@ def functional_from_json(data) -> WitnessFunctional:
             raise SchemaError(f"terms[{i}].a", "expected two outcome digits")
         if not isinstance(x, str) or len(x) != 2 or not x.isdigit():
             raise SchemaError(f"terms[{i}].x", "expected two setting digits")
-        if not isinstance(coeff, (int, float)):
-            raise SchemaError(f"terms[{i}].coeff", "expected a number")
+        coeff = _number(coeff, f"terms[{i}].coeff")
         ab = (int(a[0]), int(a[1]))
         xy = (int(x[0]), int(x[1]))
         if max(ab) >= scenario.R:
@@ -311,13 +310,9 @@ def strategy_to_json(s: QubitStrategy) -> dict:
 
 
 def _vector3_from_json(data, path: str) -> np.ndarray:
-    if (
-        not isinstance(data, list)
-        or len(data) != 3
-        or not all(isinstance(v, (int, float)) for v in data)
-    ):
+    if not isinstance(data, list) or len(data) != 3:
         raise SchemaError(path, "expected three numbers")
-    return np.asarray(data, dtype=float)
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(data)])
 
 
 def strategy_from_json(data) -> QubitStrategy:
@@ -341,12 +336,11 @@ def strategy_from_json(data) -> QubitStrategy:
     for i, entry in enumerate(raw_eff):
         if not isinstance(entry, dict):
             raise SchemaError(f"effects[{i}]", "expected an object")
-        a, b = entry.get("a"), entry.get("b")
-        if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-            raise SchemaError(f"effects[{i}]", "'a' and 'b' must be numbers")
+        a = _number(entry.get("a"), f"effects[{i}].a")
+        b = _number(entry.get("b"), f"effects[{i}].b")
         axis = _vector3_from_json(entry.get("axis"), f"effects[{i}].axis")
         try:
-            effects.append(EffectParams(float(a), float(b), axis))
+            effects.append(EffectParams(a, b, axis))
         except TempocorrError as exc:
             raise SchemaError(f"effects[{i}]", str(exc)) from exc
     try:
@@ -359,7 +353,7 @@ def strategy_from_json(data) -> QubitStrategy:
 
 def report_to_json(r: CertificationReport) -> dict:
     return {
-        "scenario": {"L": r.scenario.L, "R": r.scenario.R, "S": r.scenario.S},
+        "scenario": _scenario_to_json(r.scenario),
         "verdict": r.verdict,
         "epsilon_lower": r.epsilon_lower,
         "tolerance": r.tolerance,

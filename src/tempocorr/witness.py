@@ -28,14 +28,13 @@ from .correlations import (
     QUBIT_UNREACHABLE_UNIT_ENTRIES,
     Behavior,
     Scenario,
-    check_membership,
+    require_member,
 )
 from .errors import (
     DimensionMismatch,
     DomainError,
     InvalidStrategy,
     NoValidRoot,
-    NotAMember,
     NotAProjector,
     ParamOutOfRange,
     ScenarioMismatch,
@@ -755,9 +754,7 @@ def certify(b: Behavior, tol: float = VERDICT_TOL) -> CertificationReport:
     """
     if b.scenario != Scenario(2, 2, 2):
         raise ScenarioMismatch(f"certification needs the (2,2,2) scenario, got {b.scenario}")
-    report = check_membership(b)
-    if not report.is_member:
-        raise NotAMember("behavior is not in the polytope:\n" + report.summary(), report)
+    require_member(b)
 
     c3 = c3_bound().value
     plan = (

@@ -5,7 +5,13 @@ import pytest
 
 from tempocorr import serialize as se
 from tempocorr.cli import main
-from tempocorr.correlations import Scenario, compose_from_conditionals, random_conditional_chain
+from tempocorr.correlations import (
+    Scenario,
+    compose_from_conditionals,
+    decompose_behavior,
+    random_conditional_chain,
+)
+from tempocorr.witness import builtin_functionals
 
 
 def run(capsys, *argv):
@@ -229,3 +235,46 @@ class TestDecomposeRealize:
     def test_schema_error_file_missing(self, capsys):
         code, _out, err = run(capsys, "decompose", "--behavior", "/nonexistent.json")
         assert code == 3 and "file not found" in err
+
+
+class TestInputBoundary:
+    """Malformed numbers in input files end in exit 3 with the field path."""
+
+    @staticmethod
+    def member_json():
+        rng = np.random.default_rng(60)
+        behavior = compose_from_conditionals(random_conditional_chain(rng, Scenario(2, 2, 2)))
+        return se.behavior_to_json(behavior)
+
+    def run_file(self, capsys, tmp_path, data, *argv):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        return run(capsys, *[str(path) if a == "{file}" else a for a in argv])
+
+    def test_bool_length_rejected(self, capsys, tmp_path):
+        data = self.member_json()
+        data["L"] = True
+        code, _out, err = self.run_file(capsys, tmp_path, data, "decompose", "--behavior", "{file}")
+        assert code == 3 and "schema error: L:" in err
+
+    def test_nan_probability_rejected(self, capsys, tmp_path):
+        data = self.member_json()
+        data["table"]["01"][2] = float("nan")
+        code, _out, err = self.run_file(capsys, tmp_path, data, "witness", "--behavior", "{file}")
+        assert code == 3 and "schema error: table.01[2]:" in err
+
+    @pytest.mark.parametrize("R", ["x", 1])
+    def test_functional_bad_outcome_count(self, capsys, tmp_path, R):
+        data = se.functional_to_json(builtin_functionals()["B1"])
+        data["R"] = R
+        code, _out, err = self.run_file(
+            capsys, tmp_path, data, "optimize", "--functional", "{file}", "--restarts", "1"
+        )
+        assert code == 3 and "schema error: R:" in err
+
+    def test_nan_weight_rejected(self, capsys, tmp_path):
+        d = decompose_behavior(se.behavior_from_json(self.member_json()))
+        data = se.decomposition_to_json(d)
+        data["terms"][0]["weight"] = float("nan")
+        code, _out, err = self.run_file(capsys, tmp_path, data, "realize", "--decomposition", "{file}")
+        assert code == 3 and "schema error: terms[0].weight:" in err

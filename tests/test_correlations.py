@@ -334,3 +334,17 @@ class TestDecomposition:
     def test_weights_validated(self):
         with pytest.raises(ShapeMismatch):
             ConvexDecomposition(((0.5, named_vertex("e1")),))
+        e1 = named_vertex("e1")
+        for w in (float("nan"), float("inf")):
+            with pytest.raises(ShapeMismatch, match="not finite"):
+                ConvexDecomposition(((w, e1), (-w, e1), (1.0, e1)))
+
+    def test_vertices_share_one_scenario(self):
+        # same number of contexts as (2,2,2), different table shape
+        other = DeterministicVertex(Scenario(1, 2, 6), (0,) * 6)
+        with pytest.raises(ShapeMismatch, match="different scenarios"):
+            ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, other)))
+
+    def test_outcome_for_rejects_foreign_history(self):
+        with pytest.raises(ShapeMismatch):
+            named_vertex("e1").outcome_for((0, 2))

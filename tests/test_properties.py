@@ -1,0 +1,143 @@
+"""Property tests across the polytope layer on random small scenarios.
+
+Random chains force some conditionals to 0 or 1, so that behaviors with
+zero-measure histories occur; the per-entry loops below are the reference
+the vectorized code is held to.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tempocorr.correlations import (
+    ZERO_MEASURE_TOL,
+    ConditionalChain,
+    DeterministicVertex,
+    Scenario,
+    check_membership,
+    compose_from_conditionals,
+    context_order,
+    context_position,
+    count_vertices,
+    decompose_behavior,
+    digits_of_index,
+    enumerate_vertices,
+    factorize,
+    history_tree,
+    index_of_digits,
+    mixture_behavior,
+    vertex_behavior,
+)
+
+SCENARIOS = [
+    s
+    for s in (Scenario(L, R, S) for L, R, S in itertools.product((1, 2, 3), (2, 3, 4), (2, 3, 4)))
+    if count_vertices(s) <= 5000
+]
+
+
+@st.composite
+def chains(draw):
+    """Dirichlet-random chain in which a drawn share of the conditionals is
+    deterministic (one outcome with probability 1)."""
+    s = draw(st.sampled_from(SCENARIOS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    levels = []
+    for t in range(1, s.L + 1):
+        g = rng.gamma(1.0, size=(s.S**t, s.R ** (t - 1), s.R))
+        pinned = rng.random(g.shape[:2]) < share
+        g[pinned] = np.eye(s.R)[rng.integers(0, s.R, size=int(pinned.sum()))]
+        levels.append(g / g.sum(axis=2, keepdims=True))
+    return ConditionalChain(s, tuple(levels))
+
+
+def reference_compose(chain):
+    """p(a|x) as the per-entry left-to-right product of the conditionals."""
+    s = chain.scenario
+    table = np.ones((s.n_setting_seqs, s.n_outcome_seqs))
+    for srow, ocol in itertools.product(range(s.n_setting_seqs), range(s.n_outcome_seqs)):
+        xs, As = digits_of_index(srow, s.S, s.L), digits_of_index(ocol, s.R, s.L)
+        p = 1.0
+        for t in range(1, s.L + 1):
+            p *= chain.levels[t - 1][index_of_digits(xs[:t], s.S), index_of_digits(As[: t - 1], s.R), As[t - 1]]
+            if p == 0.0:
+                break
+        table[srow, ocol] = p
+    return table
+
+
+def realized(v, settings):
+    """Outcomes a vertex gives when ``settings`` are measured in order."""
+    return [v.outcome_for(settings[: t + 1]) for t in range(len(settings))]
+
+
+def reference_weight(chain, v):
+    """Product, in context order, of the conditional of each assigned outcome
+    given the vertex's own realized outcome prefix."""
+    w = 1.0
+    for h, a in zip(context_order(v.scenario), v.outcomes):
+        prefix = index_of_digits(realized(v, h[:-1]), v.scenario.R)
+        w *= float(chain.levels[len(h) - 1][index_of_digits(h, v.scenario.S), prefix, a])
+        if w == 0.0:
+            break
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains())
+def test_compose_matches_per_entry_product(chain):
+    assert np.array_equal(compose_from_conditionals(chain).table, reference_compose(chain))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains())
+def test_factorize_then_compose_reproduces_behavior(chain):
+    b = compose_from_conditionals(chain)
+    back = compose_from_conditionals(factorize(b))
+    assert np.max(np.abs(back.table - b.table)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(chains())
+def test_decompose_then_mix_reproduces_behavior(chain):
+    b = compose_from_conditionals(chain)
+    d = decompose_behavior(b)
+    assert np.max(np.abs(mixture_behavior(d).table - b.table)) <= 1e-9
+    f = factorize(b)
+    weights = [(reference_weight(f, v), v) for v in enumerate_vertices(b.scenario)]
+    kept = [(w, v) for w, v in weights if w > ZERO_MEASURE_TOL]
+    total = sum(w for w, _v in kept)
+    assert d.terms == tuple((w / total, v) for w, v in kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCENARIOS), st.integers(0, 2**32 - 1))
+def test_vertex_is_a_member_and_decomposes_to_itself(s, k):
+    v = DeterministicVertex.from_index(s, k % count_vertices(s))
+    b = vertex_behavior(v)
+    assert check_membership(b).is_member
+    assert np.array_equal(np.count_nonzero(b.table, axis=1), np.ones(s.n_setting_seqs))
+    assert np.array_equal(b.table.max(axis=1), np.ones(s.n_setting_seqs))
+    for srow in range(s.n_setting_seqs):
+        xs = digits_of_index(srow, s.S, s.L)
+        assert b.table[srow, index_of_digits(realized(v, xs), s.R)] == 1.0
+    d = decompose_behavior(b)
+    assert len(d.terms) == 1 and d.terms[0] == (1.0, v)
+
+
+def test_history_tree_follows_context_order():
+    for s in SCENARIOS + [Scenario(4, 2, 3)]:
+        ctxs = context_order(s)
+        tree = history_tree(s)
+        assert [context_position(h, s.S) for h in ctxs] == list(range(s.n_contexts))
+        assert tree.level.tolist() == [len(h) for h in ctxs]
+        assert tree.prefix.tolist() == [index_of_digits(h, s.S) for h in ctxs]
+        assert tree.parent.tolist() == [
+            context_position(h[:-1], s.S) if len(h) > 1 else -1 for h in ctxs
+        ]
+        for srow in range(s.n_setting_seqs):
+            xs = digits_of_index(srow, s.S, s.L)
+            assert [ctxs[c] for c in tree.context[srow]] == [xs[: t + 1] for t in range(s.L)]
