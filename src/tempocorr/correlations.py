@@ -74,8 +74,11 @@ class Scenario:
             raise ShapeMismatch(f"sequence length must be >= 1, got {self.L}")
         if self.R < 2 or self.S < 2:
             raise ShapeMismatch(f"need R >= 2 and S >= 2, got R={self.R}, S={self.S}")
-        bits = self.n_contexts * self.S.bit_length() * self.R.bit_length()
-        if bits > _MAX_COUNT_BITS:
+        # n_contexts >= S^L >= 2^L, so a long sequence fails before L powers are summed
+        if (
+            self.L > _MAX_COUNT_BITS.bit_length()
+            or self.n_contexts * self.S.bit_length() * self.R.bit_length() > _MAX_COUNT_BITS
+        ):
             raise ShapeMismatch("scenario too large for exact vertex counting")
 
     @property

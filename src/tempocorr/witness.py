@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .correlations import (
     QUBIT_UNREACHABLE_UNIT_ENTRIES,
@@ -41,7 +40,6 @@ from .errors import (
 )
 from .qmath import (
     SystemModel,
-    apply_kraus_map,
     bloch_to_density,
     effect_from_params,
     ket,
@@ -240,81 +238,166 @@ def strategy_system_model(s: QubitStrategy) -> SystemModel:
     return SystemModel(bloch_to_density(s.initial), tuple(instruments))
 
 
+# --- lockstep Nelder-Mead -----------------------------------------------------------
+
+def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float):
+    """Minimize ``fun`` by Nelder-Mead from a ``(starts, n+1, n)`` stack of
+    initial simplices, all starts stepped in lockstep.
+
+    ``fun`` maps an ``(m, n)`` array of points to their ``m`` values.  Each
+    iteration reflects the worst vertex through the centroid of the others,
+    then expands or contracts (outside or inside), and shrinks toward the
+    best vertex when the contraction fails, with the dimension-adaptive
+    coefficients of Gao and Han, Comput. Optim. Appl. 51 (2012):
+    rho = 1, chi = 1 + 2/n, psi = 3/4 - 1/(2n), sigma = 1 - 1/n.  Each
+    simplex is sorted stably, so ties keep their vertex order.  A start
+    stops once its vertices lie within ``xatol`` and their values within
+    ``fatol`` of its best vertex; it is then frozen and not evaluated
+    again.  The iteration count starts at 1, so ``maxiter`` 0 or 1 returns
+    the best initial vertex.  No start depends on another, so each start's
+    result equals its run alone.  Returns the best vertex ``(starts, n)``
+    and its value ``(starts,)`` per start.
+    """
+    sim = np.asarray(simplex, dtype=float)
+    starts, n1, n = sim.shape
+    fsim = fun(sim.reshape(-1, n)).reshape(starts, n1)
+    rows = np.arange(starts)[:, None]
+    order = np.argsort(fsim, axis=1, kind="stable")
+    s, fs = sim[rows, order], fsim[rows, order]
+    best_x, best_f = s[:, 0].copy(), fs[:, 0].copy()
+
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    active = np.arange(starts)  # the starts still running; s and fs hold their simplices
+    iterations = 1
+    while iterations < maxiter:
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+        )
+        if done.any():
+            best_x[active[done]], best_f[active[done]] = s[done, 0], fs[done, 0]
+            active, s, fs = active[~done], s[~done], fs[~done]
+            if not active.size:
+                return best_x, best_f
+
+        xbar = np.add.reduce(s[:, :-1], axis=1) / n
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = fun(xr)
+        expand = fxr < fs[:, 0]
+        reflect = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~reflect & (fxr < fs[:, -1])
+        inside = ~(expand | reflect | outside)
+
+        probe = np.where(
+            expand[:, None],
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            np.where(
+                outside[:, None],
+                (1 + psi * rho) * xbar - psi * rho * worst,
+                (1 - psi) * xbar + psi * worst,
+            ),
+        )
+        fprobe = np.full_like(fxr, np.inf)
+        if not reflect.all():
+            fprobe[~reflect] = fun(probe[~reflect])
+        take_probe = (
+            (expand & (fprobe < fxr))
+            | (outside & (fprobe <= fxr))
+            | (inside & (fprobe < fs[:, -1]))
+        )
+        take_reflect = reflect | (expand & ~take_probe)
+        s[take_reflect, -1], fs[take_reflect, -1] = xr[take_reflect], fxr[take_reflect]
+        s[take_probe, -1], fs[take_probe, -1] = probe[take_probe], fprobe[take_probe]
+
+        shrink = (outside | inside) & ~take_probe
+        if shrink.any():
+            best = s[shrink, :1]
+            shrunk = best + sigma * (s[shrink, 1:] - best)
+            s[shrink, 1:] = shrunk
+            fs[shrink, 1:] = fun(shrunk.reshape(-1, n)).reshape(-1, n1 - 1)
+        iterations += 1
+
+        order = np.argsort(fs, axis=1, kind="stable")
+        rows = rows[: active.size]
+        s, fs = s[rows, order], fs[rows, order]
+    best_x[active], best_f[active] = s[:, 0], fs[:, 0]
+    return best_x, best_f
+
+
 # --- closed-form state elimination and the restart optimizer -----------------------
 
-def _effect_triples(theta):
-    """Decode the 8 search parameters into two (a, b, axis) triples."""
-    out = []
-    for i in (0, 4):
-        u = min(max(float(theta[i]), 0.0), 1.0)
-        b = min(max(float(theta[i + 1]), 0.0), 1.0)
-        t, p = float(theta[i + 2]), float(theta[i + 3])
-        st = math.sin(t)
-        axis = (st * math.cos(p), st * math.sin(p), math.cos(t))
-        out.append((u / (1.0 + b), b, axis))
-    return tuple(out)
+def _effect_params(theta):
+    """Decode ``(..., 8)`` search parameters into the effect weights ``a``,
+    biases ``b`` (both ``(..., 2)``) and unit axes ``(..., 2, 3)``."""
+    theta = np.asarray(theta, dtype=float)
+    theta = theta.reshape(theta.shape[:-1] + (2, 4))
+    u = np.minimum(np.maximum(theta[..., 0], 0.0), 1.0)
+    b = np.minimum(np.maximum(theta[..., 1], 0.0), 1.0)
+    t, p = theta[..., 2], theta[..., 3]
+    st = np.sin(t)
+    axis = np.empty(t.shape + (3,))
+    axis[..., 0] = st * np.cos(p)
+    axis[..., 1] = st * np.sin(p)
+    axis[..., 2] = np.cos(t)
+    return u / (1.0 + b), b, axis
 
 
-def _post_coefficients(terms, effects):
-    """Per (first outcome, setting): constant part and linear coefficient
-    vector of the second-step contribution, maximized at the unit vector
-    along the coefficient."""
-    base = {(a, x): 0.0 for a in (0, 1) for x in (0, 1)}
-    wvec = {(a, x): [0.0, 0.0, 0.0] for a in (0, 1) for x in (0, 1)}
-    for (a, b), (x, y), coeff in terms:
-        ay, by, ny = effects[y]
-        sign = 1.0 if b == 0 else -1.0
-        base[(a, x)] += coeff * (ay if b == 0 else 1.0 - ay)
-        w = wvec[(a, x)]
-        for i in range(3):
-            w[i] += sign * coeff * ay * by * ny[i]
+def _post_coefficients(terms, a, b, axis):
+    """Per (first outcome a, setting x): constant part ``base[..., a, x]``
+    and linear coefficient vector ``wvec[..., a, x, :]`` of the second-step
+    contribution, maximized at the unit vector along the coefficient."""
+    base = np.zeros(a.shape[:-1] + (2, 2))
+    wvec = np.zeros(a.shape[:-1] + (2, 2, 3))
+    for (oa, ob), (x, y), coeff in terms:
+        sign = 1.0 if ob == 0 else -1.0
+        base[..., oa, x] += coeff * (a[..., y] if ob == 0 else 1.0 - a[..., y])
+        wvec[..., oa, x, :] += (sign * coeff * a[..., y] * b[..., y])[..., None] * axis[..., y, :]
     return base, wvec
 
 
-def _state_optimal_value(terms, effects) -> float:
-    """Witness value with every Bloch vector replaced by its optimizer.
+def _norm3(v):
+    return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
+
+
+def _state_optimal_value(terms, theta):
+    """Witness value of each row of ``(..., 8)`` effect parameters with every
+    Bloch vector replaced by its optimizer.
 
     Post-measurement vectors enter linearly with the nonnegative weight
     p(a|x), so each one independently aligns with its coefficient vector;
     substituting those optima leaves an affine function of the input vector,
     again maximized by alignment.
     """
-    base, wvec = _post_coefficients(terms, effects)
-    const = 0.0
-    v = [0.0, 0.0, 0.0]
-    for x in (0, 1):
-        ax, bx, nx = effects[x]
-        w0, w1 = wvec[(0, x)], wvec[(1, x)]
-        top0 = base[(0, x)] + math.sqrt(w0[0] ** 2 + w0[1] ** 2 + w0[2] ** 2)
-        top1 = base[(1, x)] + math.sqrt(w1[0] ** 2 + w1[1] ** 2 + w1[2] ** 2)
-        diff = top0 - top1
-        const += top1 + diff * ax
-        for i in range(3):
-            v[i] += diff * ax * bx * nx[i]
-    return const + math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+    a, b, axis = _effect_params(theta)
+    base, wvec = _post_coefficients(terms, a, b, axis)
+    top = base + _norm3(wvec)
+    diff = top[..., 0, :] - top[..., 1, :]
+    const = (top[..., 1, 0] + diff[..., 0] * a[..., 0]) + (top[..., 1, 1] + diff[..., 1] * a[..., 1])
+    v = (diff[..., 0] * a[..., 0] * b[..., 0])[..., None] * axis[..., 0, :] + (
+        diff[..., 1] * a[..., 1] * b[..., 1]
+    )[..., None] * axis[..., 1, :]
+    return const + _norm3(v)
 
 
-def _reconstruct_strategy(terms, effects, tie_initial, tie_post) -> QubitStrategy:
-    """Explicit optimal states for fixed effects; zero coefficient vectors
-    keep the supplied tie-break vectors."""
-    base, wvec = _post_coefficients(terms, effects)
+def _reconstruct_strategy(terms, theta, tie_initial, tie_post) -> QubitStrategy:
+    """Explicit optimal states for the effects of one parameter row; zero
+    coefficient vectors keep the supplied tie-break vectors."""
+    a, b, axis = _effect_params(theta)
+    base, wvec = _post_coefficients(terms, a, b, axis)
     post = np.array(tie_post, dtype=float, copy=True)
-    tops = {}
-    for a in (0, 1):
-        for x in (0, 1):
-            w = np.array(wvec[(a, x)])
-            norm = float(np.linalg.norm(w))
-            if norm > 1e-15:
-                post[a, x] = w / norm
-            tops[(a, x)] = base[(a, x)] + float(np.dot(w, post[a, x]))
+    tops = base.copy()
+    for ax in np.ndindex(2, 2):
+        norm = float(np.linalg.norm(wvec[ax]))
+        if norm > 1e-15:
+            post[ax] = wvec[ax] / norm
+        tops[ax] += float(np.dot(wvec[ax], post[ax]))
     v = np.zeros(3)
     for x in (0, 1):
-        ax, bx, nx = effects[x]
-        v += (tops[(0, x)] - tops[(1, x)]) * ax * bx * np.asarray(nx)
+        v += (tops[0, x] - tops[1, x]) * a[x] * b[x] * axis[x]
     initial = np.asarray(tie_initial, dtype=float)
     if float(np.linalg.norm(v)) > 1e-15:
         initial = v / np.linalg.norm(v)
-    eff_params = tuple(EffectParams(a, b, np.asarray(n)) for a, b, n in effects)
+    eff_params = tuple(EffectParams(a[x], b[x], axis[x]) for x in (0, 1))
     return QubitStrategy(initial, post, eff_params)
 
 
@@ -338,55 +421,49 @@ class OptimizationResult:
 def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
     """Best qubit value of a witness by seeded random-restart search.
 
-    Only the 8 effect parameters are searched numerically (Nelder-Mead on a
-    deterministic initial simplex); all Bloch vectors are eliminated in
-    closed form at every objective evaluation, so the search space is exactly
-    the achievable qubit set and every reported value is a valid lower bound
-    on the qubit maximum.  Results are deterministic for a fixed seed, with
-    ties between restarts resolved toward the lower restart index.
+    Only the 8 effect parameters are searched numerically: adaptive
+    Nelder-Mead from a deterministic initial simplex per restart, all
+    restarts stepped together by :func:`_nelder_mead` with the objective
+    evaluated on every restart's points in one array call.  All Bloch
+    vectors are eliminated in closed form at every evaluation, so the search
+    space is exactly the achievable qubit set, and the reported value is
+    recomputed from the rebuilt strategy, a valid lower bound on the qubit
+    maximum.  Results are deterministic for a fixed seed, with ties between
+    restarts resolved toward the lower restart index.
     """
     if cfg.restarts < 1:
         raise ParamOutOfRange(f"restarts must be >= 1, got {cfg.restarts}")
+    if cfg.max_iterations < 0:
+        raise ParamOutOfRange(f"max_iterations must be >= 0, got {cfg.max_iterations}")
     _require_binary_pair_scenario(f)
     terms = tuple((t.outcomes, t.settings, t.coeff) for t in f.terms)
 
-    def objective(theta):
-        return -_state_optimal_value(terms, _effect_triples(theta))
-
-    best = None
-    for k, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
+    theta0, tie_initial, tie_post = [], [], []
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(seq)
-        theta0 = np.array(
+        theta0.append(
             [
                 rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
                 rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
             ]
         )
-        tie_initial = rng.normal(size=3)
-        tie_initial /= np.linalg.norm(tie_initial)
-        tie_post = rng.normal(size=(2, 2, 3))
-        tie_post /= np.linalg.norm(tie_post, axis=2, keepdims=True)
+        init = rng.normal(size=3)
+        tie_initial.append(init / np.linalg.norm(init))
+        post = rng.normal(size=(2, 2, 3))
+        tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
 
-        simplex = np.vstack([theta0, theta0 + cfg.initial_step * np.eye(8)])
-        res = minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iterations,
-                "xatol": cfg.xtol,
-                "fatol": cfg.ftol,
-                "initial_simplex": simplex,
-                "adaptive": True,
-            },
-        )
-        value = -float(res.fun)
-        if best is None or value > best[0]:
-            best = (value, res.x, tie_initial, tie_post, k)
-
-    _value, theta, tie_initial, tie_post, index = best
-    strategy = _reconstruct_strategy(terms, _effect_triples(theta), tie_initial, tie_post)
-    return OptimizationResult(strategy_value(f, strategy), strategy, index)
+    steps = np.vstack([np.zeros(8), cfg.initial_step * np.eye(8)])
+    simplices = np.asarray(theta0)[:, None, :] + steps
+    thetas, fvals = _nelder_mead(
+        lambda theta: -_state_optimal_value(terms, theta),
+        simplices,
+        cfg.max_iterations,
+        cfg.xtol,
+        cfg.ftol,
+    )
+    k = int(np.argmin(fvals))
+    strategy = _reconstruct_strategy(terms, thetas[k], tie_initial[k], tie_post[k])
+    return OptimizationResult(strategy_value(f, strategy), strategy, k)
 
 
 # --- closed-form profiles ----------------------------------------------------------
@@ -602,28 +679,45 @@ class EpsilonSearchConfig:
     xtol: float = 1e-9
 
 
-def _rank1_projection_deviation(kraus, proj, psi) -> float:
-    # single Kraus branch: output is rank 1, trace norm in closed form
-    phi = kraus @ psi
-    v = proj @ phi
-    w = phi - v
-    wn = float(np.vdot(w, w).real)
-    vn = float(np.vdot(v, v).real)
-    return math.sqrt(wn) * math.sqrt(wn + 4.0 * vn)
+def _branch_deviations(kraus_ops, proj, psi):
+    """Trace-norm leakage ``||P rho P - rho||_1`` of the branch output
+    ``rho = sum_k K psi psi^dag K^dag`` for each row of unit vectors ``psi``."""
+    phis = [psi @ k.T for k in kraus_ops]
+    if len(phis) == 1:
+        # single Kraus branch: output is rank 1, trace norm in closed form
+        v = phis[0] @ proj.T
+        w = phis[0] - v
+        wn = np.sum(w.real**2 + w.imag**2, axis=1)
+        vn = np.sum(v.real**2 + v.imag**2, axis=1)
+        return np.sqrt(wn) * np.sqrt(wn + 4.0 * vn)
+    rho = sum(phi[:, :, None] * phi[:, None, :].conj() for phi in phis)
+    leak = proj @ rho @ proj - rho
+    return np.sum(np.abs(np.linalg.eigvalsh(leak)), axis=1)
 
 
-def _branch_deviation(kraus_ops, proj, psi) -> float:
-    if len(kraus_ops) == 1:
-        return _rank1_projection_deviation(kraus_ops[0], proj, psi)
-    rho = apply_kraus_map(kraus_ops, np.outer(psi, psi.conj()))
-    return trace_norm(proj @ rho @ proj - rho)
+def _default_simplex(x0):
+    """The customary default Nelder-Mead simplex around each row of ``x0``:
+    each coordinate in turn scaled by 1.05, or set to 0.00025 where it is 0."""
+    n = x0.shape[1]
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    idx = np.arange(n)
+    sim[:, idx + 1, idx] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    return sim
 
 
 def _max_branch_deviation(kraus_ops, proj, cfg, rng) -> float:
     """Largest trace-norm leakage of one instrument branch out of the
     subspace, over pure inputs.  The leakage is convex in the state, so the
     maximum sits at a pure state; local ascent from spectral and random
-    starts gives a convergent estimate, not a certified global bound."""
+    starts gives a convergent estimate, not a certified global bound.
+
+    All starts (basis vectors, top eigenvectors of each Kraus leakage and of
+    their sum, then ``cfg.restarts`` random vectors) run as one lockstep
+    Nelder-Mead batch (:func:`_nelder_mead`) over the real and imaginary
+    parts of the input, from the default simplex of :func:`_default_simplex`;
+    single-Kraus branches evaluate the rank-1 closed form, others a batched
+    eigenvalue decomposition.
+    """
     dim = proj.shape[0]
     complement = np.eye(dim) - proj
     starts = [ket(i, dim) for i in range(dim)]
@@ -638,23 +732,17 @@ def _max_branch_deviation(kraus_ops, proj, cfg, rng) -> float:
         starts.append(v / np.linalg.norm(v))
 
     def negf(xr):
-        v = xr[:dim] + 1j * xr[dim:]
-        n = float(np.linalg.norm(v))
-        if n < 1e-12:
-            return 0.0
-        return -_branch_deviation(kraus_ops, proj, v / n)
+        v = xr[:, :dim] + 1j * xr[:, dim:]
+        n = np.linalg.norm(v, axis=1)
+        small = n < 1e-12
+        dev = _branch_deviations(kraus_ops, proj, v / np.where(small, 1.0, n)[:, None])
+        return np.where(small, 0.0, -dev)
 
-    best = 0.0
-    for s in starts:
-        x0 = np.concatenate([s.real, s.imag])
-        res = minimize(
-            negf,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": cfg.max_iterations, "xatol": cfg.xtol, "fatol": 1e-13, "adaptive": True},
-        )
-        best = max(best, -float(res.fun))
-    return best
+    s = np.asarray(starts)
+    _x, fvals = _nelder_mead(
+        negf, _default_simplex(np.hstack([s.real, s.imag])), cfg.max_iterations, cfg.xtol, 1e-13
+    )
+    return max(0.0, -float(np.min(fvals)))
 
 
 def system_epsilon(

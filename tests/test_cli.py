@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from tempocorr.correlations import (
     random_conditional_chain,
 )
 from tempocorr.witness import builtin_functionals
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -180,6 +186,10 @@ class TestOptimize:
             payload["value"], abs=1e-9
         )
 
+    def test_negative_iterations_rejected(self, capsys):
+        code, _out, err = run(capsys, "optimize", "--functional", "B1", "--iterations", "-5")
+        assert code == 1 and "max_iterations must be >= 0" in err
+
 
 class TestDecomposeRealize:
     def test_round_trip(self, capsys, tmp_path):
@@ -278,3 +288,16 @@ class TestInputBoundary:
         data["terms"][0]["weight"] = float("nan")
         code, _out, err = self.run_file(capsys, tmp_path, data, "realize", "--decomposition", "{file}")
         assert code == 3 and "schema error: terms[0].weight:" in err
+
+    def test_huge_length_rejected(self, capsys, tmp_path):
+        data = self.member_json()
+        data["L"] = 10**6
+        code, _out, err = self.run_file(capsys, tmp_path, data, "witness", "--behavior", "{file}")
+        assert code == 3 and "schema error: L/R/S:" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, tempocorr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

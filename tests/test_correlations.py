@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,13 @@ class TestScenario:
             Scenario(0, 2, 2)
         with pytest.raises(ShapeMismatch):
             Scenario(2, 1, 2)
+
+    def test_huge_length_rejected_at_once(self):
+        # summing the 10^6 context counts S^t first would take minutes
+        t0 = time.process_time()
+        with pytest.raises(ShapeMismatch):
+            Scenario(10**6, 2, 2)
+        assert time.process_time() - t0 < 1.0
 
     def test_sizes(self):
         assert S222.n_setting_seqs == 4

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempocorr import witness as w
 from tempocorr.correlations import (
@@ -186,6 +188,10 @@ class TestOptimizer:
         with pytest.raises(ParamOutOfRange):
             optimize_qubit(F["B1"], OptimizerConfig(restarts=0))
 
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ParamOutOfRange):
+            optimize_qubit(F["B1"], OptimizerConfig(restarts=1, max_iterations=-5))
+
     def test_sampled_strategies_respect_bounds(self):
         rng = np.random.default_rng(33)
         c3 = c3_bound().value
@@ -194,6 +200,115 @@ class TestOptimizer:
             s = random_strategy(rng)
             for name, cap in caps.items():
                 assert strategy_value(F[name], s) <= cap + 1e-9
+
+
+def loop_state_optimal_value(terms, theta) -> float:
+    """Per-term scalar reference for the closed-form objective on one row."""
+    effects = []
+    for i in (0, 4):
+        u = min(max(float(theta[i]), 0.0), 1.0)
+        b = min(max(float(theta[i + 1]), 0.0), 1.0)
+        t, p = float(theta[i + 2]), float(theta[i + 3])
+        axis = (math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
+        effects.append((u / (1.0 + b), b, axis))
+    base = {(a, x): 0.0 for a in (0, 1) for x in (0, 1)}
+    wvec = {(a, x): [0.0, 0.0, 0.0] for a in (0, 1) for x in (0, 1)}
+    for (a, b), (x, y), coeff in terms:
+        ay, by, ny = effects[y]
+        base[(a, x)] += coeff * (ay if b == 0 else 1.0 - ay)
+        for i in range(3):
+            wvec[(a, x)][i] += (1.0 if b == 0 else -1.0) * coeff * ay * by * ny[i]
+    const, v = 0.0, [0.0, 0.0, 0.0]
+    for x in (0, 1):
+        ax, bx, nx = effects[x]
+        top0 = base[(0, x)] + math.sqrt(sum(c * c for c in wvec[(0, x)]))
+        top1 = base[(1, x)] + math.sqrt(sum(c * c for c in wvec[(1, x)]))
+        const += top1 + (top0 - top1) * ax
+        for i in range(3):
+            v[i] += (top0 - top1) * ax * bx * nx[i]
+    return const + math.sqrt(sum(c * c for c in v))
+
+
+def functional_terms(name):
+    return tuple((t.outcomes, t.settings, t.coeff) for t in F[name].terms)
+
+
+def qubit_objective(name):
+    terms = functional_terms(name)
+    return lambda theta: -w._state_optimal_value(terms, theta)
+
+
+def random_simplices(seed, starts, n=8, step=0.25):
+    x0 = np.random.default_rng(seed).uniform(-0.5, 4.0, size=(starts, n))
+    return x0[:, None, :] + np.vstack([np.zeros(n), step * np.eye(n)])
+
+
+class TestLockstepNelderMead:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from(sorted(F)),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.integers(0, 120),
+    )
+    def test_starts_are_independent(self, name, seed, starts, maxiter):
+        fun = qubit_objective(name)
+        simplices = random_simplices(seed, starts)
+        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-10, 1e-13)
+        for k in range(starts):
+            x1, f1 = w._nelder_mead(fun, simplices[k : k + 1], maxiter, 1e-10, 1e-13)
+            assert np.array_equal(xs[k], x1[0])
+            assert fs[k] == f1[0]
+
+    @pytest.mark.parametrize("maxiter", [0, 1])
+    def test_no_iteration_returns_best_initial_vertex(self, maxiter):
+        fun = qubit_objective("B3")
+        simplices = random_simplices(5, 4)
+        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-10, 1e-13)
+        for k, sim in enumerate(simplices):
+            values = fun(sim)
+            best = int(np.argmin(values))
+            assert np.array_equal(xs[k], sim[best])
+            assert fs[k] == values[best]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    def test_converges_on_convex_quadratic(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        hess = m @ m.T + n * np.eye(n)
+        center = rng.normal(size=n)
+
+        def fun(x):
+            d = x - center
+            return np.einsum("mi,ij,mj->m", d, hess, d)
+
+        xatol = 1e-8
+        xs, fs = w._nelder_mead(fun, random_simplices(seed, 3, n=n, step=1.0), 5000, xatol, 1e-14)
+        # the stopping test bounds the simplex, so the minimizer is met to a few xatol
+        assert np.max(np.abs(xs - center)) <= 10 * xatol
+        assert np.all(fs <= 1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(F)), st.integers(0, 2**32 - 1))
+    def test_batched_objective_matches_loop_reference(self, name, seed):
+        # the clipped parameters u, b are drawn well outside [0, 1] as well
+        theta = np.random.default_rng(seed).uniform(-2.0, 8.0, size=(64, 8))
+        terms = functional_terms(name)
+        batched = w._state_optimal_value(terms, theta)
+        reference = np.array([loop_state_optimal_value(terms, row) for row in theta])
+        assert np.max(np.abs(batched - reference)) <= 1e-15
+
+    def test_reconstructed_strategy_attains_objective(self):
+        terms = functional_terms("B4")
+        theta = np.random.default_rng(9).uniform(0.0, 3.0, size=8)
+        rng = np.random.default_rng(10)
+        tie_post = rng.normal(size=(2, 2, 3))
+        tie_post /= np.linalg.norm(tie_post, axis=2, keepdims=True)
+        s = w._reconstruct_strategy(terms, theta, np.array([0.0, 0.0, 1.0]), tie_post)
+        assert strategy_value(F["B4"], s) == pytest.approx(
+            float(w._state_optimal_value(terms, theta)), abs=1e-12
+        )
 
 
 class TestProfiles:
