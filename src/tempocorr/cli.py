@@ -3,9 +3,9 @@
 Subcommands: vertices, simulate, witness, bounds, optimize, decompose,
 realize.  Every run is deterministic given its flags; all randomness flows
 from --seed (default 1729).  Exit codes are a stable scripting contract:
-0 success, 2 vertex cap exceeded, 3 schema violation, 4 behavior not in the
-polytope, 5 outside the implemented scope (sequence length != 2), 64 usage
-error.
+0 success, 1 parameter out of range or another library error, 2 vertex cap
+exceeded (vertices only), 3 schema violation, 4 behavior not in the polytope,
+5 outside the implemented scope (sequence length != 2), 64 usage error.
 """
 
 from __future__ import annotations

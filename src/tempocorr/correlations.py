@@ -410,21 +410,16 @@ def _capped_count(scenario: Scenario, cap: int) -> int:
     return n
 
 
-def _all_assignments(scenario: Scenario, cap: int) -> np.ndarray:
-    """Outcomes of every vertex, one row each in enumeration order; raises
+def enumerate_vertices(
+    scenario: Scenario, cap: int = DEFAULT_VERTEX_CAP
+) -> list[DeterministicVertex]:
+    """All vertices in lexicographic assignment order; raises
     :class:`TooManyVertices` above ``cap`` before allocating."""
     k = np.arange(_capped_count(scenario, cap))
     out = np.empty((len(k), scenario.n_contexts), dtype=np.min_scalar_type(scenario.R))
     for c in range(scenario.n_contexts - 1, -1, -1):
         k, out[:, c] = np.divmod(k, scenario.R)
-    return out
-
-
-def enumerate_vertices(
-    scenario: Scenario, cap: int = DEFAULT_VERTEX_CAP
-) -> list[DeterministicVertex]:
-    """All vertices in lexicographic assignment order; errors above ``cap``."""
-    return [DeterministicVertex(scenario, row) for row in _all_assignments(scenario, cap).tolist()]
+    return [DeterministicVertex(scenario, row) for row in out.tolist()]
 
 
 def vertex_behavior(v: DeterministicVertex) -> Behavior:
@@ -630,47 +625,55 @@ class ConvexDecomposition:
         return self.terms[0][1].scenario
 
 
+def _vertex_columns(s: Scenario, outcomes: np.ndarray, steps: int) -> np.ndarray:
+    """Outcome column each vertex (one row of ``outcomes``) reaches in each
+    table row after ``steps`` steps: the base-R index of the outcomes it
+    assigns along the row's path through the tree."""
+    context = history_tree(s).context
+    cols = np.zeros((len(outcomes), s.n_setting_seqs), dtype=np.min_scalar_type(s.n_outcome_seqs))
+    for t in range(steps):
+        cols = cols * s.R + outcomes[:, context[:, t]]
+    return cols
+
+
 def mixture_behavior(decomp: ConvexDecomposition) -> Behavior:
     """Weighted sum of the vertex behaviors."""
     s = decomp.scenario
     weights = np.array([w for w, _v in decomp.terms])
     outcomes = np.array([v.outcomes for _w, v in decomp.terms], dtype=np.min_scalar_type(s.R))
-    # outcome column each vertex reaches in each row: the base-R index of the
-    # outcomes it assigns along the row's path through the tree
-    context = history_tree(s).context
-    cols = np.zeros((len(outcomes), s.n_setting_seqs), dtype=np.min_scalar_type(s.n_outcome_seqs))
-    for t in range(s.L):
-        cols = cols * s.R + outcomes[:, context[:, t]]
     table = np.zeros((s.n_setting_seqs, s.n_outcome_seqs))
-    for row, col in zip(table, cols.T):
+    for row, col in zip(table, _vertex_columns(s, outcomes, s.L).T):
         np.add.at(row, col, weights)  # unbuffered: each entry sums its terms in term order
     return Behavior(s, table)
 
 
-def decompose_behavior(
-    b: Behavior, tol: float = MEMBERSHIP_TOL, cap: int = DEFAULT_VERTEX_CAP
-) -> ConvexDecomposition:
-    """Write a member behavior as a convex combination of vertices.
+def decompose_behavior(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConvexDecomposition:
+    """Write a member behavior as a convex combination of vertices by a
+    greedy peel: at most one term per positive entry of the table.
 
-    The weight of a vertex is the product, over every setting history, of the
-    conditional probability (from :func:`factorize`) of the vertex's assigned
-    outcome given the vertex's own realized outcome prefix.  Vertices of zero
-    weight are omitted.
+    Each step gives every setting history, level by level, the outcome of
+    largest residual marginal at the vertex's own realized outcome prefix
+    (ties to the lowest), and subtracts the vertex with the smallest residual
+    entry on its support as weight, which zeroes that entry.  The residual
+    stays a scaled member, as the constraints are linear.
     """
     s = b.scenario
-    chain = factorize(b, tol)
-    outcomes = _all_assignments(s, cap)
+    require_member(b, tol)
     tree = history_tree(s)
-    # realized outcome prefix (base R) of every vertex before every context
-    prefix = np.zeros(outcomes.shape, dtype=np.min_scalar_type(s.R ** (s.L - 1)))
-    w = np.ones(len(outcomes))
-    for c, (t, up) in enumerate(zip(tree.level.tolist(), tree.parent.tolist())):
-        if up >= 0:
-            prefix[:, c] = prefix[:, up] * s.R + outcomes[:, up]
-        factor = chain.levels[t - 1][tree.prefix[c], prefix[:, c], outcomes[:, c]]
-        # context by context, left to right; a product that reached 0 stays as it is
-        w = np.where(w == 0.0, w, w * factor)
-    keep = np.flatnonzero(w > ZERO_MEASURE_TOL)
-    total = sum(w[keep].tolist())
-    vertices = [DeterministicVertex(s, row) for row in outcomes[keep].tolist()]
-    return ConvexDecomposition(tuple(zip((w[keep] / total).tolist(), vertices)))
+    residual = np.array(b.table)
+    terms = []
+    while residual.sum() / s.n_setting_seqs > ZERO_MEASURE_TOL:
+        outcomes = np.zeros((1, s.n_contexts), dtype=int)
+        for t in range(1, s.L + 1):
+            # each row's history x1..xt, reached with the outcome prefix realized so far
+            c, realized = tree.context[:, t - 1], _vertex_columns(s, outcomes, t - 1)[0]
+            m = _pinned_marginal(Behavior(s, residual), t).reshape(s.S**t, s.R ** (t - 1), s.R)
+            outcomes[0, c] = m[tree.prefix[c], realized].argmax(axis=1)
+        support = (np.arange(s.n_setting_seqs), _vertex_columns(s, outcomes, s.L)[0])
+        w = float(residual[support].min())
+        if w <= ZERO_MEASURE_TOL:
+            break
+        residual[support] -= w
+        terms.append((w, DeterministicVertex(s, outcomes[0].tolist())))
+    total = sum(w for w, _v in terms)
+    return ConvexDecomposition(tuple((w / total, v) for w, v in terms))

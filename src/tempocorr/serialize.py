@@ -167,23 +167,18 @@ def behavior_from_json(data) -> Behavior:
     raw = data.get("table")
     if not isinstance(raw, dict):
         raise SchemaError("table", "expected an object keyed by setting digits")
-    table = np.zeros((scenario.n_setting_seqs, scenario.n_outcome_seqs))
-    seen = set()
+    if len(raw) != scenario.n_setting_seqs:
+        raise SchemaError("table", f"expected {scenario.n_setting_seqs} setting blocks, got {len(raw)}")
+    # one distinct key per row, all checked first: the table is no larger than the document
     for key, row in raw.items():
-        if len(key) != scenario.L or any(c not in "0123456789" for c in key):
-            raise SchemaError(f"table.{key}", f"key must be {scenario.L} setting digits")
-        xs = tuple(int(c) for c in key)
-        if any(x >= scenario.S for x in xs):
-            raise SchemaError(f"table.{key}", f"setting digit out of range 0..{scenario.S - 1}")
+        if len(key) != scenario.L or not set(key) <= set("0123456789"[: scenario.S]):
+            raise SchemaError(f"table.{key}", f"expected {scenario.L} digits in 0..{scenario.S - 1}")
         if not isinstance(row, list) or len(row) != scenario.n_outcome_seqs:
-            raise SchemaError(
-                f"table.{key}", f"expected {scenario.n_outcome_seqs} probabilities"
-            )
-        srow = index_of_digits(xs, scenario.S)
+            raise SchemaError(f"table.{key}", f"expected {scenario.n_outcome_seqs} probabilities")
+    table = np.zeros((scenario.n_setting_seqs, scenario.n_outcome_seqs))
+    for key, row in raw.items():
+        srow = index_of_digits((int(c) for c in key), scenario.S)
         table[srow] = [_number(v, f"table.{key}[{j}]") for j, v in enumerate(row)]
-        seen.add(srow)
-    if len(seen) != scenario.n_setting_seqs:
-        raise SchemaError("table", f"expected {scenario.n_setting_seqs} setting blocks, got {len(seen)}")
     return Behavior(scenario, table)
 
 

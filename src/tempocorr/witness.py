@@ -753,6 +753,8 @@ def system_epsilon(
     Takes the maximum of the initial-state deviation and, per instrument
     branch, the largest deviation of the branch output over all input states.
     """
+    if cfg.restarts < 0 or cfg.max_iterations < 0:
+        raise ParamOutOfRange(f"restarts and max_iterations must be >= 0 in {cfg}")
     p = np.asarray(proj, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise NotAProjector(f"projector must be square, got shape {p.shape}")

@@ -220,6 +220,27 @@ class TestDecomposeRealize:
         resim = se.behavior_from_json(json.loads(resim_file.read_text()))
         assert np.max(np.abs(resim.table - behavior.table)) < 1e-9
 
+    def test_mixture_dimension_bounded_by_positive_entries(self, capsys, tmp_path):
+        rng = np.random.default_rng(52)
+        behavior_file, decomp_file = tmp_path / "b.json", tmp_path / "d.json"
+        for _ in range(20):
+            behavior = compose_from_conditionals(random_conditional_chain(rng, Scenario(2, 2, 2)))
+            behavior_file.write_text(se.dumps(se.behavior_to_json(behavior)))
+            run(capsys, "decompose", "--behavior", str(behavior_file), "--out", str(decomp_file))
+            code, out, _ = run(capsys, "realize", "--decomposition", str(decomp_file))
+            dim = int(out.split("system dimension ")[1].split(";")[0])
+            assert code == 0 and dim <= 3 * np.count_nonzero(behavior.table > 0.0)
+            assert float(out.split("re-simulation max deviation")[1].split()[0]) <= 1e-9
+
+    def test_decompose_beyond_enumeration(self, capsys, tmp_path):
+        rng = np.random.default_rng(51)
+        behavior = compose_from_conditionals(random_conditional_chain(rng, Scenario(3, 2, 3)))
+        behavior_file = tmp_path / "b.json"
+        behavior_file.write_text(se.dumps(se.behavior_to_json(behavior)))
+        code, out, _ = run(capsys, "decompose", "--behavior", str(behavior_file))
+        assert code == 0
+        assert float(out.split("reconstruction max deviation")[1].split()[0]) <= 1e-9
+
     def test_realize_named_vertex(self, capsys, tmp_path):
         system_file = tmp_path / "e1sys.json"
         code, out, _ = run(capsys, "realize", "--vertex", "e1", "--out", str(system_file))
@@ -288,6 +309,12 @@ class TestInputBoundary:
         data["terms"][0]["weight"] = float("nan")
         code, _out, err = self.run_file(capsys, tmp_path, data, "realize", "--decomposition", "{file}")
         assert code == 3 and "schema error: terms[0].weight:" in err
+
+    def test_short_table_of_long_scenario_rejected(self, capsys, tmp_path):
+        # a full table of this scenario would need 8 TiB; the document has one row
+        data = {"L": 20, "R": 2, "S": 2, "table": {"0" * 20: [1.0, 0.0]}}
+        code, _out, err = self.run_file(capsys, tmp_path, data, "witness", "--behavior", "{file}")
+        assert code == 3 and "schema error: table:" in err
 
     def test_huge_length_rejected(self, capsys, tmp_path):
         data = self.member_json()

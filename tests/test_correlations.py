@@ -335,6 +335,14 @@ class TestDecomposition:
             recon = mixture_behavior(decompose_behavior(b))
             assert np.max(np.abs(recon.table - b.table)) < 1e-9
 
+    def test_random_member_beyond_enumeration(self):
+        # (3,2,3) has about 5.5e11 vertices, far past any enumeration cap
+        s = Scenario(3, 2, 3)
+        b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(7), s))
+        d = decompose_behavior(b)
+        assert len(d.terms) <= np.count_nonzero(b.table > 0.0)
+        assert np.max(np.abs(mixture_behavior(d).table - b.table)) <= 1e-9
+
     def test_uniform_reconstructs(self):
         b = uniform_behavior(S222)
         recon = mixture_behavior(decompose_behavior(b))

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempocorr.correlations import (
-    ZERO_MEASURE_TOL,
     ConditionalChain,
     DeterministicVertex,
     Scenario,
@@ -23,7 +22,6 @@ from tempocorr.correlations import (
     count_vertices,
     decompose_behavior,
     digits_of_index,
-    enumerate_vertices,
     factorize,
     history_tree,
     index_of_digits,
@@ -74,18 +72,6 @@ def realized(v, settings):
     return [v.outcome_for(settings[: t + 1]) for t in range(len(settings))]
 
 
-def reference_weight(chain, v):
-    """Product, in context order, of the conditional of each assigned outcome
-    given the vertex's own realized outcome prefix."""
-    w = 1.0
-    for h, a in zip(context_order(v.scenario), v.outcomes):
-        prefix = index_of_digits(realized(v, h[:-1]), v.scenario.R)
-        w *= float(chain.levels[len(h) - 1][index_of_digits(h, v.scenario.S), prefix, a])
-        if w == 0.0:
-            break
-    return w
-
-
 @settings(max_examples=40, deadline=None)
 @given(chains())
 def test_compose_matches_per_entry_product(chain):
@@ -106,11 +92,13 @@ def test_decompose_then_mix_reproduces_behavior(chain):
     b = compose_from_conditionals(chain)
     d = decompose_behavior(b)
     assert np.max(np.abs(mixture_behavior(d).table - b.table)) <= 1e-9
-    f = factorize(b)
-    weights = [(reference_weight(f, v), v) for v in enumerate_vertices(b.scenario)]
-    kept = [(w, v) for w, v in weights if w > ZERO_MEASURE_TOL]
-    total = sum(w for w, _v in kept)
-    assert d.terms == tuple((w / total, v) for w, v in kept)
+    # the peel zeroes an entry per term and only ever uses positive entries
+    assert len(d.terms) <= np.count_nonzero(b.table > 0.0)
+    for w, v in d.terms:
+        assert w > 0.0
+        assert np.all(b.table[vertex_behavior(v).table == 1.0] > 0.0)
+    assert abs(sum(w for w, _v in d.terms) - 1.0) <= 1e-12
+    assert decompose_behavior(b).terms == d.terms
 
 
 @settings(max_examples=60, deadline=None)

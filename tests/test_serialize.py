@@ -87,6 +87,13 @@ class TestBehavior:
             se.behavior_from_json(data)
         assert "table.02" in str(exc.value)
 
+    def test_rows_counted_before_allocation(self):
+        # a full table of this scenario would need 8 TiB; the document has one row
+        data = {"L": 20, "R": 2, "S": 2, "table": {"0" * 20: [1.0, 0.0]}}
+        with pytest.raises(SchemaError) as exc:
+            se.behavior_from_json(data)
+        assert exc.value.path == "table"
+
     def test_wrong_row_length(self):
         data = se.behavior_to_json(full_behavior(canonical_protocols()["qubit-B1-3"], 2))
         data["table"]["00"] = data["table"]["00"][:3]

@@ -192,6 +192,13 @@ class TestOptimizer:
         with pytest.raises(ParamOutOfRange):
             optimize_qubit(F["B1"], OptimizerConfig(restarts=1, max_iterations=-5))
 
+    def test_epsilon_search_config_validated(self):
+        proto, proj = canonical_protocols()["qutrit-e1"], np.diag([1.0, 1.0, 0.0])
+        for cfg in (EpsilonSearchConfig(restarts=-3), EpsilonSearchConfig(max_iterations=-1)):
+            with pytest.raises(ParamOutOfRange):
+                system_epsilon(proto, proj, cfg)
+        assert system_epsilon(proto, proj, EpsilonSearchConfig(restarts=0)) > 1.15
+
     def test_sampled_strategies_respect_bounds(self):
         rng = np.random.default_rng(33)
         c3 = c3_bound().value
