@@ -16,7 +16,6 @@ from tempocorr import (
     vertex_behavior,
 )
 from tempocorr.correlations import uniform_behavior, Scenario
-from tempocorr.witness import EpsilonSearchConfig
 
 print("=== certification reports ===")
 for label, behavior in [
@@ -29,14 +28,16 @@ for label, behavior in [
     print(report.to_text())
 
 print("\n=== deviation of the three-level protocol from any qubit subspace ===")
+# Every branch of the protocol has one Kraus operator, so system_epsilon is a
+# certified upper bound on the deviation, not a search estimate.
 protocol = canonical_protocols()["qutrit-e1"]
 rng = np.random.default_rng(1729)
-estimates = []
+certified = []
 for _ in range(10):
     z = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
     q, _ = np.linalg.qr(z)
-    estimates.append(system_epsilon(protocol, q @ q.conj().T, EpsilonSearchConfig(restarts=4)))
-print(f"over 10 random rank-2 subspaces: min deviation {min(estimates):.4f}, "
-      f"max {max(estimates):.4f}")
+    certified.append(system_epsilon(protocol, q @ q.conj().T))
+print(f"over 10 random rank-2 subspaces: certified eps from {min(certified):.4f} "
+      f"to {max(certified):.4f}")
 print(f"every one exceeds the certified floor 1/12 = {1 / 12:.4f}, consistent with B1 = 4:")
 print("B1 <= 3 + 12 eps for any subspace, so eps >= 1/12 no matter which one you pick.")

@@ -3,9 +3,11 @@
 Subcommands: vertices, simulate, witness, bounds, optimize, decompose,
 realize.  Every run is deterministic given its flags; all randomness flows
 from --seed (default 1729).  Exit codes are a stable scripting contract:
-0 success, 1 parameter out of range or another library error, 2 vertex cap
-exceeded (vertices only), 3 schema violation, 4 behavior not in the polytope,
-5 outside the implemented scope (sequence length != 2), 64 usage error.
+0 success, 1 parameter out of range or another library error, 2 size cap
+exceeded (vertices: vertex count above --cap; simulate: behavior table above
+realize.MAX_TABLE_ENTRIES), 3 schema violation, 4 behavior not in the
+polytope, 5 outside the implemented scope (sequence length != 2), 64 usage
+error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .correlations import Scenario
 from .errors import (
     NotAMember,
     SchemaError,
+    TableTooLarge,
     TempocorrError,
     TooManyVertices,
     UnsupportedLength,
@@ -342,6 +345,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except TooManyVertices as exc:
         print(f"vertex count {exc.count} exceeds the cap {exc.cap}", file=sys.stderr)
+        return EXIT_CAP
+    except TableTooLarge as exc:
+        print(f"size cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

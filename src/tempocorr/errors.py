@@ -68,6 +68,17 @@ class TooManyVertices(TempocorrError):
         self.cap = cap
 
 
+class TableTooLarge(TempocorrError):
+    """Behavior table would exceed the table-size budget."""
+
+    def __init__(self, L, R, S, cap):
+        super().__init__(
+            f"a behavior table of S^L * R^L = {S}^{L} * {R}^{L} entries exceeds the cap {cap}"
+        )
+        self.shape = (L, R, S)
+        self.cap = cap
+
+
 # --- quantum realization -----------------------------------------------------
 
 class UnsupportedLength(TempocorrError):

@@ -20,7 +20,7 @@ from .correlations import (
     digits_of_index,
     named_vertex,
 )
-from .errors import DimensionMismatch, EmptyDecomposition, UnsupportedLength
+from .errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, UnsupportedLength
 from .qmath import (
     DensityMatrix,
     SystemModel,
@@ -28,6 +28,12 @@ from .qmath import (
     ketbra,
     validate_instrument,
 )
+
+
+# Largest behavior table full_behavior builds: S^L * R^L entries, 8 MiB of
+# float64 and about as many Kraus-map applications, checked before any
+# allocation.
+MAX_TABLE_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,9 +74,14 @@ def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
 
 def full_behavior(sys: SystemModel, L: int) -> Behavior:
     """Behavior of length-L sequences; repeated settings reuse the identical
-    instrument."""
+    instrument.  Raises :class:`TableTooLarge` when the table would have more
+    than ``MAX_TABLE_ENTRIES`` entries."""
     if L < 1:
         raise DimensionMismatch(f"sequence length must be >= 1, got {L}")
+    # S * R >= 2 doubles the table per step, so a long L fails before any power
+    base = sys.n_settings * sys.n_outcomes
+    if base > 1 and (L > MAX_TABLE_ENTRIES.bit_length() or base**L > MAX_TABLE_ENTRIES):
+        raise TableTooLarge(L, sys.n_outcomes, sys.n_settings, MAX_TABLE_ENTRIES)
     scenario = Scenario(L, sys.n_outcomes, sys.n_settings)
     table = np.zeros((scenario.n_setting_seqs, scenario.n_outcome_seqs))
     for srow in range(scenario.n_setting_seqs):

@@ -673,23 +673,154 @@ def epsilon_lower_bound(b_value: float, c_value: float) -> EpsilonBound:
 
 @dataclass(frozen=True)
 class EpsilonSearchConfig:
+    """Nelder-Mead settings of the leakage search on branches with more than
+    one Kraus operator; single-Kraus branches are bracketed in closed form
+    (:func:`_leakage_bracket`) and ignore them."""
+
     restarts: int = 8
     seed: int = DEFAULT_SEED
     max_iterations: int = 250
     xtol: float = 1e-9
 
 
+# The leakage of a single-Kraus branch K on input psi is f = sqrt(a (a + 4 b))
+# with a = |Q K psi|^2, b = |P K psi|^2 and Q = 1 - P.  The pair (a, b) ranges
+# over the joint numerical range W of A = (QK)^dag QK and B = (PK)^dag PK,
+# a compact convex set in the quadrant a, b >= 0 on which f increases in both
+# coordinates.  Support lines (1 - u) a + u b = h(u), h(u) the top eigenvalue
+# of (1 - u) A + u B, sweep the outward normals (cos t, sin t), t in
+# [0, pi/2], as u runs over [0, 1].  The scan runs on A / |A| and B / |B|
+# (|.| the top eigenvalue), so that a leak tiny against B still has its
+# optimum at a normal of order one and the vertices keep the relative
+# accuracy of each coordinate.
+_JNR_GRID = 32  # initial u intervals
+_JNR_WIDTH = 1e-10  # refine until hi - lo is below this
+# Refinement stops after this many rounds or scan points; hi stays an upper
+# bound without them, only a looser one.
+_JNR_ROUNDS = 40
+_JNR_POINTS = 1024
+# Rounding allowance added to hi, in two parts.  Relative, 1e-13 of hi
+# (about 450 float64 ulps): the top eigenvalues of the positive semidefinite
+# scan matrices and the vertices of the outer polyline carry relative errors
+# of a few d * 2.2e-16.  Absolute, 8 d * 2.2e-16 * ||K||_F: the entries of
+# Q K and P K carry absolute errors of about d * 2.2e-16 * |K|, and f moves
+# by at most 6 times the error of the vectors Q K psi and P K psi.
+_JNR_ROUNDING = 1e-13
+_JNR_ABS_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+def _leak2(p):
+    """f^2 = a (a + 4 b) at points ``(..., 2)`` = (a, b)."""
+    return p[..., 0] * (p[..., 0] + 4.0 * p[..., 1])
+
+
+def _segment_max_leak2(p0, p1):
+    """Largest f^2 on each segment [p0, p1]: f^2 is a quadratic in the
+    segment parameter, so the maximum sits at an end or, where the quadratic
+    is concave, at its vertex."""
+    d = p1 - p0
+    curv = d[..., 0] * (d[..., 0] + 4.0 * d[..., 1])
+    slope = 2.0 * p0[..., 0] * d[..., 0] + 4.0 * (p0[..., 0] * d[..., 1] + d[..., 0] * p0[..., 1])
+    concave = curv < 0.0
+    t = np.zeros_like(curv)
+    t[concave] = np.clip(-slope[concave] / (2.0 * curv[concave]), 0.0, 1.0)
+    inner = _leak2(p0 + t[..., None] * d)
+    return np.maximum(np.maximum(_leak2(p0), _leak2(p1)), inner)
+
+
+def _polyline_bracket(u, h, s, scale, corner, pad):
+    """``lo``, padded ``hi`` and the outer bound on f around each vertex,
+    from the support values ``h`` of the scaled pair at the sorted normals
+    ``u``, the support points ``s`` (unscaled), the scale of (a, b), f at
+    the corner (|A|, |B|) and the absolute rounding allowance ``pad``."""
+    # Vertex i joins the support lines at u[i] and u[i + 1].  It is found
+    # from the foot of the second line along that line's direction: the
+    # 1/du cancellation then only moves it along the line, never off it.
+    normal = np.stack([1.0 - u, u], axis=-1)
+    foot = (h / np.sum(normal * normal, axis=-1))[:, None] * normal
+    along = (h[:-1] - np.sum(normal[:-1] * foot[1:], axis=-1)) / (u[:-1] - u[1:])
+    vertex = (foot[1:] + along[:, None] * np.stack([-u[1:], 1.0 - u[1:]], axis=-1)) * scale
+    # raising a coordinate to 0 only enlarges the outer region
+    vertex = np.maximum(vertex, 0.0)
+    # f grows along the first and last line towards their vertex, so the
+    # outer polyline contributes its vertices and the edges between them
+    edge = _segment_max_leak2(vertex[:-1], vertex[1:])
+    around = _leak2(vertex)
+    around[1:] = np.maximum(around[1:], edge)
+    around[:-1] = np.maximum(around[:-1], edge)
+    outer = np.sqrt(around.clip(0.0))
+    lo = math.sqrt(max(0.0, float(_segment_max_leak2(s[:-1], s[1:]).max())))
+    outer = outer * (1.0 + _JNR_ROUNDING) + pad
+    return lo, min(float(outer.max()), corner * (1.0 + _JNR_ROUNDING) + pad), outer
+
+
+def _leakage_bracket(kraus, proj) -> tuple[float, float]:
+    """Certified bracket ``(lo, hi)`` on the largest leakage
+    ``max_psi ||P rho P - rho||_1``, ``rho = K psi psi^dag K^dag``, of a
+    single-Kraus branch ``K`` out of the range of the projector ``P``.
+
+    The maximum of f lies on the part of the boundary of W with outward
+    normals in the first quadrant.  One batched ``eigh`` on a u grid gives
+    the support values h and the support points s (the pairs (a, b) of the
+    top eigenvectors).  Chords between adjacent support points lie in W, so
+    the largest f on them is ``lo``; adjacent support lines meet at the
+    vertices of an outer polyline that contains the boundary part, so the
+    largest f on it, plus the rounding allowance, is ``hi``.  f^2 is
+    maximized on every chord and edge in closed form, not only at support
+    points, because the maximum can lie inside a flat face of W where the
+    top eigenspace is degenerate.  Intervals whose outer bound still exceeds
+    ``lo`` by more than ``_JNR_WIDTH`` are bisected, for at most
+    ``_JNR_ROUNDS`` rounds or ``_JNR_POINTS`` scan points.  ``hi`` is also
+    capped by f at the corner (|A|, |B|) of top eigenvalues, which every
+    point of W lies below, so a branch that never leaves the subspace
+    (A = 0) gets hi = 0, up to the rounding allowance.
+
+    The scan always includes the normal (1, 1) of the original coordinates,
+    where it sees A + B = K^dag K: for a partial isometry of rank >= 2
+    (every vertex realization) the top eigenvalue is degenerate there and W
+    has the flat face a + b = 1, which then needs no bisection.
+    """
+    pk = proj @ kraus
+    qk = kraus - pk
+    mats = np.stack([qk.conj().T @ qk, pk.conj().T @ pk])
+    top = np.linalg.eigvalsh(mats)[:, -1]
+    corner = math.sqrt(max(0.0, top[0] * (top[0] + 4.0 * top[1])))
+    scale = np.where(top > 0.0, top, 1.0)
+    amat, bmat = mats / scale[:, None, None]
+
+    def support(u):
+        vals, vecs = np.linalg.eigh((1.0 - u)[:, None, None] * amat + u[:, None, None] * bmat)
+        psi = vecs[:, :, -1]
+        pts = np.stack(
+            [np.einsum("ni,ij,nj->n", psi.conj(), m, psi).real for m in mats], axis=-1
+        )
+        return vals[:, -1], pts
+
+    pad = _JNR_ABS_ROUNDING * kraus.shape[0] * float(np.linalg.norm(kraus))
+    u = np.linspace(0.0, 1.0, _JNR_GRID + 1)
+    face = scale[1] / (scale[0] + scale[1])
+    if 1.0 / _JNR_GRID < face < 1.0 - 1.0 / _JNR_GRID:
+        # the face normal replaces its nearest grid point
+        u[np.argmin(np.abs(u - face))] = face
+    h, s = support(u)
+    for _ in range(_JNR_ROUNDS):
+        lo, hi, outer = _polyline_bracket(u, h, s, scale, corner, pad)
+        if hi - lo <= _JNR_WIDTH or len(u) > _JNR_POINTS:
+            break
+        split = outer - lo > _JNR_WIDTH
+        mid = 0.5 * (u[:-1][split] + u[1:][split])
+        hm, sm = support(mid)
+        order = np.argsort(np.concatenate([u, mid]))
+        u, h, s = (np.concatenate(pair)[order] for pair in ((u, mid), (h, hm), (s, sm)))
+    else:
+        lo, hi, _outer = _polyline_bracket(u, h, s, scale, corner, pad)
+    return lo, hi
+
+
 def _branch_deviations(kraus_ops, proj, psi):
     """Trace-norm leakage ``||P rho P - rho||_1`` of the branch output
     ``rho = sum_k K psi psi^dag K^dag`` for each row of unit vectors ``psi``."""
     phis = [psi @ k.T for k in kraus_ops]
-    if len(phis) == 1:
-        # single Kraus branch: output is rank 1, trace norm in closed form
-        v = phis[0] @ proj.T
-        w = phis[0] - v
-        wn = np.sum(w.real**2 + w.imag**2, axis=1)
-        vn = np.sum(v.real**2 + v.imag**2, axis=1)
-        return np.sqrt(wn) * np.sqrt(wn + 4.0 * vn)
     rho = sum(phi[:, :, None] * phi[:, None, :].conj() for phi in phis)
     leak = proj @ rho @ proj - rho
     return np.sum(np.abs(np.linalg.eigvalsh(leak)), axis=1)
@@ -714,9 +845,9 @@ def _max_branch_deviation(kraus_ops, proj, cfg, rng) -> float:
     All starts (basis vectors, top eigenvectors of each Kraus leakage and of
     their sum, then ``cfg.restarts`` random vectors) run as one lockstep
     Nelder-Mead batch (:func:`_nelder_mead`) over the real and imaginary
-    parts of the input, from the default simplex of :func:`_default_simplex`;
-    single-Kraus branches evaluate the rank-1 closed form, others a batched
-    eigenvalue decomposition.
+    parts of the input, from the default simplex of :func:`_default_simplex`,
+    each point evaluated by a batched eigenvalue decomposition.  Used for
+    branches with more than one Kraus operator.
     """
     dim = proj.shape[0]
     complement = np.eye(dim) - proj
@@ -748,10 +879,17 @@ def _max_branch_deviation(kraus_ops, proj, cfg, rng) -> float:
 def system_epsilon(
     sys: SystemModel, proj, cfg: EpsilonSearchConfig = EpsilonSearchConfig()
 ) -> float:
-    """Estimated trace-norm deviation of a system from a rank-2 subspace.
+    """Trace-norm deviation of a system from a rank-2 subspace.
 
     Takes the maximum of the initial-state deviation and, per instrument
     branch, the largest deviation of the branch output over all input states.
+    A single-Kraus branch contributes the upper end ``hi`` of its certified
+    bracket (:func:`_leakage_bracket`), refined to a width of 1e-10 and
+    padded for float64 rounding by 1e-13 of its value plus
+    8 d * 2.2e-16 * ||K||_F, for the projector as given.  A branch with more
+    than one Kraus operator contributes a Nelder-Mead estimate steered by
+    ``cfg`` (:func:`_max_branch_deviation`), so the result is certified only
+    when every branch has one Kraus operator.
     """
     if cfg.restarts < 0 or cfg.max_iterations < 0:
         raise ParamOutOfRange(f"restarts and max_iterations must be >= 0 in {cfg}")
@@ -772,7 +910,10 @@ def system_epsilon(
     best = trace_norm(p @ sys.initial.matrix @ p - sys.initial.matrix)
     for inst in sys.instruments:
         for kraus_ops in inst.kraus_sets:
-            best = max(best, _max_branch_deviation(kraus_ops, p, cfg, rng))
+            if len(kraus_ops) == 1:
+                best = max(best, _leakage_bracket(kraus_ops[0], p)[1])
+            else:
+                best = max(best, _max_branch_deviation(kraus_ops, p, cfg, rng))
     return best
 
 

@@ -58,6 +58,12 @@ class TestVertices:
 
 
 class TestSimulateAndWitness:
+    @pytest.mark.parametrize("length", ["20", "40", "1000000"])
+    def test_table_size_cap_exit_code(self, capsys, length):
+        code, out, err = run(capsys, "simulate", "--protocol", "qutrit-e1", "--L", length)
+        assert code == 2 and out == ""
+        assert f"size cap exceeded: a behavior table of S^L * R^L = 2^{length} * 2^{length}" in err
+
     def test_qutrit_e1_pipeline(self, capsys, tmp_path):
         behavior_file = tmp_path / "e1.json"
         code, out, _ = run(

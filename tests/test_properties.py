@@ -1,4 +1,5 @@
-"""Property tests across the polytope layer on random small scenarios.
+"""Property tests across the polytope layer, and its round trips through
+realization and JSON, on random small scenarios.
 
 Random chains force some conditionals to 0 or 1, so that behaviors with
 zero-measure histories occur; the per-entry loops below are the reference
@@ -6,6 +7,7 @@ the vectorized code is held to.
 """
 
 import itertools
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,6 +30,8 @@ from tempocorr.correlations import (
     mixture_behavior,
     vertex_behavior,
 )
+from tempocorr.realize import full_behavior, mixture_realization
+from tempocorr.serialize import behavior_from_json, behavior_to_json, dumps
 
 SCENARIOS = [
     s
@@ -37,10 +41,10 @@ SCENARIOS = [
 
 
 @st.composite
-def chains(draw):
+def chains(draw, scenarios=SCENARIOS):
     """Dirichlet-random chain in which a drawn share of the conditionals is
     deterministic (one outcome with probability 1)."""
-    s = draw(st.sampled_from(SCENARIOS))
+    s = draw(st.sampled_from(scenarios))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     share = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
     levels = []
@@ -99,6 +103,24 @@ def test_decompose_then_mix_reproduces_behavior(chain):
         assert np.all(b.table[vertex_behavior(v).table == 1.0] > 0.0)
     assert abs(sum(w for w, _v in d.terms) - 1.0) <= 1e-12
     assert decompose_behavior(b).terms == d.terms
+
+
+@settings(max_examples=20, deadline=None)
+@given(chains([s for s in SCENARIOS if s.L == 2]))
+def test_decompose_realize_simulate_reproduces_behavior(chain):
+    b = compose_from_conditionals(chain)
+    back = full_behavior(mixture_realization(decompose_behavior(b)), 2)
+    assert back.scenario == b.scenario
+    assert np.max(np.abs(back.table - b.table)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(chains())
+def test_behavior_json_round_trip_is_bit_exact(chain):
+    b = compose_from_conditionals(chain)
+    back = behavior_from_json(json.loads(dumps(behavior_to_json(b))))
+    assert back.scenario == b.scenario
+    assert back.table.tobytes() == b.table.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,8 @@ from tempocorr.correlations import (
     compose_from_conditionals,
     vertex_behavior,
 )
-from tempocorr.errors import DimensionMismatch, EmptyDecomposition, UnsupportedLength
+from tempocorr import realize
+from tempocorr.errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, UnsupportedLength
 from tempocorr.qmath import (
     DensityMatrix,
     SystemModel,
@@ -100,6 +101,23 @@ class TestFullBehavior:
         b = full_behavior(canonical_protocols()["qutrit-e1"], 2)
         assert np.max(np.abs(b.table - vertex_behavior(named_vertex("e1")).table)) < 1e-12
         assert evaluate(builtin_functionals()["B1"], b) == pytest.approx(4.0, abs=1e-12)
+
+
+class TestTableBudget:
+    def test_long_sequences_rejected_before_allocation(self):
+        # (L=20, R=2, S=2) passes the vertex-count guard; its table would be 8 TiB
+        for L in (20, 40, 10**9):
+            with pytest.raises(TableTooLarge) as exc:
+                full_behavior(canonical_protocols()["qutrit-e1"], L)
+            assert exc.value.shape == (L, 2, 2)
+            assert exc.value.cap == realize.MAX_TABLE_ENTRIES
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 64)
+        proto = canonical_protocols()["qutrit-e1"]
+        assert full_behavior(proto, 3).table.size == 64
+        with pytest.raises(TableTooLarge):
+            full_behavior(proto, 4)
 
 
 class TestQutritRealization:

@@ -21,7 +21,7 @@ from tempocorr.errors import (
     ParamOutOfRange,
     ScenarioMismatch,
 )
-from tempocorr.qmath import DensityMatrix, SystemModel, ketbra, validate_instrument
+from tempocorr.qmath import DensityMatrix, SystemModel, ketbra, random_instrument, validate_instrument
 from tempocorr.realize import canonical_protocols, full_behavior
 from tempocorr.witness import (
     EffectParams,
@@ -479,6 +479,90 @@ class TestSystemEpsilon:
             for name, cap in caps.items():
                 value = evaluate(builtin_functionals()[name], behavior)
                 assert value <= cap + 12.0 * est + 1e-6
+
+
+def leakage(kraus, proj, psi):
+    """f = sqrt(a (a + 4 b)), a = |Q K psi|^2, b = |P K psi|^2, per row of unit vectors psi."""
+    phi = psi @ kraus.T
+    inside = phi @ proj.T
+    a = np.sum(np.abs(phi - inside) ** 2, axis=1)
+    b = np.sum(np.abs(inside) ** 2, axis=1)
+    return np.sqrt(a * (a + 4.0 * b))
+
+
+def random_branch(dim, seed):
+    """One Kraus operator of a random instrument and a random rank-2 projector."""
+    rng = np.random.default_rng(seed)
+    kraus = random_instrument(rng, dim, 2).kraus_sets[0][0]
+    z = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+    q, _ = np.linalg.qr(z)
+    return kraus, q @ q.conj().T, rng
+
+
+def single_kraus_embedded_qubit() -> SystemModel:
+    """Every branch has one Kraus operator, and every one maps into levels 0 and 1."""
+    x_block = np.zeros((3, 3), dtype=complex)
+    x_block[0, 1] = x_block[1, 0] = 1.0
+    flip = validate_instrument([[x_block], [ketbra(0, 2, 3)]])
+    readout = validate_instrument([[ketbra(0, 0, 3)], [ketbra(1, 1, 3) + ketbra(0, 2, 3)]])
+    return SystemModel(DensityMatrix(ketbra(0, 0, 3)), (flip, readout))
+
+
+class TestLeakageBracket:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_bracket_is_ordered_and_narrow(self, dim, seed):
+        kraus, proj, _rng = random_branch(dim, seed)
+        lo, hi = w._leakage_bracket(kraus, proj)
+        assert lo <= hi
+        assert hi - lo <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_no_input_exceeds_hi(self, dim, seed):
+        kraus, proj, rng = random_branch(dim, seed)
+        _lo, hi = w._leakage_bracket(kraus, proj)
+        psi = rng.normal(size=(200, dim)) + 1j * rng.normal(size=(200, dim))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        sampled = leakage(kraus, proj, psi)
+        assert sampled.max() <= hi
+
+        def negf(x):
+            v = x[:, :dim] + 1j * x[:, dim:]
+            return -leakage(kraus, proj, v / np.linalg.norm(v, axis=1, keepdims=True))
+
+        best = psi[np.argsort(-sampled)[:8]]
+        simplex = w._default_simplex(np.hstack([best.real, best.imag]))
+        _x, fvals = w._nelder_mead(negf, simplex, 500, 1e-12, 1e-15)
+        assert -fvals.min() <= hi
+
+    def test_qutrit_e1_optimum_inside_flat_face(self):
+        # the optimum 2/sqrt(3) lies inside the face a + b = 1 of the range
+        proto = canonical_protocols()["qutrit-e1"]
+        eps = system_epsilon(proto, np.diag([1.0, 1.0, 0.0]))
+        assert abs(eps - 2.0 / math.sqrt(3.0)) <= 1e-12
+
+    def test_aligned_single_kraus_embedded_qubit(self):
+        model = single_kraus_embedded_qubit()
+        aligned = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        assert system_epsilon(model, aligned) <= 1e-12
+
+    def test_search_runs_only_for_multi_kraus_branches(self, monkeypatch):
+        calls = []
+        search = w._max_branch_deviation
+
+        def counting_search(kraus_ops, *rest):
+            calls.append(len(kraus_ops))
+            return search(kraus_ops, *rest)
+
+        monkeypatch.setattr(w, "_max_branch_deviation", counting_search)
+        proto, proj = canonical_protocols()["qutrit-e1"], np.diag([1.0, 1.0, 0.0])
+        assert system_epsilon(proto, proj, EpsilonSearchConfig(restarts=0, max_iterations=0)) == (
+            system_epsilon(proto, proj)
+        )
+        assert calls == []
+        system_epsilon(embedded_qubit_model(), proj)
+        assert calls == [2, 2]
 
 
 class TestCertify:
