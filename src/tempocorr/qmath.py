@@ -75,12 +75,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
-def ket(i: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def ketbra(i: int, j: int, dim: int) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=complex)
     m[i, j] = 1.0

@@ -276,9 +276,9 @@ def functional_from_json(data) -> WitnessFunctional:
         if not isinstance(entry, dict):
             raise SchemaError(f"terms[{i}]", "expected an object")
         a, x, coeff = entry.get("a"), entry.get("x"), entry.get("coeff")
-        if not isinstance(a, str) or len(a) != 2 or not a.isdigit():
+        if not isinstance(a, str) or len(a) != 2 or not (a.isascii() and a.isdigit()):
             raise SchemaError(f"terms[{i}].a", "expected two outcome digits")
-        if not isinstance(x, str) or len(x) != 2 or not x.isdigit():
+        if not isinstance(x, str) or len(x) != 2 or not (x.isascii() and x.isdigit()):
             raise SchemaError(f"terms[{i}].x", "expected two setting digits")
         coeff = _number(coeff, f"terms[{i}].coeff")
         ab = (int(a[0]), int(a[1]))

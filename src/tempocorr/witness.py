@@ -42,7 +42,6 @@ from .qmath import (
     SystemModel,
     bloch_to_density,
     effect_from_params,
-    ket,
     psd_sqrt,
     trace_norm,
     validate_instrument,
@@ -673,9 +672,9 @@ def epsilon_lower_bound(b_value: float, c_value: float) -> EpsilonBound:
 
 @dataclass(frozen=True)
 class EpsilonSearchConfig:
-    """Nelder-Mead settings of the leakage search on branches with more than
-    one Kraus operator; single-Kraus branches are bracketed in closed form
-    (:func:`_leakage_bracket`) and ignore them."""
+    """Accepted by :func:`system_epsilon` and validated (``restarts`` and
+    ``max_iterations`` must be >= 0), but it steers nothing: every branch is
+    bracketed in closed form by :func:`_leakage_bracket`, with no search."""
 
     restarts: int = 8
     seed: int = DEFAULT_SEED
@@ -683,16 +682,18 @@ class EpsilonSearchConfig:
     xtol: float = 1e-9
 
 
-# The leakage of a single-Kraus branch K on input psi is f = sqrt(a (a + 4 b))
-# with a = |Q K psi|^2, b = |P K psi|^2 and Q = 1 - P.  The pair (a, b) ranges
-# over the joint numerical range W of A = (QK)^dag QK and B = (PK)^dag PK,
-# a compact convex set in the quadrant a, b >= 0 on which f increases in both
-# coordinates.  Support lines (1 - u) a + u b = h(u), h(u) the top eigenvalue
-# of (1 - u) A + u B, sweep the outward normals (cos t, sin t), t in
-# [0, pi/2], as u runs over [0, 1].  The scan runs on A / |A| and B / |B|
-# (|.| the top eigenvalue), so that a leak tiny against B still has its
-# optimum at a normal of order one and the vertices keep the relative
-# accuracy of each coordinate.
+# The leakage of a pure output phi = K psi is f = sqrt(a (a + 4 b)) with
+# a = |Q phi|^2, b = |P phi|^2 and Q = 1 - P.  For a branch with Kraus
+# operators K_k, take phi = sum_k |k> (x) K_k psi and the projector 1 (x) P:
+# then a = sum_k |Q K_k psi|^2, b = sum_k |P K_k psi|^2, and the pair (a, b)
+# ranges over the joint numerical range W of A = sum_k (Q K_k)^dag Q K_k and
+# B = sum_k (P K_k)^dag P K_k, a compact convex set in the quadrant
+# a, b >= 0 on which f increases in both coordinates.  Support lines
+# (1 - u) a + u b = h(u), h(u) the top eigenvalue of (1 - u) A + u B, sweep
+# the outward normals (cos t, sin t), t in [0, pi/2], as u runs over [0, 1].
+# The scan runs on A / |A| and B / |B| (|.| the top eigenvalue), so that a
+# leak tiny against B still has its optimum at a normal of order one and the
+# vertices keep the relative accuracy of each coordinate.
 _JNR_GRID = 32  # initial u intervals
 _JNR_WIDTH = 1e-10  # refine until hi - lo is below this
 # Refinement stops after this many rounds or scan points; hi stays an upper
@@ -702,9 +703,11 @@ _JNR_POINTS = 1024
 # Rounding allowance added to hi, in two parts.  Relative, 1e-13 of hi
 # (about 450 float64 ulps): the top eigenvalues of the positive semidefinite
 # scan matrices and the vertices of the outer polyline carry relative errors
-# of a few d * 2.2e-16.  Absolute, 8 d * 2.2e-16 * ||K||_F: the entries of
-# Q K and P K carry absolute errors of about d * 2.2e-16 * |K|, and f moves
-# by at most 6 times the error of the vectors Q K psi and P K psi.
+# of a few d * 2.2e-16.  Absolute, 8 n d * 2.2e-16 * ||K_s||_F, with n the
+# number of Kraus operators and K_s the (n d) x d stack of them: the entries
+# of Q K_k and P K_k carry absolute errors of about d * 2.2e-16 * |K_k|, and
+# f moves by at most 6 times the error of the stacked vectors Q K_k psi and
+# P K_k psi.
 _JNR_ROUNDING = 1e-13
 _JNR_ABS_ROUNDING = 8.0 * np.finfo(float).eps
 
@@ -754,10 +757,17 @@ def _polyline_bracket(u, h, s, scale, corner, pad):
     return lo, min(float(outer.max()), corner * (1.0 + _JNR_ROUNDING) + pad), outer
 
 
-def _leakage_bracket(kraus, proj) -> tuple[float, float]:
-    """Certified bracket ``(lo, hi)`` on the largest leakage
-    ``max_psi ||P rho P - rho||_1``, ``rho = K psi psi^dag K^dag``, of a
-    single-Kraus branch ``K`` out of the range of the projector ``P``.
+def _leakage_bracket(kraus_ops, proj) -> tuple[float, float]:
+    """Certified bracket ``(lo, hi)`` on the largest leakage f (see above) of
+    the stacked output ``sum_k |k> (x) K_k psi`` of the branch with Kraus
+    operators ``kraus_ops``, out of the range of ``1 (x) P``.
+
+    ``hi`` bounds the branch's own largest leakage ``||P rho P - rho||_1``,
+    ``rho = sum_k K_k psi psi^dag K_k^dag``: P rho P - rho is the partial
+    trace over k of the stacked leakage operator, and a partial trace does
+    not increase the trace norm.  With one Kraus operator the two coincide
+    and ``lo`` is a lower end too.  A and B are d x d sums, so nothing of
+    size (n d) x (n d) is formed.
 
     The maximum of f lies on the part of the boundary of W with outward
     normals in the first quadrant.  One batched ``eigh`` on a u grid gives
@@ -776,11 +786,12 @@ def _leakage_bracket(kraus, proj) -> tuple[float, float]:
     (A = 0) gets hi = 0, up to the rounding allowance.
 
     The scan always includes the normal (1, 1) of the original coordinates,
-    where it sees A + B = K^dag K: for a partial isometry of rank >= 2
-    (every vertex realization) the top eigenvalue is degenerate there and W
-    has the flat face a + b = 1, which then needs no bisection.
+    where it sees A + B = sum_k K_k^dag K_k: for a partial isometry K of
+    rank >= 2 (every vertex realization) the top eigenvalue is degenerate
+    there and W has the flat face a + b = 1, which then needs no bisection.
     """
-    pk = proj @ kraus
+    kraus = np.vstack(kraus_ops)
+    pk = np.vstack([proj @ k for k in kraus_ops])
     qk = kraus - pk
     mats = np.stack([qk.conj().T @ qk, pk.conj().T @ pk])
     top = np.linalg.eigvalsh(mats)[:, -1]
@@ -817,88 +828,33 @@ def _leakage_bracket(kraus, proj) -> tuple[float, float]:
     return lo, hi
 
 
-def _branch_deviations(kraus_ops, proj, psi):
-    """Trace-norm leakage ``||P rho P - rho||_1`` of the branch output
-    ``rho = sum_k K psi psi^dag K^dag`` for each row of unit vectors ``psi``."""
-    phis = [psi @ k.T for k in kraus_ops]
-    rho = sum(phi[:, :, None] * phi[:, None, :].conj() for phi in phis)
-    leak = proj @ rho @ proj - rho
-    return np.sum(np.abs(np.linalg.eigvalsh(leak)), axis=1)
-
-
-def _default_simplex(x0):
-    """The customary default Nelder-Mead simplex around each row of ``x0``:
-    each coordinate in turn scaled by 1.05, or set to 0.00025 where it is 0."""
-    n = x0.shape[1]
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    idx = np.arange(n)
-    sim[:, idx + 1, idx] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    return sim
-
-
-def _max_branch_deviation(kraus_ops, proj, cfg, rng) -> float:
-    """Largest trace-norm leakage of one instrument branch out of the
-    subspace, over pure inputs.  The leakage is convex in the state, so the
-    maximum sits at a pure state; local ascent from spectral and random
-    starts gives a convergent estimate, not a certified global bound.
-
-    All starts (basis vectors, top eigenvectors of each Kraus leakage and of
-    their sum, then ``cfg.restarts`` random vectors) run as one lockstep
-    Nelder-Mead batch (:func:`_nelder_mead`) over the real and imaginary
-    parts of the input, from the default simplex of :func:`_default_simplex`,
-    each point evaluated by a batched eigenvalue decomposition.  Used for
-    branches with more than one Kraus operator.
-    """
-    dim = proj.shape[0]
-    complement = np.eye(dim) - proj
-    starts = [ket(i, dim) for i in range(dim)]
-    leak = np.zeros((dim, dim), dtype=complex)
-    for k in kraus_ops:
-        m = k.conj().T @ complement @ k
-        leak += m
-        starts.append(np.linalg.eigh(m)[1][:, -1])
-    starts.append(np.linalg.eigh(leak)[1][:, -1])
-    for _ in range(cfg.restarts):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        starts.append(v / np.linalg.norm(v))
-
-    def negf(xr):
-        v = xr[:, :dim] + 1j * xr[:, dim:]
-        n = np.linalg.norm(v, axis=1)
-        small = n < 1e-12
-        dev = _branch_deviations(kraus_ops, proj, v / np.where(small, 1.0, n)[:, None])
-        return np.where(small, 0.0, -dev)
-
-    s = np.asarray(starts)
-    _x, fvals = _nelder_mead(
-        negf, _default_simplex(np.hstack([s.real, s.imag])), cfg.max_iterations, cfg.xtol, 1e-13
-    )
-    return max(0.0, -float(np.min(fvals)))
-
-
 def system_epsilon(
     sys: SystemModel, proj, cfg: EpsilonSearchConfig = EpsilonSearchConfig()
 ) -> float:
-    """Trace-norm deviation of a system from a rank-2 subspace.
+    """Certified upper bound on the trace-norm deviation of a system from a
+    rank-2 subspace.
 
     Takes the maximum of the initial-state deviation and, per instrument
-    branch, the largest deviation of the branch output over all input states.
-    A single-Kraus branch contributes the upper end ``hi`` of its certified
-    bracket (:func:`_leakage_bracket`), refined to a width of 1e-10 and
-    padded for float64 rounding by 1e-13 of its value plus
-    8 d * 2.2e-16 * ||K||_F, for the projector as given.  A branch with more
-    than one Kraus operator contributes a Nelder-Mead estimate steered by
-    ``cfg`` (:func:`_max_branch_deviation`), so the result is certified only
-    when every branch has one Kraus operator.
+    branch, an upper bound on the largest deviation of the branch output
+    over all input states: the upper end ``hi`` of the branch's certified
+    bracket (:func:`_leakage_bracket`), padded for float64 rounding by 1e-13
+    of its value plus 8 n d * 2.2e-16 * ||K_s||_F, for the projector as
+    given.  A single-Kraus branch gets its exact maximum within 1e-10; a
+    branch with several Kraus operators gets the maximum of its stacked
+    single-Kraus branch, which can lie above its own.  ``cfg`` is validated
+    and otherwise ignored.
     """
     if cfg.restarts < 0 or cfg.max_iterations < 0:
         raise ParamOutOfRange(f"restarts and max_iterations must be >= 0 in {cfg}")
     p = np.asarray(proj, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise NotAProjector(f"projector must be square, got shape {p.shape}")
-    if float(np.max(np.abs(p - p.conj().T))) > 1e-9:
+    if not np.isfinite(p).all():
+        raise NotAProjector("projector has non-finite entries")
+    # written so that a NaN, from an overflowing product, fails the check
+    if not float(np.max(np.abs(p - p.conj().T))) <= 1e-9:
         raise NotAProjector("projector is not Hermitian")
-    if float(np.max(np.abs(p @ p - p))) > 1e-8:
+    if not float(np.max(np.abs(p @ p - p))) <= 1e-8:
         raise NotAProjector("projector is not idempotent")
     rank = int(round(float(p.trace().real)))
     if rank != 2:
@@ -906,14 +862,10 @@ def system_epsilon(
     if p.shape[0] != sys.dim:
         raise DimensionMismatch(f"projector dim {p.shape[0]} != system dim {sys.dim}")
 
-    rng = np.random.default_rng(cfg.seed)
     best = trace_norm(p @ sys.initial.matrix @ p - sys.initial.matrix)
     for inst in sys.instruments:
         for kraus_ops in inst.kraus_sets:
-            if len(kraus_ops) == 1:
-                best = max(best, _leakage_bracket(kraus_ops[0], p)[1])
-            else:
-                best = max(best, _max_branch_deviation(kraus_ops, p, cfg, rng))
+            best = max(best, _leakage_bracket(kraus_ops, p)[1])
     return best
 
 

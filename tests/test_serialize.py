@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempocorr import serialize as se
 from tempocorr.correlations import (
@@ -160,6 +163,15 @@ class TestWitnessObjects:
         with pytest.raises(SchemaError):
             se.functional_from_json(data)
 
+    @pytest.mark.parametrize("field", ["a", "x"])
+    def test_functional_non_ascii_digits(self, field):
+        # str.isdigit accepts superscripts, which int() rejects
+        data = se.functional_to_json(builtin_functionals()["B1"])
+        data["terms"][0][field] = "\u00b2\u00b2"
+        with pytest.raises(SchemaError) as exc:
+            se.functional_from_json(data)
+        assert exc.value.path == f"terms[0].{field}"
+
     def test_strategy_roundtrip(self):
         rng = np.random.default_rng(42)
         s = random_strategy(rng)
@@ -175,3 +187,94 @@ class TestWitnessObjects:
         assert data["verdict"] == "dimension > 2"
         assert len(data["witnesses"]) == 4
         assert {w["name"] for w in data["witnesses"]} == {"B1", "B2", "B3", "B4"}
+
+
+# --- parser fuzzing ---------------------------------------------------------------
+
+def valid_documents():
+    """One valid document per public parser, keyed by the parser."""
+    rng = np.random.default_rng(43)
+    behavior = compose_from_conditionals(random_conditional_chain(rng, Scenario(2, 2, 2)))
+    return {
+        se.behavior_from_json: se.behavior_to_json(behavior),
+        se.decomposition_from_json: se.decomposition_to_json(decompose_behavior(behavior)),
+        se.functional_from_json: se.functional_to_json(builtin_functionals()["B3"]),
+        se.strategy_from_json: se.strategy_to_json(random_strategy(rng)),
+        se.system_model_from_json: se.system_model_to_json(canonical_protocols()["qubit-B1-3"]),
+        se.vertex_from_json: se.vertex_to_json(named_vertex("e2")),
+    }
+
+
+VALID = valid_documents()
+PARSERS = sorted(VALID, key=lambda f: f.__name__)
+FIELD_NAMES = sorted(
+    {"L", "R", "S", "table", "dim", "initial", "instruments", "kraus", "terms", "weight"}
+    | {"assignment", "a", "b", "x", "coeff", "name", "post", "effects", "axis", "00", "01", "a=0;x=1"}
+)
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, 1, 2, 3, -1, 2**53 + 1, 2**64, 10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, 0.5, 1.0, -0.0, 1e308, 5e-324])
+    | st.text(max_size=6)
+    | st.sampled_from(["00", "01", "0", "²²", "٠١", "t=1;x=0;a=", "", "NaN"])
+)
+keys = st.sampled_from(FIELD_NAMES) | st.text(max_size=6)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(keys, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """A copy of ``doc`` with one node, reached by a random walk from the
+    root, replaced, deleted, or given an extra child."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    action = draw(st.sampled_from(["replace", "delete", "extend"]))
+    if action == "extend" and isinstance(node, dict):
+        node[draw(keys)] = draw(json_values)
+    elif action == "extend" and isinstance(node, list):
+        node.append(copy.deepcopy(node[-1]) if node and draw(st.booleans()) else draw(json_values))
+    elif action == "delete" and parent is not None:
+        del parent[key]
+    elif parent is None:
+        return draw(json_values)
+    else:
+        parent[key] = draw(json_values)
+    return doc
+
+
+def assert_parses_or_schema_error(parse, doc):
+    try:
+        parse(doc)
+    except SchemaError as exc:
+        assert isinstance(exc.path, str) and exc.path
+
+
+class TestParserFuzzing:
+    """Every public parser either parses a JSON value or rejects it with a
+    ``SchemaError`` carrying a field path; nothing else may escape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(PARSERS), json_values)
+    def test_arbitrary_values(self, parse, doc):
+        assert_parses_or_schema_error(parse, doc)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(PARSERS), st.data())
+    def test_near_valid_documents(self, parse, data):
+        assert_parses_or_schema_error(parse, data.draw(mutated(VALID[parse])))
+
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
+    def test_valid_documents_parse(self, parse):
+        parse(VALID[parse])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,16 @@ from tempocorr.errors import (
     ParamOutOfRange,
     ScenarioMismatch,
 )
-from tempocorr.qmath import DensityMatrix, SystemModel, ketbra, random_instrument, validate_instrument
+from tempocorr.qmath import (
+    DensityMatrix,
+    SystemModel,
+    ketbra,
+    psd_sqrt,
+    random_density_matrix,
+    random_instrument,
+    trace_norm,
+    validate_instrument,
+)
 from tempocorr.realize import canonical_protocols, full_behavior
 from tempocorr.witness import (
     EffectParams,
@@ -438,6 +448,22 @@ class TestSystemEpsilon:
         with pytest.raises(NotAProjector):
             system_epsilon(proto, bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_projector_rejected(self, entry):
+        proto = canonical_protocols()["qutrit-e1"]
+        with pytest.raises(NotAProjector):
+            system_epsilon(proto, np.diag([1.0, 1.0, entry]))
+
+    def test_overflowing_projector_rejected(self):
+        # finite, Hermitian and of trace 2, but P @ P - P overflows to NaN
+        proto = canonical_protocols()["qutrit-e1"]
+        huge = np.zeros((3, 3), dtype=complex)
+        huge[0, 0] = huge[1, 1] = 1.0
+        huge[0, 1] = 1e300 * (1 + 1j)
+        huge[1, 0] = 1e300 * (1 - 1j)
+        with np.errstate(all="ignore"), pytest.raises(NotAProjector):
+            system_epsilon(proto, huge)
+
     def test_embedded_qubit_with_aligned_projector(self):
         model = embedded_qubit_model()
         aligned = np.diag([1.0, 1.0, 0.0]).astype(complex)
@@ -490,13 +516,54 @@ def leakage(kraus, proj, psi):
     return np.sqrt(a * (a + 4.0 * b))
 
 
+def branch_leakage(kraus_ops, proj, psi):
+    """Trace-norm leakage ||P rho P - rho||_1 of the branch output
+    rho = sum_k K_k psi psi^dag K_k^dag, per row of unit vectors psi."""
+    phis = [psi @ k.T for k in kraus_ops]
+    rho = sum(phi[:, :, None] * phi[:, None, :].conj() for phi in phis)
+    leak = proj @ rho @ proj - rho
+    return np.sum(np.abs(np.linalg.eigvalsh(leak)), axis=1)
+
+
+def random_projector(rng, dim):
+    z = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+    q, _ = np.linalg.qr(z)
+    return q @ q.conj().T
+
+
 def random_branch(dim, seed):
     """One Kraus operator of a random instrument and a random rank-2 projector."""
     rng = np.random.default_rng(seed)
     kraus = random_instrument(rng, dim, 2).kraus_sets[0][0]
-    z = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
-    q, _ = np.linalg.qr(z)
-    return kraus, q @ q.conj().T, rng
+    return kraus, random_projector(rng, dim), rng
+
+
+def nelder_mead_simplex(x0):
+    """The customary default Nelder-Mead simplex around each row of ``x0``:
+    each coordinate in turn scaled by 1.05, or set to 0.00025 where it is 0."""
+    n = x0.shape[1]
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    idx = np.arange(n)
+    sim[:, idx + 1, idx] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    return sim
+
+
+def assert_no_input_exceeds(f, dim, hi, rng):
+    """No sampled unit input, nor any Nelder-Mead polish of the best eight,
+    gives a value of ``f`` above ``hi``."""
+    psi = rng.normal(size=(200, dim)) + 1j * rng.normal(size=(200, dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    sampled = f(psi)
+    assert sampled.max() <= hi
+
+    def negf(x):
+        v = x[:, :dim] + 1j * x[:, dim:]
+        return -f(v / np.linalg.norm(v, axis=1, keepdims=True))
+
+    best = psi[np.argsort(-sampled)[:8]]
+    simplex = nelder_mead_simplex(np.hstack([best.real, best.imag]))
+    _x, fvals = w._nelder_mead(negf, simplex, 500, 1e-12, 1e-15)
+    assert -fvals.min() <= hi
 
 
 def single_kraus_embedded_qubit() -> SystemModel:
@@ -508,12 +575,28 @@ def single_kraus_embedded_qubit() -> SystemModel:
     return SystemModel(DensityMatrix(ketbra(0, 0, 3)), (flip, readout))
 
 
+def measure_and_prepare(rng, dim):
+    """Kraus operators of rho -> Tr(E rho) sigma for a random effect E and a
+    random mixed state sigma; returns them, E and sigma."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    effect = (u * rng.uniform(size=dim)) @ u.conj().T
+    sigma = random_density_matrix(rng, dim).matrix
+    vals, vecs = np.linalg.eigh(sigma)
+    root = psd_sqrt(effect)
+    ops = [
+        math.sqrt(max(float(vals[j]), 0.0)) * np.outer(vecs[:, j], root[k, :])
+        for j in range(dim)
+        for k in range(dim)
+    ]
+    return ops, effect, sigma
+
+
 class TestLeakageBracket:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
     def test_bracket_is_ordered_and_narrow(self, dim, seed):
         kraus, proj, _rng = random_branch(dim, seed)
-        lo, hi = w._leakage_bracket(kraus, proj)
+        lo, hi = w._leakage_bracket([kraus], proj)
         assert lo <= hi
         assert hi - lo <= 1e-10
 
@@ -521,20 +604,41 @@ class TestLeakageBracket:
     @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
     def test_no_input_exceeds_hi(self, dim, seed):
         kraus, proj, rng = random_branch(dim, seed)
-        _lo, hi = w._leakage_bracket(kraus, proj)
-        psi = rng.normal(size=(200, dim)) + 1j * rng.normal(size=(200, dim))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        sampled = leakage(kraus, proj, psi)
-        assert sampled.max() <= hi
+        _lo, hi = w._leakage_bracket([kraus], proj)
+        assert_no_input_exceeds(lambda psi: leakage(kraus, proj, psi), dim, hi, rng)
 
-        def negf(x):
-            v = x[:, :dim] + 1j * x[:, dim:]
-            return -leakage(kraus, proj, v / np.linalg.norm(v, axis=1, keepdims=True))
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**32 - 1))
+    def test_no_multi_kraus_input_exceeds_hi(self, dim, n_ops, seed):
+        rng = np.random.default_rng(seed)
+        ops = random_instrument(rng, dim, 2, n_ops).kraus_sets[0]
+        proj = random_projector(rng, dim)
+        lo, hi = w._leakage_bracket(ops, proj)
+        assert lo <= hi
+        assert_no_input_exceeds(lambda psi: branch_leakage(ops, proj, psi), dim, hi, rng)
 
-        best = psi[np.argsort(-sampled)[:8]]
-        simplex = w._default_simplex(np.hstack([best.real, best.imag]))
-        _x, fvals = w._nelder_mead(negf, simplex, 500, 1e-12, 1e-15)
-        assert -fvals.min() <= hi
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_measure_and_prepare_bound_not_below_exact(self, seed):
+        # the largest leakage of rho -> Tr(E rho) sigma is lambda_max(E) ||P sigma P - sigma||_1
+        rng = np.random.default_rng(seed)
+        ops, effect, sigma = measure_and_prepare(rng, 3)
+        proj = random_projector(rng, 3)
+        exact = np.linalg.eigvalsh(effect)[-1] * trace_norm(proj @ sigma @ proj - sigma)
+        assert w._leakage_bracket(ops, proj)[1] >= exact
+
+    def test_many_kraus_operators_form_no_stacked_projector(self):
+        # 400 operators on C^4: the (1600 x 1600) complex matrix 1 (x) P would take 41 MB
+        rng = np.random.default_rng(37)
+        ops = random_instrument(rng, 4, 1, 400).kraus_sets[0]
+        proj = random_projector(rng, 4)
+        tracemalloc.start()
+        try:
+            w._leakage_bracket(ops, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_qutrit_e1_optimum_inside_flat_face(self):
         # the optimum 2/sqrt(3) lies inside the face a + b = 1 of the range
@@ -546,23 +650,6 @@ class TestLeakageBracket:
         model = single_kraus_embedded_qubit()
         aligned = np.diag([1.0, 1.0, 0.0]).astype(complex)
         assert system_epsilon(model, aligned) <= 1e-12
-
-    def test_search_runs_only_for_multi_kraus_branches(self, monkeypatch):
-        calls = []
-        search = w._max_branch_deviation
-
-        def counting_search(kraus_ops, *rest):
-            calls.append(len(kraus_ops))
-            return search(kraus_ops, *rest)
-
-        monkeypatch.setattr(w, "_max_branch_deviation", counting_search)
-        proto, proj = canonical_protocols()["qutrit-e1"], np.diag([1.0, 1.0, 0.0])
-        assert system_epsilon(proto, proj, EpsilonSearchConfig(restarts=0, max_iterations=0)) == (
-            system_epsilon(proto, proj)
-        )
-        assert calls == []
-        system_epsilon(embedded_qubit_model(), proj)
-        assert calls == [2, 2]
 
 
 class TestCertify:
