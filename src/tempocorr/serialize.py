@@ -123,7 +123,10 @@ def system_model_from_json(data) -> SystemModel:
                 mats.append(m)
             sets.append(mats)
         try:
-            instruments.append(validate_instrument(sets))
+            # huge entries overflow in K^dag K; validation rejects the result,
+            # and numpy must not print overflow warnings ahead of that error
+            with np.errstate(over="ignore", invalid="ignore"):
+                instruments.append(validate_instrument(sets))
         except TempocorrError as exc:
             raise SchemaError(f"instruments[{i}]", str(exc)) from exc
     try:

@@ -78,6 +78,10 @@ class WitnessFunctional:
             )
             for t in self.terms
         )
+        R, S = self.scenario.R, self.scenario.S
+        for t in norm:
+            if not all(0 <= o < R for o in t.outcomes) or not all(0 <= x < S for x in t.settings):
+                raise ScenarioMismatch(f"term {t.outcomes}, {t.settings} lies outside {self.scenario}")
         object.__setattr__(self, "terms", norm)
 
 
@@ -243,72 +247,62 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float):
     """Minimize ``fun`` by Nelder-Mead from a ``(starts, n+1, n)`` stack of
     initial simplices, all starts stepped in lockstep.
 
-    ``fun`` maps an ``(m, n)`` array of points to their ``m`` values.  Each
-    iteration reflects the worst vertex through the centroid of the others,
-    then expands or contracts (outside or inside), and shrinks toward the
-    best vertex when the contraction fails, with the dimension-adaptive
-    coefficients of Gao and Han, Comput. Optim. Appl. 51 (2012):
-    rho = 1, chi = 1 + 2/n, psi = 3/4 - 1/(2n), sigma = 1 - 1/n.  Each
-    simplex is sorted stably, so ties keep their vertex order.  A start
-    stops once its vertices lie within ``xatol`` and their values within
-    ``fatol`` of its best vertex; it is then frozen and not evaluated
-    again.  The iteration count starts at 1, so ``maxiter`` 0 or 1 returns
-    the best initial vertex.  No start depends on another, so each start's
-    result equals its run alone.  Returns the best vertex ``(starts, n)``
-    and its value ``(starts,)`` per start.
+    ``fun`` maps an ``(m, n)`` array of points to their ``m`` values, each
+    row's value independent of the other rows.  Each iteration reflects the
+    worst vertex through the centroid of the others, then expands or
+    contracts (outside or inside), and shrinks toward the best vertex when
+    the contraction fails, with the dimension-adaptive coefficients of Gao
+    and Han, Comput. Optim. Appl. 51 (2012): rho = 1, chi = 1 + 2/n,
+    psi = 3/4 - 1/(2n), sigma = 1 - 1/n.  The four candidates of every
+    running start are evaluated together in one call, and the shrunk
+    vertices, where a start shrinks, in a second; so an iteration makes at
+    most two calls.  Each simplex is sorted stably, so ties keep their
+    vertex order.  A start stops once its vertices lie within ``xatol`` and
+    their values within ``fatol`` of its best vertex; it is then frozen and
+    not evaluated again.  The iteration count starts at 1, so ``maxiter``
+    0 or 1 returns the best initial vertex.  No start depends on another,
+    so each start's result equals its run alone.  Returns the best vertex
+    ``(starts, n)`` and its value ``(starts,)`` per start.
     """
     sim = np.asarray(simplex, dtype=float)
     starts, n1, n = sim.shape
     fsim = fun(sim.reshape(-1, n)).reshape(starts, n1)
-    rows = np.arange(starts)[:, None]
+    rows = np.arange(starts)
     order = np.argsort(fsim, axis=1, kind="stable")
-    s, fs = sim[rows, order], fsim[rows, order]
+    s, fs = sim[rows[:, None], order], fsim[rows[:, None], order]
     best_x, best_f = s[:, 0].copy(), fs[:, 0].copy()
 
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    # candidate k is toward[k] * xbar - away[k] * worst: reflection,
+    # expansion, outside and inside contraction
+    toward = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None, None]
+    away = np.array([rho, rho * chi, psi * rho, -psi])[:, None, None]
     active = np.arange(starts)  # the starts still running; s and fs hold their simplices
     iterations = 1
     while iterations < maxiter:
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
-        )
+        done = np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+        if done.any():
+            done &= np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol
         if done.any():
             best_x[active[done]], best_f[active[done]] = s[done, 0], fs[done, 0]
             active, s, fs = active[~done], s[~done], fs[~done]
             if not active.size:
                 return best_x, best_f
+        here = rows[: active.size]
 
         xbar = np.add.reduce(s[:, :-1], axis=1) / n
-        worst = s[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = fun(xr)
-        expand = fxr < fs[:, 0]
-        reflect = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~reflect & (fxr < fs[:, -1])
-        inside = ~(expand | reflect | outside)
+        cand = toward * xbar - away * s[:, -1]
+        fcand = fun(cand.reshape(-1, n)).reshape(4, -1)
+        fr, fe, fo, fi = fcand
+        # the candidate that replaces the worst vertex, or 4 to shrink
+        worst = fs[:, -1]
+        contract = np.where(fr < worst, np.where(fo <= fr, 2, 4), np.where(fi < worst, 3, 4))
+        pick = np.where(fr < fs[:, 0], fe < fr, np.where(fr < fs[:, -2], 0, contract))
+        shrink = pick == 4
+        take = here[~shrink]
+        to = pick[take]
+        s[take, -1], fs[take, -1] = cand[to, take], fcand[to, take]
 
-        probe = np.where(
-            expand[:, None],
-            (1 + rho * chi) * xbar - rho * chi * worst,
-            np.where(
-                outside[:, None],
-                (1 + psi * rho) * xbar - psi * rho * worst,
-                (1 - psi) * xbar + psi * worst,
-            ),
-        )
-        fprobe = np.full_like(fxr, np.inf)
-        if not reflect.all():
-            fprobe[~reflect] = fun(probe[~reflect])
-        take_probe = (
-            (expand & (fprobe < fxr))
-            | (outside & (fprobe <= fxr))
-            | (inside & (fprobe < fs[:, -1]))
-        )
-        take_reflect = reflect | (expand & ~take_probe)
-        s[take_reflect, -1], fs[take_reflect, -1] = xr[take_reflect], fxr[take_reflect]
-        s[take_probe, -1], fs[take_probe, -1] = probe[take_probe], fprobe[take_probe]
-
-        shrink = (outside | inside) & ~take_probe
         if shrink.any():
             best = s[shrink, :1]
             shrunk = best + sigma * (s[shrink, 1:] - best)
@@ -317,48 +311,87 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float):
         iterations += 1
 
         order = np.argsort(fs, axis=1, kind="stable")
-        rows = rows[: active.size]
-        s, fs = s[rows, order], fs[rows, order]
+        s, fs = s[here[:, None], order], fs[here[:, None], order]
     best_x[active], best_f[active] = s[:, 0], fs[:, 0]
     return best_x, best_f
 
 
 # --- closed-form state elimination and the restart optimizer -----------------------
+#
+# Inside the objective the m search points run along the last axis, so every
+# quantity is a short stack of rows over the points, and one call costs a
+# few dozen array operations, however many points it gets.  A term
+# ((a, b), (x, y), coeff) feeds the slot 2 a + x of the first step's outcome
+# and setting.
+
+
+class _CompiledTerms(NamedTuple):
+    """A functional's terms as a ``(depth, n)`` table over the n slots that
+    have terms: entry ``[k, j]`` is the k-th term of slot ``slots[j]``, and
+    slots with fewer terms are padded with zero coefficients."""
+
+    slots: np.ndarray  # (n,) the slots with terms, ascending
+    second: np.ndarray  # (depth, n) second setting y
+    offset: np.ndarray  # (depth, n, 1) 0 where the second outcome b is 0, else 1
+    sign: np.ndarray  # (depth, n, 1) 1 where b is 0, else -1
+    coeff: np.ndarray  # (depth, n, 1)
+    signed: np.ndarray  # (depth, n, 1) sign * coeff
+
+
+def _compile_terms(terms) -> _CompiledTerms:
+    """Table of ``((a, b), (x, y), coeff)`` terms, built once per search."""
+    by_slot = [[], [], [], []]
+    for (a, b), (x, y), coeff in terms:
+        by_slot[2 * a + x].append((b, y, coeff))
+    slots = [slot for slot, entries in enumerate(by_slot) if entries]
+    table = np.zeros((max(1, *map(len, by_slot)), len(slots), 3))
+    for j, slot in enumerate(slots):
+        table[: len(by_slot[slot]), j] = by_slot[slot]
+    offset, coeff = table[..., :1], table[..., 2:]
+    sign = 1.0 - 2.0 * offset
+    second = table[..., 1].astype(np.intp)
+    return _CompiledTerms(np.array(slots, dtype=np.intp), second, offset, sign, coeff, sign * coeff)
+
 
 def _effect_params(theta):
-    """Decode ``(..., 8)`` search parameters into the effect weights ``a``,
-    biases ``b`` (both ``(..., 2)``) and unit axes ``(..., 2, 3)``."""
-    theta = np.asarray(theta, dtype=float)
-    theta = theta.reshape(theta.shape[:-1] + (2, 4))
-    u = np.minimum(np.maximum(theta[..., 0], 0.0), 1.0)
-    b = np.minimum(np.maximum(theta[..., 1], 0.0), 1.0)
-    t, p = theta[..., 2], theta[..., 3]
-    st = np.sin(t)
-    axis = np.empty(t.shape + (3,))
-    axis[..., 0] = st * np.cos(p)
-    axis[..., 1] = st * np.sin(p)
-    axis[..., 2] = np.cos(t)
-    return u / (1.0 + b), b, axis
+    """Decode ``(..., 8)`` search parameters into one ``(2, 5, m)`` array over
+    the m rows: per setting the effect weight a, the bias b and the three
+    components of the unit axis."""
+    th = np.asarray(theta, dtype=float).reshape(-1, 8).T.reshape(2, 4, -1)
+    eff = np.empty((2, 5, th.shape[2]))
+    np.minimum(np.maximum(th[:, :2], 0.0), 1.0, out=eff[:, :2])
+    np.divide(eff[:, 0], 1.0 + eff[:, 1], out=eff[:, 0])
+    sin, cos = np.sin(th[:, 2:]), np.cos(th[:, 2:])  # [setting, (polar, azimuth)]
+    np.multiply(sin[:, 0], cos[:, 1], out=eff[:, 2])
+    np.multiply(sin[:, 0], sin[:, 1], out=eff[:, 3])
+    eff[:, 4] = cos[:, 0]
+    return eff
 
 
-def _post_coefficients(terms, a, b, axis):
-    """Per (first outcome a, setting x): constant part ``base[..., a, x]``
-    and linear coefficient vector ``wvec[..., a, x, :]`` of the second-step
-    contribution, maximized at the unit vector along the coefficient."""
-    base = np.zeros(a.shape[:-1] + (2, 2))
-    wvec = np.zeros(a.shape[:-1] + (2, 2, 3))
-    for (oa, ob), (x, y), coeff in terms:
-        sign = 1.0 if ob == 0 else -1.0
-        base[..., oa, x] += coeff * (a[..., y] if ob == 0 else 1.0 - a[..., y])
-        wvec[..., oa, x, :] += (sign * coeff * a[..., y] * b[..., y])[..., None] * axis[..., y, :]
-    return base, wvec
+def _slot_coefficients(prog: _CompiledTerms, eff):
+    """Per slot with terms, ``(n, 4, m)``: the constant part, then the three
+    components of the linear coefficient vector of the second-step
+    contribution, maximized at the unit vector along that vector; both are
+    0 in the other slots.  Each slot sums its terms from 0 in term order,
+    so the sums do not depend on how the terms are laid out."""
+    g = eff[prog.second]  # the second setting's parameters, per table entry
+    a_y = g[:, :, 0]
+    per_term = np.empty(a_y.shape[:2] + (4,) + a_y.shape[2:])
+    np.multiply(prog.coeff, prog.offset + prog.sign * a_y, out=per_term[:, :, 0])
+    np.multiply(((prog.signed * a_y) * g[:, :, 1])[:, :, None], g[:, :, 2:], out=per_term[:, :, 1:])
+    sums = 0.0 + per_term[0]
+    for later in per_term[1:]:
+        sums += later
+    return sums
 
 
 def _norm3(v):
-    return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
+    """Euclidean norm over the second-to-last axis, of length 3."""
+    sq = v**2
+    return np.sqrt(sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :])
 
 
-def _state_optimal_value(terms, theta):
+def _state_optimal_value(prog: _CompiledTerms, theta):
     """Witness value of each row of ``(..., 8)`` effect parameters with every
     Bloch vector replaced by its optimizer.
 
@@ -367,22 +400,27 @@ def _state_optimal_value(terms, theta):
     substituting those optima leaves an affine function of the input vector,
     again maximized by alignment.
     """
-    a, b, axis = _effect_params(theta)
-    base, wvec = _post_coefficients(terms, a, b, axis)
-    top = base + _norm3(wvec)
-    diff = top[..., 0, :] - top[..., 1, :]
-    const = (top[..., 1, 0] + diff[..., 0] * a[..., 0]) + (top[..., 1, 1] + diff[..., 1] * a[..., 1])
-    v = (diff[..., 0] * a[..., 0] * b[..., 0])[..., None] * axis[..., 0, :] + (
-        diff[..., 1] * a[..., 1] * b[..., 1]
-    )[..., None] * axis[..., 1, :]
-    return const + _norm3(v)
+    eff = _effect_params(theta)
+    sums = _slot_coefficients(prog, eff)
+    top = np.zeros((4, eff.shape[2]))
+    top[prog.slots] = sums[:, 0] + _norm3(sums[:, 1:])
+    top = top.reshape(2, 2, -1)  # [first outcome, setting]
+    diff = top[0] - top[1]
+    da = diff * eff[:, 0]
+    const = top[1] + da
+    v = (da * eff[:, 1])[:, None] * eff[:, 2:]
+    value = (const[0] + const[1]) + _norm3(v[0] + v[1])
+    return value.reshape(np.shape(theta)[:-1])
 
 
-def _reconstruct_strategy(terms, theta, tie_initial, tie_post) -> QubitStrategy:
+def _reconstruct_strategy(prog: _CompiledTerms, theta, tie_initial, tie_post) -> QubitStrategy:
     """Explicit optimal states for the effects of one parameter row; zero
     coefficient vectors keep the supplied tie-break vectors."""
-    a, b, axis = _effect_params(theta)
-    base, wvec = _post_coefficients(terms, a, b, axis)
+    eff = _effect_params(theta)
+    sums = np.zeros((4, 4))
+    sums[prog.slots] = _slot_coefficients(prog, eff)[..., 0]
+    base, wvec = sums[:, 0].reshape(2, 2), sums[:, 1:].reshape(2, 2, 3)
+    a, b, axis = eff[:, 0, 0], eff[:, 1, 0], eff[:, 2:, 0]
     post = np.array(tie_post, dtype=float, copy=True)
     tops = base.copy()
     for ax in np.ndindex(2, 2):
@@ -423,7 +461,9 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     Only the 8 effect parameters are searched numerically: adaptive
     Nelder-Mead from a deterministic initial simplex per restart, all
     restarts stepped together by :func:`_nelder_mead` with the objective
-    evaluated on every restart's points in one array call.  All Bloch
+    evaluated on every restart's points in one array call.  The functional's
+    terms are compiled into a table of index and coefficient columns once
+    per call, and the objective and the strategy rebuild both read it.  All Bloch
     vectors are eliminated in closed form at every evaluation, so the search
     space is exactly the achievable qubit set, and the reported value is
     recomputed from the rebuilt strategy, a valid lower bound on the qubit
@@ -434,8 +474,10 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         raise ParamOutOfRange(f"restarts must be >= 1, got {cfg.restarts}")
     if cfg.max_iterations < 0:
         raise ParamOutOfRange(f"max_iterations must be >= 0, got {cfg.max_iterations}")
+    if cfg.seed < 0:
+        raise ParamOutOfRange(f"seed must be >= 0, got {cfg.seed}")
     _require_binary_pair_scenario(f)
-    terms = tuple((t.outcomes, t.settings, t.coeff) for t in f.terms)
+    prog = _compile_terms(f.terms)
 
     theta0, tie_initial, tie_post = [], [], []
     for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
@@ -454,14 +496,14 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     steps = np.vstack([np.zeros(8), cfg.initial_step * np.eye(8)])
     simplices = np.asarray(theta0)[:, None, :] + steps
     thetas, fvals = _nelder_mead(
-        lambda theta: -_state_optimal_value(terms, theta),
+        lambda theta: -_state_optimal_value(prog, theta),
         simplices,
         cfg.max_iterations,
         cfg.xtol,
         cfg.ftol,
     )
     k = int(np.argmin(fvals))
-    strategy = _reconstruct_strategy(terms, thetas[k], tie_initial[k], tie_post[k])
+    strategy = _reconstruct_strategy(prog, thetas[k], tie_initial[k], tie_post[k])
     return OptimizationResult(strategy_value(f, strategy), strategy, k)
 
 

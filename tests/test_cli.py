@@ -15,9 +15,18 @@ from tempocorr.correlations import (
     decompose_behavior,
     random_conditional_chain,
 )
+from tempocorr.realize import canonical_protocols
 from tempocorr.witness import builtin_functionals
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter; numpy warnings reach its stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "tempocorr.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 def run(capsys, *argv):
@@ -196,6 +205,11 @@ class TestOptimize:
         code, _out, err = run(capsys, "optimize", "--functional", "B1", "--iterations", "-5")
         assert code == 1 and "max_iterations must be >= 0" in err
 
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run(capsys, "optimize", "--functional", "B1", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
 
 class TestDecomposeRealize:
     def test_round_trip(self, capsys, tmp_path):
@@ -327,6 +341,17 @@ class TestInputBoundary:
         data["L"] = 10**6
         code, _out, err = self.run_file(capsys, tmp_path, data, "witness", "--behavior", "{file}")
         assert code == 3 and "schema error: L/R/S:" in err
+
+    def test_overflowing_kraus_entry_prints_one_line(self, tmp_path):
+        data = se.system_model_to_json(canonical_protocols()["qutrit-e1"])
+        data["instruments"][0]["kraus"][0][0][1] = [1e200, 0.0]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        proc = run_process("simulate", "--system", str(path))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "schema error: instruments[0]: matrix contains NaN or infinite entries"
+        ]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ class TestSystemModel:
         with pytest.raises(SchemaError) as exc:
             se.system_model_from_json(data)
         assert "instruments[1]" in exc.value.path
+
+    def test_overflowing_kraus_entry_rejected_without_warnings(self):
+        # K^dag K overflows to inf and nan; numpy must not warn on the way
+        data = se.system_model_to_json(canonical_protocols()["qutrit-e1"])
+        data["instruments"][1]["kraus"][1][0][4] = [1e300, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError) as exc:
+                se.system_model_from_json(data)
+        assert exc.value.path == "instruments[1]"
 
 
 class TestBehavior:

@@ -106,6 +106,11 @@ class TestFunctionals:
         with pytest.raises(ScenarioMismatch):
             evaluate(F["B1"], uniform_behavior(Scenario(2, 3, 2)))
 
+    @pytest.mark.parametrize("outcomes, settings", [((0, 2), (0, 0)), ((0, -1), (1, 0)), ((0, 0), (2, 0))])
+    def test_term_outside_scenario_rejected(self, outcomes, settings):
+        with pytest.raises(ScenarioMismatch):
+            w.WitnessFunctional("x", S222, (w.WitnessTerm(outcomes, settings, 1.0),))
+
     def test_linearity(self):
         rng = np.random.default_rng(30)
         from tempocorr.correlations import compose_from_conditionals, random_conditional_chain
@@ -202,6 +207,14 @@ class TestOptimizer:
         with pytest.raises(ParamOutOfRange):
             optimize_qubit(F["B1"], OptimizerConfig(restarts=1, max_iterations=-5))
 
+    def test_negative_seed_rejected(self, monkeypatch):
+        def no_search(*_args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(w, "_nelder_mead", no_search)
+        with pytest.raises(ParamOutOfRange, match="seed must be >= 0"):
+            optimize_qubit(F["B1"], OptimizerConfig(restarts=1, seed=-1))
+
     def test_epsilon_search_config_validated(self):
         proto, proj = canonical_protocols()["qutrit-e1"], np.diag([1.0, 1.0, 0.0])
         for cfg in (EpsilonSearchConfig(restarts=-3), EpsilonSearchConfig(max_iterations=-1)):
@@ -251,8 +264,8 @@ def functional_terms(name):
 
 
 def qubit_objective(name):
-    terms = functional_terms(name)
-    return lambda theta: -w._state_optimal_value(terms, theta)
+    prog = w._compile_terms(F[name].terms)
+    return lambda theta: -w._state_optimal_value(prog, theta)
 
 
 def random_simplices(seed, starts, n=8, step=0.25):
@@ -312,20 +325,35 @@ class TestLockstepNelderMead:
         # the clipped parameters u, b are drawn well outside [0, 1] as well
         theta = np.random.default_rng(seed).uniform(-2.0, 8.0, size=(64, 8))
         terms = functional_terms(name)
-        batched = w._state_optimal_value(terms, theta)
+        batched = w._state_optimal_value(w._compile_terms(terms), theta)
         reference = np.array([loop_state_optimal_value(terms, row) for row in theta])
         assert np.max(np.abs(batched - reference)) <= 1e-15
 
     def test_reconstructed_strategy_attains_objective(self):
-        terms = functional_terms("B4")
+        prog = w._compile_terms(F["B4"].terms)
         theta = np.random.default_rng(9).uniform(0.0, 3.0, size=8)
         rng = np.random.default_rng(10)
         tie_post = rng.normal(size=(2, 2, 3))
         tie_post /= np.linalg.norm(tie_post, axis=2, keepdims=True)
-        s = w._reconstruct_strategy(terms, theta, np.array([0.0, 0.0, 1.0]), tie_post)
+        s = w._reconstruct_strategy(prog, theta, np.array([0.0, 0.0, 1.0]), tie_post)
         assert strategy_value(F["B4"], s) == pytest.approx(
-            float(w._state_optimal_value(terms, theta)), abs=1e-12
+            float(w._state_optimal_value(prog, theta)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 5, 40])
+    @pytest.mark.parametrize(
+        "objective", [qubit_objective("B3"), lambda x: (x**2).sum(axis=1)], ids=["B3", "quadratic"]
+    )
+    def test_at_most_two_calls_per_iteration(self, objective, maxiter):
+        # negative tolerances: no start can converge, so all maxiter - 1 iterations run
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return objective(x)
+
+        w._nelder_mead(counting, random_simplices(3, 5), maxiter, -1.0, -1.0)
+        assert maxiter <= len(calls) <= 1 + 2 * (maxiter - 1)
 
 
 class TestProfiles:
@@ -536,6 +564,228 @@ def random_branch(dim, seed):
     rng = np.random.default_rng(seed)
     kraus = random_instrument(rng, dim, 2).kraus_sets[0][0]
     return kraus, random_projector(rng, dim), rng
+
+
+# --- reference pipeline ------------------------------------------------------------
+#
+# The optimizer with one objective call per candidate kind and a Python loop
+# over the terms.  The batched optimizer must reproduce it bit for bit.
+
+def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol):
+    sim = np.asarray(simplex, dtype=float)
+    starts, n1, n = sim.shape
+    fsim = fun(sim.reshape(-1, n)).reshape(starts, n1)
+    rows = np.arange(starts)[:, None]
+    order = np.argsort(fsim, axis=1, kind="stable")
+    s, fs = sim[rows, order], fsim[rows, order]
+    best_x, best_f = s[:, 0].copy(), fs[:, 0].copy()
+
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    active = np.arange(starts)
+    iterations = 1
+    while iterations < maxiter:
+        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+        )
+        if done.any():
+            best_x[active[done]], best_f[active[done]] = s[done, 0], fs[done, 0]
+            active, s, fs = active[~done], s[~done], fs[~done]
+            if not active.size:
+                return best_x, best_f
+
+        xbar = np.add.reduce(s[:, :-1], axis=1) / n
+        worst = s[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = fun(xr)
+        expand = fxr < fs[:, 0]
+        reflect = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~reflect & (fxr < fs[:, -1])
+        inside = ~(expand | reflect | outside)
+
+        probe = np.where(
+            expand[:, None],
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            np.where(
+                outside[:, None],
+                (1 + psi * rho) * xbar - psi * rho * worst,
+                (1 - psi) * xbar + psi * worst,
+            ),
+        )
+        fprobe = np.full_like(fxr, np.inf)
+        if not reflect.all():
+            fprobe[~reflect] = fun(probe[~reflect])
+        take_probe = (
+            (expand & (fprobe < fxr))
+            | (outside & (fprobe <= fxr))
+            | (inside & (fprobe < fs[:, -1]))
+        )
+        take_reflect = reflect | (expand & ~take_probe)
+        s[take_reflect, -1], fs[take_reflect, -1] = xr[take_reflect], fxr[take_reflect]
+        s[take_probe, -1], fs[take_probe, -1] = probe[take_probe], fprobe[take_probe]
+
+        shrink = (outside | inside) & ~take_probe
+        if shrink.any():
+            best = s[shrink, :1]
+            shrunk = best + sigma * (s[shrink, 1:] - best)
+            s[shrink, 1:] = shrunk
+            fs[shrink, 1:] = fun(shrunk.reshape(-1, n)).reshape(-1, n1 - 1)
+        iterations += 1
+
+        order = np.argsort(fs, axis=1, kind="stable")
+        rows = rows[: active.size]
+        s, fs = s[rows, order], fs[rows, order]
+    best_x[active], best_f[active] = s[:, 0], fs[:, 0]
+    return best_x, best_f
+
+
+def reference_effect_params(theta):
+    theta = np.asarray(theta, dtype=float)
+    theta = theta.reshape(theta.shape[:-1] + (2, 4))
+    u = np.minimum(np.maximum(theta[..., 0], 0.0), 1.0)
+    b = np.minimum(np.maximum(theta[..., 1], 0.0), 1.0)
+    t, p = theta[..., 2], theta[..., 3]
+    st = np.sin(t)
+    axis = np.empty(t.shape + (3,))
+    axis[..., 0] = st * np.cos(p)
+    axis[..., 1] = st * np.sin(p)
+    axis[..., 2] = np.cos(t)
+    return u / (1.0 + b), b, axis
+
+
+def reference_post_coefficients(terms, a, b, axis):
+    base = np.zeros(a.shape[:-1] + (2, 2))
+    wvec = np.zeros(a.shape[:-1] + (2, 2, 3))
+    for (oa, ob), (x, y), coeff in terms:
+        sign = 1.0 if ob == 0 else -1.0
+        base[..., oa, x] += coeff * (a[..., y] if ob == 0 else 1.0 - a[..., y])
+        wvec[..., oa, x, :] += (sign * coeff * a[..., y] * b[..., y])[..., None] * axis[..., y, :]
+    return base, wvec
+
+
+def reference_norm3(v):
+    return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
+
+
+def reference_state_optimal_value(terms, theta):
+    a, b, axis = reference_effect_params(theta)
+    base, wvec = reference_post_coefficients(terms, a, b, axis)
+    top = base + reference_norm3(wvec)
+    diff = top[..., 0, :] - top[..., 1, :]
+    const = (top[..., 1, 0] + diff[..., 0] * a[..., 0]) + (top[..., 1, 1] + diff[..., 1] * a[..., 1])
+    v = (diff[..., 0] * a[..., 0] * b[..., 0])[..., None] * axis[..., 0, :] + (
+        diff[..., 1] * a[..., 1] * b[..., 1]
+    )[..., None] * axis[..., 1, :]
+    return const + reference_norm3(v)
+
+
+def reference_optimize_qubit(f, cfg):
+    """Value, restart index and strategy of the reference pipeline."""
+    terms = functional_terms(f.name)
+    theta0, tie_initial, tie_post = [], [], []
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+        rng = np.random.default_rng(seq)
+        theta0.append(
+            [
+                rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
+                rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
+            ]
+        )
+        init = rng.normal(size=3)
+        tie_initial.append(init / np.linalg.norm(init))
+        post = rng.normal(size=(2, 2, 3))
+        tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
+    simplices = np.asarray(theta0)[:, None, :] + np.vstack([np.zeros(8), cfg.initial_step * np.eye(8)])
+    thetas, fvals = reference_nelder_mead(
+        lambda theta: -reference_state_optimal_value(terms, theta),
+        simplices, cfg.max_iterations, cfg.xtol, cfg.ftol,
+    )
+    k = int(np.argmin(fvals))
+    a, b, axis = reference_effect_params(thetas[k])
+    base, wvec = reference_post_coefficients(terms, a, b, axis)
+    post = np.array(tie_post[k], dtype=float, copy=True)
+    tops = base.copy()
+    for ax in np.ndindex(2, 2):
+        norm = float(np.linalg.norm(wvec[ax]))
+        if norm > 1e-15:
+            post[ax] = wvec[ax] / norm
+        tops[ax] += float(np.dot(wvec[ax], post[ax]))
+    v = np.zeros(3)
+    for x in (0, 1):
+        v += (tops[0, x] - tops[1, x]) * a[x] * b[x] * axis[x]
+    initial = tie_initial[k]
+    if float(np.linalg.norm(v)) > 1e-15:
+        initial = v / np.linalg.norm(v)
+    effects = tuple(EffectParams(a[x], b[x], axis[x]) for x in (0, 1))
+    strategy = QubitStrategy(initial, post, effects)
+    return strategy_value(f, strategy), k, strategy
+
+
+def strategy_bytes(s):
+    parts = [s.initial.tobytes(), s.post.tobytes()]
+    for e in s.effects:
+        parts += [np.float64(e.a).tobytes(), np.float64(e.b).tobytes(), e.axis.tobytes()]
+    return b"".join(parts)
+
+
+random_terms = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.one_of(st.sampled_from([1.0, -1.0, 0.5, -2.5, 3.0]), st.floats(-4.0, 4.0)),
+    ),
+    min_size=1,
+    max_size=12,
+).map(tuple)
+
+
+class TestReferenceParity:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(F)), st.integers(0, 2**32 - 1), st.integers(1, 64))
+    def test_objective_matches_reference_on_builtins(self, name, seed, rows):
+        # the clipped parameters u, b are drawn well outside [0, 1] as well
+        theta = np.random.default_rng(seed).uniform(-2.0, 8.0, size=(rows, 8))
+        prog = w._compile_terms(F[name].terms)
+        terms = functional_terms(name)
+        assert np.array_equal(w._state_optimal_value(prog, theta), reference_state_optimal_value(terms, theta))
+        assert w._state_optimal_value(prog, theta[0]) == reference_state_optimal_value(terms, theta[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_terms, st.integers(0, 2**32 - 1), st.integers(1, 32))
+    def test_objective_matches_reference_on_random_functionals(self, terms, seed, rows):
+        # repeated slots and non-unit coefficients: each slot still sums in term order
+        theta = np.random.default_rng(seed).uniform(-2.0, 8.0, size=(rows, 8))
+        batched = w._state_optimal_value(w._compile_terms(terms), theta)
+        assert np.array_equal(batched, reference_state_optimal_value(terms, theta))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(sorted(F)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(0, 400),
+        st.sampled_from([0.05, 0.25, 1.0]),
+    )
+    def test_nelder_mead_matches_reference(self, name, seed, starts, maxiter, step):
+        fun = qubit_objective(name)
+        simplices = random_simplices(seed, starts, step=step)
+        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-10, 1e-13)
+        ref_xs, ref_fs = reference_nelder_mead(fun, simplices, maxiter, 1e-10, 1e-13)
+        assert np.array_equal(xs, ref_xs)
+        assert np.array_equal(fs, ref_fs)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from(sorted(F)),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(0, 600),
+    )
+    def test_optimize_qubit_matches_reference(self, name, seed, restarts, max_iterations):
+        cfg = OptimizerConfig(restarts=restarts, seed=seed, max_iterations=max_iterations)
+        res = optimize_qubit(F[name], cfg)
+        value, k, strategy = reference_optimize_qubit(F[name], cfg)
+        assert (res.value, res.restart_index) == (value, k)
+        assert strategy_bytes(res.strategy) == strategy_bytes(strategy)
 
 
 def nelder_mead_simplex(x0):
