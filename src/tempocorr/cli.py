@@ -4,7 +4,8 @@ Subcommands: vertices, simulate, witness, bounds, optimize, decompose,
 realize.  Every run is deterministic given its flags; all randomness flows
 from --seed (default 1729).  Exit codes are a stable scripting contract:
 0 success, 1 parameter out of range or another library error, 2 size cap
-exceeded (vertices: vertex count above --cap; simulate: behavior table above
+exceeded (vertices: vertex count above --cap; simulate: behavior table,
+realize: Kraus entries of the system, bounds: profile table, each above
 realize.MAX_TABLE_ENTRIES), 3 schema violation, 4 behavior not in the
 polytope, 5 outside the implemented scope (sequence length != 2), 64 usage
 error.
@@ -172,6 +173,10 @@ def cmd_bounds(args) -> int:
     n = args.grid
     if n < 2:
         raise SchemaError("grid", f"profiles need --grid >= 2, got {n}")
+    entries = n * n if which == "B4envelope" else n
+    if entries > realize.MAX_TABLE_ENTRIES:
+        what = f"a {which} table of {entries} entries (--grid {n})"
+        raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
     xs = np.linspace(-1.0, 1.0, n)
     if which == "B1profile":
         ys = witness.b1_projective_profile(xs)
@@ -242,8 +247,6 @@ def cmd_realize(args) -> int:
         raise UnsupportedLength(f"realization is implemented for L=2 only, got L={args.L}")
     if args.decomposition:
         decomp = serialize.decomposition_from_json(_load_json(args.decomposition))
-        system = realize.mixture_realization(decomp)
-        target = correlations.mixture_behavior(decomp)
     else:
         scenario = Scenario(2, args.R, args.S)
         if args.vertex in correlations.QUBIT_UNREACHABLE_UNIT_ENTRIES:
@@ -261,8 +264,9 @@ def cmd_realize(args) -> int:
             if not 0 <= index < count:
                 raise SchemaError("vertex", f"index {index} outside 0..{count - 1}")
             vertex = correlations.DeterministicVertex.from_index(scenario, index)
-        system = realize.qutrit_vertex_realization(vertex).system
-        target = correlations.vertex_behavior(vertex)
+        decomp = correlations.ConvexDecomposition(((1.0, vertex),))
+    system = realize.mixture_realization(decomp)
+    target = correlations.mixture_behavior(decomp)
 
     resim = realize.full_behavior(system, 2)
     dev = float(np.max(np.abs(resim.table - target.table)))

@@ -69,13 +69,12 @@ class TooManyVertices(TempocorrError):
 
 
 class TableTooLarge(TempocorrError):
-    """Behavior table would exceed the table-size budget."""
+    """A table or matrix stack would exceed the table-size budget; ``shape``
+    is the scenario (L, R, S) it belongs to, if any."""
 
-    def __init__(self, L, R, S, cap):
-        super().__init__(
-            f"a behavior table of S^L * R^L = {S}^{L} * {R}^{L} entries exceeds the cap {cap}"
-        )
-        self.shape = (L, R, S)
+    def __init__(self, what, cap, shape=None):
+        super().__init__(f"{what} exceeds the cap {cap}")
+        self.shape = shape
         self.cap = cap
 
 

@@ -1,9 +1,9 @@
 """Quantum realization of temporal correlations.
 
 Simulates measurement sequences on a :class:`~tempocorr.qmath.SystemModel`,
-builds the three-level construction that reaches any length-2 deterministic
-vertex exactly, extends it to arbitrary mixtures by direct sums, and provides
-the canonical named protocols used throughout the test suite.
+realizes any mixture of length-2 deterministic vertices exactly as a direct
+sum of (S+1)-level blocks (a vertex is the one-block case), and provides the
+canonical named protocols used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .correlations import (
     ConvexDecomposition,
     DeterministicVertex,
     Scenario,
+    context_position,
     digits_of_index,
     named_vertex,
 )
@@ -32,7 +33,8 @@ from .qmath import (
 
 # Largest behavior table full_behavior builds: S^L * R^L entries, 8 MiB of
 # float64 and about as many Kraus-map applications, checked before any
-# allocation.
+# allocation.  The same budget caps the S * R * dim^2 Kraus entries of a
+# realized system and the profile tables of ``tempocorr bounds``.
 MAX_TABLE_ENTRIES = 1 << 20
 
 
@@ -81,7 +83,9 @@ def full_behavior(sys: SystemModel, L: int) -> Behavior:
     # S * R >= 2 doubles the table per step, so a long L fails before any power
     base = sys.n_settings * sys.n_outcomes
     if base > 1 and (L > MAX_TABLE_ENTRIES.bit_length() or base**L > MAX_TABLE_ENTRIES):
-        raise TableTooLarge(L, sys.n_outcomes, sys.n_settings, MAX_TABLE_ENTRIES)
+        S, R = sys.n_settings, sys.n_outcomes
+        what = f"a behavior table of S^L * R^L = {S}^{L} * {R}^{L} entries"
+        raise TableTooLarge(what, MAX_TABLE_ENTRIES, (L, R, S))
     scenario = Scenario(L, sys.n_outcomes, sys.n_settings)
     table = np.zeros((scenario.n_setting_seqs, scenario.n_outcome_seqs))
     for srow in range(scenario.n_setting_seqs):
@@ -90,7 +94,7 @@ def full_behavior(sys: SystemModel, L: int) -> Behavior:
     return Behavior(scenario, table)
 
 
-# --- exact vertex realization on S+1 levels --------------------------------------
+# --- exact realization of length-2 mixtures on S+1 levels per vertex ------------
 
 @dataclass(frozen=True)
 class VertexRealization:
@@ -100,83 +104,55 @@ class VertexRealization:
     vertex: DeterministicVertex
 
 
-def _transposition(i: int, j: int, dim: int) -> np.ndarray:
-    u = np.eye(dim, dtype=complex)
-    u[[i, j]] = u[[j, i]]
-    return u
-
-
 def qutrit_vertex_realization(v: DeterministicVertex) -> VertexRealization:
-    """Exact realization of a length-2 vertex on an (S+1)-level system.
-
-    Basis state 0 is the input state and basis state s+1 is the
-    post-measurement state after a first measurement with setting s.  The
-    effect of result r for setting s projects onto the basis states whose
-    assigned outcome in the corresponding slot is r, and a swap of levels 0
-    and s+1 after the projection produces the post-measurement states.  The
-    realized behavior is 0/1 exactly (up to floating-point roundoff).
-    """
-    s = v.scenario
-    if s.L != 2:
-        raise UnsupportedLength(
-            f"vertex realization is implemented for L=2 only, got L={s.L}"
-        )
-    dim = s.S + 1
-
-    instruments = []
-    for setting in range(s.S):
-        # slot outcomes: index 0 is the first time step, index s'+1 the second
-        # time step after a first measurement with setting s'
-        slot_outcomes = [v.outcome_for((setting,))]
-        slot_outcomes += [v.outcome_for((first, setting)) for first in range(s.S)]
-        swap = _transposition(0, setting + 1, dim)
-        kraus_sets = []
-        for r in range(s.R):
-            effect = np.zeros((dim, dim), dtype=complex)
-            for i, a in enumerate(slot_outcomes):
-                if a == r:
-                    effect[i, i] = 1.0
-            kraus_sets.append([swap @ effect])
-        instruments.append(validate_instrument(kraus_sets))
-
-    system = SystemModel(DensityMatrix(ketbra(0, 0, dim)), tuple(instruments))
-    return VertexRealization(system, v)
+    """Exact realization of a length-2 vertex on an (S+1)-level system: the
+    one-term :func:`mixture_realization`.  The realized behavior is 0/1
+    exactly (up to floating-point roundoff)."""
+    return VertexRealization(mixture_realization(ConvexDecomposition(((1.0, v),))), v)
 
 
 def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     """Block-diagonal system realizing a convex mixture of length-2 vertices.
 
-    Each vertex contributes one (S+1)-dimensional block carrying its exact
-    realization; the initial state weights the blocks by the mixture weights.
+    Each positive-weight vertex e owns S+1 levels from ``start_e``: level 0 is
+    the input state, weighted by the mixture weight, and level s+1 the state
+    after a first measurement with setting s.  Slot 0 of setting x holds the
+    outcome of history ``(x,)``, slot s+1 that of ``(s, x)``.  Result r of x
+    has the Kraus operator ``sum_j [slot_j(e) = r] |start_e + pi(j)><start_e + j|``
+    summed over blocks, pi the swap of levels 0 and x+1.  Raises
+    :class:`TableTooLarge` before any allocation when the S * R operators
+    would hold more than ``MAX_TABLE_ENTRIES`` entries.
     """
     terms = [(w, v) for w, v in decomp.terms if w > 0.0]
     if not terms:
         raise EmptyDecomposition("decomposition has no positive-weight vertex")
     s = terms[0][1].scenario
     if s.L != 2:
-        raise UnsupportedLength(
-            f"mixture realization is implemented for L=2 only, got L={s.L}"
-        )
-
-    blocks = [qutrit_vertex_realization(v).system for _w, v in terms]
+        raise UnsupportedLength(f"realization is implemented for L=2 only, got L={s.L}")
     block_dim = s.S + 1
     dim = block_dim * len(terms)
+    entries = s.S * s.R * dim * dim
+    if entries > MAX_TABLE_ENTRIES:
+        what = f"a system of dimension {dim} with {entries} Kraus entries"
+        raise TableTooLarge(what, MAX_TABLE_ENTRIES, (s.L, s.R, s.S))
 
+    starts = block_dim * np.arange(len(terms))
+    outcomes = np.array([v.outcomes for _w, v in terms])
     initial = np.zeros((dim, dim), dtype=complex)
-    for e, (w, _v) in enumerate(terms):
-        initial[e * block_dim, e * block_dim] = w
+    initial[starts, starts] = [w for w, _v in terms]
 
     instruments = []
-    for setting in range(s.S):
+    for x in range(s.S):
+        histories = [(x,)] + [(first, x) for first in range(s.S)]
+        slots = outcomes[:, [context_position(h, s.S) for h in histories]]
+        pi = np.arange(block_dim)
+        pi[[0, x + 1]] = x + 1, 0
         kraus_sets = []
         for r in range(s.R):
-            big = np.zeros((dim, dim), dtype=complex)
-            for e, block in enumerate(blocks):
-                lo = e * block_dim
-                big[lo : lo + block_dim, lo : lo + block_dim] = block.instruments[
-                    setting
-                ].kraus_sets[r][0]
-            kraus_sets.append([big])
+            e, j = np.nonzero(slots == r)
+            k = np.zeros((dim, dim), dtype=complex)
+            k[starts[e] + pi[j], starts[e] + j] = 1.0
+            kraus_sets.append([k])
         instruments.append(validate_instrument(kraus_sets))
     return SystemModel(DensityMatrix(initial), tuple(instruments))
 

@@ -443,9 +443,10 @@ class OptimizerConfig:
     restarts: int = 200
     seed: int = DEFAULT_SEED
     max_iterations: int = 2000
-    initial_step: float = 0.25
-    xtol: float = 1e-10
-    ftol: float = 1e-13
+
+
+# Edge of each restart's initial simplex and the Nelder-Mead stopping tolerances.
+_INITIAL_STEP, _XTOL, _FTOL = 0.25, 1e-10, 1e-13
 
 
 @dataclass(frozen=True)
@@ -493,14 +494,14 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         post = rng.normal(size=(2, 2, 3))
         tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
 
-    steps = np.vstack([np.zeros(8), cfg.initial_step * np.eye(8)])
+    steps = np.vstack([np.zeros(8), _INITIAL_STEP * np.eye(8)])
     simplices = np.asarray(theta0)[:, None, :] + steps
     thetas, fvals = _nelder_mead(
         lambda theta: -_state_optimal_value(prog, theta),
         simplices,
         cfg.max_iterations,
-        cfg.xtol,
-        cfg.ftol,
+        _XTOL,
+        _FTOL,
     )
     k = int(np.argmin(fvals))
     strategy = _reconstruct_strategy(prog, thetas[k], tie_initial[k], tie_post[k])
@@ -652,8 +653,11 @@ def c1_bound() -> C1Bound:
     return C1Bound(C1_VALUE, B1_PROJECTIVE_MAX)
 
 
+_C3_SUBINTERVALS = 10_000  # sign-scan intervals over [-1, 1]
+
+
 @lru_cache(maxsize=1)
-def c3_bound(subintervals: int = 10_000) -> C3Bound:
+def c3_bound() -> C3Bound:
     """Locate C3 as the certified root of the degree-10 polynomial.
 
     All real roots in [-1, 1] are isolated by sign-change scanning and
@@ -663,10 +667,10 @@ def c3_bound(subintervals: int = 10_000) -> C3Bound:
     profile value, checked against both boundary values, is the bound.
     """
     coeffs = expanded_polynomial_coefficients()
-    xs = np.linspace(-1.0, 1.0, subintervals + 1)
+    xs = np.linspace(-1.0, 1.0, _C3_SUBINTERVALS + 1)
     vals = [_poly_eval(coeffs, float(t)) for t in xs]
     roots = []
-    for i in range(subintervals):
+    for i in range(_C3_SUBINTERVALS):
         if vals[i] == 0.0:
             roots.append(float(xs[i]))
         elif vals[i] * vals[i + 1] < 0.0:

@@ -2,14 +2,19 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tempocorr import realize
 from tempocorr import serialize as se
 from tempocorr.cli import main
 from tempocorr.correlations import (
+    ConvexDecomposition,
+    DeterministicVertex,
     Scenario,
     compose_from_conditionals,
     decompose_behavior,
@@ -175,6 +180,25 @@ class TestBounds:
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert max(values) <= 2 + 2**0.5 + 1e-9
 
+    @pytest.mark.parametrize(
+        "which, grid, entries",
+        [("B4envelope", "100000", 10**10), ("B3profile", "1000000000", 10**9), ("B1profile", "1048577", 2**20 + 1)],
+    )
+    def test_grid_above_budget_exits_2(self, capsys, which, grid, entries):
+        code, out, err = run(capsys, "bounds", "--which", which, "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"size cap exceeded: a {which} table of {entries} entries (--grid {grid}) exceeds the cap {2**20}\n"
+
+    def test_grid_budget_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 100)
+        for which, fits in (("B4envelope", 10), ("B3profile", 100), ("B1profile", 100)):
+            assert run(capsys, "bounds", "--which", which, "--grid", str(fits))[0] == 0
+            assert run(capsys, "bounds", "--which", which, "--grid", str(fits + 1))[0] == 2
+
+    def test_grid_below_two_still_schema_error(self, capsys):
+        code, _out, err = run(capsys, "bounds", "--which", "B4envelope", "--grid", "1")
+        assert code == 3 and "--grid >= 2" in err
+
 
 class TestOptimize:
     def test_deterministic_output(self, capsys, tmp_path):
@@ -274,6 +298,30 @@ class TestDecomposeRealize:
     def test_realize_by_index(self, capsys):
         code, out, _ = run(capsys, "realize", "--vertex", "6")  # e1's enumeration index
         assert code == 0 and "re-simulation max deviation 0.0" in out
+
+    def test_realize_large_vertex_exits_2_quickly(self, capsys):
+        # dimension 501: 1000 Kraus operators of 501^2 entries
+        start = time.perf_counter()
+        code, out, err = run(capsys, "realize", "--vertex", "0", "--S", "500")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("size cap exceeded: a system of dimension 501 with 251001000 Kraus entries exceeds")
+
+    def test_too_many_terms_exit_2_before_allocation(self, capsys, tmp_path):
+        # 1000 (2,2,2) terms would make 3000 x 3000 complex matrices of 144 MB each
+        n = 1000
+        terms = tuple((1.0 / n, DeterministicVertex.from_index(Scenario(2, 2, 2), k % 64)) for k in range(n))
+        decomp_file = tmp_path / "d.json"
+        decomp_file.write_text(se.dumps(se.decomposition_to_json(ConvexDecomposition(terms))))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "realize", "--decomposition", str(decomp_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("size cap exceeded: a system of dimension 3000 with 36000000 Kraus entries exceeds")
+        assert peak < 32 * 2**20
 
     def test_realize_length_three_out_of_scope(self, capsys):
         code, _out, err = run(capsys, "realize", "--vertex", "e1", "--L", "3")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempocorr import correlations as co
 from tempocorr.correlations import (
+    ConditionalChain,
     ConvexDecomposition,
     DeterministicVertex,
     Scenario,
@@ -29,6 +32,7 @@ from tempocorr.realize import (
     qutrit_vertex_realization,
     run_sequence,
 )
+from tempocorr.serialize import system_model_to_json
 from tempocorr.witness import builtin_functionals, evaluate
 
 S222 = Scenario(2, 2, 2)
@@ -215,3 +219,151 @@ class TestCanonicalProtocols:
     def test_all_protocols_are_members(self):
         for name, sys_model in canonical_protocols().items():
             assert co.check_membership(full_behavior(sys_model, 2)).is_member, name
+
+
+# --- the per-vertex construction the block-diagonal one replaced ------------------
+
+def _transposition(i, j, dim):
+    u = np.eye(dim, dtype=complex)
+    u[[i, j]] = u[[j, i]]
+    return u
+
+
+def reference_vertex_realization(v):
+    """The (S+1)-level system of one vertex, built and validated on its own."""
+    s = v.scenario
+    dim = s.S + 1
+    instruments = []
+    for setting in range(s.S):
+        slot_outcomes = [v.outcome_for((setting,))]
+        slot_outcomes += [v.outcome_for((first, setting)) for first in range(s.S)]
+        swap = _transposition(0, setting + 1, dim)
+        kraus_sets = []
+        for r in range(s.R):
+            effect = np.zeros((dim, dim), dtype=complex)
+            for i, a in enumerate(slot_outcomes):
+                if a == r:
+                    effect[i, i] = 1.0
+            kraus_sets.append([swap @ effect])
+        instruments.append(validate_instrument(kraus_sets))
+    return SystemModel(DensityMatrix(ketbra(0, 0, dim)), tuple(instruments))
+
+
+def reference_mixture_realization(decomp):
+    """Direct sum of the per-vertex systems, copied block by block."""
+    terms = [(w, v) for w, v in decomp.terms if w > 0.0]
+    s = terms[0][1].scenario
+    blocks = [reference_vertex_realization(v) for _w, v in terms]
+    block_dim = s.S + 1
+    dim = block_dim * len(terms)
+    initial = np.zeros((dim, dim), dtype=complex)
+    for e, (w, _v) in enumerate(terms):
+        initial[e * block_dim, e * block_dim] = w
+    instruments = []
+    for setting in range(s.S):
+        kraus_sets = []
+        for r in range(s.R):
+            big = np.zeros((dim, dim), dtype=complex)
+            for e, block in enumerate(blocks):
+                lo = e * block_dim
+                big[lo : lo + block_dim, lo : lo + block_dim] = block.instruments[
+                    setting
+                ].kraus_sets[r][0]
+            kraus_sets.append([big])
+        instruments.append(validate_instrument(kraus_sets))
+    return SystemModel(DensityMatrix(initial), tuple(instruments))
+
+
+PARITY_SCENARIOS = (S222, Scenario(2, 3, 2), Scenario(2, 2, 3))
+
+
+@st.composite
+def peeled_members(draw):
+    """Greedy-peel decomposition of a random member; a drawn share of its
+    conditionals is deterministic, so zero-measure histories occur."""
+    s = draw(st.sampled_from(PARITY_SCENARIOS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    levels = []
+    for t in (1, 2):
+        g = rng.gamma(1.0, size=(s.S**t, s.R ** (t - 1), s.R))
+        pinned = rng.random(g.shape[:2]) < share
+        g[pinned] = np.eye(s.R)[rng.integers(0, s.R, size=int(pinned.sum()))]
+        levels.append(g / g.sum(axis=2, keepdims=True))
+    return decompose_behavior(compose_from_conditionals(ConditionalChain(s, tuple(levels))))
+
+
+@st.composite
+def hand_built_decompositions(draw):
+    """Terms drawn from a small vertex pool, so vertices repeat, with some
+    weights exactly zero."""
+    s = draw(st.sampled_from(PARITY_SCENARIOS))
+    pool = draw(st.lists(st.integers(0, co.count_vertices(s) - 1), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    raw = draw(st.lists(st.sampled_from((0.0, 0.25, 1.0, 3.0)), min_size=len(picks), max_size=len(picks)))
+    if sum(raw) == 0.0:
+        raw[0] = 1.0
+    total = sum(raw)
+    return ConvexDecomposition(
+        tuple((w / total, DeterministicVertex.from_index(s, k)) for w, k in zip(raw, picks))
+    )
+
+
+def assert_same_system(new, reference):
+    assert system_model_to_json(new) == system_model_to_json(reference)
+
+
+class TestReferenceParity:
+    """The block-diagonal construction writes exactly the systems of the
+    per-vertex one it replaced: equal JSON, so equal bytes on disk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(peeled_members())
+    def test_peel_outputs(self, decomp):
+        assert_same_system(mixture_realization(decomp), reference_mixture_realization(decomp))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hand_built_decompositions())
+    def test_repeated_vertices_and_zero_weights(self, decomp):
+        assert_same_system(mixture_realization(decomp), reference_mixture_realization(decomp))
+
+    def test_all_vertices_of_222(self):
+        for v in co.enumerate_vertices(S222):
+            assert_same_system(qutrit_vertex_realization(v).system, reference_vertex_realization(v))
+
+    def test_canonical_protocols(self):
+        protocols = canonical_protocols()
+        for name in ("e1", "e2", "e3", "e4"):
+            reference = reference_vertex_realization(named_vertex(name))
+            assert_same_system(protocols[f"qutrit-{name}"], reference)
+
+
+class TestRealizationBudget:
+    def test_budget_is_inclusive(self, monkeypatch):
+        # two (2,2,2) blocks: dimension 6, S * R * 6^2 = 144 Kraus entries
+        d = ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, named_vertex("e3"))))
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 144)
+        assert mixture_realization(d).dim == 6
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 143)
+        with pytest.raises(TableTooLarge, match="dimension 6") as exc:
+            mixture_realization(d)
+        assert exc.value.shape == (2, 2, 2)
+        assert exc.value.cap == 143
+
+    def test_zero_weight_terms_do_not_count(self, monkeypatch):
+        d = ConvexDecomposition(((1.0, named_vertex("e1")), (0.0, named_vertex("e2"))))
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 36)
+        assert mixture_realization(d).dim == 3
+
+    def test_large_vertex_rejected(self):
+        v = DeterministicVertex.from_index(Scenario(2, 2, 500), 0)
+        with pytest.raises(TableTooLarge, match="dimension 501"):
+            qutrit_vertex_realization(v)
+
+    def test_peel_outputs_fit_the_budget(self):
+        # a (2,3,3) peel has at most one term per table entry: 81 blocks of 4 levels
+        assert 3 * 3 * (81 * 4) ** 2 <= realize.MAX_TABLE_ENTRIES
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            b = compose_from_conditionals(random_conditional_chain(rng, Scenario(2, 3, 3)))
+            assert full_behavior(mixture_realization(decompose_behavior(b)), 2).table.shape == (9, 9)

@@ -694,10 +694,10 @@ def reference_optimize_qubit(f, cfg):
         tie_initial.append(init / np.linalg.norm(init))
         post = rng.normal(size=(2, 2, 3))
         tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
-    simplices = np.asarray(theta0)[:, None, :] + np.vstack([np.zeros(8), cfg.initial_step * np.eye(8)])
+    simplices = np.asarray(theta0)[:, None, :] + np.vstack([np.zeros(8), w._INITIAL_STEP * np.eye(8)])
     thetas, fvals = reference_nelder_mead(
         lambda theta: -reference_state_optimal_value(terms, theta),
-        simplices, cfg.max_iterations, cfg.xtol, cfg.ftol,
+        simplices, cfg.max_iterations, w._XTOL, w._FTOL,
     )
     k = int(np.argmin(fvals))
     a, b, axis = reference_effect_params(thetas[k])
