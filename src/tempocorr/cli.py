@@ -81,7 +81,8 @@ def cmd_vertices(args) -> int:
         "count": count,
         "vertices": [serialize.vertex_to_json(v)["assignment"] for v in vertices],
     }
-    print(f"scenario (L={args.L}, R={args.R}, S={args.S}): {count} vertices")
+    shown = correlations.vertex_count_text(scenario)
+    print(f"scenario (L={args.L}, R={args.R}, S={args.S}): {shown} vertices")
     if args.classify:
         classes = correlations.classify_vertices(scenario, cap=args.cap)
         out["orbits"] = [list(orb) for orb in classes.orbits]
@@ -260,9 +261,9 @@ def cmd_realize(args) -> int:
                 raise SchemaError(
                     "vertex", f"expected e1..e4 or an enumeration index, got {args.vertex!r}"
                 ) from None
-            count = correlations.count_vertices(scenario)
-            if not 0 <= index < count:
-                raise SchemaError("vertex", f"index {index} outside 0..{count - 1}")
+            if not 0 <= index < correlations.count_vertices(scenario):
+                last = correlations.vertex_count_text(scenario, -1)
+                raise SchemaError("vertex", f"index {index} outside 0..{last}")
             vertex = correlations.DeterministicVertex.from_index(scenario, index)
         decomp = correlations.ConvexDecomposition(((1.0, vertex),))
     system = realize.mixture_realization(decomp)
@@ -348,7 +349,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TooManyVertices as exc:
-        print(f"vertex count {exc.count} exceeds the cap {exc.cap}", file=sys.stderr)
+        print(f"vertex count {exc.shown} exceeds the cap {exc.cap}", file=sys.stderr)
         return EXIT_CAP
     except TableTooLarge as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)

@@ -40,6 +40,8 @@ DEFAULT_VERTEX_CAP = 10**6
 
 # Guard for exact vertex counting: bit length of the count stays below this.
 _MAX_COUNT_BITS = 1 << 24
+# Counts of more bits print as a power: about 3,000 decimal digits at most.
+_MAX_DECIMAL_BITS = 10_000
 
 
 def index_of_digits(seq, base: int) -> int:
@@ -219,7 +221,7 @@ def check_membership(b: Behavior, tol: float = MEMBERSHIP_TOL) -> MembershipRepo
 
     aot = []
     for t in range(1, L):
-        m = _level_marginal(b, t)
+        m = _level_marginal(s, table, t)
         future = tuple(range(t, L))
         dev = m.max(axis=future) - m.min(axis=future)
         for idx in np.argwhere(dev > tol):
@@ -236,17 +238,17 @@ def require_member(b: Behavior, tol: float = MEMBERSHIP_TOL) -> None:
         raise NotAMember("behavior is not in the polytope:\n" + report.summary(), report)
 
 
-def _level_marginal(b: Behavior, t: int) -> np.ndarray:
+def _level_marginal(s: Scenario, table: np.ndarray, t: int) -> np.ndarray:
     """p(a1..at | x1..xL) of shape (S,)*L + (R,)*t."""
-    L, R, S = b.scenario.L, b.scenario.R, b.scenario.S
-    arr = b.table.reshape((S,) * L + (R,) * L)
+    L, R, S = s.L, s.R, s.S
+    arr = table.reshape((S,) * L + (R,) * L)
     return arr.sum(axis=tuple(range(L + t, 2 * L)))
 
 
-def _pinned_marginal(b: Behavior, t: int) -> np.ndarray:
+def _pinned_marginal(s: Scenario, table: np.ndarray, t: int) -> np.ndarray:
     """Level-t marginal table (S^t, R^t); later settings pinned to 0."""
-    L, R, S = b.scenario.L, b.scenario.R, b.scenario.S
-    m = _level_marginal(b, t)[(slice(None),) * t + (0,) * (L - t)]
+    L, R, S = s.L, s.R, s.S
+    m = _level_marginal(s, table, t)[(slice(None),) * t + (0,) * (L - t)]
     return m.reshape(S**t, R**t)
 
 
@@ -260,7 +262,7 @@ def marginal(b: Behavior, t: int, tol: float = MEMBERSHIP_TOL) -> Behavior:
     if not 1 <= t < s.L:
         raise ShapeMismatch(f"truncation level must be in 1..{s.L - 1}, got {t}")
     require_member(b, tol)
-    return Behavior(Scenario(t, s.R, s.S), _pinned_marginal(b, t))
+    return Behavior(Scenario(t, s.R, s.S), _pinned_marginal(s, b.table, t))
 
 
 # --- factorization into a conditional chain -------------------------------------
@@ -304,7 +306,7 @@ def factorize(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConditionalChain:
     s = b.scenario
     require_member(b, tol)
     L, R, S = s.L, s.R, s.S
-    marginals = [np.ones((1, 1))] + [_pinned_marginal(b, t) for t in range(1, L + 1)]
+    marginals = [np.ones((1, 1))] + [_pinned_marginal(s, b.table, t) for t in range(1, L + 1)]
 
     levels = []
     for t in range(1, L + 1):
@@ -403,10 +405,20 @@ def count_vertices(scenario: Scenario) -> int:
     return (scenario.R**scenario.S) ** exponent
 
 
+def vertex_count_text(scenario: Scenario, offset: int = 0) -> str:
+    """``count_vertices(scenario) + offset`` for printing: in decimal, or as
+    ``R^n_contexts`` plus the offset once the decimal form could pass
+    Python's 4,300-digit int-to-str limit."""
+    n = count_vertices(scenario)
+    if n.bit_length() <= _MAX_DECIMAL_BITS:
+        return str(n + offset)
+    return f"{scenario.R}^{scenario.n_contexts}" + (f"{offset:+d}" if offset else "")
+
+
 def _capped_count(scenario: Scenario, cap: int) -> int:
     n = count_vertices(scenario)
     if n > cap:
-        raise TooManyVertices(n, cap)
+        raise TooManyVertices(n, cap, vertex_count_text(scenario))
     return n
 
 
@@ -667,7 +679,7 @@ def decompose_behavior(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConvexDecomp
         for t in range(1, s.L + 1):
             # each row's history x1..xt, reached with the outcome prefix realized so far
             c, realized = tree.context[:, t - 1], _vertex_columns(s, outcomes, t - 1)[0]
-            m = _pinned_marginal(Behavior(s, residual), t).reshape(s.S**t, s.R ** (t - 1), s.R)
+            m = _pinned_marginal(s, residual, t).reshape(s.S**t, s.R ** (t - 1), s.R)
             outcomes[0, c] = m[tree.prefix[c], realized].argmax(axis=1)
         support = (np.arange(s.n_setting_seqs), _vertex_columns(s, outcomes, s.L)[0])
         w = float(residual[support].min())

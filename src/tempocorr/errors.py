@@ -60,12 +60,14 @@ class UnnormalizedConditional(TempocorrError):
 
 
 class TooManyVertices(TempocorrError):
-    """Vertex count exceeds the enumeration cap."""
+    """Vertex count exceeds the enumeration cap; ``shown`` is the count as
+    printed, which for a huge count is a power rather than its decimal digits."""
 
-    def __init__(self, count, cap):
-        super().__init__(f"scenario has {count} vertices, above the cap {cap}")
+    def __init__(self, count, cap, shown):
+        super().__init__(f"scenario has {shown} vertices, above the cap {cap}")
         self.count = count
         self.cap = cap
+        self.shown = shown
 
 
 class TableTooLarge(TempocorrError):

@@ -18,14 +18,12 @@ from .correlations import (
     DeterministicVertex,
     Scenario,
     context_position,
-    digits_of_index,
     named_vertex,
 )
 from .errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, UnsupportedLength
 from .qmath import (
     DensityMatrix,
     SystemModel,
-    apply_kraus_map,
     ketbra,
     validate_instrument,
 )
@@ -52,6 +50,50 @@ class SequenceOutcomeDistribution:
         object.__setattr__(self, "probs", p)
 
 
+def _kraus_stacks(sys: SystemModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per setting, its Kraus operators as an (R, K, d, d) stack and the stack
+    of their adjoints; outcomes with fewer than K operators are padded with
+    zero operators, which add exact zeros to the sum."""
+    stacks = []
+    for inst in sys.instruments:
+        n_k = max(len(ops) for ops in inst.kraus_sets)
+        k = np.zeros((inst.n_outcomes, n_k, sys.dim, sys.dim), dtype=complex)
+        for r, ops in enumerate(inst.kraus_sets):
+            k[r, : len(ops)] = ops
+        stacks.append((k, k.conj().swapaxes(-1, -2)))
+    return stacks
+
+
+def _step(states: np.ndarray, stack: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """All children of the stacked states (N, d, d) under one instrument:
+    state n with outcome r lands at ``n * R + r``.  The arithmetic is that of
+    :func:`~tempocorr.qmath.apply_kraus_map`, ``(K rho) K^dag`` summed over k
+    in order from zeros, so every entry is bit-identical to it."""
+    k, k_dag = stack
+    branches = (k[None] @ states[:, None, None]) @ k_dag[None]
+    out = np.zeros_like(branches[:, :, 0])
+    for j in range(k.shape[1]):
+        out += branches[:, :, j]
+    return out.reshape(-1, *states.shape[1:])
+
+
+# A module-level function, not a closure over ``stacks`` and ``table``: a
+# closure that calls itself is a reference cycle, which keeps every call's
+# arrays alive until the cyclic garbage collector runs.
+def _walk(states, depth, prefix, stacks, table) -> None:
+    """Depth-first over setting prefixes, so only one root-to-leaf path of
+    states is alive: ``states`` are those of every outcome prefix after the
+    settings of base-S index ``prefix``; at the last step each child writes
+    the traces of its states into its table row."""
+    for x, stack in enumerate(stacks):
+        children = _step(states, stack)
+        row = prefix * len(stacks) + x
+        if depth == 1:
+            table[row] = np.trace(children, axis1=1, axis2=2).real
+        else:
+            _walk(children, depth - 1, row, stacks, table)
+
+
 def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
     """Probabilities of all outcome sequences for one setting sequence.
 
@@ -65,19 +107,18 @@ def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
         if not 0 <= x < sys.n_settings:
             raise DimensionMismatch(f"setting {x} out of range 0..{sys.n_settings - 1}")
 
-    r = sys.n_outcomes
-    states = [sys.initial.matrix]
+    stacks = _kraus_stacks(sys)
+    states = sys.initial.matrix[None]
     for x in settings:
-        inst = sys.instruments[x]
-        states = [apply_kraus_map(inst.kraus_sets[a], st) for st in states for a in range(r)]
-    probs = np.array([st.trace().real for st in states])
-    return SequenceOutcomeDistribution(settings, probs)
+        states = _step(states, stacks[x])
+    return SequenceOutcomeDistribution(settings, np.trace(states, axis1=1, axis2=2).real)
 
 
 def full_behavior(sys: SystemModel, L: int) -> Behavior:
     """Behavior of length-L sequences; repeated settings reuse the identical
-    instrument.  Raises :class:`TableTooLarge` when the table would have more
-    than ``MAX_TABLE_ENTRIES`` entries."""
+    instrument.  One depth-first walk of the setting tree computes every
+    shared prefix state once.  Raises :class:`TableTooLarge` when the table
+    would have more than ``MAX_TABLE_ENTRIES`` entries."""
     if L < 1:
         raise DimensionMismatch(f"sequence length must be >= 1, got {L}")
     # S * R >= 2 doubles the table per step, so a long L fails before any power
@@ -88,9 +129,7 @@ def full_behavior(sys: SystemModel, L: int) -> Behavior:
         raise TableTooLarge(what, MAX_TABLE_ENTRIES, (L, R, S))
     scenario = Scenario(L, sys.n_outcomes, sys.n_settings)
     table = np.zeros((scenario.n_setting_seqs, scenario.n_outcome_seqs))
-    for srow in range(scenario.n_setting_seqs):
-        xs = digits_of_index(srow, scenario.S, L)
-        table[srow] = run_sequence(sys, xs).probs
+    _walk(sys.initial.matrix[None], L, 0, _kraus_stacks(sys), table)
     return Behavior(scenario, table)
 
 

@@ -70,6 +70,12 @@ class TestVertices:
         assert code == 2
         assert "4052555153018976267" in err  # the formula count is still printed
 
+    def test_count_past_int_str_limit_exits_2(self):
+        # (2,2,500) has 2^250500 vertices, about 75,000 decimal digits
+        proc = run_process("vertices", "--L", "2", "--R", "2", "--S", "500")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "vertex count 2^250500 exceeds the cap 1000000\n"
+
 
 class TestSimulateAndWitness:
     @pytest.mark.parametrize("length", ["20", "40", "1000000"])
@@ -306,6 +312,11 @@ class TestDecomposeRealize:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("size cap exceeded: a system of dimension 501 with 251001000 Kraus entries exceeds")
+
+    def test_index_past_int_str_limit_count_exits_3(self):
+        proc = run_process("realize", "--vertex", "-1", "--S", "500")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "schema error: vertex: index -1 outside 0..2^250500-1\n"
 
     def test_too_many_terms_exit_2_before_allocation(self, capsys, tmp_path):
         # 1000 (2,2,2) terms would make 3000 x 3000 complex matrices of 144 MB each

@@ -80,6 +80,15 @@ class TestCounting:
         with pytest.raises(TooManyVertices) as exc:
             enumerate_vertices(Scenario(3, 3, 3), cap=10**6)
         assert exc.value.count == count_vertices(Scenario(3, 3, 3))
+        assert exc.value.shown == "4052555153018976267"
+
+    def test_count_past_int_str_limit_prints_as_power(self):
+        # 2^250500 has about 75,000 decimal digits, above Python's int-to-str limit
+        with pytest.raises(TooManyVertices, match=r"has 2\^250500 vertices") as exc:
+            enumerate_vertices(Scenario(2, 2, 500))
+        assert exc.value.count == 2**250500
+        assert co.vertex_count_text(Scenario(2, 2, 500), -1) == "2^250500-1"
+        assert co.vertex_count_text(Scenario(2, 2, 2), -1) == "63"
 
     def test_every_small_scenario_enumerates_to_its_count(self):
         # exhaustive over all scenarios with at most 10^4 vertices (L,R,S <= 13)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,9 @@ from tempocorr.errors import DimensionMismatch, EmptyDecomposition, TableTooLarg
 from tempocorr.qmath import (
     DensityMatrix,
     SystemModel,
+    apply_kraus_map,
     ketbra,
+    random_density_matrix,
     random_system_model,
     validate_instrument,
 )
@@ -367,3 +372,116 @@ class TestRealizationBudget:
         for _ in range(5):
             b = compose_from_conditionals(random_conditional_chain(rng, Scenario(2, 3, 3)))
             assert full_behavior(mixture_realization(decompose_behavior(b)), 2).table.shape == (9, 9)
+
+
+def reference_run_sequence(sys_model, xs):
+    """One setting sequence, one Kraus map of one state at a time."""
+    states = [sys_model.initial.matrix]
+    for x in xs:
+        inst = sys_model.instruments[x]
+        states = [apply_kraus_map(inst.kraus_sets[a], rho) for rho in states for a in range(sys_model.n_outcomes)]
+    return np.array([rho.trace().real for rho in states])
+
+
+def reference_full_behavior(sys_model, L):
+    """The table row by row, every row simulated from the initial state."""
+    s = Scenario(L, sys_model.n_outcomes, sys_model.n_settings)
+    table = np.zeros((s.n_setting_seqs, s.n_outcome_seqs))
+    for row in range(s.n_setting_seqs):
+        table[row] = reference_run_sequence(sys_model, co.digits_of_index(row, s.S, L))
+    return table
+
+
+def assert_same_bits(new, reference):
+    """Equal shapes and bytes, so also equal signs of zero."""
+    assert new.shape == reference.shape
+    assert new.tobytes() == reference.tobytes()
+
+
+@st.composite
+def ragged_systems(draw):
+    """Random systems whose outcomes carry 0-3 random and 0-2 zero Kraus
+    operators each (at least one), in a drawn order."""
+    d, n_settings, n_outcomes = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instruments = []
+    for _ in range(n_settings):
+        counts = draw(st.lists(st.integers(0, 3), min_size=n_outcomes, max_size=n_outcomes).filter(any))
+        raw = [[rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n)] for n in counts]
+        vals, vecs = np.linalg.eigh(sum(k.conj().T @ k for ops in raw for k in ops))
+        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        kraus_sets = []
+        for ops in raw:
+            ops = [k @ inv_sqrt for k in ops]
+            ops += [np.zeros((d, d), dtype=complex)] * draw(st.integers(0 if ops else 1, 2))
+            kraus_sets.append([ops[i] for i in rng.permutation(len(ops))])
+        instruments.append(validate_instrument(kraus_sets))
+    return SystemModel(random_density_matrix(rng, d), tuple(instruments))
+
+
+class TestSimulationParity:
+    """The depth-first walk writes exactly the tables of the per-sequence
+    simulation it replaced: same Kraus arithmetic, same summation order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ragged_systems(), st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    def test_ragged_systems(self, sys_model, xs):
+        L, path = len(xs), [x % sys_model.n_settings for x in xs]
+        assert_same_bits(full_behavior(sys_model, L).table, reference_full_behavior(sys_model, L))
+        assert_same_bits(run_sequence(sys_model, path).probs, reference_run_sequence(sys_model, path))
+
+    @settings(max_examples=20, deadline=None)
+    @given(peeled_members(), st.integers(1, 3))
+    def test_mixture_realizations(self, decomp, L):
+        system = mixture_realization(decomp)
+        assert_same_bits(full_behavior(system, L).table, reference_full_behavior(system, L))
+
+    def test_large_mixture_realization(self):
+        # a (2,2,2) peel with 11 terms: dimension 33, traces summed over 33 entries
+        b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(0), S222))
+        system = mixture_realization(decompose_behavior(b))
+        assert system.dim >= 8
+        for L in (1, 2, 3):
+            assert_same_bits(full_behavior(system, L).table, reference_full_behavior(system, L))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(canonical_protocols()))
+    def test_canonical_protocols(self, name, L):
+        proto = canonical_protocols()[name]
+        assert_same_bits(full_behavior(proto, L).table, reference_full_behavior(proto, L))
+
+
+class TestSimulationMemory:
+    @pytest.fixture(scope="class")
+    def dim33(self):
+        b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(0), S222))
+        system = mixture_realization(decompose_behavior(b))
+        assert system.dim == 33
+        return system
+
+    def test_peak_stays_on_one_path(self, dim33):
+        # one root-to-leaf path holds at most 2 * 64 states of 33 x 33; a
+        # level-by-level walk would hold all 4096 leaves at once (> 70 MB)
+        full_behavior(dim33, 6)
+        tracemalloc.start()
+        try:
+            full_behavior(dim33, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_repeated_calls_leave_nothing_behind(self, dim33):
+        # with the cyclic collector off, a reference cycle per call would stay
+        full_behavior(dim33, 2)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                full_behavior(dim33, 2)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert grown < 16 * 2**10
