@@ -4,24 +4,27 @@ Subcommands: vertices, simulate, witness, bounds, optimize, decompose,
 realize.  Every run is deterministic given its flags; all randomness flows
 from --seed (default 1729).  Exit codes are a stable scripting contract:
 0 success, 1 parameter out of range or another library error, 2 size cap
-exceeded (vertices: vertex count above --cap; simulate: behavior table,
-realize: Kraus entries of the system, bounds: profile table, each above
-realize.MAX_TABLE_ENTRIES), 3 schema violation, 4 behavior not in the
-polytope, 5 outside the implemented scope (sequence length != 2), 64 usage
-error.
+exceeded (vertices: vertex count above --cap; simulate: behavior table or
+the states of its last step, realize: Kraus entries of the system, bounds:
+profile table, each above realize.MAX_TABLE_ENTRIES), 3 schema violation,
+4 behavior not in the polytope, 5 outside the implemented scope (sequence
+length != 2), 64 usage error.
+
+Arguments are parsed before numpy loads, so --help and usage errors never
+load it.  A command then runs with one OpenBLAS thread: each further thread
+spins on the CPU as numpy loads, and only the largest systems gain a little
+wall time from it.  A value of OPENBLAS_NUM_THREADS set in the environment
+wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import correlations, realize, serialize, witness
-from .correlations import Scenario
 from .errors import (
     NotAMember,
     SchemaError,
@@ -30,8 +33,6 @@ from .errors import (
     TooManyVertices,
     UnsupportedLength,
 )
-
-DEFAULT_SEED = witness.DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_CAP = 2
@@ -71,9 +72,12 @@ def _load_json(path: str):
 # --- subcommands -----------------------------------------------------------------
 
 def cmd_vertices(args) -> int:
-    scenario = Scenario(args.L, args.R, args.S)
+    from . import correlations, serialize
+
+    cap = correlations.DEFAULT_VERTEX_CAP if args.cap is None else args.cap
+    scenario = correlations.Scenario(args.L, args.R, args.S)
     count = correlations.count_vertices(scenario)
-    vertices = correlations.enumerate_vertices(scenario, cap=args.cap)
+    vertices = correlations.enumerate_vertices(scenario, cap=cap)
     out = {
         "L": args.L,
         "R": args.R,
@@ -84,7 +88,7 @@ def cmd_vertices(args) -> int:
     shown = correlations.vertex_count_text(scenario)
     print(f"scenario (L={args.L}, R={args.R}, S={args.S}): {shown} vertices")
     if args.classify:
-        classes = correlations.classify_vertices(scenario, cap=args.cap)
+        classes = correlations.classify_vertices(scenario, cap=cap)
         out["orbits"] = [list(orb) for orb in classes.orbits]
         sizes = sorted((len(o) for o in classes.orbits), reverse=True)
         print(f"{classes.n_orbits} relabeling classes (sizes {sizes})")
@@ -95,6 +99,8 @@ def cmd_vertices(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import correlations, realize, serialize
+
     if args.system:
         sys_model = serialize.system_model_from_json(_load_json(args.system))
     else:
@@ -118,6 +124,8 @@ _BUILTIN_NAMES = ("B1", "B2", "B3", "B4")
 
 
 def cmd_witness(args) -> int:
+    from . import correlations, serialize, witness
+
     behavior = serialize.behavior_from_json(_load_json(args.behavior))
     correlations.require_member(behavior)
 
@@ -151,6 +159,10 @@ def cmd_witness(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    import numpy as np
+
+    from . import realize, witness
+
     which = args.which
     if which == "C1":
         res = witness.c1_bound()
@@ -204,13 +216,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import serialize, witness
+
     functionals = witness.builtin_functionals()
     if args.functional in functionals:
         functional = functionals[args.functional]
     else:
         functional = serialize.functional_from_json(_load_json(args.functional))
     cfg = witness.OptimizerConfig(
-        restarts=args.restarts, seed=args.seed, max_iterations=args.iterations
+        restarts=args.restarts,
+        seed=witness.DEFAULT_SEED if args.seed is None else args.seed,
+        max_iterations=args.iterations,
     )
     result = witness.optimize_qubit(functional, cfg)
     print(f"best value: {_fmt(result.value)} (restart {result.restart_index})")
@@ -232,6 +248,10 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    import numpy as np
+
+    from . import correlations, serialize
+
     behavior = serialize.behavior_from_json(_load_json(args.behavior))
     decomp = correlations.decompose_behavior(behavior)
     recon = correlations.mixture_behavior(decomp)
@@ -244,14 +264,18 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    import numpy as np
+
+    from . import correlations, realize, serialize
+
     if args.L != 2:
         raise UnsupportedLength(f"realization is implemented for L=2 only, got L={args.L}")
     if args.decomposition:
         decomp = serialize.decomposition_from_json(_load_json(args.decomposition))
     else:
-        scenario = Scenario(2, args.R, args.S)
+        scenario = correlations.Scenario(2, args.R, args.S)
         if args.vertex in correlations.QUBIT_UNREACHABLE_UNIT_ENTRIES:
-            if scenario != Scenario(2, 2, 2):
+            if scenario != correlations.Scenario(2, 2, 2):
                 raise SchemaError("vertex", f"named vertex {args.vertex} lives in (2,2,2)")
             vertex = correlations.named_vertex(args.vertex)
         else:
@@ -289,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--classify", action="store_true", help="partition into relabeling orbits")
-    p.add_argument("--cap", type=int, default=correlations.DEFAULT_VERTEX_CAP)
+    p.add_argument("--cap", type=int)
     p.add_argument("--out", help="write vertex list JSON here")
     p.set_defaults(func=cmd_vertices)
 
@@ -321,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="search qubit strategies for a witness")
     p.add_argument("--functional", default="B1", help="B1..B4 or a functional JSON file")
     p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--iterations", type=int, default=2000)
     p.add_argument("--out", help="write best value and strategy JSON here")
     p.set_defaults(func=cmd_optimize)
@@ -346,6 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, as numpy loads, and starts that many
+        # threads, each spinning for about 0.1 s of CPU; the commands'
+        # matrix products are too small to gain much from them
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except TooManyVertices as exc:

@@ -31,9 +31,29 @@ from .qmath import (
 
 # Largest behavior table full_behavior builds: S^L * R^L entries, 8 MiB of
 # float64 and about as many Kraus-map applications, checked before any
-# allocation.  The same budget caps the S * R * dim^2 Kraus entries of a
-# realized system and the profile tables of ``tempocorr bounds``.
+# allocation.  The same budget caps the R^L * K * dim^2 entries of the last
+# simulation step, the S * R * dim^2 Kraus entries of a realized system and
+# the profile tables of ``tempocorr bounds``.
 MAX_TABLE_ENTRIES = 1 << 20
+
+
+def _exceeds_budget(base: int, L: int, factor: int = 1) -> bool:
+    """Whether ``factor * base**L`` exceeds ``MAX_TABLE_ENTRIES``; a base of
+    2 or more doubles it per step, so a long L answers before any power."""
+    if base > 1 and L > MAX_TABLE_ENTRIES.bit_length():
+        return True
+    return factor * base**L > MAX_TABLE_ENTRIES
+
+
+def _check_walk(sys: SystemModel, L: int) -> None:
+    """Refuse a simulation of length L whose last step would stack more than
+    ``MAX_TABLE_ENTRIES`` complex entries: R^L * K states of d x d, K the most
+    Kraus operators of any outcome."""
+    n_k = max(len(ops) for inst in sys.instruments for ops in inst.kraus_sets)
+    R, d = sys.n_outcomes, sys.dim
+    if _exceeds_budget(R, L, n_k * d * d):
+        what = f"a simulation step of R^L * K * d^2 = {R}^{L} * {n_k} * {d}^2 entries"
+        raise TableTooLarge(what, MAX_TABLE_ENTRIES, (L, R, sys.n_settings))
 
 
 @dataclass(frozen=True)
@@ -99,6 +119,8 @@ def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
 
     Chains the per-outcome Kraus maps on subnormalized states, never
     renormalizing mid-sequence, so zero-probability branches stay exact.
+    Raises :class:`TableTooLarge` when the last step would stack more than
+    ``MAX_TABLE_ENTRIES`` entries.
     """
     settings = tuple(int(x) for x in settings)
     if not settings:
@@ -106,6 +128,7 @@ def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
     for x in settings:
         if not 0 <= x < sys.n_settings:
             raise DimensionMismatch(f"setting {x} out of range 0..{sys.n_settings - 1}")
+    _check_walk(sys, len(settings))
 
     stacks = _kraus_stacks(sys)
     states = sys.initial.matrix[None]
@@ -117,16 +140,16 @@ def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
 def full_behavior(sys: SystemModel, L: int) -> Behavior:
     """Behavior of length-L sequences; repeated settings reuse the identical
     instrument.  One depth-first walk of the setting tree computes every
-    shared prefix state once.  Raises :class:`TableTooLarge` when the table
-    would have more than ``MAX_TABLE_ENTRIES`` entries."""
+    shared prefix state once.  Raises :class:`TableTooLarge` when the table,
+    or the states of the walk's last step, would have more than
+    ``MAX_TABLE_ENTRIES`` entries."""
     if L < 1:
         raise DimensionMismatch(f"sequence length must be >= 1, got {L}")
-    # S * R >= 2 doubles the table per step, so a long L fails before any power
-    base = sys.n_settings * sys.n_outcomes
-    if base > 1 and (L > MAX_TABLE_ENTRIES.bit_length() or base**L > MAX_TABLE_ENTRIES):
-        S, R = sys.n_settings, sys.n_outcomes
+    S, R = sys.n_settings, sys.n_outcomes
+    if _exceeds_budget(S * R, L):
         what = f"a behavior table of S^L * R^L = {S}^{L} * {R}^{L} entries"
         raise TableTooLarge(what, MAX_TABLE_ENTRIES, (L, R, S))
+    _check_walk(sys, L)
     scenario = Scenario(L, sys.n_outcomes, sys.n_settings)
     table = np.zeros((scenario.n_setting_seqs, scenario.n_outcome_seqs))
     _walk(sys.initial.matrix[None], L, 0, _kraus_stacks(sys), table)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -83,6 +84,27 @@ class TestSimulateAndWitness:
         code, out, err = run(capsys, "simulate", "--protocol", "qutrit-e1", "--L", length)
         assert code == 2 and out == ""
         assert f"size cap exceeded: a behavior table of S^L * R^L = 2^{length} * 2^{length}" in err
+
+    def test_walk_size_cap_exit_code(self, capsys, tmp_path):
+        # a table of 4^9 entries fits; the last step's 2^9 states of 64 x 64 do not
+        from tempocorr.qmath import random_system_model
+
+        system_file = tmp_path / "dim64.json"
+        system_file.write_text(
+            se.dumps(se.system_model_to_json(random_system_model(np.random.default_rng(52), 64, 2, 2)))
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate", "--system", str(system_file), "--L", "9")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == (
+            "size cap exceeded: a simulation step of R^L * K * d^2 = 2^9 * 1 * 64^2 entries"
+            " exceeds the cap 1048576\n"
+        )
+        assert peak < 8 * 2**20
 
     def test_qutrit_e1_pipeline(self, capsys, tmp_path):
         behavior_file = tmp_path / "e1.json"
@@ -413,8 +435,87 @@ class TestInputBoundary:
         ]
 
 
+PACKAGE_EXPORTS = {
+    "correlations": (
+        "Behavior ConvexDecomposition DeterministicVertex RelabelingGroup Scenario check_membership"
+        " classify_vertices compose_from_conditionals count_vertices decompose_behavior"
+        " enumerate_vertices factorize marginal named_vertex require_member vertex_behavior"
+    ),
+    "qmath": (
+        "DensityMatrix Effect Instrument SystemModel apply_instrument bloch_to_density"
+        " density_to_bloch effect_from_params validate_effect validate_instrument"
+    ),
+    "realize": "canonical_protocols full_behavior mixture_realization qutrit_vertex_realization run_sequence",
+    "witness": (
+        "CertificationReport OptimizerConfig QubitStrategy WitnessFunctional b1_projective_profile"
+        " b3_profile b4_envelope builtin_functionals c1_bound c3_bound certify epsilon_lower_bound"
+        " evaluate optimize_qubit strategy_value system_epsilon"
+    ),
+}
+
+# Runs in a fresh interpreter: prints, as JSON, the heavy packages loaded after
+# each step, the exit codes of the CLI calls and the OpenBLAS thread setting.
+START_UP_PROBE = """
+import contextlib, io, json, os, sys
+def heavy():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+report = {}
+if sys.argv[1] == "numpy-first":
+    import numpy
+    before = dict(os.environ)
+import tempocorr
+report["import tempocorr"] = heavy()
+import tempocorr.cli
+report["import tempocorr.cli"] = heavy()
+for argv in (["--help"], ["simulate", "--L", "2"], ["bounds", "--which", "C1"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = tempocorr.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report[" ".join(argv)] = [code, heavy()]
+report["threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
+if sys.argv[1] == "numpy-first":
+    report["environ untouched"] = dict(os.environ) == before
+print(json.dumps(report))
+"""
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, tempocorr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    """Start-up loads no numpy until a command runs, which then has one
+    OpenBLAS thread unless the user set a count; scipy never loads; the lazy
+    package resolves each of its public names to its home module."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+    def probe(mode, **env):
+        proc = subprocess.run(
+            [sys.executable, "-c", START_UP_PROBE, mode], capture_output=True, text=True,
+            env={**base, **env}, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    assert probe("fresh") == {
+        "import tempocorr": [],
+        "import tempocorr.cli": [],
+        "--help": [0, []],
+        "simulate --L 2": [64, []],
+        "bounds --which C1": [0, ["numpy"]],
+        "threads": "1",
+    }
+    assert probe("fresh", OPENBLAS_NUM_THREADS="3")["threads"] == "3"
+    numpy_first = probe("numpy-first")
+    assert numpy_first["threads"] is None and numpy_first["environ untouched"]
+
+    import tempocorr
+
+    for module, names in PACKAGE_EXPORTS.items():
+        home = importlib.import_module(f"tempocorr.{module}")
+        assert getattr(tempocorr, module) is home
+        for name in names.split():
+            assert getattr(tempocorr, name) is getattr(home, name), name
+            assert name in dir(tempocorr)
+    assert tempocorr.errors is importlib.import_module("tempocorr.errors")
+    assert tempocorr.serialize is importlib.import_module("tempocorr.serialize")
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        tempocorr.nonexistent

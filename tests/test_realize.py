@@ -122,11 +122,47 @@ class TestTableBudget:
             assert exc.value.cap == realize.MAX_TABLE_ENTRIES
 
     def test_budget_is_inclusive(self, monkeypatch):
+        # a qubit: the last step of 2^L * 1 * 2^2 entries stays below the table
         monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 64)
-        proto = canonical_protocols()["qutrit-e1"]
+        proto = canonical_protocols()["qubit-B1-3"]
         assert full_behavior(proto, 3).table.size == 64
         with pytest.raises(TableTooLarge):
             full_behavior(proto, 4)
+
+    def test_walk_budget_is_inclusive(self, monkeypatch):
+        # qutrit-e1 at L = 3: a table of 64 entries, a last step of 2^3 * 1 * 3^2 = 72
+        proto = canonical_protocols()["qutrit-e1"]
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 72)
+        assert full_behavior(proto, 3).table.size == 64
+        assert run_sequence(proto, (0, 1, 0)).probs.size == 8
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 71)
+        for simulate in (lambda: full_behavior(proto, 3), lambda: run_sequence(proto, (0, 1, 0))):
+            with pytest.raises(TableTooLarge, match=r"R\^L \* K \* d\^2 = 2\^3 \* 1 \* 3\^2 ") as exc:
+                simulate()
+            assert exc.value.shape == (3, 2, 2) and exc.value.cap == 71
+
+    def test_walk_budget_counts_kraus_operators(self, monkeypatch):
+        # two Kraus operators per outcome double the last step: 2^2 * 2 * 2^2 = 32
+        proto = random_system_model(np.random.default_rng(27), 2, 2, 2, kraus_per_outcome=2)
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 32)
+        assert full_behavior(proto, 2).table.shape == (4, 4)
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 31)
+        with pytest.raises(TableTooLarge, match=r"= 2\^2 \* 2 \* 2\^2 "):
+            full_behavior(proto, 2)
+
+    def test_long_sequence_rejected_before_the_walk(self):
+        # run_sequence has no table; its last step alone would hold 3^(10^6) states
+        proto = mixture_realization(ConvexDecomposition(((1.0, DeterministicVertex.from_index(Scenario(2, 3, 2), 0)),)))
+        with pytest.raises(TableTooLarge, match=r"3\^1000000 \* 1 \* 3\^2"):
+            run_sequence(proto, (0,) * 10**6)
+
+    def test_largest_peel_output_fits(self):
+        # a (2,3,3) peel has at most 81 terms: dimension 324, a last step of 3^2 * 324^2 entries
+        s = Scenario(2, 3, 3)
+        terms = tuple((1 / 81, DeterministicVertex.from_index(s, 1009 * k)) for k in range(81))
+        system = mixture_realization(ConvexDecomposition(terms))
+        assert system.dim == 324 and 3**2 * 324**2 <= realize.MAX_TABLE_ENTRIES
+        assert full_behavior(system, 2).table.shape == (9, 9)
 
 
 class TestQutritRealization:
