@@ -37,7 +37,6 @@ _EXPORTS = {
         "Effect",
         "Instrument",
         "SystemModel",
-        "apply_instrument",
         "bloch_to_density",
         "density_to_bloch",
         "effect_from_params",

@@ -21,6 +21,7 @@ tree is read from it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -246,10 +247,14 @@ def _level_marginal(s: Scenario, table: np.ndarray, t: int) -> np.ndarray:
 
 
 def _pinned_marginal(s: Scenario, table: np.ndarray, t: int) -> np.ndarray:
-    """Level-t marginal table (S^t, R^t); later settings pinned to 0."""
+    """Level-t marginal table (S^t, R^t); later settings pinned to 0.
+
+    Only the rows ``prefix * S^(L-t)`` are summed, over the same trailing
+    axes as :func:`_level_marginal`, so the result equals its slice bit for bit.
+    """
     L, R, S = s.L, s.R, s.S
-    m = _level_marginal(s, table, t)[(slice(None),) * t + (0,) * (L - t)]
-    return m.reshape(S**t, R**t)
+    rows = table[:: S ** (L - t)].reshape((S**t,) + (R,) * L)
+    return rows.sum(axis=tuple(range(t + 1, L + 1))).reshape(S**t, R**t)
 
 
 def marginal(b: Behavior, t: int, tol: float = MEMBERSHIP_TOL) -> Behavior:
@@ -622,7 +627,7 @@ class ConvexDecomposition:
             raise ShapeMismatch("decomposition needs at least one vertex")
         total = 0.0
         for w, v in self.terms:
-            if not np.isfinite(w):
+            if not math.isfinite(w):
                 raise ShapeMismatch(f"weight {w!r} is not finite")
             if w < -ZERO_MEASURE_TOL:
                 raise ShapeMismatch(f"negative weight {w!r}")
@@ -637,13 +642,13 @@ class ConvexDecomposition:
         return self.terms[0][1].scenario
 
 
-def _vertex_columns(s: Scenario, outcomes: np.ndarray, steps: int) -> np.ndarray:
+def _vertex_columns(s: Scenario, outcomes: np.ndarray) -> np.ndarray:
     """Outcome column each vertex (one row of ``outcomes``) reaches in each
-    table row after ``steps`` steps: the base-R index of the outcomes it
-    assigns along the row's path through the tree."""
+    table row: the base-R index of the outcomes it assigns along the row's
+    path through the tree."""
     context = history_tree(s).context
     cols = np.zeros((len(outcomes), s.n_setting_seqs), dtype=np.min_scalar_type(s.n_outcome_seqs))
-    for t in range(steps):
+    for t in range(s.L):
         cols = cols * s.R + outcomes[:, context[:, t]]
     return cols
 
@@ -654,7 +659,7 @@ def mixture_behavior(decomp: ConvexDecomposition) -> Behavior:
     weights = np.array([w for w, _v in decomp.terms])
     outcomes = np.array([v.outcomes for _w, v in decomp.terms], dtype=np.min_scalar_type(s.R))
     table = np.zeros((s.n_setting_seqs, s.n_outcome_seqs))
-    for row, col in zip(table, _vertex_columns(s, outcomes, s.L).T):
+    for row, col in zip(table, _vertex_columns(s, outcomes).T):
         np.add.at(row, col, weights)  # unbuffered: each entry sums its terms in term order
     return Behavior(s, table)
 
@@ -668,24 +673,33 @@ def decompose_behavior(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConvexDecomp
     (ties to the lowest), and subtracts the vertex with the smallest residual
     entry on its support as weight, which zeroes that entry.  The residual
     stays a scaled member, as the constraints are linear.
+
+    One pass over the levels builds each vertex: the histories of level t
+    are the setting prefixes ``0..S^t-1``, in :func:`context_order`, and
+    the realized outcome prefix of each is its parent's extended by the
+    outcome just chosen, so after level L it is the vertex's column in
+    every table row, its support.
     """
     s = b.scenario
     require_member(b, tol)
-    tree = history_tree(s)
+    L, R, S = s.L, s.R, s.S
     residual = np.array(b.table)
+    rows = np.arange(s.n_setting_seqs)
     terms = []
     while residual.sum() / s.n_setting_seqs > ZERO_MEASURE_TOL:
-        outcomes = np.zeros((1, s.n_contexts), dtype=int)
-        for t in range(1, s.L + 1):
-            # each row's history x1..xt, reached with the outcome prefix realized so far
-            c, realized = tree.context[:, t - 1], _vertex_columns(s, outcomes, t - 1)[0]
-            m = _pinned_marginal(s, residual, t).reshape(s.S**t, s.R ** (t - 1), s.R)
-            outcomes[0, c] = m[tree.prefix[c], realized].argmax(axis=1)
-        support = (np.arange(s.n_setting_seqs), _vertex_columns(s, outcomes, s.L)[0])
+        levels, realized = [], np.zeros(1, dtype=np.intp)
+        for t in range(1, L + 1):
+            # history x1..xt is reached with the outcome prefix of its parent x1..x(t-1)
+            realized = np.repeat(realized, S)
+            m = _pinned_marginal(s, residual, t).reshape(S**t, R ** (t - 1), R)
+            chosen = m[rows[: S**t], realized].argmax(axis=1)
+            levels.append(chosen)
+            realized = realized * R + chosen
+        support = (rows, realized)
         w = float(residual[support].min())
         if w <= ZERO_MEASURE_TOL:
             break
         residual[support] -= w
-        terms.append((w, DeterministicVertex(s, outcomes[0].tolist())))
+        terms.append((w, DeterministicVertex(s, np.concatenate(levels).tolist())))
     total = sum(w for w, _v in terms)
     return ConvexDecomposition(tuple((w / total, v) for w, v in terms))

@@ -9,7 +9,6 @@ here are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ HERMITICITY_TOL = 1e-9        # max-entry deviation from the conjugate transpose
 TRACE_TOL = 1e-9              # |tr(rho) - 1|
 TRACE_PRESERVING_TOL = 1e-9   # max-entry deviation of sum K^dag K from identity
 PSD_TOL = 1e-9                # eigenvalue slack below 0 (and above 1 for effects)
-ZERO_PROB_TOL = 1e-12         # probabilities below this count as zero
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -49,7 +47,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise WrongDimension(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise WrongDimension("matrix contains NaN or infinite entries")
     return a
 
@@ -60,7 +58,16 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending."""
+    """Eigenvalues of a Hermitian matrix, ascending.
+
+    A matrix with no nonzero entry off its diagonal has its real diagonal as
+    exact spectrum, which is returned sorted without calling LAPACK; the Kraus
+    operators of a realized mixture are partial permutations, so its states
+    and effects are all of this kind.
+    """
+    diagonal = m.diagonal()
+    if np.count_nonzero(m) == np.count_nonzero(diagonal):
+        return np.sort(diagonal.real.astype(float))
     return np.linalg.eigvalsh(m)
 
 
@@ -236,33 +243,6 @@ def validate_instrument(kraus_sets) -> Instrument:
             f"sum of K^dag K deviates from identity by {defect:.6e} > {TRACE_PRESERVING_TOL}"
         )
     return Instrument(tuple(normalized), tuple(effects))
-
-
-def apply_kraus_map(kraus_ops, mat: np.ndarray) -> np.ndarray:
-    """Apply ``sum_k K m K^dag`` to a (possibly subnormalized) matrix."""
-    out = np.zeros_like(mat)
-    for k in kraus_ops:
-        out += k @ mat @ k.conj().T
-    return out
-
-
-class InstrumentApplication(NamedTuple):
-    subnormalized: np.ndarray
-    probability: float
-    post_state: DensityMatrix | None
-
-
-def apply_instrument(rho: DensityMatrix, inst: Instrument, outcome: int) -> InstrumentApplication:
-    """One measurement branch: subnormalized update, its trace, and the
-    renormalized post-state (None when the branch probability is ~0)."""
-    if inst.dim != rho.dim:
-        raise DimensionMismatch(f"instrument dim {inst.dim} != state dim {rho.dim}")
-    if not 0 <= outcome < inst.n_outcomes:
-        raise DimensionMismatch(f"outcome {outcome} out of range 0..{inst.n_outcomes - 1}")
-    sub = apply_kraus_map(inst.kraus_sets[outcome], rho.matrix)
-    prob = float(sub.trace().real)
-    post = DensityMatrix(sub / prob) if prob > ZERO_PROB_TOL else None
-    return InstrumentApplication(sub, prob, post)
 
 
 # --- Bloch parametrization (qubits) ------------------------------------------

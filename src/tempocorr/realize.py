@@ -86,9 +86,10 @@ def _kraus_stacks(sys: SystemModel) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _step(states: np.ndarray, stack: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """All children of the stacked states (N, d, d) under one instrument:
-    state n with outcome r lands at ``n * R + r``.  The arithmetic is that of
-    :func:`~tempocorr.qmath.apply_kraus_map`, ``(K rho) K^dag`` summed over k
-    in order from zeros, so every entry is bit-identical to it."""
+    state n with outcome r lands at ``n * R + r``.  Each Kraus operator maps
+    a state to ``(K rho) K^dag``, and these are summed over k in order from
+    zeros, so every entry is bit-identical to applying the operators of one
+    outcome to one state at a time."""
     k, k_dag = stack
     branches = (k[None] @ states[:, None, None]) @ k_dag[None]
     out = np.zeros_like(branches[:, :, 0])

@@ -106,6 +106,22 @@ class TestSimulateAndWitness:
         )
         assert peak < 8 * 2**20
 
+    def test_oversized_system_file_exit_code(self, tmp_path):
+        # a valid qubit system whose outcome 1 of setting 0 lists 65,537 zero
+        # Kraus operators: S * R * K * d^2 = 1,048,592 entries, refused from the
+        # list lengths before any of them is parsed
+        data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
+        zero = data["instruments"][0]["kraus"][1][0]
+        data["instruments"][0]["kraus"][1] = [zero] * 65537
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(data))
+        proc = run_process("simulate", "--system", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "size cap exceeded: a system of S * R * K * d^2 = 2 * 2 * 65537 * 2^2 Kraus entries"
+            " exceeds the cap 1048576"
+        ]
+
     def test_qutrit_e1_pipeline(self, capsys, tmp_path):
         behavior_file = tmp_path / "e1.json"
         code, out, _ = run(
@@ -442,7 +458,7 @@ PACKAGE_EXPORTS = {
         " enumerate_vertices factorize marginal named_vertex require_member vertex_behavior"
     ),
     "qmath": (
-        "DensityMatrix Effect Instrument SystemModel apply_instrument bloch_to_density"
+        "DensityMatrix Effect Instrument SystemModel bloch_to_density"
         " density_to_bloch effect_from_params validate_effect validate_instrument"
     ),
     "realize": "canonical_protocols full_behavior mixture_realization qutrit_vertex_realization run_sequence",

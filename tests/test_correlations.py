@@ -2,10 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempocorr import correlations as co
 from tempocorr.correlations import (
+    ZERO_MEASURE_TOL,
     Behavior,
+    ConditionalChain,
     ConvexDecomposition,
     DeterministicVertex,
     RelabelingGroup,
@@ -374,3 +378,110 @@ class TestDecomposition:
     def test_outcome_for_rejects_foreign_history(self):
         with pytest.raises(ShapeMismatch):
             named_vertex("e1").outcome_for((0, 2))
+
+
+# --- the peel against its level-by-level reference ----------------------------------
+
+def reference_vertex_columns(s, outcomes, steps):
+    """Outcome column of each vertex in each table row after ``steps`` steps,
+    recomputed from the first step."""
+    context = co.history_tree(s).context
+    cols = np.zeros((len(outcomes), s.n_setting_seqs), dtype=np.min_scalar_type(s.n_outcome_seqs))
+    for t in range(steps):
+        cols = cols * s.R + outcomes[:, context[:, t]]
+    return cols
+
+
+def reference_pinned_marginal(s, table, t):
+    """Every setting row summed to level t, then the rows of later settings 0 kept."""
+    m = co._level_marginal(s, table, t)[(slice(None),) * t + (0,) * (s.L - t)]
+    return m.reshape(s.S**t, s.R**t)
+
+
+def reference_decompose(b):
+    """The greedy peel as first written: every level of every term rebuilds the
+    realized outcome prefixes of all rows from the first step."""
+    s = b.scenario
+    co.require_member(b)
+    tree = co.history_tree(s)
+    residual = np.array(b.table)
+    terms = []
+    while residual.sum() / s.n_setting_seqs > ZERO_MEASURE_TOL:
+        outcomes = np.zeros((1, s.n_contexts), dtype=int)
+        for t in range(1, s.L + 1):
+            c, realized = tree.context[:, t - 1], reference_vertex_columns(s, outcomes, t - 1)[0]
+            m = reference_pinned_marginal(s, residual, t).reshape(s.S**t, s.R ** (t - 1), s.R)
+            outcomes[0, c] = m[tree.prefix[c], realized].argmax(axis=1)
+        support = (np.arange(s.n_setting_seqs), reference_vertex_columns(s, outcomes, s.L)[0])
+        w = float(residual[support].min())
+        if w <= ZERO_MEASURE_TOL:
+            break
+        residual[support] -= w
+        terms.append((w, DeterministicVertex(s, outcomes[0].tolist())))
+    total = sum(w for w, _v in terms)
+    return ConvexDecomposition(tuple((w / total, v) for w, v in terms))
+
+
+# (L, R, S) with L 1-4 and (R, S) of (2,2,2), (2,2,3), (2,3,3) and (3,2,2), up to
+# 1,296 table entries
+PEEL_SCENARIOS = [
+    Scenario(L, R, S)
+    for L in range(1, 5)
+    for R, S in ((2, 2), (2, 3), (3, 3), (3, 2))
+    if (R * S) ** L <= 1296
+]
+
+
+def sparse_member(s, rng, first_zero=False, quarters=False):
+    """A member composed from random conditionals with about a third of the
+    entries zeroed, so that some histories have zero measure; a conditional
+    left with no mass gets all of it on one drawn outcome.  ``first_zero``
+    also zeroes outcome 0 of setting 0 at step 1; ``quarters`` rounds every
+    conditional to a multiple of 1/4 first, so that marginals tie exactly."""
+    levels = []
+    for lvl in random_conditional_chain(rng, s).levels:
+        if quarters:
+            lvl = np.round(lvl * 4) / 4
+        lvl = np.where(rng.random(lvl.shape) < 1 / 3, 0.0, lvl)
+        if first_zero and len(levels) == 0:
+            lvl[0, 0, 0] = 0.0
+        empty = lvl.sum(axis=2) == 0.0
+        lvl[empty, rng.integers(s.R)] = 1.0
+        levels.append(lvl / lvl.sum(axis=2, keepdims=True))
+    return compose_from_conditionals(ConditionalChain(s, tuple(levels)))
+
+
+@st.composite
+def sparse_members(draw):
+    s = draw(st.sampled_from(PEEL_SCENARIOS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return sparse_member(s, rng, quarters=draw(st.booleans()))
+
+
+class TestPeelParity:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_members())
+    def test_terms_equal_the_reference(self, b):
+        assert decompose_behavior(b).terms == reference_decompose(b).terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_members())
+    def test_pinned_marginal_is_the_slice_of_the_level_marginal(self, b):
+        s = b.scenario
+        for t in range(1, s.L + 1):
+            new, ref = co._pinned_marginal(s, b.table, t), reference_pinned_marginal(s, b.table, t)
+            assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("s", PEEL_SCENARIOS, ids=lambda s: f"{s.L}{s.R}{s.S}")
+    def test_members_with_zero_measure_histories(self, s):
+        b = sparse_member(s, np.random.default_rng(12), first_zero=True)
+        assert (reference_pinned_marginal(s, b.table, 1) == 0.0).any()
+        assert decompose_behavior(b).terms == reference_decompose(b).terms
+
+    @pytest.mark.parametrize("s", PEEL_SCENARIOS, ids=lambda s: f"{s.L}{s.R}{s.S}")
+    def test_tied_marginals_break_to_the_lowest_outcome(self, s):
+        # the uniform member ties every marginal: each term takes outcome 0 first
+        b = uniform_behavior(s)
+        terms = decompose_behavior(b).terms
+        assert terms == reference_decompose(b).terms
+        assert terms[0][1].outcomes == (0,) * s.n_contexts

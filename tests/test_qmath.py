@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,12 @@ from tempocorr.errors import (
     NotTracePreserving,
     ParamOutOfRange,
     SpectrumOutOfRange,
+    TraceNotOne,
     WrongDimension,
 )
 from tempocorr.qmath import (
     DensityMatrix,
-    apply_instrument,
+    SystemModel,
     bloch_to_density,
     density_to_bloch,
     effect_from_params,
@@ -28,6 +31,22 @@ from tempocorr.qmath import (
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 ZERO2 = np.zeros((2, 2), dtype=complex)
+
+
+class Branch(NamedTuple):
+    subnormalized: np.ndarray
+    probability: float
+    post_state: DensityMatrix | None
+
+
+def apply_instrument(rho, inst, outcome):
+    """One measurement branch: the subnormalized update ``sum_k K rho K^dag``,
+    its trace, and the renormalized post-state (None when the trace is ~0)."""
+    sub = np.zeros_like(rho.matrix)
+    for k in inst.kraus_sets[outcome]:
+        sub += k @ rho.matrix @ k.conj().T
+    prob = float(sub.trace().real)
+    return Branch(sub, prob, DensityMatrix(sub / prob) if prob > 1e-12 else None)
 
 
 class TestValidateEffect:
@@ -57,6 +76,98 @@ class TestValidateEffect:
     def test_rejects_non_square(self):
         with pytest.raises(WrongDimension):
             validate_effect(np.zeros((2, 3)))
+
+
+# messages as the library printed them when every spectrum came from LAPACK
+SPECTRUM_MESSAGES = [
+    (validate_effect, np.diag([1.5, 0.0]), SpectrumOutOfRange,
+     "effect has eigenvalue 1.500000e+00 above 1+1e-09"),
+    (validate_effect, np.diag([-0.1, 0.5]), SpectrumOutOfRange,
+     "effect has eigenvalue -1.000000e-01 below -1e-09"),
+    (validate_effect, np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian,
+     "effect deviates from Hermiticity by 3.000e-01 > 1e-09"),
+    (validate_effect, np.full((2, 2), 0.9), SpectrumOutOfRange,
+     "effect has eigenvalue 1.800000e+00 above 1+1e-09"),
+    (validate_effect, np.diag([0.2, -2e-9, 0.0]), SpectrumOutOfRange,
+     "effect has eigenvalue -2.000000e-09 below -1e-09"),
+    (validate_effect, np.diag([1 + 2e-9, 1.0, 0.0]), SpectrumOutOfRange,
+     "effect has eigenvalue 1.000000e+00 above 1+1e-09"),
+    (DensityMatrix, np.diag([1.2, -0.2]), SpectrumOutOfRange,
+     "state has eigenvalue -2.000e-01 below -1e-09"),
+    (DensityMatrix, np.diag([0.5, 0.6]), TraceNotOne,
+     "state trace np.float64(1.1) deviates from 1 by 1.000e-01 > 1e-09"),
+    (DensityMatrix, np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian,
+     "state deviates from Hermiticity by 3.000e-01 > 1e-09"),
+    (DensityMatrix, np.array([[1.1, 0.5], [0.5, -0.1]]), SpectrumOutOfRange,
+     "state has eigenvalue -2.810e-01 below -1e-09"),
+]
+
+
+@st.composite
+def diagonal_matrices(draw):
+    """Complex diagonal matrices of dimension 1-60 whose entries sit at the
+    edges the validators test: zeros of either sign, values near -PSD_TOL,
+    values just above 1, tiny imaginary parts, and plain values in
+    [-2e-9, 1 + 2e-9] of magnitude 1e-12 or more."""
+    dim = draw(st.integers(1, 60))
+    edge = st.sampled_from(
+        [0.0, -0.0, 1.0, -qmath.PSD_TOL, -qmath.PSD_TOL * (1 - 1e-12), -qmath.PSD_TOL * (1 + 1e-12),
+         1 + qmath.PSD_TOL, 1 + 1e-12, np.nextafter(1.0, 2.0)]
+    )
+    plain = st.floats(-2e-9, 1 + 2e-9).filter(lambda v: v == 0.0 or abs(v) >= 1e-12)
+    real = draw(st.lists(edge | plain, min_size=dim, max_size=dim))
+    imag = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-12, -3e-10]), min_size=dim, max_size=dim))
+    return np.diag(np.array(real) + 1j * np.array(imag))
+
+
+class TestDiagonalSpectrum:
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal_matrices())
+    def test_equals_lapack_exactly(self, m):
+        vals = qmath.hermitian_eigenvalues(m)
+        assert vals.dtype == np.float64
+        assert np.array_equal(vals, np.linalg.eigvalsh(m))
+
+    def test_tiny_diagonal_is_read_exactly(self):
+        # LAPACK scales a matrix whose largest entry is below about 1e-146 and
+        # rounds on the way back; the diagonal itself is the exact spectrum, and
+        # both lie far inside the 1e-9 tolerances the validators compare with
+        m = np.diag([0.0, -1e-300 + 0j])
+        assert qmath.hermitian_eigenvalues(m).tolist() == [-1e-300, 0.0]
+
+    def test_only_diagonal_matrices_skip_lapack(self, monkeypatch):
+        calls, lapack = [], np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(m.shape)
+            return lapack(m)
+
+        monkeypatch.setattr(qmath.np.linalg, "eigvalsh", counted)
+        qmath.hermitian_eigenvalues(np.diag([0.3, 0.0, 1.0 + 0j]))
+        assert calls == []
+        m = np.diag([0.3, 0.0, 1.0 + 0j])
+        m[0, 2] = m[2, 0] = 1e-300
+        qmath.hermitian_eigenvalues(m)
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        qmath.hermitian_eigenvalues(g + g.conj().T)
+        assert calls == [(3, 3), (4, 4)]
+
+    def test_realized_mixture_needs_no_lapack(self, monkeypatch):
+        # every state and effect of a realization is diagonal
+        from tempocorr import correlations as co
+        from tempocorr.realize import mixture_realization
+
+        rng = np.random.default_rng(4)
+        d = co.decompose_behavior(co.compose_from_conditionals(co.random_conditional_chain(rng, co.Scenario(2, 2, 2))))
+        monkeypatch.setattr(qmath.np.linalg, "eigvalsh", None)
+        assert mixture_realization(d).dim == 3 * len(d.terms)
+
+    @pytest.mark.parametrize("check, m, error, message", SPECTRUM_MESSAGES)
+    def test_messages_unchanged(self, check, m, error, message):
+        with pytest.raises(error) as exc:
+            check(m)
+        assert str(exc.value) == message
 
 
 class TestValidateInstrument:
@@ -128,9 +239,10 @@ class TestApplyInstrument:
                 )
 
     def test_dimension_mismatch(self):
+        # a state and an instrument of different dimensions never meet
         inst = validate_instrument([[X], [ZERO2]])
-        with pytest.raises(DimensionMismatch):
-            apply_instrument(DensityMatrix(np.eye(3) / 3), inst, 0)
+        with pytest.raises(DimensionMismatch, match="instrument 0 acts on dimension 2"):
+            SystemModel(DensityMatrix(np.eye(3) / 3), (inst,))
 
 
 class TestBloch:

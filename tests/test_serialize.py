@@ -15,7 +15,7 @@ from tempocorr.correlations import (
     named_vertex,
     random_conditional_chain,
 )
-from tempocorr.errors import SchemaError
+from tempocorr.errors import SchemaError, TableTooLarge
 from tempocorr.realize import canonical_protocols, full_behavior
 from tempocorr.witness import builtin_functionals, certify, random_strategy
 
@@ -79,6 +79,28 @@ class TestSystemModel:
             with pytest.raises(SchemaError) as exc:
                 se.system_model_from_json(data)
         assert exc.value.path == "instruments[1]"
+
+    def test_size_budget_is_inclusive(self, monkeypatch):
+        # qubit-B1-3 holds S * R * K * d^2 = 2 * 2 * 1 * 2^2 = 16 Kraus entries
+        data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
+        monkeypatch.setattr(se, "MAX_TABLE_ENTRIES", 16)
+        assert se.system_model_from_json(data).dim == 2
+        monkeypatch.setattr(se, "MAX_TABLE_ENTRIES", 15)
+        with pytest.raises(TableTooLarge, match=r"2 \* 2 \* 1 \* 2\^2 Kraus entries exceeds the cap 15"):
+            se.system_model_from_json(data)
+
+    def test_size_budget_counts_the_largest_lists(self, monkeypatch):
+        # R and K are the largest outcome and Kraus counts of any instrument,
+        # read before any matrix of an instrument is parsed
+        data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
+        data["instruments"][1]["kraus"][0] = ["not a matrix"] * 3
+        data["instruments"][0]["kraus"].append([])
+        monkeypatch.setattr(se, "MAX_TABLE_ENTRIES", 2 * 3 * 3 * 4 - 1)
+        with pytest.raises(TableTooLarge, match=r"2 \* 3 \* 3 \* 2\^2"):
+            se.system_model_from_json(data)
+        monkeypatch.setattr(se, "MAX_TABLE_ENTRIES", 2 * 3 * 3 * 4)
+        with pytest.raises(SchemaError):
+            se.system_model_from_json(data)
 
 
 class TestBehavior:
