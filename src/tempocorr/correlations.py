@@ -335,7 +335,7 @@ def compose_from_conditionals(chain: ConditionalChain) -> Behavior:
     L, R = s.L, s.R
     for t, lvl in enumerate(chain.levels, start=1):
         if float(lvl.min()) < -ZERO_MEASURE_TOL:
-            raise UnnormalizedConditional(f"level {t} has a negative conditional {lvl.min()!r}")
+            raise UnnormalizedConditional(f"level {t} has a negative conditional {float(lvl.min())!r}")
         sums = lvl.sum(axis=2)
         dev = float(np.max(np.abs(sums - 1.0)))
         if dev > MEMBERSHIP_TOL:

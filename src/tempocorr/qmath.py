@@ -103,7 +103,7 @@ class DensityMatrix:
             raise NotHermitian(f"state deviates from Hermiticity by {defect:.3e} > {HERMITICITY_TOL}")
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceNotOne(f"state trace {tr!r} deviates from 1 by {abs(tr - 1.0):.3e} > {TRACE_TOL}")
+            raise TraceNotOne(f"state trace {float(tr)!r} deviates from 1 by {abs(tr - 1.0):.3e} > {TRACE_TOL}")
         low = float(hermitian_eigenvalues(m)[0])
         if low < -PSD_TOL:
             raise SpectrumOutOfRange(f"state has eigenvalue {low:.3e} below -{PSD_TOL}")
@@ -134,10 +134,19 @@ class Instrument:
 
     Built via :func:`validate_instrument`, which also computes the induced
     effects ``E_r = sum_k K_{r,k}^dag K_{r,k}``.
+
+    ``column_maps[r]`` is set when outcome r has a single Kraus operator that
+    is a 0/1 partial permutation: every nonzero entry exactly ``1+0j`` (a +0.0
+    imaginary part) and no row or column with two of them.  It is then a
+    read-only int array whose entry i is the column of the 1 in row i, or -1
+    for a zero row, so ``(K rho K^dag)[i, j] = rho[map[i], map[j]]`` (zero
+    where either is -1) and ``E_r`` is the 0/1 diagonal of the columns it
+    holds.  Any other outcome has ``None``.
     """
 
     kraus_sets: tuple[tuple[np.ndarray, ...], ...]
     effects: tuple[Effect, ...]
+    column_maps: tuple[np.ndarray | None, ...]
 
     @property
     def dim(self) -> int:
@@ -204,12 +213,33 @@ def validate_effect(m) -> Effect:
     return Effect(a)
 
 
+# 1+0j with a +0.0 imaginary part, as the bits of its (re, im) pair
+_ONE_BITS = np.array([1.0, 0.0]).view(np.uint64)
+
+
+def _column_map(k: np.ndarray) -> np.ndarray | None:
+    """Per row, the column of the single ``1+0j`` entry of a 0/1 partial
+    permutation, -1 for a zero row; None for any other operator."""
+    rows, cols = np.nonzero(k)
+    dim = k.shape[0]
+    if not (k[rows, cols].view(np.uint64).reshape(-1, 2) == _ONE_BITS).all():
+        return None
+    # no row and no column holds two entries
+    if np.bincount(np.concatenate((rows, cols + dim)), minlength=1).max() > 1:
+        return None
+    columns = np.full(dim, -1)
+    columns[rows] = cols
+    return _frozen(columns)
+
+
 def validate_instrument(kraus_sets) -> Instrument:
     """Validate trace preservation of a Kraus family grouped by outcome.
 
     ``kraus_sets[r]`` is the nonempty list of Kraus operators of outcome ``r``.
     The operator sum over all outcomes must be the identity within tolerance,
-    and each induced effect must satisfy the effect constraints.
+    and each induced effect must satisfy the effect constraints.  An outcome
+    whose single operator is a 0/1 partial permutation gets its column map
+    (see :class:`Instrument`) and its effect read off that map.
     """
     if not kraus_sets:
         raise WrongDimension("instrument needs at least one outcome")
@@ -229,20 +259,29 @@ def validate_instrument(kraus_sets) -> Instrument:
         normalized.append(tuple(_frozen(k) for k in ops))
 
     total = np.zeros((dim, dim), dtype=complex)
-    effects = []
+    effects, column_maps = [], []
     for ops in normalized:
+        columns = _column_map(ops[0]) if len(ops) == 1 else None
         induced = np.zeros((dim, dim), dtype=complex)
-        for k in ops:
-            induced += k.conj().T @ k
+        if columns is None:
+            for k in ops:
+                induced += k.conj().T @ k
+            effects.append(validate_effect(induced))
+        else:
+            # the bytes of the dense K^dag K; a real 0/1 diagonal is Hermitian
+            # with spectrum in {0, 1}, so it needs no effect check
+            live = columns[columns >= 0]
+            induced[live, live] = 1.0
+            effects.append(Effect(induced))
         total += induced
-        effects.append(validate_effect(induced))
+        column_maps.append(columns)
 
     defect = float(np.max(np.abs(total - np.eye(dim))))
     if defect > TRACE_PRESERVING_TOL:
         raise NotTracePreserving(
             f"sum of K^dag K deviates from identity by {defect:.6e} > {TRACE_PRESERVING_TOL}"
         )
-    return Instrument(tuple(normalized), tuple(effects))
+    return Instrument(tuple(normalized), tuple(effects), tuple(column_maps))
 
 
 # --- Bloch parametrization (qubits) ------------------------------------------

@@ -70,32 +70,53 @@ class SequenceOutcomeDistribution:
         object.__setattr__(self, "probs", p)
 
 
-def _kraus_stacks(sys: SystemModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per setting, its Kraus operators as an (R, K, d, d) stack and the stack
-    of their adjoints; outcomes with fewer than K operators are padded with
-    zero operators, which add exact zeros to the sum."""
+def _kraus_stacks(sys: SystemModel) -> list[np.ndarray | tuple[np.ndarray, np.ndarray]]:
+    """Per setting, what :func:`_step` applies.  When every outcome has a
+    column map, the flat gather indices of all R children into a state of
+    d * d entries followed by one zero pad, which zero rows and columns read.
+    Otherwise its Kraus operators as an (R, K, d, d) stack and the stack of
+    their adjoints; outcomes with fewer than K operators are padded with zero
+    operators, which add exact zeros to the sum."""
+    d = sys.dim
     stacks = []
     for inst in sys.instruments:
+        if all(c is not None for c in inst.column_maps):
+            c = np.array(inst.column_maps)
+            rows, cols = c[:, :, None], c[:, None, :]
+            idx = np.where((rows < 0) | (cols < 0), d * d, rows * d + cols)
+            stacks.append(idx.reshape(-1))
+            continue
         n_k = max(len(ops) for ops in inst.kraus_sets)
-        k = np.zeros((inst.n_outcomes, n_k, sys.dim, sys.dim), dtype=complex)
+        k = np.zeros((inst.n_outcomes, n_k, d, d), dtype=complex)
         for r, ops in enumerate(inst.kraus_sets):
             k[r, : len(ops)] = ops
         stacks.append((k, k.conj().swapaxes(-1, -2)))
     return stacks
 
 
-def _step(states: np.ndarray, stack: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _step(states: np.ndarray, stack) -> np.ndarray:
     """All children of the stacked states (N, d, d) under one instrument:
     state n with outcome r lands at ``n * R + r``.  Each Kraus operator maps
     a state to ``(K rho) K^dag``, and these are summed over k in order from
     zeros, so every entry is bit-identical to applying the operators of one
-    outcome to one state at a time."""
+    outcome to one state at a time.
+
+    A gather-index stack copies entries instead.  With 0/1 entries every
+    product in ``(K rho) K^dag`` is exact and each sum has at most one term
+    that is not a signed zero, so the sum from zeros is the gathered entry
+    with -0.0 made +0.0; adding +0.0 on the way into the padded copy does
+    the same."""
+    n, d = states.shape[:2]
+    if isinstance(stack, np.ndarray):
+        padded = np.zeros((n, d * d + 1), dtype=complex)
+        np.add(states.reshape(n, d * d), 0.0, out=padded[:, :-1])
+        return np.take(padded, stack, axis=1).reshape(-1, d, d)
     k, k_dag = stack
     branches = (k[None] @ states[:, None, None]) @ k_dag[None]
     out = np.zeros_like(branches[:, :, 0])
     for j in range(k.shape[1]):
         out += branches[:, :, j]
-    return out.reshape(-1, *states.shape[1:])
+    return out.reshape(-1, d, d)
 
 
 # A module-level function, not a closure over ``stacks`` and ``table``: a

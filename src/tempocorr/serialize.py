@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,13 +31,11 @@ from .correlations import (
 from .errors import SchemaError, TableTooLarge, TempocorrError
 from .qmath import DensityMatrix, SystemModel, validate_instrument
 from .realize import MAX_TABLE_ENTRIES
-from .witness import (
-    CertificationReport,
-    EffectParams,
-    QubitStrategy,
-    WitnessFunctional,
-    WitnessTerm,
-)
+
+if TYPE_CHECKING:
+    # imported where used: simulate, decompose, realize and vertices never
+    # load witness, its dataclasses or its compiled bytecode
+    from .witness import CertificationReport, QubitStrategy, WitnessFunctional
 
 
 # --- numbers ----------------------------------------------------------------
@@ -285,6 +284,8 @@ def functional_to_json(f: WitnessFunctional) -> dict:
 
 
 def functional_from_json(data) -> WitnessFunctional:
+    from .witness import WitnessFunctional, WitnessTerm
+
     if not isinstance(data, dict):
         raise SchemaError("$", "expected an object")
     if data.get("L") != 2:
@@ -333,6 +334,8 @@ def _vector3_from_json(data, path: str) -> np.ndarray:
 
 
 def strategy_from_json(data) -> QubitStrategy:
+    from .witness import EffectParams, QubitStrategy
+
     if not isinstance(data, dict):
         raise SchemaError("$", "expected an object")
     initial = _vector3_from_json(data.get("initial"), "initial")

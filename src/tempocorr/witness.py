@@ -131,7 +131,7 @@ class EffectParams:
         if ax.shape != (3,):
             raise InvalidStrategy(f"effect axis must have shape (3,), got {ax.shape}")
         if abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
-            raise InvalidStrategy(f"effect axis norm {np.linalg.norm(ax)!r} is not 1")
+            raise InvalidStrategy(f"effect axis norm {float(np.linalg.norm(ax))!r} is not 1")
         if not -1e-12 <= self.b <= 1.0 + 1e-12:
             raise InvalidStrategy(f"b={self.b!r} outside [0, 1]")
         if not -1e-12 <= self.a <= 1.0 / (1.0 + self.b) + 1e-12:
@@ -158,10 +158,10 @@ class QubitStrategy:
         if post.shape != (2, 2, 3):
             raise InvalidStrategy(f"post array must have shape (2, 2, 3), got {post.shape}")
         if float(np.linalg.norm(init)) > 1.0 + 1e-9:
-            raise InvalidStrategy(f"initial Bloch norm {np.linalg.norm(init)!r} exceeds 1")
+            raise InvalidStrategy(f"initial Bloch norm {float(np.linalg.norm(init))!r} exceeds 1")
         norms = np.linalg.norm(post, axis=2)
         if float(norms.max()) > 1.0 + 1e-9:
-            raise InvalidStrategy(f"post Bloch norm {norms.max()!r} exceeds 1")
+            raise InvalidStrategy(f"post Bloch norm {float(norms.max())!r} exceeds 1")
         if len(self.effects) != 2:
             raise InvalidStrategy("strategy needs exactly two effect parameter sets")
         init.setflags(write=False)

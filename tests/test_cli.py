@@ -535,3 +535,39 @@ def test_cli_import_leaves_scipy_unloaded():
     assert tempocorr.serialize is importlib.import_module("tempocorr.serialize")
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         tempocorr.nonexistent
+
+
+# Runs in a fresh interpreter inside a scratch directory: prints, as JSON, the
+# exit code of each command and whether tempocorr.witness was loaded after it.
+WITNESS_PROBE = """
+import contextlib, io, json, sys
+import tempocorr.cli
+report = []
+for argv in (
+    ["vertices", "--L", "2", "--R", "2", "--S", "2", "--out", "v.json"],
+    ["simulate", "--protocol", "qutrit-e1", "--out", "b.json"],
+    ["decompose", "--behavior", "b.json", "--out", "d.json"],
+    ["realize", "--decomposition", "d.json", "--out", "s.json"],
+    ["simulate", "--system", "s.json", "--L", "3"],
+    ["witness", "--behavior", "b.json"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = tempocorr.cli.main(argv)
+    report.append([argv[0], code, "tempocorr.witness" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_commands_without_witnesses_leave_witness_unloaded(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", WITNESS_PROBE], capture_output=True, text=True, env=env, cwd=tmp_path, check=True
+    )
+    assert json.loads(proc.stdout) == [
+        ["vertices", 0, False],
+        ["simulate", 0, False],
+        ["decompose", 0, False],
+        ["realize", 0, False],
+        ["simulate", 0, False],
+        ["witness", 0, True],
+    ]

@@ -280,6 +280,12 @@ class TestCompose:
         with pytest.raises(UnnormalizedConditional):
             compose_from_conditionals(co.ConditionalChain(S222, (lvl1, lvl2)))
 
+    def test_negative_conditional_message_prints_a_plain_float(self):
+        lvl1 = np.array([[[1.5, -0.5]], [[0.5, 0.5]]])
+        with pytest.raises(UnnormalizedConditional) as exc:
+            compose_from_conditionals(co.ConditionalChain(Scenario(1, 2, 2), (lvl1,)))
+        assert str(exc.value) == "level 1 has a negative conditional -0.5"
+
     def test_round_trip_on_members(self):
         rng = np.random.default_rng(5)
         for scenario in (S222, Scenario(2, 3, 2), Scenario(3, 2, 2)):

@@ -95,7 +95,7 @@ SPECTRUM_MESSAGES = [
     (DensityMatrix, np.diag([1.2, -0.2]), SpectrumOutOfRange,
      "state has eigenvalue -2.000e-01 below -1e-09"),
     (DensityMatrix, np.diag([0.5, 0.6]), TraceNotOne,
-     "state trace np.float64(1.1) deviates from 1 by 1.000e-01 > 1e-09"),
+     "state trace 1.1 deviates from 1 by 1.000e-01 > 1e-09"),
     (DensityMatrix, np.array([[0.5, 0.3], [0.0, 0.5]]), NotHermitian,
      "state deviates from Hermiticity by 3.000e-01 > 1e-09"),
     (DensityMatrix, np.array([[1.1, 0.5], [0.5, -0.1]]), SpectrumOutOfRange,
@@ -194,6 +194,91 @@ class TestValidateInstrument:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             validate_instrument([[np.eye(2)], [np.zeros((3, 3))]])
+
+
+def reference_validate_instrument(kraus_sets):
+    """Every effect by the dense product ``sum_k K^dag K`` and checked by
+    :func:`validate_effect`, then trace preservation; returns the effects."""
+    ops_by_outcome = [[qmath.as_complex_matrix(k) for k in ops] for ops in kraus_sets]
+    dim = ops_by_outcome[0][0].shape[0]
+    for r, ops in enumerate(ops_by_outcome):
+        for k in ops:
+            if k.shape[0] != dim:
+                raise DimensionMismatch(
+                    f"outcome {r} has a {k.shape[0]}x{k.shape[0]} Kraus operator, expected dim {dim}"
+                )
+    total = np.zeros((dim, dim), dtype=complex)
+    effects = []
+    for ops in ops_by_outcome:
+        induced = np.zeros((dim, dim), dtype=complex)
+        for k in ops:
+            induced += k.conj().T @ k
+        total += induced
+        effects.append(validate_effect(induced))
+    defect = float(np.max(np.abs(total - np.eye(dim))))
+    if defect > qmath.TRACE_PRESERVING_TOL:
+        raise NotTracePreserving(
+            f"sum of K^dag K deviates from identity by {defect:.6e} > {qmath.TRACE_PRESERVING_TOL}"
+        )
+    return effects
+
+
+def partial_permutation(rows, cols, dim):
+    k = np.zeros((dim, dim), dtype=complex)
+    k[rows, cols] = 1.0
+    return k
+
+
+@st.composite
+def faulty_partial_permutations(draw):
+    """Single-operator 0/1 partial-permutation outcomes with one fault: a
+    column held by two outcomes, a column held by none, or one operator of
+    another dimension."""
+    dim, n_outcomes = draw(st.integers(1, 5)), draw(st.integers(2, 3))
+    fault = draw(st.sampled_from(("twice", "never", "dimension")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    owner = rng.integers(n_outcomes, size=dim)
+    cols = [list(np.flatnonzero(owner == r)) for r in range(n_outcomes)]
+    sizes = [dim] * n_outcomes
+    j = int(rng.integers(dim))
+    if fault == "twice":
+        cols[(owner[j] + 1 + rng.integers(n_outcomes - 1)) % n_outcomes].append(j)
+    elif fault == "never":
+        cols[owner[j]].remove(j)
+    else:
+        sizes[int(rng.integers(n_outcomes))] = draw(st.sampled_from([n for n in (dim - 1, dim + 1) if n >= 1]))
+    cols = [[c for c in cs if c < n] for cs, n in zip(cols, sizes)]
+    return [[partial_permutation(rng.permutation(n)[: len(c)], c, n)] for c, n in zip(cols, sizes)]
+
+
+class TestPartialPermutationValidation:
+    """Faulty partial-permutation instruments raise what the dense validation
+    raised, class and message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(faulty_partial_permutations())
+    def test_same_error_as_dense_validation(self, kraus_sets):
+        with pytest.raises((NotTracePreserving, DimensionMismatch)) as expected:
+            reference_validate_instrument(kraus_sets)
+        with pytest.raises(type(expected.value)) as exc:
+            validate_instrument(kraus_sets)
+        assert str(exc.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "kraus_sets, error, message",
+        [
+            ([[np.eye(2, dtype=complex)], [ketbra(1, 1, 2)]], NotTracePreserving,
+             "sum of K^dag K deviates from identity by 1.000000e+00 > 1e-09"),
+            ([[ketbra(1, 0, 2)], [ZERO2]], NotTracePreserving,
+             "sum of K^dag K deviates from identity by 1.000000e+00 > 1e-09"),
+            ([[ketbra(0, 0, 2)], [ketbra(1, 1, 3)]], DimensionMismatch,
+             "outcome 1 has a 3x3 Kraus operator, expected dim 2"),
+        ],
+    )
+    def test_messages(self, kraus_sets, error, message):
+        with pytest.raises(error) as exc:
+            validate_instrument(kraus_sets)
+        assert str(exc.value) == message
 
 
 class TestApplyInstrument:

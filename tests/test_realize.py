@@ -20,13 +20,21 @@ from tempocorr.correlations import (
     vertex_behavior,
 )
 from tempocorr import realize
-from tempocorr.errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, UnsupportedLength
+from tempocorr.errors import (
+    DimensionMismatch,
+    EmptyDecomposition,
+    SpectrumOutOfRange,
+    TableTooLarge,
+    UnsupportedLength,
+)
 from tempocorr.qmath import (
     DensityMatrix,
     SystemModel,
     ketbra,
     random_density_matrix,
+    random_instrument,
     random_system_model,
+    validate_effect,
     validate_instrument,
 )
 from tempocorr.realize import (
@@ -40,6 +48,7 @@ from tempocorr.serialize import system_model_to_json
 from tempocorr.witness import builtin_functionals, evaluate
 
 S222 = Scenario(2, 2, 2)
+ZERO2 = np.zeros((2, 2), dtype=complex)
 
 
 class TestRunSequence:
@@ -459,9 +468,99 @@ def ragged_systems(draw):
     return SystemModel(random_density_matrix(rng, d), tuple(instruments))
 
 
+def dense_effect(ops):
+    out = np.zeros_like(ops[0])
+    for k in ops:
+        out += k.conj().T @ k
+    return out
+
+
+@st.composite
+def partial_permutation_systems(draw):
+    """Systems whose settings are 0/1 partial-permutation instruments (zero
+    rows, all-zero operators), random dense instruments, or partial
+    permutations that stay on the dense path: one entry a unit phase other
+    than 1+0j (1-0j among them), or one outcome split into two operators.
+    The initial state is dense and complex, or pinched to blocks whose zero
+    entries are -0.0.  Returns the system and, per setting, which outcomes
+    should carry a column map."""
+    d, n_settings, n_outcomes = draw(st.integers(2, 5)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instruments, mapped = [], []
+    for _ in range(n_settings):
+        kind = draw(st.sampled_from(("mapped", "mapped", "dense", "phase", "split")))
+        if kind == "dense":
+            instruments.append(random_instrument(rng, d, n_outcomes))
+            mapped.append([False] * n_outcomes)
+            continue
+        owner = rng.integers(n_outcomes, size=d)
+        kraus_sets = []
+        for r in range(n_outcomes):
+            cols = np.flatnonzero(owner == r)
+            k = np.zeros((d, d), dtype=complex)
+            k[rng.permutation(d)[: len(cols)], cols] = 1.0
+            kraus_sets.append([k])
+        flags = [True] * n_outcomes
+        r = owner[0]
+        if kind == "phase":
+            k = kraus_sets[r][0]
+            k[np.flatnonzero(k[:, 0])[0], 0] = draw(st.sampled_from((complex(1.0, -0.0), -1.0, 1j, -1j, np.exp(0.3j))))
+            flags[r] = False
+        elif kind == "split":
+            k = kraus_sets[r][0]
+            first = np.zeros_like(k)
+            first[:, 0] = k[:, 0]
+            k[:, 0] = 0.0
+            kraus_sets[r] = [first, k]
+            flags[r] = False
+        instruments.append(validate_instrument(kraus_sets))
+        mapped.append(flags)
+    rho = random_density_matrix(rng, d).matrix
+    if draw(st.booleans()):
+        block = rng.random(d) < 0.5
+        rho = np.where(block[:, None] == block[None, :], rho, complex(-0.0, -0.0))
+        rho.imag[np.diag_indices(d)] = -0.0
+    return SystemModel(DensityMatrix(rho), tuple(instruments)), mapped
+
+
 class TestSimulationParity:
     """The depth-first walk writes exactly the tables of the per-sequence
     simulation it replaced: same Kraus arithmetic, same summation order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(partial_permutation_systems(), st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    def test_partial_permutations(self, drawn, xs):
+        sys_model, mapped = drawn
+        L, path = len(xs), [x % sys_model.n_settings for x in xs]
+        states = sys_model.initial.matrix[None]
+        for inst, flags, stack in zip(sys_model.instruments, mapped, realize._kraus_stacks(sys_model)):
+            assert [c is not None for c in inst.column_maps] == flags
+            assert isinstance(stack, np.ndarray) == all(flags)
+            for ops, effect in zip(inst.kraus_sets, inst.effects):
+                assert_same_bits(effect.matrix, dense_effect(ops))
+            if all(flags):
+                # the gathered children are the dense products, signed zeros included
+                k = np.array(inst.kraus_sets)
+                assert_same_bits(realize._step(states, stack), realize._step(states, (k, k.conj().swapaxes(-1, -2))))
+        assert_same_bits(full_behavior(sys_model, L).table, reference_full_behavior(sys_model, L))
+        assert_same_bits(run_sequence(sys_model, path).probs, reference_run_sequence(sys_model, path))
+
+    @pytest.mark.parametrize(
+        "kraus_sets",
+        [
+            [[np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)], [ZERO2]],
+            [[np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)], [ketbra(1, 1, 2)]],
+        ],
+        ids=["two in a row", "two in a column"],
+    )
+    def test_doubled_entries_fail_as_dense_effects(self, kraus_sets):
+        # 0/1 operators with two entries in a row or column are no partial
+        # permutation: their dense effect has eigenvalue 2
+        with pytest.raises(SpectrumOutOfRange) as expected:
+            validate_effect(dense_effect(kraus_sets[0]))
+        with pytest.raises(SpectrumOutOfRange) as exc:
+            validate_instrument(kraus_sets)
+        assert str(exc.value) == str(expected.value)
 
     @settings(max_examples=60, deadline=None)
     @given(ragged_systems(), st.lists(st.integers(0, 2), min_size=1, max_size=4))

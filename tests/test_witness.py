@@ -172,6 +172,20 @@ class TestStrategyValue:
         with pytest.raises(InvalidStrategy):
             EffectParams(0.9, 0.5, np.array([0.0, 0.0, 1.0]))
 
+    def test_norm_messages_print_plain_floats(self):
+        effects = b1_saturating_strategy().effects
+        post = np.zeros((2, 2, 3))
+        post[1, 0] = [0.0, 2.0, 0.0]
+        cases = [
+            (lambda: EffectParams(0.5, 0.5, [0.0, 0.0, 2.0]), "effect axis norm 2.0 is not 1"),
+            (lambda: QubitStrategy([0.0, 0.0, 1.5], np.zeros((2, 2, 3)), effects), "initial Bloch norm 1.5 exceeds 1"),
+            (lambda: QubitStrategy([0.0, 0.0, 1.0], post, effects), "post Bloch norm 2.0 exceeds 1"),
+        ]
+        for build, message in cases:
+            with pytest.raises(InvalidStrategy) as exc:
+                build()
+            assert str(exc.value) == message
+
 
 class TestOptimizer:
     def test_b1_close_to_three(self):
