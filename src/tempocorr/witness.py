@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import realize
 from .correlations import (
     QUBIT_UNREACHABLE_UNIT_ENTRIES,
     Behavior,
@@ -37,6 +38,7 @@ from .errors import (
     NotAProjector,
     ParamOutOfRange,
     ScenarioMismatch,
+    TableTooLarge,
 )
 from .qmath import (
     SystemModel,
@@ -243,7 +245,24 @@ def strategy_system_model(s: QubitStrategy) -> SystemModel:
 
 # --- lockstep Nelder-Mead -----------------------------------------------------------
 
-def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float):
+def _step_choices():
+    """The Nelder-Mead step for each byte of six comparisons, packed big
+    endian as by ``np.packbits``: whether the reflection beats the best, the
+    second worst and the worst vertex, whether the expansion beats the
+    reflection, the outside contraction is no worse than the reflection and
+    the inside contraction beats the worst vertex.  The step is the
+    candidate that replaces the worst vertex (0 reflection, 1 expansion,
+    2 outside and 3 inside contraction), or 4 to shrink."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).T.astype(bool)
+    r_best, r_second, r_worst, expand, outside, inside = bits[:6]
+    contract = np.where(r_worst, np.where(outside, 2, 4), np.where(inside, 3, 4))
+    return np.where(r_best, expand, np.where(r_second, 0, contract))
+
+
+_STEP_CHOICE = _step_choices()
+
+
+def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float, stats=None):
     """Minimize ``fun`` by Nelder-Mead from a ``(starts, n+1, n)`` stack of
     initial simplices, all starts stepped in lockstep.
 
@@ -262,15 +281,24 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float):
     not evaluated again.  The iteration count starts at 1, so ``maxiter``
     0 or 1 returns the best initial vertex.  No start depends on another,
     so each start's result equals its run alone.  Returns the best vertex
-    ``(starts, n)`` and its value ``(starts,)`` per start.
+    ``(starts, n)`` and its value ``(starts,)`` per start; a ``stats`` dict
+    receives ``iterations``, the count at which the last start stopped.
+
+    The simplices are held vertex major, ``(n+1, starts, n)``: the centroid
+    sums the outer axis, so every start's vertices add in sequence as in a
+    loop over them, and each step replaces the worst vertices and re-sorts
+    the simplices by gathers of whole rows.  Each start's arithmetic is that
+    of a start-major loop, operation for operation, so the results equal it
+    bit for bit; the tests keep such a loop as the reference.
     """
     sim = np.asarray(simplex, dtype=float)
     starts, n1, n = sim.shape
-    fsim = fun(sim.reshape(-1, n)).reshape(starts, n1)
-    rows = np.arange(starts)
-    order = np.argsort(fsim, axis=1, kind="stable")
-    s, fs = sim[rows[:, None], order], fsim[rows[:, None], order]
-    best_x, best_f = s[:, 0].copy(), fs[:, 0].copy()
+    # vertex major: s[j, k] is vertex j of the k-th running start
+    s = np.ascontiguousarray(sim.transpose(1, 0, 2))
+    fs = fun(s.reshape(-1, n)).reshape(n1, starts)
+    here = np.arange(starts)
+    s, fs = _sort_simplices(s, fs, here)
+    best_x, best_f = np.empty((starts, n)), np.empty(starts)
 
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     # candidate k is toward[k] * xbar - away[k] * worst: reflection,
@@ -280,47 +308,73 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float):
     active = np.arange(starts)  # the starts still running; s and fs hold their simplices
     iterations = 1
     while iterations < maxiter:
-        done = np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
-        if done.any():
-            done &= np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol
-        if done.any():
-            best_x[active[done]], best_f[active[done]] = s[done, 0], fs[done, 0]
-            active, s, fs = active[~done], s[~done], fs[~done]
-            if not active.size:
-                return best_x, best_f
-        here = rows[: active.size]
+        # the values are sorted, so the last minus the first is the spread
+        done = fs[-1] - fs[0] <= fatol
+        if np.count_nonzero(done):
+            done &= np.abs(s[1:] - s[0]).max(axis=(0, 2)) <= xatol
+            if np.count_nonzero(done):
+                best_x[active[done]], best_f[active[done]] = s[0, done], fs[0, done]
+                running = (~done).nonzero()[0]
+                active, s, fs = active[running], s.take(running, axis=1), fs.take(running, axis=1)
+                if not active.size:
+                    break
+                here = here[: active.size]
 
-        xbar = np.add.reduce(s[:, :-1], axis=1) / n
-        cand = toward * xbar - away * s[:, -1]
-        fcand = fun(cand.reshape(-1, n)).reshape(4, -1)
-        fr, fe, fo, fi = fcand
-        # the candidate that replaces the worst vertex, or 4 to shrink
-        worst = fs[:, -1]
-        contract = np.where(fr < worst, np.where(fo <= fr, 2, 4), np.where(fi < worst, 3, 4))
-        pick = np.where(fr < fs[:, 0], fe < fr, np.where(fr < fs[:, -2], 0, contract))
-        shrink = pick == 4
-        take = here[~shrink]
-        to = pick[take]
-        s[take, -1], fs[take, -1] = cand[to, take], fcand[to, take]
-
-        if shrink.any():
-            best = s[shrink, :1]
-            shrunk = best + sigma * (s[shrink, 1:] - best)
-            s[shrink, 1:] = shrunk
-            fs[shrink, 1:] = fun(shrunk.reshape(-1, n)).reshape(-1, n1 - 1)
+        xbar = s[:-1].sum(axis=0)  # in sequence over the vertices
+        xbar /= n
+        cand = toward * xbar
+        cand -= away * s[-1]
+        flat_cand = cand.reshape(-1, n)
+        fcand = fun(flat_cand)
+        fr, fe, fo, fi = fcand.reshape(4, -1)
+        # the candidate that replaces the worst vertex, or 4 to shrink, looked
+        # up from the six comparisons packed into one byte per start
+        test = np.empty((6, active.size), dtype=bool)
+        np.less(fr, fs[0], out=test[0])
+        np.less(fr, fs[-2], out=test[1])
+        np.less(fr, fs[-1], out=test[2])
+        np.less(fe, fr, out=test[3])
+        np.less_equal(fo, fr, out=test[4])
+        np.less(fi, fs[-1], out=test[5])
+        pick = _STEP_CHOICE.take(np.packbits(test, axis=0)[0])
+        shrink = (pick == 4).nonzero()[0]
+        if shrink.size:
+            sub = s.take(shrink, axis=1)
+            shrunk = sub[1:] - sub[0]
+            shrunk *= sigma
+            shrunk += sub[0]
+        # every start's worst vertex by two gathers; a start that shrinks
+        # reads a clipped index, and the shrink then overwrites that vertex
+        at = pick * active.size + here
+        flat_cand.take(at, axis=0, out=s[-1], mode="clip")
+        fcand.take(at, out=fs[-1], mode="clip")
+        if shrink.size:
+            s[1:, shrink] = shrunk
+            fs[1:, shrink] = fun(shrunk.reshape(-1, n)).reshape(n1 - 1, -1)
         iterations += 1
-
-        order = np.argsort(fs, axis=1, kind="stable")
-        s, fs = s[here[:, None], order], fs[here[:, None], order]
-    best_x[active], best_f[active] = s[:, 0], fs[:, 0]
+        s, fs = _sort_simplices(s, fs, here)
+    best_x[active], best_f[active] = s[0], fs[0]
+    if stats is not None:
+        stats["iterations"] = iterations
     return best_x, best_f
+
+
+def _sort_simplices(s, fs, here):
+    """Each start's vertices ``s`` ``(n + 1, starts, n)`` and values ``fs``
+    ``(n + 1, starts)`` sorted stably by value; ``here`` is ``arange(starts)``."""
+    at = np.argsort(fs, axis=0, kind="stable")
+    at *= len(here)
+    at += here
+    return s.reshape(-1, s.shape[2]).take(at, axis=0), fs.take(at)
 
 
 # --- closed-form state elimination and the restart optimizer -----------------------
 #
 # Inside the objective the m search points run along the last axis, so every
 # quantity is a short stack of rows over the points, and one call costs a
-# few dozen array operations, however many points it gets.  A term
+# few dozen array operations, however many points it gets.  Each operation
+# reads and writes whole contiguous blocks of those rows, never a strided
+# column, and sums run over outer axes only, in term order.  A term
 # ((a, b), (x, y), coeff) feeds the slot 2 a + x of the first step's outcome
 # and setting.
 
@@ -353,42 +407,59 @@ def _compile_terms(terms) -> _CompiledTerms:
     return _CompiledTerms(np.array(slots, dtype=np.intp), second, offset, sign, coeff, sign * coeff)
 
 
+# Rows of the parameter-major copy of the search parameters: u, b, polar and
+# azimuth angle, each for settings 0 and 1.
+_PARAM_ROWS = np.array([0, 4, 1, 5, 2, 6, 3, 7])
+
+
 def _effect_params(theta):
-    """Decode ``(..., 8)`` search parameters into one ``(2, 5, m)`` array over
-    the m rows: per setting the effect weight a, the bias b and the three
-    components of the unit axis."""
-    th = np.asarray(theta, dtype=float).reshape(-1, 8).T.reshape(2, 4, -1)
-    eff = np.empty((2, 5, th.shape[2]))
-    np.minimum(np.maximum(th[:, :2], 0.0), 1.0, out=eff[:, :2])
-    np.divide(eff[:, 0], 1.0 + eff[:, 1], out=eff[:, 0])
-    sin, cos = np.sin(th[:, 2:]), np.cos(th[:, 2:])  # [setting, (polar, azimuth)]
-    np.multiply(sin[:, 0], cos[:, 1], out=eff[:, 2])
-    np.multiply(sin[:, 0], sin[:, 1], out=eff[:, 3])
-    eff[:, 4] = cos[:, 0]
+    """Decode ``(..., 8)`` search parameters into one ``(5, 2, m)`` array over
+    the m rows: the effect weight a, the bias b and the three components of
+    the unit axis, each per setting.  The rows are copied once, parameter
+    major, so every step acts on a contiguous block."""
+    th = np.asarray(theta, dtype=float).reshape(-1, 8)
+    eff = np.empty((5, 2, th.shape[0]))
+    rows = eff.reshape(10, -1)
+    np.take(th.T, _PARAM_ROWS, axis=0, out=rows[:8], mode="clip")
+    clipped = rows[:4]  # u and b
+    np.maximum(clipped, 0.0, out=clipped)
+    np.minimum(clipped, 1.0, out=clipped)
+    np.divide(eff[0], 1.0 + eff[1], out=eff[0])
+    sin, cos = np.sin(rows[4:8]), np.cos(rows[4:8])  # polar, then azimuth
+    np.multiply(sin[:2], cos[2:], out=rows[4:6])
+    np.multiply(sin[:2], sin[2:], out=rows[6:8])
+    rows[8:] = cos[:2]
     return eff
 
 
 def _slot_coefficients(prog: _CompiledTerms, eff):
-    """Per slot with terms, ``(n, 4, m)``: the constant part, then the three
+    """Per slot with terms, ``(4, n, m)``: the constant part, then the three
     components of the linear coefficient vector of the second-step
     contribution, maximized at the unit vector along that vector; both are
     0 in the other slots.  Each slot sums its terms from 0 in term order,
     so the sums do not depend on how the terms are laid out."""
-    g = eff[prog.second]  # the second setting's parameters, per table entry
-    a_y = g[:, :, 0]
-    per_term = np.empty(a_y.shape[:2] + (4,) + a_y.shape[2:])
-    np.multiply(prog.coeff, prog.offset + prog.sign * a_y, out=per_term[:, :, 0])
-    np.multiply(((prog.signed * a_y) * g[:, :, 1])[:, :, None], g[:, :, 2:], out=per_term[:, :, 1:])
-    sums = 0.0 + per_term[0]
-    for later in per_term[1:]:
-        sums += later
+    g = eff.take(prog.second, axis=1)  # the second setting's parameters, per table entry
+    a_y = g[0]
+    per_term = np.empty((4,) + a_y.shape)
+    const = per_term[0]
+    np.multiply(prog.sign, a_y, out=const)
+    const += prog.offset
+    const *= prog.coeff
+    lin = prog.signed * a_y
+    lin *= g[1]
+    np.multiply(lin, g[2:], out=per_term[1:])
+    sums = 0.0 + per_term[:, 0]
+    for k in range(1, len(prog.second)):
+        sums += per_term[:, k]
     return sums
 
 
 def _norm3(v):
-    """Euclidean norm over the second-to-last axis, of length 3."""
-    sq = v**2
-    return np.sqrt(sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :])
+    """Euclidean norm over the first axis, of length 3; squares ``v`` in place."""
+    np.square(v, out=v)
+    norm = v[0] + v[1]
+    norm += v[2]
+    return np.sqrt(norm, out=norm)
 
 
 def _state_optimal_value(prog: _CompiledTerms, theta):
@@ -398,18 +469,26 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
     Post-measurement vectors enter linearly with the nonnegative weight
     p(a|x), so each one independently aligns with its coefficient vector;
     substituting those optima leaves an affine function of the input vector,
-    again maximized by alignment.
+    again maximized by alignment.  Every row's value is computed by the same
+    operations in the same order whatever the other rows are, and equals
+    the per-term reference of the tests bit for bit: the first term of each
+    sum is added to 0.0 (so -0.0 becomes +0.0), a term's constant stays
+    ``coeff * (offset + sign * a)`` unexpanded, and no sum runs along the
+    contiguous last axis, where numpy would sum pairwise.
     """
     eff = _effect_params(theta)
     sums = _slot_coefficients(prog, eff)
-    top = np.zeros((4, eff.shape[2]))
-    top[prog.slots] = sums[:, 0] + _norm3(sums[:, 1:])
-    top = top.reshape(2, 2, -1)  # [first outcome, setting]
-    diff = top[0] - top[1]
-    da = diff * eff[:, 0]
-    const = top[1] + da
-    v = (da * eff[:, 1])[:, None] * eff[:, 2:]
-    value = (const[0] + const[1]) + _norm3(v[0] + v[1])
+    top = np.zeros((4, eff.shape[2]))  # [2 * first outcome + setting]
+    slot_top = _norm3(sums[1:])
+    slot_top += sums[0]
+    top[prog.slots] = slot_top
+    da = top[:2] - top[2:]
+    da *= eff[0]
+    const = top[2:] + da
+    da *= eff[1]
+    v = da * eff[2:]  # [component, setting]
+    value = const[0] + const[1]
+    value += _norm3(v[:, 0] + v[:, 1])
     return value.reshape(np.shape(theta)[:-1])
 
 
@@ -418,9 +497,9 @@ def _reconstruct_strategy(prog: _CompiledTerms, theta, tie_initial, tie_post) ->
     coefficient vectors keep the supplied tie-break vectors."""
     eff = _effect_params(theta)
     sums = np.zeros((4, 4))
-    sums[prog.slots] = _slot_coefficients(prog, eff)[..., 0]
+    sums[prog.slots] = _slot_coefficients(prog, eff)[..., 0].T
     base, wvec = sums[:, 0].reshape(2, 2), sums[:, 1:].reshape(2, 2, 3)
-    a, b, axis = eff[:, 0, 0], eff[:, 1, 0], eff[:, 2:, 0]
+    a, b, axis = eff[0, :, 0], eff[1, :, 0], eff[2:, :, 0].T
     post = np.array(tie_post, dtype=float, copy=True)
     tops = base.copy()
     for ax in np.ndindex(2, 2):
@@ -451,9 +530,21 @@ _INITIAL_STEP, _XTOL, _FTOL = 0.25, 1e-10, 1e-13
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best strategy of a search and what the search cost.
+
+    ``objective_calls`` and ``objective_rows`` count the objective's array
+    calls and the parameter rows they carried, ``iterations`` is the
+    lockstep iteration count at which the last restart stopped (counted as
+    ``max_iterations`` counts), and ``value_spread`` is the largest minus the
+    smallest of the restarts' final objective values."""
+
     value: float
     strategy: QubitStrategy
     restart_index: int
+    objective_calls: int
+    objective_rows: int
+    iterations: int
+    value_spread: float
 
 
 def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
@@ -478,6 +569,10 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     if cfg.seed < 0:
         raise ParamOutOfRange(f"seed must be >= 0, got {cfg.seed}")
     _require_binary_pair_scenario(f)
+    n = 8  # the searched effect parameters; each simplex has n + 1 vertices
+    if realize._exceeds_budget(cfg.restarts, 1, (n + 1) * n):
+        what = f"a simplex stack of restarts * (n+1) * n = {cfg.restarts} * {n + 1} * {n} entries"
+        raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
     prog = _compile_terms(f.terms)
 
     theta0, tie_initial, tie_post = [], [], []
@@ -494,18 +589,27 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         post = rng.normal(size=(2, 2, 3))
         tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
 
-    steps = np.vstack([np.zeros(8), _INITIAL_STEP * np.eye(8)])
+    steps = np.vstack([np.zeros(n), _INITIAL_STEP * np.eye(n)])
     simplices = np.asarray(theta0)[:, None, :] + steps
-    thetas, fvals = _nelder_mead(
-        lambda theta: -_state_optimal_value(prog, theta),
-        simplices,
-        cfg.max_iterations,
-        _XTOL,
-        _FTOL,
-    )
+    rows = []  # per objective call
+
+    def objective(theta):
+        rows.append(len(theta))
+        return -_state_optimal_value(prog, theta)
+
+    stats = {}
+    thetas, fvals = _nelder_mead(objective, simplices, cfg.max_iterations, _XTOL, _FTOL, stats)
     k = int(np.argmin(fvals))
     strategy = _reconstruct_strategy(prog, thetas[k], tie_initial[k], tie_post[k])
-    return OptimizationResult(strategy_value(f, strategy), strategy, k)
+    return OptimizationResult(
+        strategy_value(f, strategy),
+        strategy,
+        k,
+        objective_calls=len(rows),
+        objective_rows=sum(rows),
+        iterations=stats["iterations"],
+        value_spread=float(fvals.max() - fvals.min()),
+    )
 
 
 # --- closed-form profiles ----------------------------------------------------------
@@ -656,6 +760,30 @@ def c1_bound() -> C1Bound:
 _C3_SUBINTERVALS = 10_000  # sign-scan intervals over [-1, 1]
 
 
+def _scan_roots(coeffs) -> list[float]:
+    """The roots in [-1, 1] of the polynomial with ascending ``coeffs``,
+    ascending: a grid point where it is exactly 0, or a bisected sign change
+    between neighbours on a grid of ``_C3_SUBINTERVALS`` intervals.  The grid
+    is evaluated by Horner's rule in one pass, each point by the multiplies
+    and adds of :func:`_poly_eval`."""
+    xs = np.linspace(-1.0, 1.0, _C3_SUBINTERVALS + 1)
+    vals = np.zeros_like(xs)
+    for c in reversed(coeffs):
+        vals *= xs
+        vals += c
+    zero = vals[:-1] == 0.0
+    change = vals[:-1] * vals[1:] < 0.0
+    roots = []
+    for i in (zero | change).nonzero()[0]:
+        if zero[i]:
+            roots.append(float(xs[i]))
+        else:
+            roots.append(_bisect_root(coeffs, float(xs[i]), float(xs[i + 1])))
+    if vals[-1] == 0.0:
+        roots.append(1.0)
+    return roots
+
+
 @lru_cache(maxsize=1)
 def c3_bound() -> C3Bound:
     """Locate C3 as the certified root of the degree-10 polynomial.
@@ -667,17 +795,7 @@ def c3_bound() -> C3Bound:
     profile value, checked against both boundary values, is the bound.
     """
     coeffs = expanded_polynomial_coefficients()
-    xs = np.linspace(-1.0, 1.0, _C3_SUBINTERVALS + 1)
-    vals = [_poly_eval(coeffs, float(t)) for t in xs]
-    roots = []
-    for i in range(_C3_SUBINTERVALS):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect_root(coeffs, float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(1.0)
-
+    roots = _scan_roots(coeffs)
     candidates = [
         r for r in roots if -1.0 < r < 1.0 and abs(b3_profile_derivative(r)) <= 1e-8
     ]

@@ -278,6 +278,21 @@ class TestOptimize:
         assert code == 1 and out == ""
         assert err == "error: seed must be >= 0, got -1\n"
 
+    def test_too_many_restarts_exit_2_before_allocation(self, capsys):
+        # 14,564 initial simplices of 9 * 8 entries hold 1,048,608 > 2^20
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "optimize", "--functional", "B3", "--restarts", "14564")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err == (
+            "size cap exceeded: a simplex stack of restarts * (n+1) * n = 14564 * 9 * 8 entries"
+            " exceeds the cap 1048576\n"
+        )
+        assert peak < 2**20
+
 
 class TestDecomposeRealize:
     def test_round_trip(self, capsys, tmp_path):

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tempocorr import realize
 from tempocorr import witness as w
 from tempocorr.correlations import (
     Behavior,
@@ -21,6 +23,7 @@ from tempocorr.errors import (
     NotAProjector,
     ParamOutOfRange,
     ScenarioMismatch,
+    TableTooLarge,
 )
 from tempocorr.qmath import (
     DensityMatrix,
@@ -229,6 +232,60 @@ class TestOptimizer:
         with pytest.raises(ParamOutOfRange, match="seed must be >= 0"):
             optimize_qubit(F["B1"], OptimizerConfig(restarts=1, seed=-1))
 
+    def test_restart_budget_is_inclusive(self, monkeypatch):
+        # three restarts stack 3 * 9 * 8 = 216 simplex entries
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 216)
+        assert optimize_qubit(F["B1"], OptimizerConfig(restarts=3, max_iterations=5)).restart_index < 3
+
+        def no_spawn(*_args):
+            raise AssertionError("the restarts were seeded")
+
+        monkeypatch.setattr(w.np.random, "SeedSequence", no_spawn)
+        with pytest.raises(TableTooLarge) as exc:
+            optimize_qubit(F["B1"], OptimizerConfig(restarts=4))
+        assert str(exc.value) == (
+            "a simplex stack of restarts * (n+1) * n = 4 * 9 * 8 entries exceeds the cap 216"
+        )
+        assert exc.value.cap == 216 and exc.value.shape is None
+
+    @pytest.mark.parametrize("restarts", [14_564, 10**12])
+    def test_too_many_restarts_refused_before_allocation(self, restarts):
+        # 14,563 restarts stack 1,048,536 entries, within the 2^20 budget
+        assert 14_563 * 72 <= realize.MAX_TABLE_ENTRIES < 14_564 * 72
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableTooLarge, match=f"= {restarts} \\* 9 \\* 8 entries exceeds the cap 1048576"):
+                optimize_qubit(F["B3"], OptimizerConfig(restarts=restarts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_counters_pinned(self):
+        # pinned: any change to a step's arithmetic or order moves these first
+        res = optimize_qubit(F["B3"], OptimizerConfig(restarts=20, seed=7))
+        assert (res.objective_calls, res.objective_rows, res.iterations) == (996, 50_500, 569)
+        assert res.value_spread == 1.186227883702518
+
+    @pytest.mark.parametrize("restarts, max_iterations", [(1, 2000), (6, 2000), (20, 40), (5, 0)])
+    def test_counters_match_a_counting_objective(self, monkeypatch, restarts, max_iterations):
+        calls = []
+        objective = w._state_optimal_value
+
+        def counting(prog, theta):
+            calls.append(len(theta))
+            return objective(prog, theta)
+
+        monkeypatch.setattr(w, "_state_optimal_value", counting)
+        res = optimize_qubit(F["B2"], OptimizerConfig(restarts=restarts, seed=11, max_iterations=max_iterations))
+        assert (res.objective_calls, res.objective_rows) == (len(calls), sum(calls))
+        # the initial vertices, then per iteration one call of candidates and
+        # at most one of shrunk vertices
+        assert calls[0] == restarts * 9
+        assert res.iterations - 1 <= len(calls) - 1 <= 2 * (res.iterations - 1)
+        assert 1 <= res.iterations <= max(1, max_iterations)
+        assert res.value_spread >= 0.0 and (restarts > 1 or res.value_spread == 0.0)
+
     def test_epsilon_search_config_validated(self):
         proto, proj = canonical_protocols()["qutrit-e1"], np.diag([1.0, 1.0, 0.0])
         for cfg in (EpsilonSearchConfig(restarts=-3), EpsilonSearchConfig(max_iterations=-1)):
@@ -354,6 +411,18 @@ class TestLockstepNelderMead:
             float(w._state_optimal_value(prog, theta)), abs=1e-12
         )
 
+    def test_start_runs_on_while_its_worst_value_is_far(self):
+        # every vertex lies within xatol, but the worst value is 1 above the
+        # others: the start takes one more step, where the reflection ties them
+        def step(x):
+            return (x[:, 0] > 0.5e-12).astype(float)
+
+        simplex = np.vstack([np.zeros(3), 1e-12 * np.eye(3)])[None]
+        for nelder_mead in (w._nelder_mead, reference_nelder_mead):
+            stats = {}
+            xs, fs = nelder_mead(step, simplex, 50, 1e-10, 1e-13, stats)
+            assert stats["iterations"] == 2 and fs[0] == 0.0
+
     @pytest.mark.parametrize("maxiter", [1, 2, 5, 40])
     @pytest.mark.parametrize(
         "objective", [qubit_objective("B3"), lambda x: (x**2).sum(axis=1)], ids=["B3", "quadratic"]
@@ -412,6 +481,21 @@ class TestProfiles:
             b3_profile_derivative(1.0)
 
 
+def reference_scan_roots(coeffs):
+    """The sign scan of c3_bound as a loop of scalar Horner evaluations."""
+    xs = np.linspace(-1.0, 1.0, w._C3_SUBINTERVALS + 1)
+    vals = [w._poly_eval(coeffs, float(t)) for t in xs]
+    roots = []
+    for i in range(w._C3_SUBINTERVALS):
+        if vals[i] == 0.0:
+            roots.append(float(xs[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(w._bisect_root(coeffs, float(xs[i]), float(xs[i + 1])))
+    if vals[-1] == 0.0:
+        roots.append(1.0)
+    return roots
+
+
 class TestBounds:
     def test_c1(self):
         res = c1_bound()
@@ -440,6 +524,30 @@ class TestBounds:
         for x in np.linspace(-1, 1, 101):
             nested = w.nested_polynomial(float(x))
             assert w._poly_eval(coeffs, float(x)) == pytest.approx(nested, abs=1e-9 * max(1, abs(nested)))
+
+    def test_scan_matches_loop_reference(self, monkeypatch):
+        # the whole bound, roots included, from the numpy scan and from the loop
+        assert w._scan_roots(w.expanded_polynomial_coefficients()) == reference_scan_roots(
+            w.expanded_polynomial_coefficients()
+        )
+        fresh = w.c3_bound.__wrapped__()
+        monkeypatch.setattr(w, "_scan_roots", reference_scan_roots)
+        assert fresh == w.c3_bound.__wrapped__() == c3_bound()
+        assert fresh.polynomial_roots == (
+            -0.9381909152362495, -0.7636349883135407, -0.2940624418217688,
+            -0.1601645590189844, 0.018998095474019774, 0.7562852034959942,
+        )
+        assert (fresh.value, fresh.cos_gamma_star) == (3.1862278837025175, 0.7562852034959942)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
+    @example([0, 1]).via("a zero on the grid point 0.0")
+    @example([-1, 1]).via("a zero on the last grid point")
+    @example([1, 1]).via("a zero on the first grid point")
+    @example([-1, 0, 2, 0, -1]).via("double zeros at both ends")
+    @example([0]).via("zero everywhere")
+    def test_scan_matches_loop_reference_on_integer_polynomials(self, coeffs):
+        assert w._scan_roots(tuple(coeffs)) == reference_scan_roots(tuple(coeffs))
 
     def test_spurious_roots_rejected_by_derivative(self):
         res = c3_bound()
@@ -585,7 +693,7 @@ def random_branch(dim, seed):
 # The optimizer with one objective call per candidate kind and a Python loop
 # over the terms.  The batched optimizer must reproduce it bit for bit.
 
-def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol):
+def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol, stats=None):
     sim = np.asarray(simplex, dtype=float)
     starts, n1, n = sim.shape
     fsim = fun(sim.reshape(-1, n)).reshape(starts, n1)
@@ -605,7 +713,7 @@ def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol):
             best_x[active[done]], best_f[active[done]] = s[done, 0], fs[done, 0]
             active, s, fs = active[~done], s[~done], fs[~done]
             if not active.size:
-                return best_x, best_f
+                break
 
         xbar = np.add.reduce(s[:, :-1], axis=1) / n
         worst = s[:, -1]
@@ -649,6 +757,8 @@ def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol):
         rows = rows[: active.size]
         s, fs = s[rows, order], fs[rows, order]
     best_x[active], best_f[active] = s[:, 0], fs[:, 0]
+    if stats is not None:
+        stats["iterations"] = iterations
     return best_x, best_f
 
 
@@ -692,9 +802,30 @@ def reference_state_optimal_value(terms, theta):
     return const + reference_norm3(v)
 
 
+def reference_reconstruct_strategy(terms, theta, tie_initial, tie_post):
+    a, b, axis = reference_effect_params(theta)
+    base, wvec = reference_post_coefficients(terms, a, b, axis)
+    post = np.array(tie_post, dtype=float, copy=True)
+    tops = base.copy()
+    for ax in np.ndindex(2, 2):
+        norm = float(np.linalg.norm(wvec[ax]))
+        if norm > 1e-15:
+            post[ax] = wvec[ax] / norm
+        tops[ax] += float(np.dot(wvec[ax], post[ax]))
+    v = np.zeros(3)
+    for x in (0, 1):
+        v += (tops[0, x] - tops[1, x]) * a[x] * b[x] * axis[x]
+    initial = tie_initial
+    if float(np.linalg.norm(v)) > 1e-15:
+        initial = v / np.linalg.norm(v)
+    effects = tuple(EffectParams(a[x], b[x], axis[x]) for x in (0, 1))
+    return QubitStrategy(initial, post, effects)
+
+
 def reference_optimize_qubit(f, cfg):
-    """Value, restart index and strategy of the reference pipeline."""
-    terms = functional_terms(f.name)
+    """Value, restart index, strategy, iterations and value spread of the
+    reference pipeline, for any functional's terms."""
+    terms = tuple((t.outcomes, t.settings, t.coeff) for t in f.terms)
     theta0, tie_initial, tie_post = [], [], []
     for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(seq)
@@ -709,29 +840,17 @@ def reference_optimize_qubit(f, cfg):
         post = rng.normal(size=(2, 2, 3))
         tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
     simplices = np.asarray(theta0)[:, None, :] + np.vstack([np.zeros(8), w._INITIAL_STEP * np.eye(8)])
+    stats = {}
     thetas, fvals = reference_nelder_mead(
         lambda theta: -reference_state_optimal_value(terms, theta),
-        simplices, cfg.max_iterations, w._XTOL, w._FTOL,
+        simplices, cfg.max_iterations, w._XTOL, w._FTOL, stats,
     )
     k = int(np.argmin(fvals))
-    a, b, axis = reference_effect_params(thetas[k])
-    base, wvec = reference_post_coefficients(terms, a, b, axis)
-    post = np.array(tie_post[k], dtype=float, copy=True)
-    tops = base.copy()
-    for ax in np.ndindex(2, 2):
-        norm = float(np.linalg.norm(wvec[ax]))
-        if norm > 1e-15:
-            post[ax] = wvec[ax] / norm
-        tops[ax] += float(np.dot(wvec[ax], post[ax]))
-    v = np.zeros(3)
-    for x in (0, 1):
-        v += (tops[0, x] - tops[1, x]) * a[x] * b[x] * axis[x]
-    initial = tie_initial[k]
-    if float(np.linalg.norm(v)) > 1e-15:
-        initial = v / np.linalg.norm(v)
-    effects = tuple(EffectParams(a[x], b[x], axis[x]) for x in (0, 1))
-    strategy = QubitStrategy(initial, post, effects)
-    return strategy_value(f, strategy), k, strategy
+    strategy = reference_reconstruct_strategy(terms, thetas[k], tie_initial[k], tie_post[k])
+    return SimpleNamespace(
+        value=strategy_value(f, strategy), restart_index=k, strategy=strategy,
+        iterations=stats["iterations"], value_spread=float(fvals.max() - fvals.min()),
+    )
 
 
 def strategy_bytes(s):
@@ -796,10 +915,64 @@ class TestReferenceParity:
     )
     def test_optimize_qubit_matches_reference(self, name, seed, restarts, max_iterations):
         cfg = OptimizerConfig(restarts=restarts, seed=seed, max_iterations=max_iterations)
-        res = optimize_qubit(F[name], cfg)
-        value, k, strategy = reference_optimize_qubit(F[name], cfg)
-        assert (res.value, res.restart_index) == (value, k)
-        assert strategy_bytes(res.strategy) == strategy_bytes(strategy)
+        assert_optimizer_matches_reference(F[name], cfg)
+
+    @settings(max_examples=15, deadline=None)
+    @given(random_terms, st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 600))
+    def test_optimize_qubit_matches_reference_on_random_functionals(self, terms, seed, restarts, max_iterations):
+        f = w.WitnessFunctional("random", S222, terms)
+        cfg = OptimizerConfig(restarts=restarts, seed=seed, max_iterations=max_iterations)
+        assert_optimizer_matches_reference(f, cfg)
+
+    @pytest.mark.parametrize("seed", [7, 1729])
+    @pytest.mark.parametrize("name", sorted(F))
+    def test_optimize_qubit_matches_reference_at_twenty_restarts(self, name, seed):
+        # the CLI and benchmark shape: 20 lockstep restarts, many stopping mid-run
+        assert_optimizer_matches_reference(F[name], OptimizerConfig(restarts=20, seed=seed))
+
+    def test_reconstructed_strategy_matches_reference_on_signed_zeros(self):
+        # u of -0.0 gives a = -0.0, and a polar angle of +-0.0 gives axis
+        # components of +-0.0 (0.0 times a negative cosine is -0.0); each
+        # slot's sums start from 0.0, so post vectors keep the reference's
+        # +0.0 where a single term contributes -0.0
+        rng = np.random.default_rng(17)
+        choices = [[-0.0, 0.0, 0.3, 1.0, 1.7], [0.0, -0.0, 0.4, 1.0], [0.0, -0.0, 1.1], [0.0, -0.0, math.pi, 2.0]]
+        tie_initial, tie_post = np.array([0.0, 0.0, 1.0]), np.full((2, 2, 3), 1.0 / math.sqrt(3.0))
+        functionals = [functional_terms(name) for name in sorted(F)] + [
+            (((0, 1), (1, 1), -2.5), ((0, 0), (1, 0), 0.5), ((1, 1), (0, 1), -1.0)),
+        ]
+        for terms in functionals:
+            prog = w._compile_terms(terms)
+            for _ in range(60):
+                theta = np.array([rng.choice(choices[i % 4]) for i in range(8)])
+                s = w._reconstruct_strategy(prog, theta, tie_initial, tie_post)
+                ref = reference_reconstruct_strategy(terms, theta, tie_initial, tie_post)
+                assert strategy_bytes(s) == strategy_bytes(ref), (terms, theta)
+
+    @pytest.mark.parametrize("rows", sorted({4 * a for a in range(1, 21)} | {8 * k for k in range(1, 21)}))
+    def test_objective_matches_reference_at_loop_row_counts(self, rows):
+        # 4 candidates per running start, 8 shrunk vertices per shrinking one;
+        # u and b well outside [0, 1], some exactly 0, -0.0 or 1, and angles
+        # many turns beyond 2 pi
+        rng = np.random.default_rng(rows)
+        theta = rng.uniform(-30.0, 30.0, size=(rows, 8))
+        theta[:, [0, 1, 4, 5]] = rng.uniform(-2.0, 3.0, size=(rows, 4))
+        theta[::3, [0, 5]] = rng.choice([0.0, -0.0, 1.0], size=(len(theta[::3]), 2))
+        functionals = [functional_terms(name) for name in sorted(F)] + [
+            (((0, 1), (1, 1), -2.5), ((0, 0), (1, 0), 0.5), ((0, 1), (1, 0), 3.0), ((1, 1), (0, 1), -1.0)),
+            (((1, 0), (0, 1), 1.0), ((1, 0), (0, 1), -0.25), ((1, 1), (0, 0), 2.0)),
+        ]
+        for terms in functionals:
+            batched = w._state_optimal_value(w._compile_terms(terms), theta)
+            assert batched.tobytes() == reference_state_optimal_value(terms, theta).tobytes()
+
+
+def assert_optimizer_matches_reference(f, cfg):
+    res = optimize_qubit(f, cfg)
+    ref = reference_optimize_qubit(f, cfg)
+    assert (res.value, res.restart_index, res.iterations) == (ref.value, ref.restart_index, ref.iterations)
+    assert res.value_spread == ref.value_spread
+    assert strategy_bytes(res.strategy) == strategy_bytes(ref.strategy)
 
 
 def nelder_mead_simplex(x0):
