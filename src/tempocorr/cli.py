@@ -6,8 +6,9 @@ from --seed (default 1729).  Exit codes are a stable scripting contract:
 0 success, 1 parameter out of range or another library error, 2 size cap
 exceeded (vertices: vertex count above --cap; simulate: behavior table or
 the states of its last step, realize: Kraus entries of the system, bounds:
-profile table, optimize: the restarts' initial simplices, each above
-realize.MAX_TABLE_ENTRIES), 3 schema violation,
+profile table, optimize: the restarts' initial simplices of 6 * 5 entries
+each (so more than 34,952 restarts) or one row of the functional's per-term
+table, each above realize.MAX_TABLE_ENTRIES), 3 schema violation,
 4 behavior not in the polytope, 5 outside the implemented scope (sequence
 length != 2), 64 usage error.
 

@@ -282,7 +282,8 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float, stats=N
     0 or 1 returns the best initial vertex.  No start depends on another,
     so each start's result equals its run alone.  Returns the best vertex
     ``(starts, n)`` and its value ``(starts,)`` per start; a ``stats`` dict
-    receives ``iterations``, the count at which the last start stopped.
+    receives ``iterations``, the count at which the last start stopped, and
+    ``shrinks``, the number of start-steps that shrank.
 
     The simplices are held vertex major, ``(n+1, starts, n)``: the centroid
     sums the outer axis, so every start's vertices add in sequence as in a
@@ -306,7 +307,7 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float, stats=N
     toward = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None, None]
     away = np.array([rho, rho * chi, psi * rho, -psi])[:, None, None]
     active = np.arange(starts)  # the starts still running; s and fs hold their simplices
-    iterations = 1
+    iterations, shrinks = 1, 0
     while iterations < maxiter:
         # the values are sorted, so the last minus the first is the spread
         done = fs[-1] - fs[0] <= fatol
@@ -339,6 +340,7 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float, stats=N
         pick = _STEP_CHOICE.take(np.packbits(test, axis=0)[0])
         shrink = (pick == 4).nonzero()[0]
         if shrink.size:
+            shrinks += shrink.size
             sub = s.take(shrink, axis=1)
             shrunk = sub[1:] - sub[0]
             shrunk *= sigma
@@ -355,7 +357,7 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float, stats=N
         s, fs = _sort_simplices(s, fs, here)
     best_x[active], best_f[active] = s[0], fs[0]
     if stats is not None:
-        stats["iterations"] = iterations
+        stats["iterations"], stats["shrinks"] = iterations, shrinks
     return best_x, best_f
 
 
@@ -393,12 +395,18 @@ class _CompiledTerms(NamedTuple):
 
 
 def _compile_terms(terms) -> _CompiledTerms:
-    """Table of ``((a, b), (x, y), coeff)`` terms, built once per search."""
+    """Table of ``((a, b), (x, y), coeff)`` terms, built once per search.
+    A table whose per-term row for one search point, ``4 * depth * n``
+    entries, exceeds ``realize.MAX_TABLE_ENTRIES`` is refused."""
     by_slot = [[], [], [], []]
     for (a, b), (x, y), coeff in terms:
         by_slot[2 * a + x].append((b, y, coeff))
     slots = [slot for slot, entries in enumerate(by_slot) if entries]
-    table = np.zeros((max(1, *map(len, by_slot)), len(slots), 3))
+    depth = max(1, *map(len, by_slot))
+    if realize._exceeds_budget(depth * len(slots), 1, 4):
+        what = f"a per-term table row of 4 * depth * slots = 4 * {depth} * {len(slots)} entries"
+        raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
+    table = np.zeros((depth, len(slots), 3))
     for j, slot in enumerate(slots):
         table[: len(by_slot[slot]), j] = by_slot[slot]
     offset, coeff = table[..., :1], table[..., 2:]
@@ -407,28 +415,29 @@ def _compile_terms(terms) -> _CompiledTerms:
     return _CompiledTerms(np.array(slots, dtype=np.intp), second, offset, sign, coeff, sign * coeff)
 
 
-# Rows of the parameter-major copy of the search parameters: u, b, polar and
-# azimuth angle, each for settings 0 and 1.
-_PARAM_ROWS = np.array([0, 4, 1, 5, 2, 6, 3, 7])
+# Rows of the parameter-major copy of the weights u and b, each for settings 0
+# and 1.
+_WEIGHT_ROWS = np.array([0, 2, 1, 3])
 
 
 def _effect_params(theta):
-    """Decode ``(..., 8)`` search parameters into one ``(5, 2, m)`` array over
-    the m rows: the effect weight a, the bias b and the three components of
-    the unit axis, each per setting.  The rows are copied once, parameter
-    major, so every step acts on a contiguous block."""
-    th = np.asarray(theta, dtype=float).reshape(-1, 8)
-    eff = np.empty((5, 2, th.shape[0]))
+    """Decode ``(..., 5)`` search parameters ``[u0, b0, u1, b1, gamma]`` into
+    one ``(5, 2, m)`` array over the m rows: the effect weight a, the bias b
+    and the three components of the unit axis, each per setting.  The axes
+    are those of the gauge of :func:`optimize_qubit`, (0, 0, 1) for setting 0
+    and (sin gamma, 0, cos gamma) for setting 1.  The rows are copied once,
+    parameter major, so every step acts on a contiguous block."""
+    th = np.asarray(theta, dtype=float).reshape(-1, 5)
+    eff = np.zeros((5, 2, th.shape[0]))
     rows = eff.reshape(10, -1)
-    np.take(th.T, _PARAM_ROWS, axis=0, out=rows[:8], mode="clip")
     clipped = rows[:4]  # u and b
+    np.take(th.T, _WEIGHT_ROWS, axis=0, out=clipped, mode="clip")
     np.maximum(clipped, 0.0, out=clipped)
     np.minimum(clipped, 1.0, out=clipped)
     np.divide(eff[0], 1.0 + eff[1], out=eff[0])
-    sin, cos = np.sin(rows[4:8]), np.cos(rows[4:8])  # polar, then azimuth
-    np.multiply(sin[:2], cos[2:], out=rows[4:6])
-    np.multiply(sin[:2], sin[2:], out=rows[6:8])
-    rows[8:] = cos[:2]
+    np.sin(th[:, 4], out=rows[5])
+    rows[8] = 1.0
+    np.cos(th[:, 4], out=rows[9])
     return eff
 
 
@@ -463,7 +472,7 @@ def _norm3(v):
 
 
 def _state_optimal_value(prog: _CompiledTerms, theta):
-    """Witness value of each row of ``(..., 8)`` effect parameters with every
+    """Witness value of each row of ``(..., 5)`` effect parameters with every
     Bloch vector replaced by its optimizer.
 
     Post-measurement vectors enter linearly with the nonnegative weight
@@ -475,7 +484,23 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
     sum is added to 0.0 (so -0.0 becomes +0.0), a term's constant stays
     ``coeff * (offset + sign * a)`` unexpanded, and no sum runs along the
     contiguous last axis, where numpy would sum pairwise.
+
+    The rows are evaluated in blocks whose per-term table, ``(4, depth, n,
+    rows)``, holds at most ``realize.MAX_TABLE_ENTRIES`` entries, so a
+    functional of many terms costs bounded memory however many rows come.
     """
+    th = np.asarray(theta, dtype=float)
+    rows = th.reshape(-1, 5)
+    block = realize.MAX_TABLE_ENTRIES // (4 * prog.second.size)
+    if len(rows) <= block:
+        value = _rows_value(prog, rows)
+    else:
+        value = np.concatenate([_rows_value(prog, rows[lo : lo + block]) for lo in range(0, len(rows), block)])
+    return value.reshape(th.shape[:-1])
+
+
+def _rows_value(prog: _CompiledTerms, theta):
+    """:func:`_state_optimal_value` of ``(m, 5)`` rows, in one block."""
     eff = _effect_params(theta)
     sums = _slot_coefficients(prog, eff)
     top = np.zeros((4, eff.shape[2]))  # [2 * first outcome + setting]
@@ -489,12 +514,12 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
     v = da * eff[2:]  # [component, setting]
     value = const[0] + const[1]
     value += _norm3(v[:, 0] + v[:, 1])
-    return value.reshape(np.shape(theta)[:-1])
+    return value
 
 
 def _reconstruct_strategy(prog: _CompiledTerms, theta, tie_initial, tie_post) -> QubitStrategy:
-    """Explicit optimal states for the effects of one parameter row; zero
-    coefficient vectors keep the supplied tie-break vectors."""
+    """Explicit optimal states for the effects of one ``(5,)`` parameter row;
+    zero coefficient vectors keep the supplied tie-break vectors."""
     eff = _effect_params(theta)
     sums = np.zeros((4, 4))
     sums[prog.slots] = _slot_coefficients(prog, eff)[..., 0].T
@@ -535,8 +560,9 @@ class OptimizationResult:
     ``objective_calls`` and ``objective_rows`` count the objective's array
     calls and the parameter rows they carried, ``iterations`` is the
     lockstep iteration count at which the last restart stopped (counted as
-    ``max_iterations`` counts), and ``value_spread`` is the largest minus the
-    smallest of the restarts' final objective values."""
+    ``max_iterations`` counts), ``shrink_steps`` counts the steps of single
+    restarts that shrank their simplex, and ``value_spread`` is the largest
+    minus the smallest of the restarts' final objective values."""
 
     value: float
     strategy: QubitStrategy
@@ -544,23 +570,46 @@ class OptimizationResult:
     objective_calls: int
     objective_rows: int
     iterations: int
+    shrink_steps: int
     value_spread: float
+
+
+def _gauge_angle(polar0: float, azimuth0: float, polar1: float, azimuth1: float) -> float:
+    """The angle between two unit axes given by their polar and azimuth angles."""
+    (x0, y0, z0), (x1, y1, z1) = (
+        (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar))
+        for polar, azimuth in ((polar0, azimuth0), (polar1, azimuth1))
+    )
+    return math.acos(min(max(x0 * x1 + y0 * y1 + z0 * z1, -1.0), 1.0))
 
 
 def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
     """Best qubit value of a witness by seeded random-restart search.
 
-    Only the 8 effect parameters are searched numerically: adaptive
-    Nelder-Mead from a deterministic initial simplex per restart, all
-    restarts stepped together by :func:`_nelder_mead` with the objective
-    evaluated on every restart's points in one array call.  The functional's
-    terms are compiled into a table of index and coefficient columns once
-    per call, and the objective and the strategy rebuild both read it.  All Bloch
-    vectors are eliminated in closed form at every evaluation, so the search
-    space is exactly the achievable qubit set, and the reported value is
-    recomputed from the rebuilt strategy, a valid lower bound on the qubit
-    maximum.  Results are deterministic for a fixed seed, with ties between
-    restarts resolved toward the lower restart index.
+    Only the 5 rotation invariants of the two effects, ``[u0, b0, u1, b1,
+    gamma]``, are searched numerically, and the search loses nothing:
+
+    - a rotation of every effect axis and Bloch vector leaves each
+      probability ``a (1 + b n . r)`` unchanged;
+    - every Bloch vector is maximized in closed form at each evaluation, so
+      the objective is the best value over all states for the given effects,
+      and by the first point it is the same for rotated effects;
+    - a rotation takes any pair of unit axes to (0, 0, 1) and
+      (sin gamma, 0, cos gamma), where gamma is the angle between them, so
+      the value depends on the axes only through ``n0 . n1 = cos gamma``.
+
+    The search runs adaptive Nelder-Mead from a deterministic initial
+    simplex per restart, all restarts stepped together by
+    :func:`_nelder_mead` with the objective evaluated on every restart's
+    points in one array call.  Each restart draws u, b and a polar and an
+    azimuth angle per setting and starts from those effects put in the
+    gauge, ``gamma = arccos(n0 . n1)``.  The functional's terms are compiled
+    into a table of index and coefficient columns once per call, and the
+    objective and the strategy rebuild both read it.  The search space is
+    exactly the achievable qubit set, and the reported value is recomputed
+    from the rebuilt strategy, in the gauge, a valid lower bound on the
+    qubit maximum.  Results are deterministic for a fixed seed, with ties
+    between restarts resolved toward the lower restart index.
     """
     if cfg.restarts < 1:
         raise ParamOutOfRange(f"restarts must be >= 1, got {cfg.restarts}")
@@ -569,7 +618,7 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     if cfg.seed < 0:
         raise ParamOutOfRange(f"seed must be >= 0, got {cfg.seed}")
     _require_binary_pair_scenario(f)
-    n = 8  # the searched effect parameters; each simplex has n + 1 vertices
+    n = 5  # the searched effect parameters; each simplex has n + 1 vertices
     if realize._exceeds_budget(cfg.restarts, 1, (n + 1) * n):
         what = f"a simplex stack of restarts * (n+1) * n = {cfg.restarts} * {n + 1} * {n} entries"
         raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
@@ -578,12 +627,11 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     theta0, tie_initial, tie_post = [], [], []
     for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(seq)
-        theta0.append(
-            [
-                rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-                rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-            ]
+        u0, b0, polar0, azimuth0, u1, b1, polar1, azimuth1 = (
+            rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
+            rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
         )
+        theta0.append([u0, b0, u1, b1, _gauge_angle(polar0, azimuth0, polar1, azimuth1)])
         init = rng.normal(size=3)
         tie_initial.append(init / np.linalg.norm(init))
         post = rng.normal(size=(2, 2, 3))
@@ -608,6 +656,7 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         objective_calls=len(rows),
         objective_rows=sum(rows),
         iterations=stats["iterations"],
+        shrink_steps=stats["shrinks"],
         value_spread=float(fvals.max() - fvals.min()),
     )
 

@@ -279,19 +279,32 @@ class TestOptimize:
         assert err == "error: seed must be >= 0, got -1\n"
 
     def test_too_many_restarts_exit_2_before_allocation(self, capsys):
-        # 14,564 initial simplices of 9 * 8 entries hold 1,048,608 > 2^20
+        # 34,953 initial simplices of 6 * 5 entries hold 1,048,590 > 2^20
         tracemalloc.start()
         try:
-            code, out, err = run(capsys, "optimize", "--functional", "B3", "--restarts", "14564")
+            code, out, err = run(capsys, "optimize", "--functional", "B3", "--restarts", "34953")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2 and out == ""
         assert err == (
-            "size cap exceeded: a simplex stack of restarts * (n+1) * n = 14564 * 9 * 8 entries"
+            "size cap exceeded: a simplex stack of restarts * (n+1) * n = 34953 * 6 * 5 entries"
             " exceeds the cap 1048576\n"
         )
         assert peak < 2**20
+
+    def test_oversized_term_table_exit_2(self, capsys, tmp_path, monkeypatch):
+        # nine terms in one slot: a row of 4 * 9 * 1 = 36 entries above a cap of 32
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 32)
+        path = tmp_path / "f.json"
+        terms = [{"a": "00", "x": "01", "coeff": 1.0}] * 9
+        path.write_text(json.dumps({"L": 2, "R": 2, "S": 2, "name": "nine", "terms": terms}))
+        code, out, err = run(capsys, "optimize", "--functional", str(path), "--restarts", "1")
+        assert code == 2 and out == ""
+        assert err == (
+            "size cap exceeded: a per-term table row of 4 * depth * slots = 4 * 9 * 1 entries"
+            " exceeds the cap 32\n"
+        )
 
 
 class TestDecomposeRealize:

@@ -61,6 +61,16 @@ from tempocorr.witness import (
 S222 = Scenario(2, 2, 2)
 F = builtin_functionals()
 
+random_terms = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.one_of(st.sampled_from([1.0, -1.0, 0.5, -2.5, 3.0]), st.floats(-4.0, 4.0)),
+    ),
+    min_size=1,
+    max_size=12,
+).map(tuple)
+
 
 def term_set(f):
     return {(t.outcomes, t.settings) for t in f.terms}
@@ -233,8 +243,8 @@ class TestOptimizer:
             optimize_qubit(F["B1"], OptimizerConfig(restarts=1, seed=-1))
 
     def test_restart_budget_is_inclusive(self, monkeypatch):
-        # three restarts stack 3 * 9 * 8 = 216 simplex entries
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 216)
+        # three restarts stack 3 * 6 * 5 = 90 simplex entries
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 90)
         assert optimize_qubit(F["B1"], OptimizerConfig(restarts=3, max_iterations=5)).restart_index < 3
 
         def no_spawn(*_args):
@@ -244,17 +254,17 @@ class TestOptimizer:
         with pytest.raises(TableTooLarge) as exc:
             optimize_qubit(F["B1"], OptimizerConfig(restarts=4))
         assert str(exc.value) == (
-            "a simplex stack of restarts * (n+1) * n = 4 * 9 * 8 entries exceeds the cap 216"
+            "a simplex stack of restarts * (n+1) * n = 4 * 6 * 5 entries exceeds the cap 90"
         )
-        assert exc.value.cap == 216 and exc.value.shape is None
+        assert exc.value.cap == 90 and exc.value.shape is None
 
-    @pytest.mark.parametrize("restarts", [14_564, 10**12])
+    @pytest.mark.parametrize("restarts", [34_953, 10**12])
     def test_too_many_restarts_refused_before_allocation(self, restarts):
-        # 14,563 restarts stack 1,048,536 entries, within the 2^20 budget
-        assert 14_563 * 72 <= realize.MAX_TABLE_ENTRIES < 14_564 * 72
+        # 34,952 restarts stack 1,048,560 entries, within the 2^20 budget
+        assert 34_952 * 30 <= realize.MAX_TABLE_ENTRIES < 34_953 * 30
         tracemalloc.start()
         try:
-            with pytest.raises(TableTooLarge, match=f"= {restarts} \\* 9 \\* 8 entries exceeds the cap 1048576"):
+            with pytest.raises(TableTooLarge, match=f"= {restarts} \\* 6 \\* 5 entries exceeds the cap 1048576"):
                 optimize_qubit(F["B3"], OptimizerConfig(restarts=restarts))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -264,8 +274,55 @@ class TestOptimizer:
     def test_counters_pinned(self):
         # pinned: any change to a step's arithmetic or order moves these first
         res = optimize_qubit(F["B3"], OptimizerConfig(restarts=20, seed=7))
-        assert (res.objective_calls, res.objective_rows, res.iterations) == (996, 50_500, 569)
+        assert (res.objective_calls, res.objective_rows, res.iterations) == (490, 22_406, 288)
+        assert res.shrink_steps == 1_226
         assert res.value_spread == 1.186227883702518
+
+    def test_many_terms_evaluated_in_bounded_blocks(self):
+        # 800 terms in one slot: each row's per-term table holds 3,200 entries,
+        # so 2,000 restarts' 12,000 initial vertices run in blocks of 327 rows
+        many = w.WitnessFunctional("many", S222, (((0, 0), (0, 0), 1.0),) * 800)
+        tracemalloc.start()
+        try:
+            res = optimize_qubit(many, OptimizerConfig(restarts=2000, max_iterations=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == 800.0
+        # four float64 tables of the entry budget
+        assert peak < 32 * realize.MAX_TABLE_ENTRIES
+
+    @settings(max_examples=20, deadline=None)
+    @given(random_terms, st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6))
+    def test_blocks_leave_values_unchanged(self, terms, seed, rows, block):
+        prog = w._compile_terms(terms)
+        theta = gauge_rows(np.random.default_rng(seed), rows)
+        whole = w._state_optimal_value(prog, theta)
+        sizes = []
+        rows_value = w._rows_value
+
+        def recording(prog, theta):
+            sizes.append(len(theta))
+            return rows_value(prog, theta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(realize, "MAX_TABLE_ENTRIES", 4 * prog.second.size * block)
+            mp.setattr(w, "_rows_value", recording)
+            assert w._state_optimal_value(prog, theta).tobytes() == whole.tobytes()
+        # full blocks of the budget's rows, then the rest
+        assert sizes == [block] * (rows // block) + [rows % block] * (rows % block > 0)
+
+    def test_term_row_budget_is_inclusive(self, monkeypatch):
+        # eight terms in one slot fill a row of 4 * 8 * 1 = 32 entries
+        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 32)
+        eight = w.WitnessFunctional("eight", S222, (((0, 0), (0, 1), 1.0),) * 8)
+        assert optimize_qubit(eight, OptimizerConfig(restarts=1, max_iterations=5)).value == 8.0
+        nine = w.WitnessFunctional("nine", S222, eight.terms + eight.terms[:1])
+        with pytest.raises(TableTooLarge) as exc:
+            optimize_qubit(nine, OptimizerConfig(restarts=1))
+        assert str(exc.value) == (
+            "a per-term table row of 4 * depth * slots = 4 * 9 * 1 entries exceeds the cap 32"
+        )
 
     @pytest.mark.parametrize("restarts, max_iterations", [(1, 2000), (6, 2000), (20, 40), (5, 0)])
     def test_counters_match_a_counting_objective(self, monkeypatch, restarts, max_iterations):
@@ -281,8 +338,11 @@ class TestOptimizer:
         assert (res.objective_calls, res.objective_rows) == (len(calls), sum(calls))
         # the initial vertices, then per iteration one call of candidates and
         # at most one of shrunk vertices
-        assert calls[0] == restarts * 9
+        assert calls[0] == restarts * 6
         assert res.iterations - 1 <= len(calls) - 1 <= 2 * (res.iterations - 1)
+        # every other row is one of the four candidates of a start-step
+        assert (res.objective_rows - calls[0] - 5 * res.shrink_steps) % 4 == 0
+        assert 0 <= 5 * res.shrink_steps <= res.objective_rows - calls[0]
         assert 1 <= res.iterations <= max(1, max_iterations)
         assert res.value_spread >= 0.0 and (restarts > 1 or res.value_spread == 0.0)
 
@@ -334,12 +394,31 @@ def functional_terms(name):
     return tuple((t.outcomes, t.settings, t.coeff) for t in F[name].terms)
 
 
+def embed(theta):
+    """General-axis rows ``[u0, b0, 0, 0, u1, b1, gamma, 0]`` of the gauge
+    rows ``[u0, b0, u1, b1, gamma]``: axis 0 at polar angle 0, axis 1 at polar
+    angle gamma and azimuth 0."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(theta.shape[:-1] + (8,))
+    out[..., [0, 1, 4, 5, 6]] = theta
+    return out
+
+
+def gauge_rows(rng, rows):
+    """Gauge rows with u and b well outside [0, 1], some exactly 0, -0.0 or
+    1, and angles many turns beyond 2 pi."""
+    theta = rng.uniform(-2.0, 3.0, size=(rows, 5))
+    theta[::3, [0, 3]] = rng.choice([0.0, -0.0, 1.0], size=(len(theta[::3]), 2))
+    theta[:, 4] = rng.uniform(-30.0, 30.0, size=rows)
+    return theta
+
+
 def qubit_objective(name):
     prog = w._compile_terms(F[name].terms)
     return lambda theta: -w._state_optimal_value(prog, theta)
 
 
-def random_simplices(seed, starts, n=8, step=0.25):
+def random_simplices(seed, starts, n=5, step=0.25):
     x0 = np.random.default_rng(seed).uniform(-0.5, 4.0, size=(starts, n))
     return x0[:, None, :] + np.vstack([np.zeros(n), step * np.eye(n)])
 
@@ -393,16 +472,15 @@ class TestLockstepNelderMead:
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(sorted(F)), st.integers(0, 2**32 - 1))
     def test_batched_objective_matches_loop_reference(self, name, seed):
-        # the clipped parameters u, b are drawn well outside [0, 1] as well
-        theta = np.random.default_rng(seed).uniform(-2.0, 8.0, size=(64, 8))
+        theta = gauge_rows(np.random.default_rng(seed), 64)
         terms = functional_terms(name)
         batched = w._state_optimal_value(w._compile_terms(terms), theta)
-        reference = np.array([loop_state_optimal_value(terms, row) for row in theta])
+        reference = np.array([loop_state_optimal_value(terms, row) for row in embed(theta)])
         assert np.max(np.abs(batched - reference)) <= 1e-15
 
     def test_reconstructed_strategy_attains_objective(self):
         prog = w._compile_terms(F["B4"].terms)
-        theta = np.random.default_rng(9).uniform(0.0, 3.0, size=8)
+        theta = np.random.default_rng(9).uniform(0.0, 3.0, size=5)
         rng = np.random.default_rng(10)
         tie_post = rng.normal(size=(2, 2, 3))
         tie_post /= np.linalg.norm(tie_post, axis=2, keepdims=True)
@@ -704,7 +782,7 @@ def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol, stats=None):
 
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     active = np.arange(starts)
-    iterations = 1
+    iterations, shrinks = 1, 0
     while iterations < maxiter:
         done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
             np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
@@ -747,6 +825,7 @@ def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol, stats=None):
 
         shrink = (outside | inside) & ~take_probe
         if shrink.any():
+            shrinks += int(shrink.sum())
             best = s[shrink, :1]
             shrunk = best + sigma * (s[shrink, 1:] - best)
             s[shrink, 1:] = shrunk
@@ -758,12 +837,22 @@ def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol, stats=None):
         s, fs = s[rows, order], fs[rows, order]
     best_x[active], best_f[active] = s[:, 0], fs[:, 0]
     if stats is not None:
-        stats["iterations"] = iterations
+        stats["iterations"], stats["shrinks"] = iterations, shrinks
     return best_x, best_f
 
 
 def reference_effect_params(theta):
+    """a, b and the unit axes of general rows ``[u, b, polar, azimuth]`` per
+    setting, or of gauge rows ``[u0, b0, u1, b1, gamma]``."""
     theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1] == 5:
+        u = np.minimum(np.maximum(theta[..., [0, 2]], 0.0), 1.0)
+        b = np.minimum(np.maximum(theta[..., [1, 3]], 0.0), 1.0)
+        axis = np.zeros(theta.shape[:-1] + (2, 3))
+        axis[..., 0, 2] = 1.0
+        axis[..., 1, 0] = np.sin(theta[..., 4])
+        axis[..., 1, 2] = np.cos(theta[..., 4])
+        return u / (1.0 + b), b, axis
     theta = theta.reshape(theta.shape[:-1] + (2, 4))
     u = np.minimum(np.maximum(theta[..., 0], 0.0), 1.0)
     b = np.minimum(np.maximum(theta[..., 1], 0.0), 1.0)
@@ -822,24 +911,36 @@ def reference_reconstruct_strategy(terms, theta, tie_initial, tie_post):
     return QubitStrategy(initial, post, effects)
 
 
+def unit_axis(polar, azimuth):
+    return (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar))
+
+
+def gauge_row(general):
+    """The gauge row ``[u0, b0, u1, b1, gamma]`` of a general row, gamma the
+    angle between its two axes."""
+    u0, b0, t0, p0, u1, b1, t1, p1 = (float(v) for v in general)
+    n0, n1 = unit_axis(t0, p0), unit_axis(t1, p1)
+    cos_gamma = n0[0] * n1[0] + n0[1] * n1[1] + n0[2] * n1[2]
+    return [u0, b0, u1, b1, math.acos(min(max(cos_gamma, -1.0), 1.0))]
+
+
 def reference_optimize_qubit(f, cfg):
-    """Value, restart index, strategy, iterations and value spread of the
-    reference pipeline, for any functional's terms."""
+    """Value, restart index, strategy, iterations, shrinks and value spread of
+    the reference pipeline, for any functional's terms."""
     terms = tuple((t.outcomes, t.settings, t.coeff) for t in f.terms)
     theta0, tie_initial, tie_post = [], [], []
     for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(seq)
-        theta0.append(
-            [
-                rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-                rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-            ]
-        )
+        general = [
+            rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
+            rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
+        ]
+        theta0.append(gauge_row(general))
         init = rng.normal(size=3)
         tie_initial.append(init / np.linalg.norm(init))
         post = rng.normal(size=(2, 2, 3))
         tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
-    simplices = np.asarray(theta0)[:, None, :] + np.vstack([np.zeros(8), w._INITIAL_STEP * np.eye(8)])
+    simplices = np.asarray(theta0)[:, None, :] + np.vstack([np.zeros(5), w._INITIAL_STEP * np.eye(5)])
     stats = {}
     thetas, fvals = reference_nelder_mead(
         lambda theta: -reference_state_optimal_value(terms, theta),
@@ -849,7 +950,8 @@ def reference_optimize_qubit(f, cfg):
     strategy = reference_reconstruct_strategy(terms, thetas[k], tie_initial[k], tie_post[k])
     return SimpleNamespace(
         value=strategy_value(f, strategy), restart_index=k, strategy=strategy,
-        iterations=stats["iterations"], value_spread=float(fvals.max() - fvals.min()),
+        iterations=stats["iterations"], shrink_steps=stats["shrinks"],
+        value_spread=float(fvals.max() - fvals.min()),
     )
 
 
@@ -860,35 +962,58 @@ def strategy_bytes(s):
     return b"".join(parts)
 
 
-random_terms = st.lists(
-    st.tuples(
-        st.tuples(st.integers(0, 1), st.integers(0, 1)),
-        st.tuples(st.integers(0, 1), st.integers(0, 1)),
-        st.one_of(st.sampled_from([1.0, -1.0, 0.5, -2.5, 3.0]), st.floats(-4.0, 4.0)),
-    ),
-    min_size=1,
-    max_size=12,
-).map(tuple)
-
-
 class TestReferenceParity:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(sorted(F)), st.integers(0, 2**32 - 1), st.integers(1, 64))
     def test_objective_matches_reference_on_builtins(self, name, seed, rows):
-        # the clipped parameters u, b are drawn well outside [0, 1] as well
-        theta = np.random.default_rng(seed).uniform(-2.0, 8.0, size=(rows, 8))
+        theta = gauge_rows(np.random.default_rng(seed), rows)
         prog = w._compile_terms(F[name].terms)
         terms = functional_terms(name)
-        assert np.array_equal(w._state_optimal_value(prog, theta), reference_state_optimal_value(terms, theta))
-        assert w._state_optimal_value(prog, theta[0]) == reference_state_optimal_value(terms, theta[0])
+        batched = w._state_optimal_value(prog, theta)
+        assert batched.tobytes() == reference_state_optimal_value(terms, theta).tobytes()
+        assert batched.tobytes() == reference_state_optimal_value(terms, embed(theta)).tobytes()
+        assert w._state_optimal_value(prog, theta[0]) == reference_state_optimal_value(terms, embed(theta[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(random_terms, st.integers(0, 2**32 - 1), st.integers(1, 32))
     def test_objective_matches_reference_on_random_functionals(self, terms, seed, rows):
         # repeated slots and non-unit coefficients: each slot still sums in term order
-        theta = np.random.default_rng(seed).uniform(-2.0, 8.0, size=(rows, 8))
+        theta = gauge_rows(np.random.default_rng(seed), rows)
         batched = w._state_optimal_value(w._compile_terms(terms), theta)
-        assert np.array_equal(batched, reference_state_optimal_value(terms, theta))
+        assert batched.tobytes() == reference_state_optimal_value(terms, embed(theta)).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_terms,
+        st.lists(
+            st.tuples(
+                *[st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-2.0, 3.0))] * 4,
+                st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi]), st.floats(-40.0, 40.0)),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+    def test_gauge_objective_equals_general_oracles_on_embedded_rows(self, terms, rows):
+        # the gauge row [u0, b0, u1, b1, gamma] is the general row with axis 0
+        # at polar angle 0 and axis 1 at polar angle gamma, azimuth 0
+        theta = np.array(rows)
+        batched = w._state_optimal_value(w._compile_terms(terms), theta)
+        assert batched.tobytes() == reference_state_optimal_value(terms, embed(theta)).tobytes()
+        loop = np.array([loop_state_optimal_value(terms, row) for row in embed(theta)])
+        assert np.max(np.abs(batched - loop)) <= 1e-15 * max(1.0, np.max(np.abs(loop)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_terms, st.integers(0, 2**32 - 1))
+    def test_value_depends_on_the_axes_only_through_their_angle(self, terms, seed):
+        # general rows, angles many turns beyond 2 pi: the value of the
+        # general-axis reference is that of the gauge row, gamma from n0 . n1
+        general = np.random.default_rng(seed).uniform(-20.0, 20.0, size=(16, 8))
+        general[:, [0, 1, 4, 5]] = np.random.default_rng(seed + 1).uniform(-0.5, 1.5, size=(16, 4))
+        gauge = np.array([gauge_row(row) for row in general])
+        value = w._state_optimal_value(w._compile_terms(terms), gauge)
+        scale = max(1.0, sum(abs(c) for *_, c in terms))
+        assert np.max(np.abs(value - reference_state_optimal_value(terms, general))) <= 1e-12 * scale
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -931,12 +1056,12 @@ class TestReferenceParity:
         assert_optimizer_matches_reference(F[name], OptimizerConfig(restarts=20, seed=seed))
 
     def test_reconstructed_strategy_matches_reference_on_signed_zeros(self):
-        # u of -0.0 gives a = -0.0, and a polar angle of +-0.0 gives axis
-        # components of +-0.0 (0.0 times a negative cosine is -0.0); each
-        # slot's sums start from 0.0, so post vectors keep the reference's
-        # +0.0 where a single term contributes -0.0
+        # u of -0.0 gives a = -0.0, and gamma of +-0.0 gives an axis component
+        # of +-0.0; each slot's sums start from 0.0, so post vectors keep the
+        # reference's +0.0 where a single term contributes -0.0
         rng = np.random.default_rng(17)
-        choices = [[-0.0, 0.0, 0.3, 1.0, 1.7], [0.0, -0.0, 0.4, 1.0], [0.0, -0.0, 1.1], [0.0, -0.0, math.pi, 2.0]]
+        u, b = [-0.0, 0.0, 0.3, 1.0, 1.7], [0.0, -0.0, 0.4, 1.0]
+        choices = [u, b, u, b, [0.0, -0.0, 1.1, math.pi, -2.0]]
         tie_initial, tie_post = np.array([0.0, 0.0, 1.0]), np.full((2, 2, 3), 1.0 / math.sqrt(3.0))
         functionals = [functional_terms(name) for name in sorted(F)] + [
             (((0, 1), (1, 1), -2.5), ((0, 0), (1, 0), 0.5), ((1, 1), (0, 1), -1.0)),
@@ -944,34 +1069,30 @@ class TestReferenceParity:
         for terms in functionals:
             prog = w._compile_terms(terms)
             for _ in range(60):
-                theta = np.array([rng.choice(choices[i % 4]) for i in range(8)])
+                theta = np.array([rng.choice(c) for c in choices])
                 s = w._reconstruct_strategy(prog, theta, tie_initial, tie_post)
                 ref = reference_reconstruct_strategy(terms, theta, tie_initial, tie_post)
                 assert strategy_bytes(s) == strategy_bytes(ref), (terms, theta)
 
-    @pytest.mark.parametrize("rows", sorted({4 * a for a in range(1, 21)} | {8 * k for k in range(1, 21)}))
+    @pytest.mark.parametrize("rows", sorted({4 * a for a in range(1, 41)} | {5 * k for k in range(1, 21)}))
     def test_objective_matches_reference_at_loop_row_counts(self, rows):
-        # 4 candidates per running start, 8 shrunk vertices per shrinking one;
-        # u and b well outside [0, 1], some exactly 0, -0.0 or 1, and angles
-        # many turns beyond 2 pi
-        rng = np.random.default_rng(rows)
-        theta = rng.uniform(-30.0, 30.0, size=(rows, 8))
-        theta[:, [0, 1, 4, 5]] = rng.uniform(-2.0, 3.0, size=(rows, 4))
-        theta[::3, [0, 5]] = rng.choice([0.0, -0.0, 1.0], size=(len(theta[::3]), 2))
+        # 4 candidates per running start (up to 40), 5 shrunk vertices per
+        # shrinking one (up to 20)
+        theta = gauge_rows(np.random.default_rng(rows), rows)
         functionals = [functional_terms(name) for name in sorted(F)] + [
             (((0, 1), (1, 1), -2.5), ((0, 0), (1, 0), 0.5), ((0, 1), (1, 0), 3.0), ((1, 1), (0, 1), -1.0)),
             (((1, 0), (0, 1), 1.0), ((1, 0), (0, 1), -0.25), ((1, 1), (0, 0), 2.0)),
         ]
         for terms in functionals:
             batched = w._state_optimal_value(w._compile_terms(terms), theta)
-            assert batched.tobytes() == reference_state_optimal_value(terms, theta).tobytes()
+            assert batched.tobytes() == reference_state_optimal_value(terms, embed(theta)).tobytes()
 
 
 def assert_optimizer_matches_reference(f, cfg):
     res = optimize_qubit(f, cfg)
     ref = reference_optimize_qubit(f, cfg)
     assert (res.value, res.restart_index, res.iterations) == (ref.value, ref.restart_index, ref.iterations)
-    assert res.value_spread == ref.value_spread
+    assert (res.shrink_steps, res.value_spread) == (ref.shrink_steps, ref.value_spread)
     assert strategy_bytes(res.strategy) == strategy_bytes(ref.strategy)
 
 
