@@ -176,6 +176,8 @@ def _scenario_from_json(data, R: int | None = None, S: int | None = None) -> Sce
 
 def behavior_to_json(b: Behavior) -> dict:
     s = b.scenario
+    if s.S > 10:
+        raise SchemaError("S", f"the table is keyed by one digit per setting, so S <= 10, got {s.S}")
     table = {}
     for srow in range(s.n_setting_seqs):
         key = digits_string(digits_of_index(srow, s.S, s.L))

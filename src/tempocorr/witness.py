@@ -132,7 +132,7 @@ class EffectParams:
         object.__setattr__(self, "b", float(self.b))
         if ax.shape != (3,):
             raise InvalidStrategy(f"effect axis must have shape (3,), got {ax.shape}")
-        if abs(float(np.linalg.norm(ax)) - 1.0) > 1e-9:
+        if not abs(float(np.linalg.norm(ax)) - 1.0) <= 1e-9:  # NaN fails too
             raise InvalidStrategy(f"effect axis norm {float(np.linalg.norm(ax))!r} is not 1")
         if not -1e-12 <= self.b <= 1.0 + 1e-12:
             raise InvalidStrategy(f"b={self.b!r} outside [0, 1]")
@@ -159,10 +159,10 @@ class QubitStrategy:
             raise InvalidStrategy(f"initial Bloch vector must have shape (3,), got {init.shape}")
         if post.shape != (2, 2, 3):
             raise InvalidStrategy(f"post array must have shape (2, 2, 3), got {post.shape}")
-        if float(np.linalg.norm(init)) > 1.0 + 1e-9:
+        if not float(np.linalg.norm(init)) <= 1.0 + 1e-9:  # NaN fails too
             raise InvalidStrategy(f"initial Bloch norm {float(np.linalg.norm(init))!r} exceeds 1")
         norms = np.linalg.norm(post, axis=2)
-        if float(norms.max()) > 1.0 + 1e-9:
+        if not float(norms.max()) <= 1.0 + 1e-9:  # a NaN norm makes the max NaN
             raise InvalidStrategy(f"post Bloch norm {float(norms.max())!r} exceeds 1")
         if len(self.effects) != 2:
             raise InvalidStrategy("strategy needs exactly two effect parameter sets")
@@ -665,7 +665,7 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
 
 def _check_domain(x, name, lo, hi):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < lo - 1e-12) or np.any(arr > hi + 1e-12):
+    if not np.all((arr >= lo - 1e-12) & (arr <= hi + 1e-12)):  # NaN fails too
         raise DomainError(f"{name} must lie in [{lo}, {hi}]")
     return np.clip(arr, lo, hi)
 
@@ -728,10 +728,10 @@ def b4_envelope(p, cos_gamma):
 # --- certified bounds --------------------------------------------------------------
 
 # Degree-10 polynomial whose relevant root locates the maximum of the B3
-# profile; nested form kept verbatim, coefficients expanded from it by exact
-# integer arithmetic.
+# profile; nested form kept verbatim, coefficients read off it by evaluating
+# it on an exact polynomial.
 
-def nested_polynomial(x: float) -> float:
+def nested_polynomial(x):
     return 1 - x * (
         42
         - x * (-531 - 4 * x * (380 - x * (-24 - x * (-762 - x * (481 - 8 * x * (19 - 4 * x * (-3 + 2 * (1 + x) * x)))))))
@@ -741,52 +741,78 @@ def nested_polynomial(x: float) -> float:
 @lru_cache(maxsize=1)
 def expanded_polynomial_coefficients() -> tuple[int, ...]:
     """Ascending integer coefficients of the nested degree-10 polynomial."""
-
-    def times_x(c):
-        return [0] + c
-
-    def scale(c, k):
-        return [k * v for v in c]
-
-    def const_minus(k, c):
-        out = [-v for v in c]
-        out[0] += k
-        return out
-
-    q = [-3, 2, 2]                       # -3 + 2 (1 + x) x
-    q = const_minus(19, scale(times_x(q), 4))
-    q = const_minus(481, scale(times_x(q), 8))
-    q = const_minus(-762, times_x(q))
-    q = const_minus(-24, times_x(q))
-    q = const_minus(380, times_x(q))
-    q = const_minus(-531, scale(times_x(q), 4))
-    q = const_minus(42, times_x(q))
-    q = const_minus(1, times_x(q))
-    return tuple(q)
+    x = np.polynomial.Polynomial(np.array([0, 1], dtype=object))
+    return tuple(int(c) for c in nested_polynomial(x).coef)
 
 
-def _poly_eval(coeffs, x: float) -> float:
-    v = 0.0
+def _sign(coeffs, n: int, d: int) -> int:
+    """Sign at n/d, d > 0, of the polynomial with ascending integer ``coeffs``,
+    from the integer d**deg * p(n/d)."""
+    value, scale = 0, 1
     for c in reversed(coeffs):
-        v = v * x + c
-    return v
+        value, scale = value * n + c * scale, scale * d
+    return (value > 0) - (value < 0)
 
 
-def _bisect_root(coeffs, lo: float, hi: float, width: float = 1e-12) -> float:
-    flo = _poly_eval(coeffs, lo)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        fm = _poly_eval(coeffs, mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+def _real_roots(coeffs) -> list[tuple]:
+    """Each distinct real root in [-1, 1] of the nonzero polynomial p with
+    ascending integer ``coeffs``, ascending, as ``(nearest float, lo, hi)``:
+    the only root in (lo, hi] ([-1, hi] for a root at -1), with Fraction
+    ends, hi - lo <= 2**-20.  A repeated root is counted once.
+
+    The Sturm sequence of p's square-free part (p, p' and the negated
+    remainders of Euclid's algorithm, each divided by gcd(p, p')) is built in
+    exact rational arithmetic and scaled to integers by positive factors.  By
+    Sturm's theorem (lo, hi] holds V(lo) - V(hi) distinct roots, V(x) the
+    sign changes of the sequence at x; halving on these counts isolates each
+    root, and halving on the exact sign of p at dyadic points narrows it
+    until both ends round to the same float or p vanishes at hi.
+    """
+    from fractions import Fraction  # imported here: only C3 needs it, and it loads decimal
+
+    P = np.polynomial.polynomial
+    seq = [np.array([Fraction(c) for c in coeffs], dtype=object)]
+    seq.append(P.polyder(seq[0]))
+    while any(seq[-1]):
+        seq.append(-P.polydiv(seq[-2], seq[-1])[1])
+    seq = [P.polydiv(s, seq[-2])[0] for s in seq[:-1]]
+    scales = [Fraction(math.lcm(*(c.denominator for c in s)), math.gcd(*(c.numerator for c in s))) for s in seq]
+    seq = [[int(c * k) for c in s] for s, k in zip(seq, scales)]
+
+    def changes(n, d):
+        signs = [s for s in (_sign(c, n, d) for c in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    p, roots = seq[0], []
+    # (j / 2**k, (j + 1) / 2**k] with its counts; a root at -1 counts as if -1 were just below it
+    v = [changes(-1, 1) + (_sign(p, -1, 1) == 0), changes(0, 1), changes(1, 1)]
+    stack = [(0, 0, v[1], v[2], None), (-1, 0, v[0], v[1], None)]
+    while stack:
+        j, k, v_lo, v_hi, narrow = stack.pop()
+        if v_lo - v_hi == 1:
+            if narrow is None and k >= 20:
+                narrow = (Fraction(j, 2**k), Fraction(j + 1, 2**k))
+            s_hi = _sign(p, j + 1, 2**k)
+            if narrow and (s_hi == 0 or j / 2**k == (j + 1) / 2**k):
+                roots.append(((j + 1) / 2**k, *narrow))
+                continue
+        if v_lo > v_hi:
+            if v_lo - v_hi == 1:  # one root, simple: the signs of p at mid and hi tell its half
+                v_mid = v_lo if s_hi == 0 or _sign(p, 2 * j + 1, 2 ** (k + 1)) == -s_hi else v_hi
+            else:
+                v_mid = changes(2 * j + 1, 2 ** (k + 1))
+            stack += [(2 * j + 1, k + 1, v_mid, v_hi, narrow), (2 * j, k + 1, v_lo, v_mid, narrow)]
+    return roots
 
 
 @dataclass(frozen=True)
 class C3Bound:
-    """Maximum qubit value of B3 with its certificate data."""
+    """Maximum qubit value of B3 with its certificate data.
+
+    ``polynomial_roots`` are the nearest floats of all real roots in [-1, 1]
+    of the degree-10 polynomial, isolated in exact arithmetic.  ``certified``
+    says that the profile at both ends of [-1, 1] does not exceed ``value``.
+    """
 
     value: float
     cos_gamma_star: float
@@ -806,64 +832,28 @@ def c1_bound() -> C1Bound:
     return C1Bound(C1_VALUE, B1_PROJECTIVE_MAX)
 
 
-_C3_SUBINTERVALS = 10_000  # sign-scan intervals over [-1, 1]
-
-
-def _scan_roots(coeffs) -> list[float]:
-    """The roots in [-1, 1] of the polynomial with ascending ``coeffs``,
-    ascending: a grid point where it is exactly 0, or a bisected sign change
-    between neighbours on a grid of ``_C3_SUBINTERVALS`` intervals.  The grid
-    is evaluated by Horner's rule in one pass, each point by the multiplies
-    and adds of :func:`_poly_eval`."""
-    xs = np.linspace(-1.0, 1.0, _C3_SUBINTERVALS + 1)
-    vals = np.zeros_like(xs)
-    for c in reversed(coeffs):
-        vals *= xs
-        vals += c
-    zero = vals[:-1] == 0.0
-    change = vals[:-1] * vals[1:] < 0.0
-    roots = []
-    for i in (zero | change).nonzero()[0]:
-        if zero[i]:
-            roots.append(float(xs[i]))
-        else:
-            roots.append(_bisect_root(coeffs, float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(1.0)
-    return roots
-
-
 @lru_cache(maxsize=1)
 def c3_bound() -> C3Bound:
-    """Locate C3 as the certified root of the degree-10 polynomial.
+    """Locate C3 as the maximum of the B3 profile over [-1, 1].
 
-    All real roots in [-1, 1] are isolated by sign-change scanning and
-    bisection; squaring steps in the derivation of the polynomial created
-    spurious roots, so a root only counts when the unsquared derivative of
-    the B3 profile vanishes there.  The surviving root with the largest
-    profile value, checked against both boundary values, is the bound.
+    Every critical point of the profile inside (-1, 1) is a root of the
+    degree-10 polynomial, and :func:`_real_roots` isolates them all exactly.
+    Squaring steps in the derivation of the polynomial created spurious
+    roots, so a root only counts when the unsquared derivative of the B3
+    profile goes from positive to negative across its isolating interval,
+    inside (-1, 1): a local maximum of the profile.  The largest one,
+    checked against both boundary values, is the bound.
     """
-    coeffs = expanded_polynomial_coefficients()
-    roots = _scan_roots(coeffs)
-    candidates = [
-        r for r in roots if -1.0 < r < 1.0 and abs(b3_profile_derivative(r)) <= 1e-8
-    ]
+    roots = _real_roots(expanded_polynomial_coefficients())
+    floats = tuple(r for r, _, _ in roots)
+    slope = b3_profile_derivative
+    candidates = [r for r, lo, hi in roots if -1 < lo and hi < 1 and slope(float(lo)) > 0.0 > slope(float(hi))]
     if not candidates:
-        raise NoValidRoot(
-            "no polynomial root satisfies the derivative condition; roots: "
-            + ", ".join(f"{r:.12g}" for r in roots)
-        )
+        listed = ", ".join(f"{r:.12g}" for r in floats)
+        raise NoValidRoot(f"no polynomial root satisfies the derivative condition; roots: {listed}")
     star = max(candidates, key=b3_profile)
     value = b3_profile(star)
-
-    certified = (
-        abs(nested_polynomial(star)) <= 1e-6
-        and abs(nested_polynomial(star) - _poly_eval(coeffs, star)) <= 1e-10
-        and abs(b3_profile_derivative(star)) <= 1e-8
-        and b3_profile(1.0) <= 3.0 + 1e-12
-        and b3_profile(-1.0) <= 3.0 + 1e-12
-    )
-    return C3Bound(value, star, certified, tuple(roots))
+    return C3Bound(value, star, max(b3_profile(-1.0), b3_profile(1.0)) <= value, floats)
 
 
 # --- distance from a qubit ---------------------------------------------------------

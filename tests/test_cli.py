@@ -165,6 +165,24 @@ class TestSimulateAndWitness:
         assert code == 0
         assert "arrow-of-time constraints all hold" in out
 
+    @pytest.mark.parametrize("n_settings", [10, 11])
+    def test_settings_beyond_one_digit_refused_before_writing(self, capsys, tmp_path, n_settings):
+        # the behavior table is keyed by one digit per setting
+        from tempocorr.qmath import random_system_model
+
+        model = random_system_model(np.random.default_rng(5), 2, n_settings, 2)
+        system_file, out_file = tmp_path / "system.json", tmp_path / "b.json"
+        system_file.write_text(se.dumps(se.system_model_to_json(model)))
+        code, _out, err = run(capsys, "simulate", "--system", str(system_file), "--L", "1", "--out", str(out_file))
+        if n_settings == 10:
+            assert code == 0
+            back = se.behavior_from_json(json.loads(out_file.read_text()))
+            assert np.array_equal(back.table, realize.full_behavior(model, 1).table)
+            assert run(capsys, "decompose", "--behavior", str(out_file))[0] == 0
+        else:
+            assert code == 3 and "schema error: S: " in err
+            assert not out_file.exists()
+
     def test_non_member_behavior_rejected(self, capsys, tmp_path):
         table = np.zeros((4, 4))
         table[0, 0] = table[1, 3] = table[2, 0] = table[3, 0] = 1.0
@@ -193,8 +211,13 @@ class TestBounds:
     def test_c3(self, capsys):
         code, out, _ = run(capsys, "bounds", "--which", "C3")
         assert code == 0
-        assert "C3 = 3.1862278837" in out
-        assert "cos_gamma* = 0.756285203496" in out
+        assert out == (
+            "C3 = 3.1862278837\n"
+            "cos_gamma* = 0.756285203496\n"
+            "certified: True\n"
+            "polynomial roots in [-1,1]: -0.938190915236, -0.763634988313, -0.294062441822,"
+            " -0.160164559019, 0.0189980954742, 0.756285203496\n"
+        )
 
     def test_c1(self, capsys):
         code, out, _ = run(capsys, "bounds", "--which", "C1")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -198,6 +199,23 @@ class TestStrategyValue:
             with pytest.raises(InvalidStrategy) as exc:
                 build()
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["a", "b", "axis", "initial", "post"])
+    def test_non_finite_entries_rejected(self, field, bad):
+        s = b1_saturating_strategy()
+        e = s.effects[0]
+        post = np.array(s.post)
+        post[1, 0, 2] = bad
+        builds = {
+            "a": lambda: EffectParams(bad, e.b, e.axis),
+            "b": lambda: EffectParams(e.a, bad, e.axis),
+            "axis": lambda: EffectParams(e.a, e.b, [bad, 0.0, 0.0]),
+            "initial": lambda: QubitStrategy([bad, 0.0, 0.0], s.post, s.effects),
+            "post": lambda: QubitStrategy(s.initial, post, s.effects),
+        }
+        with pytest.raises(InvalidStrategy):
+            builds[field]()
 
 
 class TestOptimizer:
@@ -558,20 +576,45 @@ class TestProfiles:
         with pytest.raises(DomainError):
             b3_profile_derivative(1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_are_domain_errors(self, bad):
+        calls = [
+            lambda: b1_projective_profile(bad),
+            lambda: b3_profile(bad),
+            lambda: b3_profile(np.array([0.0, bad])),
+            lambda: b3_profile_derivative(bad),
+            lambda: b4_envelope(bad, 0.0),
+            lambda: b4_envelope(0.5, bad),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
 
-def reference_scan_roots(coeffs):
-    """The sign scan of c3_bound as a loop of scalar Horner evaluations."""
-    xs = np.linspace(-1.0, 1.0, w._C3_SUBINTERVALS + 1)
-    vals = [w._poly_eval(coeffs, float(t)) for t in xs]
-    roots = []
-    for i in range(w._C3_SUBINTERVALS):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(w._bisect_root(coeffs, float(xs[i]), float(xs[i + 1])))
-    if vals[-1] == 0.0:
-        roots.append(1.0)
-    return roots
+
+def poly_mul(a, b):
+    """Product of two polynomials given by ascending integer coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def rational_root_polynomials(draw):
+    """(ascending integer coefficients, their distinct real roots): a product of
+    factors (q x - p), one per distinct rational root p/q in [-1, 1], some
+    roots with a twin 10**-6 above, at most one factor repeated, and
+    optionally the root-free factor x**2 + 1 and a nonzero integer scale."""
+    roots = draw(st.lists(st.fractions(-1, 1, max_denominator=10**4), max_size=5))
+    twins = [r + Fraction(1, 10**6) for r in roots if r + Fraction(1, 10**6) <= 1 and draw(st.booleans())]
+    roots = sorted(set(roots + twins))
+    coeffs = [draw(st.sampled_from([1, -1, 3, -7]))]
+    for r in roots + draw(st.lists(st.sampled_from(roots), max_size=1) if roots else st.just([])):
+        coeffs = poly_mul(coeffs, [-r.numerator, r.denominator])
+    if draw(st.booleans()):
+        coeffs = poly_mul(coeffs, [1, 0, 1])
+    return tuple(coeffs), roots
 
 
 class TestBounds:
@@ -590,42 +633,79 @@ class TestBounds:
         res = c3_bound()
         x = res.cos_gamma_star
         assert abs(w.nested_polynomial(x)) <= 1e-8
+        # x is the nearest float to a simple root: the polynomial changes sign,
+        # exactly, between the floats on either side of it
         coeffs = w.expanded_polynomial_coefficients()
-        assert abs(w._poly_eval(coeffs, x) - w.nested_polynomial(x)) <= 1e-10
+        below, above = (math.nextafter(x, t).as_integer_ratio() for t in (-2.0, 2.0))
+        assert w._sign(coeffs, *below) * w._sign(coeffs, *above) == -1
         assert abs(b3_profile_derivative(x)) <= 1e-8
         assert b3_profile(1.0) <= 3.0 + 1e-12
         assert b3_profile(-1.0) <= 3.0 + 1e-12
 
     def test_expanded_coefficients_match_nested_everywhere(self):
         coeffs = w.expanded_polynomial_coefficients()
-        assert len(coeffs) == 11
-        for x in np.linspace(-1, 1, 101):
-            nested = w.nested_polynomial(float(x))
-            assert w._poly_eval(coeffs, float(x)) == pytest.approx(nested, abs=1e-9 * max(1, abs(nested)))
+        assert coeffs == (1, -42, -531, -1520, -96, 3048, 1924, -608, -384, 256, 256)
+        for x in [Fraction(k, 50) for k in range(-50, 51)] + [Fraction(3, 7), Fraction(-10**6 + 1, 10**6)]:
+            assert sum(c * x**i for i, c in enumerate(coeffs)) == w.nested_polynomial(x)
 
-    def test_scan_matches_loop_reference(self, monkeypatch):
-        # the whole bound, roots included, from the numpy scan and from the loop
-        assert w._scan_roots(w.expanded_polynomial_coefficients()) == reference_scan_roots(
-            w.expanded_polynomial_coefficients()
-        )
+    def test_c3_roots_pinned(self):
         fresh = w.c3_bound.__wrapped__()
-        monkeypatch.setattr(w, "_scan_roots", reference_scan_roots)
-        assert fresh == w.c3_bound.__wrapped__() == c3_bound()
+        assert fresh == c3_bound()
         assert fresh.polynomial_roots == (
-            -0.9381909152362495, -0.7636349883135407, -0.2940624418217688,
-            -0.1601645590189844, 0.018998095474019774, 0.7562852034959942,
+            -0.9381909152362428, -0.7636349883131843, -0.29406244182209407,
+            -0.16016455901873877, 0.01899809547418186, 0.7562852034957998,
         )
-        assert (fresh.value, fresh.cos_gamma_star) == (3.1862278837025175, 0.7562852034959942)
+        assert (fresh.value, fresh.cos_gamma_star) == (3.186227883702517, 0.7562852034957998)
+        assert fresh.certified
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
-    @example([0, 1]).via("a zero on the grid point 0.0")
-    @example([-1, 1]).via("a zero on the last grid point")
-    @example([1, 1]).via("a zero on the first grid point")
-    @example([-1, 0, 2, 0, -1]).via("double zeros at both ends")
-    @example([0]).via("zero everywhere")
-    def test_scan_matches_loop_reference_on_integer_polynomials(self, coeffs):
-        assert w._scan_roots(tuple(coeffs)) == reference_scan_roots(tuple(coeffs))
+    def test_certified_needs_both_ends_at_or_below_the_maximum(self, monkeypatch):
+        profile = w.b3_profile
+        monkeypatch.setattr(w, "b3_profile", lambda x: 3.5 if abs(x) == 1.0 else profile(x))
+        res = w.c3_bound.__wrapped__()
+        assert not res.certified and res.value == c3_bound().value
+
+    def test_isolating_intervals_of_c3_roots(self):
+        found = w._real_roots(w.expanded_polynomial_coefficients())
+        assert len(found) == 6
+        for (r, lo, hi), (_, next_lo, _) in zip(found, found[1:] + [(None, Fraction(2), None)]):
+            assert -1 < lo < r < hi < 1 and hi - lo <= Fraction(1, 2**20) and hi <= next_lo
+        surviving = [r for r, lo, hi in found if b3_profile_derivative(float(lo)) > 0 > b3_profile_derivative(float(hi))]
+        assert surviving == [c3_bound().cos_gamma_star]
+
+    def test_roots_a_millionth_apart(self):
+        # one grid cell of a 10**4-point sign scan holds both roots
+        coeffs = poly_mul([-300000, 10**6], [-300001, 10**6])
+        found = w._real_roots(coeffs)
+        assert [r for r, _, _ in found] == [0.3, 0.300001]
+        assert found[0][2] <= found[1][1]
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(5,), (1, 0, 1), (1, 0, 2, 0, 1), (-6, 1, 1), (-(10**6) - 1, 10**6), (10**6 + 1, 10**6)],
+        ids=["constant", "x2+1", "(x2+1)^2", "roots-2-and-3", "just-above-1", "just-below-minus-1"],
+    )
+    def test_no_real_roots_in_range(self, coeffs):
+        assert w._real_roots(coeffs) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_root_polynomials())
+    @example(((-1, 0, 1), [Fraction(-1), Fraction(1)])).via("roots at both ends")
+    @example(((0, 1), [Fraction(0)])).via("a root at 0, hit by the first halving")
+    @example(((0, 0, 1), [Fraction(0)])).via("a double root at 0")
+    @example(((-1, 3, -3, 1), [Fraction(1)])).via("a triple root at 1")
+    @example(((1, 2, 1), [Fraction(-1)])).via("a double root at -1")
+    def test_real_roots_of_products_of_rational_factors(self, case):
+        """Every distinct root is found once, as the float nearest to it
+        (within 1 ulp of p/q, in fact equal to the correctly rounded p/q), in
+        an interval of width <= 2**-20 that holds it; a repeated root is
+        counted once."""
+        coeffs, roots = case
+        found = w._real_roots(coeffs)
+        assert [r for r, _, _ in found] == [x.numerator / x.denominator for x in roots]
+        for (r, lo, hi), x in zip(found, roots):
+            assert abs(r - x.numerator / x.denominator) <= math.ulp(r)
+            assert hi - lo <= Fraction(1, 2**20)
+            assert lo < x <= hi or x == lo == -1
 
     def test_spurious_roots_rejected_by_derivative(self):
         res = c3_bound()
