@@ -216,7 +216,10 @@ def _context_key(h: tuple[int, ...], outcomes, S: int) -> str:
 
 def _assignment_to_json(v: DeterministicVertex) -> dict[str, int]:
     ctxs = context_order(v.scenario)
-    return {_context_key(h, v.outcomes, v.scenario.S): a for h, a in zip(ctxs, v.outcomes)}
+    out = {_context_key(h, v.outcomes, v.scenario.S): a for h, a in zip(ctxs, v.outcomes)}
+    if len(out) != len(ctxs):  # one digit per setting: histories can share a key at S > 10
+        raise SchemaError("S", f"the {len(ctxs)} contexts at S = {v.scenario.S} give {len(out)} distinct keys")
+    return out
 
 
 def vertex_to_json(v: DeterministicVertex) -> dict:
@@ -313,7 +316,10 @@ def functional_from_json(data) -> WitnessFunctional:
         if max(xy) >= scenario.S:
             raise SchemaError(f"terms[{i}].x", f"setting digit out of range 0..{scenario.S - 1}")
         terms.append(WitnessTerm(ab, xy, float(coeff)))
-    return WitnessFunctional(str(data.get("name", "custom")), scenario, tuple(terms))
+    try:
+        return WitnessFunctional(str(data.get("name", "custom")), scenario, tuple(terms))
+    except TempocorrError as exc:  # finite coefficients whose sum |coeff| overflows
+        raise SchemaError("terms", str(exc)) from exc
 
 
 def strategy_to_json(s: QubitStrategy) -> dict:

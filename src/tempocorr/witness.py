@@ -81,9 +81,13 @@ class WitnessFunctional:
             for t in self.terms
         )
         R, S = self.scenario.R, self.scenario.S
+        total = 0.0  # sum |coeff|, which scales the optimizer's stopping tolerance
         for t in norm:
             if not all(0 <= o < R for o in t.outcomes) or not all(0 <= x < S for x in t.settings):
                 raise ScenarioMismatch(f"term {t.outcomes}, {t.settings} lies outside {self.scenario}")
+            total += abs(t.coeff)
+            if not math.isfinite(total):  # NaN and inf fail too
+                raise ParamOutOfRange(f"term {t.outcomes}, {t.settings}: coefficient {t.coeff!r}, sum |coeff| {total!r}")
         object.__setattr__(self, "terms", norm)
 
 
@@ -262,7 +266,7 @@ def _step_choices():
 _STEP_CHOICE = _step_choices()
 
 
-def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float, stats=None):
+def _nelder_mead(fun, simplex, maxiter: int, fatol: float, stats=None):
     """Minimize ``fun`` by Nelder-Mead from a ``(starts, n+1, n)`` stack of
     initial simplices, all starts stepped in lockstep.
 
@@ -276,9 +280,9 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float, stats=N
     running start are evaluated together in one call, and the shrunk
     vertices, where a start shrinks, in a second; so an iteration makes at
     most two calls.  Each simplex is sorted stably, so ties keep their
-    vertex order.  A start stops once its vertices lie within ``xatol`` and
-    their values within ``fatol`` of its best vertex; it is then frozen and
-    not evaluated again.  The iteration count starts at 1, so ``maxiter``
+    vertex order.  A start stops once its values agree within ``fatol``,
+    however far apart its vertices lie; it is then frozen and not evaluated
+    again.  The iteration count starts at 1, so ``maxiter``
     0 or 1 returns the best initial vertex.  No start depends on another,
     so each start's result equals its run alone.  Returns the best vertex
     ``(starts, n)`` and its value ``(starts,)`` per start; a ``stats`` dict
@@ -312,14 +316,12 @@ def _nelder_mead(fun, simplex, maxiter: int, xatol: float, fatol: float, stats=N
         # the values are sorted, so the last minus the first is the spread
         done = fs[-1] - fs[0] <= fatol
         if np.count_nonzero(done):
-            done &= np.abs(s[1:] - s[0]).max(axis=(0, 2)) <= xatol
-            if np.count_nonzero(done):
-                best_x[active[done]], best_f[active[done]] = s[0, done], fs[0, done]
-                running = (~done).nonzero()[0]
-                active, s, fs = active[running], s.take(running, axis=1), fs.take(running, axis=1)
-                if not active.size:
-                    break
-                here = here[: active.size]
+            best_x[active[done]], best_f[active[done]] = s[0, done], fs[0, done]
+            running = (~done).nonzero()[0]
+            active, s, fs = active[running], s.take(running, axis=1), fs.take(running, axis=1)
+            if not active.size:
+                break
+            here = here[: active.size]
 
         xbar = s[:-1].sum(axis=0)  # in sequence over the vertices
         xbar /= n
@@ -549,8 +551,7 @@ class OptimizerConfig:
     max_iterations: int = 2000
 
 
-# Edge of each restart's initial simplex and the Nelder-Mead stopping tolerances.
-_INITIAL_STEP, _XTOL, _FTOL = 0.25, 1e-10, 1e-13
+_INITIAL_STEP = 0.25  # edge of each restart's initial simplex
 
 
 @dataclass(frozen=True)
@@ -609,7 +610,8 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     exactly the achievable qubit set, and the reported value is recomputed
     from the rebuilt strategy, in the gauge, a valid lower bound on the
     qubit maximum.  Results are deterministic for a fixed seed, with ties
-    between restarts resolved toward the lower restart index.
+    between restarts resolved toward the lower restart index.  A restart
+    stops once its values agree within ``2 eps sum |coeff|``.
     """
     if cfg.restarts < 1:
         raise ParamOutOfRange(f"restarts must be >= 1, got {cfg.restarts}")
@@ -646,7 +648,8 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         return -_state_optimal_value(prog, theta)
 
     stats = {}
-    thetas, fvals = _nelder_mead(objective, simplices, cfg.max_iterations, _XTOL, _FTOL, stats)
+    fatol = 2 * np.finfo(float).eps * sum(abs(t.coeff) for t in f.terms)  # 2 ulps of the largest value
+    thetas, fvals = _nelder_mead(objective, simplices, cfg.max_iterations, fatol, stats)
     k = int(np.argmin(fvals))
     strategy = _reconstruct_strategy(prog, thetas[k], tie_initial[k], tie_post[k])
     return OptimizationResult(

@@ -64,6 +64,14 @@ class TestVertices:
         code, out, _ = run(capsys, "vertices", "--L", "3", "--R", "2", "--S", "2")
         assert code == 0 and "16384 vertices" in out
 
+    def test_eleven_settings_written(self, capsys, tmp_path):
+        # one digit per setting still gives (1,2,11) distinct context keys
+        out_file = tmp_path / "v.json"
+        code, out, _ = run(capsys, "vertices", "--L", "1", "--R", "2", "--S", "11", "--out", str(out_file))
+        assert code == 0 and "2048 vertices" in out
+        data = json.loads(out_file.read_text())
+        assert len(data["vertices"]) == 2048 and all(len(a) == 11 for a in data["vertices"])
+
     def test_cap_breach_exit_code(self, capsys):
         code, _out, err = run(
             capsys, "vertices", "--L", "3", "--R", "3", "--S", "3", "--cap", "1000"

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from tempocorr import serialize as se
 from tempocorr.correlations import (
+    ConvexDecomposition,
+    DeterministicVertex,
     Scenario,
     compose_from_conditionals,
     decompose_behavior,
@@ -154,6 +156,22 @@ class TestVertexAndDecomposition:
         with pytest.raises(SchemaError):
             se.vertex_from_json(data)
 
+    def test_colliding_context_keys_refused_when_written(self):
+        # at S = 11 the histories (1, 0, 10) and (10, 1, 0) both spell x=1010
+        scenario = Scenario(3, 2, 11)
+        v = DeterministicVertex(scenario, (0,) * scenario.n_contexts)
+        for write in (se.vertex_to_json, lambda v: se.decomposition_to_json(ConvexDecomposition(((1.0, v),)))):
+            with pytest.raises(SchemaError) as exc:
+                write(v)
+            assert exc.value.path == "S"
+            assert "the 1463 contexts at S = 11 give 1462 distinct keys" in str(exc.value)
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_eleven_settings_round_trip_where_keys_are_distinct(self, L):
+        scenario = Scenario(L, 2, 11)
+        v = DeterministicVertex(scenario, tuple(i % 2 for i in range(scenario.n_contexts)))
+        assert roundtrip(v, se.vertex_to_json, se.vertex_from_json) == v
+
     def test_decomposition_roundtrip(self):
         rng = np.random.default_rng(41)
         b = compose_from_conditionals(random_conditional_chain(rng, Scenario(2, 2, 2)))
@@ -183,6 +201,14 @@ class TestWitnessObjects:
     def test_functional_term_format(self):
         data = se.functional_to_json(builtin_functionals()["B1"])
         assert {"a": "00", "x": "00", "coeff": 1.0} in data["terms"]
+
+    def test_functional_whose_coefficient_sum_overflows_refused(self):
+        data = se.functional_to_json(builtin_functionals()["B1"])
+        data["terms"][0]["coeff"] = data["terms"][1]["coeff"] = 1e308
+        with pytest.raises(SchemaError) as exc:
+            se.functional_from_json(data)
+        assert exc.value.path == "terms"
+        assert str(exc.value).endswith("coefficient 1e+308, sum |coeff| inf")
 
     def test_functional_requires_l2(self):
         data = se.functional_to_json(builtin_functionals()["B1"])

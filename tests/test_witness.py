@@ -125,6 +125,17 @@ class TestFunctionals:
         with pytest.raises(ScenarioMismatch):
             w.WitnessFunctional("x", S222, (w.WitnessTerm(outcomes, settings, 1.0),))
 
+    @pytest.mark.parametrize(
+        "coeffs", [(math.nan,), (math.inf,), (-math.inf,), (1.0, math.nan), (1e308, 1e308)],
+        ids=["nan", "inf", "-inf", "nan-second", "sum-overflows"],
+    )
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        # the message names the last term: its coefficient, or the sum of
+        # |coeff| up to it, is not finite
+        terms = tuple(w.WitnessTerm((0, 0), (0, x), c) for x, c in enumerate(coeffs))
+        with pytest.raises(ParamOutOfRange, match=rf"^term \(0, 0\), \(0, {len(coeffs) - 1}\): coefficient"):
+            w.WitnessFunctional("x", S222, terms)
+
     def test_linearity(self):
         rng = np.random.default_rng(30)
         from tempocorr.correlations import compose_from_conditionals, random_conditional_chain
@@ -292,9 +303,34 @@ class TestOptimizer:
     def test_counters_pinned(self):
         # pinned: any change to a step's arithmetic or order moves these first
         res = optimize_qubit(F["B3"], OptimizerConfig(restarts=20, seed=7))
-        assert (res.objective_calls, res.objective_rows, res.iterations) == (490, 22_406, 288)
-        assert res.shrink_steps == 1_226
-        assert res.value_spread == 1.186227883702518
+        assert (res.objective_calls, res.objective_rows, res.iterations) == (207, 9_792, 207)
+        assert res.shrink_steps == 0
+        assert res.value_spread == 1.1862278837025162
+
+    def test_zero_functional_stops_at_once(self):
+        # every value is 0, within the tolerance 0 of a zero sum |coeff|
+        zero = w.WitnessFunctional("zero", S222, (((0, 0), (0, 0), 0.0),))
+        res = optimize_qubit(zero, OptimizerConfig(restarts=20, seed=7))
+        assert (res.value, res.iterations, res.objective_calls) == (0.0, 1, 1)
+
+    @pytest.mark.parametrize("k", [-9, -3, 3, 6])
+    @pytest.mark.parametrize("name", ["B3", "random"])
+    def test_stopping_rule_is_scale_free(self, name, k):
+        # the tolerance scales with sum |coeff|, so a scaled functional stops
+        # before the iteration cap and reaches the same value per unit scale
+        f = F["B3"]
+        if name == "random":
+            rng = np.random.default_rng(2024)
+            f = w.WitnessFunctional("random", S222, tuple(
+                w.WitnessTerm(tuple(rng.integers(0, 2, 2)), tuple(rng.integers(0, 2, 2)), rng.uniform(-2, 2))
+                for _ in range(6)
+            ))
+        scale = 10.0**k
+        scaled = w.WitnessFunctional(f.name, S222, tuple(t._replace(coeff=t.coeff * scale) for t in f.terms))
+        cfg = OptimizerConfig(restarts=20, seed=7)
+        base, res = optimize_qubit(f, cfg), optimize_qubit(scaled, cfg)
+        assert res.iterations < cfg.max_iterations
+        assert res.value / scale == pytest.approx(base.value, rel=1e-14)
 
     def test_many_terms_evaluated_in_bounded_blocks(self):
         # 800 terms in one slot: each row's per-term table holds 3,200 entries,
@@ -452,9 +488,9 @@ class TestLockstepNelderMead:
     def test_starts_are_independent(self, name, seed, starts, maxiter):
         fun = qubit_objective(name)
         simplices = random_simplices(seed, starts)
-        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-10, 1e-13)
+        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-13)
         for k in range(starts):
-            x1, f1 = w._nelder_mead(fun, simplices[k : k + 1], maxiter, 1e-10, 1e-13)
+            x1, f1 = w._nelder_mead(fun, simplices[k : k + 1], maxiter, 1e-13)
             assert np.array_equal(xs[k], x1[0])
             assert fs[k] == f1[0]
 
@@ -462,7 +498,7 @@ class TestLockstepNelderMead:
     def test_no_iteration_returns_best_initial_vertex(self, maxiter):
         fun = qubit_objective("B3")
         simplices = random_simplices(5, 4)
-        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-10, 1e-13)
+        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-13)
         for k, sim in enumerate(simplices):
             values = fun(sim)
             best = int(np.argmin(values))
@@ -481,11 +517,13 @@ class TestLockstepNelderMead:
             d = x - center
             return np.einsum("mi,ij,mj->m", d, hess, d)
 
-        xatol = 1e-8
-        xs, fs = w._nelder_mead(fun, random_simplices(seed, 3, n=n, step=1.0), 5000, xatol, 1e-14)
-        # the stopping test bounds the simplex, so the minimizer is met to a few xatol
-        assert np.max(np.abs(xs - center)) <= 10 * xatol
+        stats = {}
+        xs, fs = w._nelder_mead(fun, random_simplices(seed, 3, n=n, step=1.0), 5000, 1e-14, stats)
+        # every start stops on its values, near the minimum 0; the Hessian's
+        # eigenvalues are at least n, so the value bounds the distance too
+        assert stats["iterations"] < 5000
         assert np.all(fs <= 1e-12)
+        assert np.all(np.sum((xs - center) ** 2, axis=1) <= 1e-12 / n)
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(sorted(F)), st.integers(0, 2**32 - 1))
@@ -508,15 +546,16 @@ class TestLockstepNelderMead:
         )
 
     def test_start_runs_on_while_its_worst_value_is_far(self):
-        # every vertex lies within xatol, but the worst value is 1 above the
-        # others: the start takes one more step, where the reflection ties them
+        # the vertices lie within 1e-12 of each other, but the worst value is
+        # 1 above the others: the start takes one more step, where the
+        # reflection ties them
         def step(x):
             return (x[:, 0] > 0.5e-12).astype(float)
 
         simplex = np.vstack([np.zeros(3), 1e-12 * np.eye(3)])[None]
         for nelder_mead in (w._nelder_mead, reference_nelder_mead):
             stats = {}
-            xs, fs = nelder_mead(step, simplex, 50, 1e-10, 1e-13, stats)
+            xs, fs = nelder_mead(step, simplex, 50, 1e-13, stats)
             assert stats["iterations"] == 2 and fs[0] == 0.0
 
     @pytest.mark.parametrize("maxiter", [1, 2, 5, 40])
@@ -524,14 +563,14 @@ class TestLockstepNelderMead:
         "objective", [qubit_objective("B3"), lambda x: (x**2).sum(axis=1)], ids=["B3", "quadratic"]
     )
     def test_at_most_two_calls_per_iteration(self, objective, maxiter):
-        # negative tolerances: no start can converge, so all maxiter - 1 iterations run
+        # a negative tolerance: no start can converge, so all maxiter - 1 iterations run
         calls = []
 
         def counting(x):
             calls.append(len(x))
             return objective(x)
 
-        w._nelder_mead(counting, random_simplices(3, 5), maxiter, -1.0, -1.0)
+        w._nelder_mead(counting, random_simplices(3, 5), maxiter, -1.0)
         assert maxiter <= len(calls) <= 1 + 2 * (maxiter - 1)
 
 
@@ -851,7 +890,7 @@ def random_branch(dim, seed):
 # The optimizer with one objective call per candidate kind and a Python loop
 # over the terms.  The batched optimizer must reproduce it bit for bit.
 
-def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol, stats=None):
+def reference_nelder_mead(fun, simplex, maxiter, fatol, stats=None):
     sim = np.asarray(simplex, dtype=float)
     starts, n1, n = sim.shape
     fsim = fun(sim.reshape(-1, n)).reshape(starts, n1)
@@ -864,9 +903,7 @@ def reference_nelder_mead(fun, simplex, maxiter, xatol, fatol, stats=None):
     active = np.arange(starts)
     iterations, shrinks = 1, 0
     while iterations < maxiter:
-        done = (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
-        )
+        done = np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
         if done.any():
             best_x[active[done]], best_f[active[done]] = s[done, 0], fs[done, 0]
             active, s, fs = active[~done], s[~done], fs[~done]
@@ -1022,9 +1059,10 @@ def reference_optimize_qubit(f, cfg):
         tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
     simplices = np.asarray(theta0)[:, None, :] + np.vstack([np.zeros(5), w._INITIAL_STEP * np.eye(5)])
     stats = {}
+    fatol = 2 * np.finfo(float).eps * sum(abs(coeff) for *_, coeff in terms)
     thetas, fvals = reference_nelder_mead(
         lambda theta: -reference_state_optimal_value(terms, theta),
-        simplices, cfg.max_iterations, w._XTOL, w._FTOL, stats,
+        simplices, cfg.max_iterations, fatol, stats,
     )
     k = int(np.argmin(fvals))
     strategy = reference_reconstruct_strategy(terms, thetas[k], tie_initial[k], tie_post[k])
@@ -1106,8 +1144,8 @@ class TestReferenceParity:
     def test_nelder_mead_matches_reference(self, name, seed, starts, maxiter, step):
         fun = qubit_objective(name)
         simplices = random_simplices(seed, starts, step=step)
-        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-10, 1e-13)
-        ref_xs, ref_fs = reference_nelder_mead(fun, simplices, maxiter, 1e-10, 1e-13)
+        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-13)
+        ref_xs, ref_fs = reference_nelder_mead(fun, simplices, maxiter, 1e-13)
         assert np.array_equal(xs, ref_xs)
         assert np.array_equal(fs, ref_fs)
 
@@ -1200,7 +1238,7 @@ def assert_no_input_exceeds(f, dim, hi, rng):
 
     best = psi[np.argsort(-sampled)[:8]]
     simplex = nelder_mead_simplex(np.hstack([best.real, best.imag]))
-    _x, fvals = w._nelder_mead(negf, simplex, 500, 1e-12, 1e-15)
+    _x, fvals = w._nelder_mead(negf, simplex, 500, 1e-15)
     assert -fvals.min() <= hi
 
 
