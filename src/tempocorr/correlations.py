@@ -13,9 +13,8 @@ Index conventions, used throughout the package: a setting sequence
 ``(x1..xL)`` is stored as the base-S integer with x1 as the most significant
 digit, and outcome sequences likewise in base R.  Setting-history contexts
 are ordered by time step first and lexicographically within a step.
-:func:`history_tree` is the one place where that ordering is decided: every
-context position, setting prefix, parent link and per-row path through the
-tree is read from it.
+:func:`history_tree` is the one place where that ordering is decided: the
+contexts in order and every per-row path through the tree are read from it.
 """
 
 from __future__ import annotations
@@ -108,17 +107,12 @@ def context_position(history, S: int) -> int:
 class HistoryTree(NamedTuple):
     """Index of the setting-history tree of one scenario.
 
-    Per context (in :func:`context_order`): ``level`` is its time step t,
-    ``prefix`` the base-S index of its settings x1..xt (its row in
-    ``ConditionalChain.levels[t-1]``) and ``parent`` the position of x1..x(t-1),
-    -1 at t = 1.  ``context[row, t-1]`` is the position of x1..xt for the
-    setting sequence stored in table row ``row``.  Arrays are read-only.
+    ``contexts`` are the setting histories in :func:`context_order`, and
+    ``context[row, t-1]`` is the position of x1..xt for the setting sequence
+    stored in table row ``row``.  The array is read-only.
     """
 
     contexts: tuple[tuple[int, ...], ...]
-    level: np.ndarray
-    prefix: np.ndarray
-    parent: np.ndarray
     context: np.ndarray
 
 
@@ -127,14 +121,10 @@ def history_tree(scenario: Scenario) -> HistoryTree:
     """The cached :class:`HistoryTree` of a scenario."""
     L, S = scenario.L, scenario.S
     contexts = tuple(h for t in range(1, L + 1) for h in itertools.product(range(S), repeat=t))
-    level = np.array([len(h) for h in contexts])
-    prefix = np.array([index_of_digits(h, S) for h in contexts])
-    parent = np.array([context_position(h[:-1], S) for h in contexts])
     rows = np.arange(S**L)
     context = np.stack([(S**t - S) // (S - 1) + rows // S ** (L - t) for t in range(1, L + 1)], 1)
-    for a in (level, prefix, parent, context):
-        a.setflags(write=False)
-    return HistoryTree(contexts, level, prefix, parent, context)
+    context.setflags(write=False)
+    return HistoryTree(contexts, context)
 
 
 def context_order(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
@@ -341,11 +331,11 @@ def compose_from_conditionals(chain: ConditionalChain) -> Behavior:
         if dev > MEMBERSHIP_TOL:
             raise UnnormalizedConditional(f"level {t} conditionals deviate from sum 1 by {dev:.3e}")
 
-    tree = history_tree(s)
+    rows = np.arange(s.n_setting_seqs)[:, None]
     cols = np.arange(s.n_outcome_seqs)
     table = np.ones((s.n_setting_seqs, s.n_outcome_seqs))
     for t in range(1, L + 1):
-        xs = tree.prefix[tree.context[:, t - 1]][:, None]
+        xs = rows // s.S ** (L - t)  # each row's base-S index of x1..xt
         As = cols // R ** (L - t)
         factor = chain.levels[t - 1][xs, As // R, As % R]
         # step by step, left to right; a product that reached 0 stays as it is
@@ -394,6 +384,10 @@ class DeterministicVertex:
 
     @classmethod
     def from_index(cls, scenario: Scenario, k: int) -> "DeterministicVertex":
+        """The vertex at position ``k`` of the enumeration order; ``k`` must
+        lie in ``0..count_vertices(scenario) - 1``."""
+        if not 0 <= k < count_vertices(scenario):
+            raise ShapeMismatch(f"vertex index {k} outside 0..{vertex_count_text(scenario, -1)}")
         return cls(scenario, digits_of_index(k, scenario.R, scenario.n_contexts))
 
     def outcome_for(self, history) -> int:
@@ -570,10 +564,6 @@ class VertexClassification:
     @property
     def n_orbits(self) -> int:
         return len(self.orbits)
-
-    @property
-    def representatives(self) -> tuple[DeterministicVertex, ...]:
-        return tuple(DeterministicVertex.from_index(self.scenario, orb[0]) for orb in self.orbits)
 
     def orbit_of(self, index: int) -> int:
         for k, orb in enumerate(self.orbits):

@@ -519,15 +519,16 @@ def _rows_value(prog: _CompiledTerms, theta):
     return value
 
 
-def _reconstruct_strategy(prog: _CompiledTerms, theta, tie_initial, tie_post) -> QubitStrategy:
+def _reconstruct_strategy(prog: _CompiledTerms, theta) -> QubitStrategy:
     """Explicit optimal states for the effects of one ``(5,)`` parameter row;
-    zero coefficient vectors keep the supplied tie-break vectors."""
+    a zero coefficient vector, where every unit vector is optimal, gets
+    (0, 0, 1)."""
     eff = _effect_params(theta)
     sums = np.zeros((4, 4))
     sums[prog.slots] = _slot_coefficients(prog, eff)[..., 0].T
     base, wvec = sums[:, 0].reshape(2, 2), sums[:, 1:].reshape(2, 2, 3)
     a, b, axis = eff[0, :, 0], eff[1, :, 0], eff[2:, :, 0].T
-    post = np.array(tie_post, dtype=float, copy=True)
+    post = np.tile([0.0, 0.0, 1.0], (2, 2, 1))
     tops = base.copy()
     for ax in np.ndindex(2, 2):
         norm = float(np.linalg.norm(wvec[ax]))
@@ -537,7 +538,7 @@ def _reconstruct_strategy(prog: _CompiledTerms, theta, tie_initial, tie_post) ->
     v = np.zeros(3)
     for x in (0, 1):
         v += (tops[0, x] - tops[1, x]) * a[x] * b[x] * axis[x]
-    initial = np.asarray(tie_initial, dtype=float)
+    initial = np.array([0.0, 0.0, 1.0])
     if float(np.linalg.norm(v)) > 1e-15:
         initial = v / np.linalg.norm(v)
     eff_params = tuple(EffectParams(a[x], b[x], axis[x]) for x in (0, 1))
@@ -575,15 +576,6 @@ class OptimizationResult:
     value_spread: float
 
 
-def _gauge_angle(polar0: float, azimuth0: float, polar1: float, azimuth1: float) -> float:
-    """The angle between two unit axes given by their polar and azimuth angles."""
-    (x0, y0, z0), (x1, y1, z1) = (
-        (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar))
-        for polar, azimuth in ((polar0, azimuth0), (polar1, azimuth1))
-    )
-    return math.acos(min(max(x0 * x1 + y0 * y1 + z0 * z1, -1.0), 1.0))
-
-
 def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
     """Best qubit value of a witness by seeded random-restart search.
 
@@ -602,15 +594,18 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     The search runs adaptive Nelder-Mead from a deterministic initial
     simplex per restart, all restarts stepped together by
     :func:`_nelder_mead` with the objective evaluated on every restart's
-    points in one array call.  Each restart draws u, b and a polar and an
-    azimuth angle per setting and starts from those effects put in the
-    gauge, ``gamma = arccos(n0 . n1)``.  The functional's terms are compiled
-    into a table of index and coefficient columns once per call, and the
-    objective and the strategy rebuild both read it.  The search space is
-    exactly the achievable qubit set, and the reported value is recomputed
-    from the rebuilt strategy, in the gauge, a valid lower bound on the
-    qubit maximum.  Results are deterministic for a fixed seed, with ties
-    between restarts resolved toward the lower restart index.  A restart
+    points in one array call.  One generator seeded with ``cfg.seed`` draws
+    a ``(restarts, 5)`` uniform block whose row k starts restart k: u and b
+    uniform on [0, 1], and ``gamma = arccos(2 v - 1)`` so that ``cos gamma``
+    is uniform on [-1, 1].  Row k does not depend on the restart count, so
+    restart k starts at the same point in every search of more than k
+    restarts.  The functional's terms are compiled into a table of index
+    and coefficient columns once per call, and the objective and the
+    strategy rebuild both read it.  The search space is exactly the
+    achievable qubit set, and the reported value is recomputed from the
+    rebuilt strategy, in the gauge, a valid lower bound on the qubit
+    maximum.  Results are deterministic for a fixed seed, with ties between
+    restarts resolved toward the lower restart index.  A restart
     stops once its values agree within ``2 eps sum |coeff|``.
     """
     if cfg.restarts < 1:
@@ -626,21 +621,11 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
     prog = _compile_terms(f.terms)
 
-    theta0, tie_initial, tie_post = [], [], []
-    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        rng = np.random.default_rng(seq)
-        u0, b0, polar0, azimuth0, u1, b1, polar1, azimuth1 = (
-            rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-            rng.uniform(), rng.uniform(), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-        )
-        theta0.append([u0, b0, u1, b1, _gauge_angle(polar0, azimuth0, polar1, azimuth1)])
-        init = rng.normal(size=3)
-        tie_initial.append(init / np.linalg.norm(init))
-        post = rng.normal(size=(2, 2, 3))
-        tie_post.append(post / np.linalg.norm(post, axis=2, keepdims=True))
+    theta0 = np.random.default_rng(cfg.seed).uniform(size=(cfg.restarts, n))
+    theta0[:, 4] = np.arccos(2.0 * theta0[:, 4] - 1.0)  # cos gamma uniform on [-1, 1]
 
     steps = np.vstack([np.zeros(n), _INITIAL_STEP * np.eye(n)])
-    simplices = np.asarray(theta0)[:, None, :] + steps
+    simplices = theta0[:, None, :] + steps
     rows = []  # per objective call
 
     def objective(theta):
@@ -651,7 +636,7 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     fatol = 2 * np.finfo(float).eps * sum(abs(t.coeff) for t in f.terms)  # 2 ulps of the largest value
     thetas, fvals = _nelder_mead(objective, simplices, cfg.max_iterations, fatol, stats)
     k = int(np.argmin(fvals))
-    strategy = _reconstruct_strategy(prog, thetas[k], tie_initial[k], tie_post[k])
+    strategy = _reconstruct_strategy(prog, thetas[k])
     return OptimizationResult(
         strategy_value(f, strategy),
         strategy,

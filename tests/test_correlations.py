@@ -146,6 +146,12 @@ class TestVertices:
         for k in (0, 1, 17, 63):
             assert DeterministicVertex.from_index(S222, k).index == k
 
+    @pytest.mark.parametrize("k", [-1, 64, 2**64])
+    def test_index_outside_the_enumeration_refused(self, k):
+        # 64 and -1 would wrap to vertices 0 and 63
+        with pytest.raises(ShapeMismatch, match=f"vertex index {k} outside 0..63"):
+            DeterministicVertex.from_index(S222, k)
+
 
 class TestMembership:
     def test_vertex_is_member(self):
@@ -417,7 +423,7 @@ def reference_decompose(b):
         for t in range(1, s.L + 1):
             c, realized = tree.context[:, t - 1], reference_vertex_columns(s, outcomes, t - 1)[0]
             m = reference_pinned_marginal(s, residual, t).reshape(s.S**t, s.R ** (t - 1), s.R)
-            outcomes[0, c] = m[tree.prefix[c], realized].argmax(axis=1)
+            outcomes[0, c] = m[np.arange(s.n_setting_seqs) // s.S ** (s.L - t), realized].argmax(axis=1)
         support = (np.arange(s.n_setting_seqs), reference_vertex_columns(s, outcomes, s.L)[0])
         w = float(residual[support].min())
         if w <= ZERO_MEASURE_TOL:

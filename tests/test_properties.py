@@ -143,11 +143,6 @@ def test_history_tree_follows_context_order():
         ctxs = context_order(s)
         tree = history_tree(s)
         assert [context_position(h, s.S) for h in ctxs] == list(range(s.n_contexts))
-        assert tree.level.tolist() == [len(h) for h in ctxs]
-        assert tree.prefix.tolist() == [index_of_digits(h, s.S) for h in ctxs]
-        assert tree.parent.tolist() == [
-            context_position(h[:-1], s.S) if len(h) > 1 else -1 for h in ctxs
-        ]
         for srow in range(s.n_setting_seqs):
             xs = digits_of_index(srow, s.S, s.L)
             assert [ctxs[c] for c in tree.context[srow]] == [xs[: t + 1] for t in range(s.L)]
