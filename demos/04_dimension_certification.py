@@ -28,7 +28,8 @@ for label, behavior in [
     print(report.to_text())
 
 print("\n=== deviation of the three-level protocol from any qubit subspace ===")
-# system_epsilon is a certified upper bound on the deviation; every branch of
+# system_epsilon is a certified upper bound on the deviation: the least of the
+# AM-GM bounds lambda_max(t A + C / t) / 2 that it evaluates.  Every branch of
 # this protocol has one Kraus operator, so it is also within 1e-10 of exact.
 protocol = canonical_protocols()["qutrit-e1"]
 rng = np.random.default_rng(1729)

@@ -202,29 +202,29 @@ class MembershipReport:
         return "\n".join(lines)
 
 
-def check_membership(b: Behavior, tol: float = MEMBERSHIP_TOL) -> MembershipReport:
+def check_membership(b: Behavior) -> MembershipReport:
     """Full polytope membership report for a behavior."""
     s, L, table = b.scenario, b.scenario.L, b.table
-    rows, cols = np.nonzero(table < -tol)
+    rows, cols = np.nonzero(table < -MEMBERSHIP_TOL)
     neg = [(i, j, float(table[i, j])) for i, j in zip(rows.tolist(), cols.tolist())]
     sums = table.sum(axis=1)
-    norm = [(i, float(sums[i])) for i in np.nonzero(np.abs(sums - 1.0) > tol)[0].tolist()]
+    norm = [(i, float(sums[i])) for i in np.nonzero(np.abs(sums - 1.0) > MEMBERSHIP_TOL)[0].tolist()]
 
     aot = []
     for t in range(1, L):
         m = _level_marginal(s, table, t)
         future = tuple(range(t, L))
         dev = m.max(axis=future) - m.min(axis=future)
-        for idx in np.argwhere(dev > tol):
+        for idx in np.argwhere(dev > MEMBERSHIP_TOL):
             xs, As = idx[:t], idx[t:]
             aot.append((t, digits_string(xs), digits_string(As), float(dev[tuple(idx)])))
 
-    return MembershipReport(s, tol, tuple(neg), tuple(norm), tuple(aot))
+    return MembershipReport(s, MEMBERSHIP_TOL, tuple(neg), tuple(norm), tuple(aot))
 
 
-def require_member(b: Behavior, tol: float = MEMBERSHIP_TOL) -> None:
+def require_member(b: Behavior) -> None:
     """Raise :class:`NotAMember`, carrying the report, unless ``b`` is a member."""
-    report = check_membership(b, tol)
+    report = check_membership(b)
     if not report.is_member:
         raise NotAMember("behavior is not in the polytope:\n" + report.summary(), report)
 
@@ -247,7 +247,7 @@ def _pinned_marginal(s: Scenario, table: np.ndarray, t: int) -> np.ndarray:
     return rows.sum(axis=tuple(range(t + 1, L + 1))).reshape(S**t, R**t)
 
 
-def marginal(b: Behavior, t: int, tol: float = MEMBERSHIP_TOL) -> Behavior:
+def marginal(b: Behavior, t: int) -> Behavior:
     """Length-t truncation, summing out the later outcomes.
 
     Well defined only on members: the arrow-of-time constraints make the
@@ -256,7 +256,7 @@ def marginal(b: Behavior, t: int, tol: float = MEMBERSHIP_TOL) -> Behavior:
     s = b.scenario
     if not 1 <= t < s.L:
         raise ShapeMismatch(f"truncation level must be in 1..{s.L - 1}, got {t}")
-    require_member(b, tol)
+    require_member(b)
     return Behavior(Scenario(t, s.R, s.S), _pinned_marginal(s, b.table, t))
 
 
@@ -291,7 +291,7 @@ class ConditionalChain:
         object.__setattr__(self, "levels", tuple(frozen))
 
 
-def factorize(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConditionalChain:
+def factorize(b: Behavior) -> ConditionalChain:
     """Chain of conditionals whose product reproduces the behavior.
 
     Conditionals on zero-measure histories are set to the uniform
@@ -299,7 +299,7 @@ def factorize(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConditionalChain:
     :func:`compose_from_conditionals` inverts this exactly.
     """
     s = b.scenario
-    require_member(b, tol)
+    require_member(b)
     L, R, S = s.L, s.R, s.S
     marginals = [np.ones((1, 1))] + [_pinned_marginal(s, b.table, t) for t in range(1, L + 1)]
 
@@ -654,7 +654,7 @@ def mixture_behavior(decomp: ConvexDecomposition) -> Behavior:
     return Behavior(s, table)
 
 
-def decompose_behavior(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConvexDecomposition:
+def decompose_behavior(b: Behavior) -> ConvexDecomposition:
     """Write a member behavior as a convex combination of vertices by a
     greedy peel: at most one term per positive entry of the table.
 
@@ -671,7 +671,7 @@ def decompose_behavior(b: Behavior, tol: float = MEMBERSHIP_TOL) -> ConvexDecomp
     every table row, its support.
     """
     s = b.scenario
-    require_member(b, tol)
+    require_member(b)
     L, R, S = s.L, s.R, s.S
     residual = np.array(b.table)
     rows = np.arange(s.n_setting_seqs)

@@ -865,7 +865,7 @@ def epsilon_lower_bound(b_value: float, c_value: float) -> EpsilonBound:
 class EpsilonSearchConfig:
     """Accepted by :func:`system_epsilon` and validated (``restarts`` and
     ``max_iterations`` must be >= 0), but it steers nothing: every branch is
-    bracketed in closed form by :func:`_leakage_bracket`, with no search."""
+    bracketed by :func:`_leakage_bracket`, which takes no configuration."""
 
     restarts: int = 8
     seed: int = DEFAULT_SEED
@@ -873,79 +873,38 @@ class EpsilonSearchConfig:
     xtol: float = 1e-9
 
 
-# The leakage of a pure output phi = K psi is f = sqrt(a (a + 4 b)) with
-# a = |Q phi|^2, b = |P phi|^2 and Q = 1 - P.  For a branch with Kraus
-# operators K_k, take phi = sum_k |k> (x) K_k psi and the projector 1 (x) P:
-# then a = sum_k |Q K_k psi|^2, b = sum_k |P K_k psi|^2, and the pair (a, b)
-# ranges over the joint numerical range W of A = sum_k (Q K_k)^dag Q K_k and
-# B = sum_k (P K_k)^dag P K_k, a compact convex set in the quadrant
-# a, b >= 0 on which f increases in both coordinates.  Support lines
-# (1 - u) a + u b = h(u), h(u) the top eigenvalue of (1 - u) A + u B, sweep
-# the outward normals (cos t, sin t), t in [0, pi/2], as u runs over [0, 1].
-# The scan runs on A / |A| and B / |B| (|.| the top eigenvalue), so that a
-# leak tiny against B still has its optimum at a normal of order one and the
-# vertices keep the relative accuracy of each coordinate.
-_JNR_GRID = 32  # initial u intervals
+# The leakage of a pure output phi = K psi is f = sqrt(a c) with a = |Q phi|^2,
+# c = a + 4 |P phi|^2 and Q = 1 - P.  For a branch with Kraus operators K_k,
+# take phi = sum_k |k> (x) K_k psi and the projector 1 (x) P: then
+# a = sum_k |Q K_k psi|^2 and c - a = 4 sum_k |P K_k psi|^2, and the pair
+# (a, c) ranges over the joint numerical range W of A = sum_k (Q K_k)^dag Q K_k
+# and C = A + 4 sum_k (P K_k)^dag P K_k, a compact convex set
+# (Toeplitz-Hausdorff) with c >= a >= 0.
+_JNR_GRID = 5  # geometric grid points per round
 _JNR_WIDTH = 1e-10  # refine until hi - lo is below this
-# Refinement stops after this many rounds or scan points; hi stays an upper
-# bound without them, only a looser one.
+# Refinement stops after this many rounds; hi stays an upper bound without
+# them, only a looser one.
 _JNR_ROUNDS = 40
-_JNR_POINTS = 1024
 # Rounding allowance added to hi, in two parts.  Relative, 1e-13 of hi
 # (about 450 float64 ulps): the top eigenvalues of the positive semidefinite
-# scan matrices and the vertices of the outer polyline carry relative errors
-# of a few d * 2.2e-16.  Absolute, 8 n d * 2.2e-16 * ||K_s||_F, with n the
-# number of Kraus operators and K_s the (n d) x d stack of them: the entries
-# of Q K_k and P K_k carry absolute errors of about d * 2.2e-16 * |K_k|, and
-# f moves by at most 6 times the error of the stacked vectors Q K_k psi and
-# P K_k psi.
+# matrices t A + C / t carry relative errors of a few d * 2.2e-16.  Absolute,
+# 8 n d * 2.2e-16 * ||K_s||_F, with n the number of Kraus operators and K_s
+# the (n d) x d stack of them: the entries of Q K_k and P K_k carry absolute
+# errors of about d * 2.2e-16 * |K_k|, and f moves by at most 6 times the
+# error of the stacked vectors Q K_k psi and P K_k psi.
 _JNR_ROUNDING = 1e-13
-_JNR_ABS_ROUNDING = 8.0 * np.finfo(float).eps
+_JNR_ABS_ROUNDING = 8.0 * math.ulp(1.0)
 
 
-def _leak2(p):
-    """f^2 = a (a + 4 b) at points ``(..., 2)`` = (a, b)."""
-    return p[..., 0] * (p[..., 0] + 4.0 * p[..., 1])
-
-
-def _segment_max_leak2(p0, p1):
-    """Largest f^2 on each segment [p0, p1]: f^2 is a quadratic in the
-    segment parameter, so the maximum sits at an end or, where the quadratic
+def _chord_max_product(a, c) -> float:
+    """Largest a c on the chords between adjacent points (a, c): a quadratic in
+    the chord parameter, so the maximum sits at an end or, where the quadratic
     is concave, at its vertex."""
-    d = p1 - p0
-    curv = d[..., 0] * (d[..., 0] + 4.0 * d[..., 1])
-    slope = 2.0 * p0[..., 0] * d[..., 0] + 4.0 * (p0[..., 0] * d[..., 1] + d[..., 0] * p0[..., 1])
-    concave = curv < 0.0
-    t = np.zeros_like(curv)
-    t[concave] = np.clip(-slope[concave] / (2.0 * curv[concave]), 0.0, 1.0)
-    inner = _leak2(p0 + t[..., None] * d)
-    return np.maximum(np.maximum(_leak2(p0), _leak2(p1)), inner)
-
-
-def _polyline_bracket(u, h, s, scale, corner, pad):
-    """``lo``, padded ``hi`` and the outer bound on f around each vertex,
-    from the support values ``h`` of the scaled pair at the sorted normals
-    ``u``, the support points ``s`` (unscaled), the scale of (a, b), f at
-    the corner (|A|, |B|) and the absolute rounding allowance ``pad``."""
-    # Vertex i joins the support lines at u[i] and u[i + 1].  It is found
-    # from the foot of the second line along that line's direction: the
-    # 1/du cancellation then only moves it along the line, never off it.
-    normal = np.stack([1.0 - u, u], axis=-1)
-    foot = (h / np.sum(normal * normal, axis=-1))[:, None] * normal
-    along = (h[:-1] - np.sum(normal[:-1] * foot[1:], axis=-1)) / (u[:-1] - u[1:])
-    vertex = (foot[1:] + along[:, None] * np.stack([-u[1:], 1.0 - u[1:]], axis=-1)) * scale
-    # raising a coordinate to 0 only enlarges the outer region
-    vertex = np.maximum(vertex, 0.0)
-    # f grows along the first and last line towards their vertex, so the
-    # outer polyline contributes its vertices and the edges between them
-    edge = _segment_max_leak2(vertex[:-1], vertex[1:])
-    around = _leak2(vertex)
-    around[1:] = np.maximum(around[1:], edge)
-    around[:-1] = np.maximum(around[:-1], edge)
-    outer = np.sqrt(around.clip(0.0))
-    lo = math.sqrt(max(0.0, float(_segment_max_leak2(s[:-1], s[1:]).max())))
-    outer = outer * (1.0 + _JNR_ROUNDING) + pad
-    return lo, min(float(outer.max()), corner * (1.0 + _JNR_ROUNDING) + pad), outer
+    da, dc = np.diff(a), np.diff(c)
+    curv = da * dc
+    s = np.divide(a[:-1] * dc + c[:-1] * da, -2.0 * curv, out=np.zeros_like(curv), where=curv < 0.0)
+    s = s.clip(0.0, 1.0)
+    return float(max((a * c).max(), ((a[:-1] + s * da) * (c[:-1] + s * dc)).max()))
 
 
 def _leakage_bracket(kraus_ops, proj) -> tuple[float, float]:
@@ -957,66 +916,61 @@ def _leakage_bracket(kraus_ops, proj) -> tuple[float, float]:
     ``rho = sum_k K_k psi psi^dag K_k^dag``: P rho P - rho is the partial
     trace over k of the stacked leakage operator, and a partial trace does
     not increase the trace norm.  With one Kraus operator the two coincide
-    and ``lo`` is a lower end too.  A and B are d x d sums, so nothing of
+    and ``lo`` is a lower end too.  A and C are d x d sums, so nothing of
     size (n d) x (n d) is formed.
 
-    The maximum of f lies on the part of the boundary of W with outward
-    normals in the first quadrant.  One batched ``eigh`` on a u grid gives
-    the support values h and the support points s (the pairs (a, b) of the
-    top eigenvectors).  Chords between adjacent support points lie in W, so
-    the largest f on them is ``lo``; adjacent support lines meet at the
-    vertices of an outer polyline that contains the boundary part, so the
-    largest f on it, plus the rounding allowance, is ``hi``.  f^2 is
-    maximized on every chord and edge in closed form, not only at support
-    points, because the maximum can lie inside a flat face of W where the
-    top eigenspace is degenerate.  Intervals whose outer bound still exceeds
-    ``lo`` by more than ``_JNR_WIDTH`` are bisected, for at most
-    ``_JNR_ROUNDS`` rounds or ``_JNR_POINTS`` scan points.  ``hi`` is also
-    capped by f at the corner (|A|, |B|) of top eigenvalues, which every
-    point of W lies below, so a branch that never leaves the subspace
-    (A = 0) gets hi = 0, up to the rounding allowance.
+    Soundness: by AM-GM, for every t > 0 and every input,
+    ``sqrt(a c) <= (t a + c / t) / 2 <= g(t) = lambda_max(t A + C / t) / 2``,
+    so every g evaluated bounds f.  ``hi`` is the least of them, capped by f
+    at the corner (|A|, |C|) of top eigenvalues, which every point of W lies
+    below, plus the rounding allowance; a branch that never leaves the
+    subspace (A = 0) gets hi = 0, up to that allowance.  Tightness: W is
+    convex, so min_t g(t) equals the largest f exactly (minimax), and g is
+    convex in t, with slope ``(a t^2 - c) / 2`` at a top eigenvector of
+    ``t A + C / t``.  Its minimizer ``t* = sqrt(c* / a*)``, at the maximizer
+    (a*, c*) of f, lies in [1, |C| / |A|]: c* >= a*, c* <= |C|, and
+    a* c* >= |A|^2 (the top eigenvector of A gives a = |A| <= c).
 
-    The scan always includes the normal (1, 1) of the original coordinates,
-    where it sees A + B = sum_k K_k^dag K_k: for a partial isometry K of
-    rank >= 2 (every vertex realization) the top eigenvalue is degenerate
-    there and W has the flat face a + b = 1, which then needs no bisection.
+    Each round makes one batched ``eigh`` of ``t A + C / t`` at a geometric
+    grid of ``_JNR_GRID`` points across the bracket of t*, plus three
+    candidates from the previous round's bracket ends: the AM-GM points
+    ``sqrt(c / a)`` of each end, where its own bound is tight, and the
+    normal ``sqrt(-dc / da)`` of the chord between them, which is exact
+    where both ends lie on one flat face of W (the top eigenspace is
+    degenerate there, as at every vertex realization).  The top
+    eigenvectors give points (a, c) of W, and chords between them lie in W,
+    so the largest f on them is ``lo``.  The next bracket is where the
+    slope changes sign.  Rounds stop once ``hi - lo`` is at most
+    ``_JNR_WIDTH``, or after ``_JNR_ROUNDS``.
     """
     kraus = np.vstack(kraus_ops)
     pk = np.vstack([proj @ k for k in kraus_ops])
     qk = kraus - pk
-    mats = np.stack([qk.conj().T @ qk, pk.conj().T @ pk])
-    top = np.linalg.eigvalsh(mats)[:, -1]
-    corner = math.sqrt(max(0.0, top[0] * (top[0] + 4.0 * top[1])))
-    scale = np.where(top > 0.0, top, 1.0)
-    amat, bmat = mats / scale[:, None, None]
-
-    def support(u):
-        vals, vecs = np.linalg.eigh((1.0 - u)[:, None, None] * amat + u[:, None, None] * bmat)
-        psi = vecs[:, :, -1]
-        pts = np.stack(
-            [np.einsum("ni,ij,nj->n", psi.conj(), m, psi).real for m in mats], axis=-1
-        )
-        return vals[:, -1], pts
-
+    amat = qk.conj().T @ qk
+    cmat = amat + 4.0 * (pk.conj().T @ pk)
+    top_a, top_c = (float(v) for v in np.linalg.eigvalsh(np.stack([amat, cmat]))[:, -1])
     pad = _JNR_ABS_ROUNDING * kraus.shape[0] * float(np.linalg.norm(kraus))
-    u = np.linspace(0.0, 1.0, _JNR_GRID + 1)
-    face = scale[1] / (scale[0] + scale[1])
-    if 1.0 / _JNR_GRID < face < 1.0 - 1.0 / _JNR_GRID:
-        # the face normal replaces its nearest grid point
-        u[np.argmin(np.abs(u - face))] = face
-    h, s = support(u)
+    if top_a <= 0.0:  # f = 0 at every input
+        return 0.0, pad
+    lo, hi = 0.0, math.sqrt(top_a * top_c)
+    ends, cand = (1.0, top_c / top_a), np.empty(0)
     for _ in range(_JNR_ROUNDS):
-        lo, hi, outer = _polyline_bracket(u, h, s, scale, corner, pad)
-        if hi - lo <= _JNR_WIDTH or len(u) > _JNR_POINTS:
+        t = np.sort(np.concatenate([np.geomspace(*ends, _JNR_GRID), cand]))
+        vals, vecs = np.linalg.eigh(t[:, None, None] * amat + cmat / t[:, None, None])
+        psi = vecs[:, :, -1]
+        a, c = (np.einsum("ni,ij,nj->n", psi.conj(), m, psi).real for m in (amat, cmat))
+        hi = min(hi, 0.5 * float(vals[:, -1].min()))
+        lo = max(lo, math.sqrt(max(0.0, _chord_max_product(a, c))))
+        if hi * (1.0 + _JNR_ROUNDING) + pad - lo <= _JNR_WIDTH:
             break
-        split = outer - lo > _JNR_WIDTH
-        mid = 0.5 * (u[:-1][split] + u[1:][split])
-        hm, sm = support(mid)
-        order = np.argsort(np.concatenate([u, mid]))
-        u, h, s = (np.concatenate(pair)[order] for pair in ((u, mid), (h, hm), (s, sm)))
-    else:
-        lo, hi, _outer = _polyline_bracket(u, h, s, scale, corner, pad)
-    return lo, hi
+        right = np.flatnonzero(a * t * t >= c)
+        j = int(right[0]) if right.size else len(t) - 1
+        i = max(j - 1, 0)
+        ends = t[i], t[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.array([c[i] / a[i], c[j] / a[j], (c[i] - c[j]) / (a[j] - a[i])])
+        cand = np.sqrt(ratio[np.isfinite(ratio) & (ratio > 0.0)])
+    return lo, hi * (1.0 + _JNR_ROUNDING) + pad
 
 
 def system_epsilon(
@@ -1119,7 +1073,7 @@ class CertificationReport:
         return "\n".join(lines)
 
 
-def certify(b: Behavior, tol: float = VERDICT_TOL) -> CertificationReport:
+def certify(b: Behavior) -> CertificationReport:
     """Evaluate all four witnesses on a (2,2,2) behavior and report verdicts.
 
     B1 and B3 are compared against their analytic qubit bounds; B2 and B4
@@ -1150,8 +1104,8 @@ def certify(b: Behavior, tol: float = VERDICT_TOL) -> CertificationReport:
                 bound=bound,
                 bound_kind=kind,
                 analytic_cap=cap,
-                violates_bound=value > bound + tol,
-                certified_dimension_above_2=value > cap + tol,
+                violates_bound=value > bound + VERDICT_TOL,
+                certified_dimension_above_2=value > cap + VERDICT_TOL,
                 epsilon_lower=eps.lower,
                 epsilon_cap=eps.cap,
                 epsilon_certified=eps_cert.lower,
@@ -1160,4 +1114,4 @@ def certify(b: Behavior, tol: float = VERDICT_TOL) -> CertificationReport:
     certified = [e for e in entries if e.certified_dimension_above_2]
     verdict = "dimension > 2" if certified else "qubit-compatible"
     eps_overall = max((e.epsilon_certified for e in entries), default=0.0)
-    return CertificationReport(b.scenario, tuple(entries), verdict, eps_overall, tol)
+    return CertificationReport(b.scenario, tuple(entries), verdict, eps_overall, VERDICT_TOL)

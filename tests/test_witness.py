@@ -13,6 +13,7 @@ from tempocorr import witness as w
 from tempocorr.correlations import (
     Behavior,
     Scenario,
+    enumerate_vertices,
     named_vertex,
     uniform_behavior,
     vertex_behavior,
@@ -36,7 +37,7 @@ from tempocorr.qmath import (
     trace_norm,
     validate_instrument,
 )
-from tempocorr.realize import canonical_protocols, full_behavior
+from tempocorr.realize import canonical_protocols, full_behavior, qutrit_vertex_realization
 from tempocorr.witness import (
     EffectParams,
     EpsilonSearchConfig,
@@ -820,6 +821,11 @@ class TestSystemEpsilon:
         with np.errstate(all="ignore"), pytest.raises(NotAProjector):
             system_epsilon(proto, huge)
 
+    def test_returns_plain_float(self):
+        for name, proto in canonical_protocols().items():
+            proj = np.diag([1.0, 1.0] + [0.0] * (proto.dim - 2))
+            assert type(system_epsilon(proto, proj)) is float, name
+
     def test_embedded_qubit_with_aligned_projector(self):
         model = embedded_qubit_model()
         aligned = np.diag([1.0, 1.0, 0.0]).astype(complex)
@@ -1303,6 +1309,53 @@ class TestLeakageBracket:
         proj = random_projector(rng, 3)
         exact = np.linalg.eigvalsh(effect)[-1] * trace_norm(proj @ sigma @ proj - sigma)
         assert w._leakage_bracket(ops, proj)[1] >= exact
+
+    def test_no_leak_into_subspace_gives_top_eigenvalue(self):
+        # P K = 0, so c = a and f = a, whose largest value is |A| = 1.25
+        kraus = np.zeros((3, 3), dtype=complex)
+        kraus[2, :2] = [1.0, 0.5]
+        lo, hi = w._leakage_bracket([kraus], np.diag([1.0, 1.0, 0.0]).astype(complex))
+        assert type(lo) is float and type(hi) is float
+        assert lo <= hi
+        assert abs(hi - 1.25) <= 1e-12
+
+    def test_vertex_realizations_close_on_flat_faces(self):
+        # the branches of the (2,2,2) vertex realizations are partial
+        # isometries, whose ranges W have flat faces that the chord normal closes
+        rng = np.random.default_rng(29)
+        projs = [random_projector(rng, 3) for _ in range(10)]
+        for v in enumerate_vertices(S222):
+            for inst in qutrit_vertex_realization(v).system.instruments:
+                for ops in inst.kraus_sets:
+                    for proj in projs:
+                        lo, hi = w._leakage_bracket(ops, proj)
+                        assert hi - lo <= 1e-12, (v.outcomes, proj)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.floats(-4.0, 4.0), st.integers(0, 2**32 - 1))
+    def test_scaled_operators(self, dim, n_ops, exponent, seed):
+        rng = np.random.default_rng(seed)
+        ops = [k * 10.0**exponent for k in random_instrument(rng, dim, 2, n_ops).kraus_sets[0]]
+        proj = random_projector(rng, dim)
+        lo, hi = w._leakage_bracket(ops, proj)
+        assert lo <= hi
+        assert_no_input_exceeds(lambda psi: branch_leakage(ops, proj, psi), dim, hi, rng)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_rank_deficient_operators(self, zero):
+        # K sends e0 out of the subspace and e1 into it, and row 1 is zero: A and
+        # C - A have orthogonal ranges, so top eigenvectors can lie in ker A, where
+        # a is 0 or rounds below it and c / a or -dc / da is negative or undefined.
+        # f = sqrt(x (4 - 3 x)) with x = |(U psi)_0|^2, largest 2 / sqrt(3) for every rotation U
+        rng = np.random.default_rng(43)
+        kraus = np.full((3, 3), zero, dtype=complex)
+        kraus[0, 1] = kraus[2, 0] = 1.0
+        aligned = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        for k in range(21):
+            u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0] if k else np.eye(3)
+            lo, hi = w._leakage_bracket([kraus @ u], aligned)
+            assert lo <= hi
+            assert abs(hi - 2.0 / math.sqrt(3.0)) <= 1e-12, k
 
     def test_many_kraus_operators_form_no_stacked_projector(self):
         # 400 operators on C^4: the (1600 x 1600) complex matrix 1 (x) P would take 41 MB
