@@ -888,10 +888,11 @@ _JNR_ROUNDS = 40
 # Rounding allowance added to hi, in two parts.  Relative, 1e-13 of hi
 # (about 450 float64 ulps): the top eigenvalues of the positive semidefinite
 # matrices t A + C / t carry relative errors of a few d * 2.2e-16.  Absolute,
-# 8 n d * 2.2e-16 * ||K_s||_F, with n the number of Kraus operators and K_s
+# 8 n d * 2.2e-16 * ||K_s||_F^2, with n the number of Kraus operators and K_s
 # the (n d) x d stack of them: the entries of Q K_k and P K_k carry absolute
-# errors of about d * 2.2e-16 * |K_k|, and f moves by at most 6 times the
-# error of the stacked vectors Q K_k psi and P K_k psi.
+# errors of about d * 2.2e-16 * |K_k|, and f, quadratic in the operators,
+# moves by at most 6 ||K_s|| times the error of the stacked vectors Q K_k psi
+# and P K_k psi.
 _JNR_ROUNDING = 1e-13
 _JNR_ABS_ROUNDING = 8.0 * math.ulp(1.0)
 
@@ -949,7 +950,7 @@ def _leakage_bracket(kraus_ops, proj) -> tuple[float, float]:
     amat = qk.conj().T @ qk
     cmat = amat + 4.0 * (pk.conj().T @ pk)
     top_a, top_c = (float(v) for v in np.linalg.eigvalsh(np.stack([amat, cmat]))[:, -1])
-    pad = _JNR_ABS_ROUNDING * kraus.shape[0] * float(np.linalg.norm(kraus))
+    pad = _JNR_ABS_ROUNDING * kraus.shape[0] * float(np.linalg.norm(kraus)) ** 2
     if top_a <= 0.0:  # f = 0 at every input
         return 0.0, pad
     lo, hi = 0.0, math.sqrt(top_a * top_c)
@@ -983,7 +984,7 @@ def system_epsilon(
     branch, an upper bound on the largest deviation of the branch output
     over all input states: the upper end ``hi`` of the branch's certified
     bracket (:func:`_leakage_bracket`), padded for float64 rounding by 1e-13
-    of its value plus 8 n d * 2.2e-16 * ||K_s||_F, for the projector as
+    of its value plus 8 n d * 2.2e-16 * ||K_s||_F^2, for the projector as
     given.  A single-Kraus branch gets its exact maximum within 1e-10; a
     branch with several Kraus operators gets the maximum of its stacked
     single-Kraus branch, which can lie above its own.  ``cfg`` is validated
