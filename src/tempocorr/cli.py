@@ -193,12 +193,9 @@ def cmd_bounds(args) -> int:
         what = f"a {which} table of {entries} entries (--grid {n})"
         raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
     xs = np.linspace(-1.0, 1.0, n)
-    if which == "B1profile":
-        ys = witness.b1_projective_profile(xs)
-        rows = ["cos_gamma,value"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
-        print(f"max = {_fmt(ys.max())} at cos_gamma = {_fmt(xs[int(ys.argmax())])}")
-    elif which == "B3profile":
-        ys = witness.b3_profile(xs)
+    profiles = {"B1profile": witness.b1_projective_profile, "B3profile": witness.b3_profile}
+    if which in profiles:
+        ys = profiles[which](xs)
         rows = ["cos_gamma,value"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
         print(f"max = {_fmt(ys.max())} at cos_gamma = {_fmt(xs[int(ys.argmax())])}")
     else:  # B4envelope

@@ -11,10 +11,11 @@ combination of them.
 
 Index conventions, used throughout the package: a setting sequence
 ``(x1..xL)`` is stored as the base-S integer with x1 as the most significant
-digit, and outcome sequences likewise in base R.  Setting-history contexts
-are ordered by time step first and lexicographically within a step.
-:func:`history_tree` is the one place where that ordering is decided: the
-contexts in order and every per-row path through the tree are read from it.
+digit, and outcome sequences likewise in base R.  Setting histories are
+ordered by length first and in base-S order within a length: history
+``(x1..xt)`` sits at :func:`context_position`, and :func:`context_order`
+lists them all.  So level t of the tree is the contiguous slice of S^t
+histories after the (S^t - S)/(S - 1) shorter ones, one per setting prefix.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -104,32 +104,12 @@ def context_position(history, S: int) -> int:
     return (S ** len(history) - S) // (S - 1) + index_of_digits(history, S)
 
 
-class HistoryTree(NamedTuple):
-    """Index of the setting-history tree of one scenario.
-
-    ``contexts`` are the setting histories in :func:`context_order`, and
-    ``context[row, t-1]`` is the position of x1..xt for the setting sequence
-    stored in table row ``row``.  The array is read-only.
-    """
-
-    contexts: tuple[tuple[int, ...], ...]
-    context: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def history_tree(scenario: Scenario) -> HistoryTree:
-    """The cached :class:`HistoryTree` of a scenario."""
-    L, S = scenario.L, scenario.S
-    contexts = tuple(h for t in range(1, L + 1) for h in itertools.product(range(S), repeat=t))
-    rows = np.arange(S**L)
-    context = np.stack([(S**t - S) // (S - 1) + rows // S ** (L - t) for t in range(1, L + 1)], 1)
-    context.setflags(write=False)
-    return HistoryTree(contexts, context)
-
-
 def context_order(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
     """All setting histories, ordered by length then lexicographically."""
-    return history_tree(scenario).contexts
+    return tuple(
+        h for t in range(1, scenario.L + 1) for h in itertools.product(range(scenario.S), repeat=t)
+    )
 
 
 @dataclass(frozen=True)
@@ -438,30 +418,6 @@ def vertex_behavior(v: DeterministicVertex) -> Behavior:
     return mixture_behavior(ConvexDecomposition(((1.0, v),)))
 
 
-def vertex_from_unit_entries(scenario: Scenario, entries) -> DeterministicVertex:
-    """Vertex of an L=2 scenario from its unit entries ((a, b), (x, y)).
-
-    ``entries`` must contain one entry per setting pair and be consistent on
-    the shared first step.
-    """
-    if scenario.L != 2:
-        raise ShapeMismatch("unit-entry construction is defined for L=2 scenarios")
-    first: dict[int, int] = {}
-    second: dict[tuple[int, int], int] = {}
-    for (a, b), (x, y) in entries:
-        if x in first and first[x] != a:
-            raise ShapeMismatch(f"inconsistent first-step outcome for setting {x}")
-        first[x] = a
-        second[(x, y)] = b
-    if set(first) != set(range(scenario.S)) or set(second) != set(
-        itertools.product(range(scenario.S), repeat=2)
-    ):
-        raise ShapeMismatch("unit entries must cover every setting pair exactly once")
-    outcomes = [first[x] for x in range(scenario.S)]
-    outcomes += [second[xy] for xy in itertools.product(range(scenario.S), repeat=2)]
-    return DeterministicVertex(scenario, tuple(outcomes))
-
-
 # The four vertices of the (2,2,2) scenario that no qubit reaches; their unit
 # entries double as the coefficient patterns of the builtin witnesses.
 QUBIT_UNREACHABLE_UNIT_ENTRIES: dict[str, tuple[tuple[tuple[int, int], tuple[int, int]], ...]] = {
@@ -478,7 +434,11 @@ def named_vertex(name: str) -> DeterministicVertex:
         entries = QUBIT_UNREACHABLE_UNIT_ENTRIES[name]
     except KeyError:
         raise ShapeMismatch(f"unknown vertex name {name!r}; known: e1, e2, e3, e4") from None
-    return vertex_from_unit_entries(Scenario(2, 2, 2), entries)
+    assigned = {}
+    for (a, b), (x, y) in entries:
+        assigned[(x,)], assigned[(x, y)] = a, b
+    s = Scenario(2, 2, 2)
+    return DeterministicVertex(s, tuple(assigned[h] for h in context_order(s)))
 
 
 # --- relabeling symmetries --------------------------------------------------------
@@ -635,11 +595,12 @@ class ConvexDecomposition:
 def _vertex_columns(s: Scenario, outcomes: np.ndarray) -> np.ndarray:
     """Outcome column each vertex (one row of ``outcomes``) reaches in each
     table row: the base-R index of the outcomes it assigns along the row's
-    path through the tree."""
-    context = history_tree(s).context
-    cols = np.zeros((len(outcomes), s.n_setting_seqs), dtype=np.min_scalar_type(s.n_outcome_seqs))
-    for t in range(s.L):
-        cols = cols * s.R + outcomes[:, context[:, t]]
+    path through the tree, built level by level as the peel does."""
+    cols = np.zeros((len(outcomes), 1), dtype=np.min_scalar_type(s.n_outcome_seqs))
+    start = 0
+    for t in range(1, s.L + 1):
+        cols = np.repeat(cols, s.S, axis=1) * s.R + outcomes[:, start : start + s.S**t]
+        start += s.S**t
     return cols
 
 
@@ -649,8 +610,8 @@ def mixture_behavior(decomp: ConvexDecomposition) -> Behavior:
     weights = np.array([w for w, _v in decomp.terms])
     outcomes = np.array([v.outcomes for _w, v in decomp.terms], dtype=np.min_scalar_type(s.R))
     table = np.zeros((s.n_setting_seqs, s.n_outcome_seqs))
-    for row, col in zip(table, _vertex_columns(s, outcomes).T):
-        np.add.at(row, col, weights)  # unbuffered: each entry sums its terms in term order
+    # unbuffered and term-major: each entry sums its terms in term order
+    np.add.at(table, (np.arange(s.n_setting_seqs), _vertex_columns(s, outcomes)), weights[:, None])
     return Behavior(s, table)
 
 

@@ -199,7 +199,8 @@ class SystemModel:
 
 
 def validate_effect(m) -> Effect:
-    """Check Hermiticity and spectrum in [-tol, 1+tol], returning an Effect."""
+    """Check Hermiticity to ``HERMITICITY_TOL`` and the spectrum in
+    [-PSD_TOL, 1 + PSD_TOL], returning an Effect."""
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
     if defect > HERMITICITY_TOL:

@@ -942,7 +942,9 @@ def _leakage_bracket(kraus_ops, proj) -> tuple[float, float]:
     eigenvectors give points (a, c) of W, and chords between them lie in W,
     so the largest f on them is ``lo``.  The next bracket is where the
     slope changes sign.  Rounds stop once ``hi - lo`` is at most
-    ``_JNR_WIDTH``, or after ``_JNR_ROUNDS``.
+    ``_JNR_WIDTH``, once a round improves neither end (the bracket of a
+    large leakage collapses to rounding before it meets that absolute width),
+    or after ``_JNR_ROUNDS``.
     """
     kraus = np.vstack(kraus_ops)
     pk = np.vstack([proj @ k for k in kraus_ops])
@@ -960,9 +962,10 @@ def _leakage_bracket(kraus_ops, proj) -> tuple[float, float]:
         vals, vecs = np.linalg.eigh(t[:, None, None] * amat + cmat / t[:, None, None])
         psi = vecs[:, :, -1]
         a, c = (np.einsum("ni,ij,nj->n", psi.conj(), m, psi).real for m in (amat, cmat))
+        prev = lo, hi
         hi = min(hi, 0.5 * float(vals[:, -1].min()))
         lo = max(lo, math.sqrt(max(0.0, _chord_max_product(a, c))))
-        if hi * (1.0 + _JNR_ROUNDING) + pad - lo <= _JNR_WIDTH:
+        if hi * (1.0 + _JNR_ROUNDING) + pad - lo <= _JNR_WIDTH or (lo, hi) == prev:
             break
         right = np.flatnonzero(a * t * t >= c)
         j = int(right[0]) if right.size else len(t) - 1

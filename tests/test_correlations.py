@@ -114,6 +114,16 @@ class TestVertices:
         tables = {tuple(vertex_behavior(v).table.reshape(-1)) for v in vertices}
         assert len(tables) == 4
 
+    def test_named_vertices_are_pinned(self):
+        assert {name: named_vertex(name).outcomes for name in ("e1", "e2", "e3", "e4")} == {
+            "e1": (0, 0, 0, 1, 1, 0),
+            "e2": (0, 0, 1, 0, 0, 1),
+            "e3": (0, 0, 1, 1, 1, 0),
+            "e4": (0, 0, 1, 1, 0, 1),
+        }
+        with pytest.raises(ShapeMismatch, match="unknown vertex name 'e5'"):
+            named_vertex("e5")
+
     def test_named_vertex_unit_entries(self):
         b = vertex_behavior(named_vertex("e1"))
         for (a, bb), (x, y) in co.QUBIT_UNREACHABLE_UNIT_ENTRIES["e1"]:
@@ -394,10 +404,17 @@ class TestDecomposition:
 
 # --- the peel against its level-by-level reference ----------------------------------
 
+def reference_context(s):
+    """``[row, t-1]``: position in context order of the history x1..xt of the
+    setting sequence in table row ``row``, by the per-row formula."""
+    rows = np.arange(s.n_setting_seqs)
+    return np.stack([(s.S**t - s.S) // (s.S - 1) + rows // s.S ** (s.L - t) for t in range(1, s.L + 1)], 1)
+
+
 def reference_vertex_columns(s, outcomes, steps):
     """Outcome column of each vertex in each table row after ``steps`` steps,
     recomputed from the first step."""
-    context = co.history_tree(s).context
+    context = reference_context(s)
     cols = np.zeros((len(outcomes), s.n_setting_seqs), dtype=np.min_scalar_type(s.n_outcome_seqs))
     for t in range(steps):
         cols = cols * s.R + outcomes[:, context[:, t]]
@@ -415,13 +432,13 @@ def reference_decompose(b):
     realized outcome prefixes of all rows from the first step."""
     s = b.scenario
     co.require_member(b)
-    tree = co.history_tree(s)
+    context = reference_context(s)
     residual = np.array(b.table)
     terms = []
     while residual.sum() / s.n_setting_seqs > ZERO_MEASURE_TOL:
         outcomes = np.zeros((1, s.n_contexts), dtype=int)
         for t in range(1, s.L + 1):
-            c, realized = tree.context[:, t - 1], reference_vertex_columns(s, outcomes, t - 1)[0]
+            c, realized = context[:, t - 1], reference_vertex_columns(s, outcomes, t - 1)[0]
             m = reference_pinned_marginal(s, residual, t).reshape(s.S**t, s.R ** (t - 1), s.R)
             outcomes[0, c] = m[np.arange(s.n_setting_seqs) // s.S ** (s.L - t), realized].argmax(axis=1)
         support = (np.arange(s.n_setting_seqs), reference_vertex_columns(s, outcomes, s.L)[0])
@@ -432,6 +449,17 @@ def reference_decompose(b):
         terms.append((w, DeterministicVertex(s, outcomes[0].tolist())))
     total = sum(w for w, _v in terms)
     return ConvexDecomposition(tuple((w / total, v) for w, v in terms))
+
+
+def reference_mixture(decomp):
+    """The mixture table by one unbuffered scatter per table row."""
+    s = decomp.scenario
+    weights = np.array([w for w, _v in decomp.terms])
+    outcomes = np.array([v.outcomes for _w, v in decomp.terms], dtype=np.min_scalar_type(s.R))
+    table = np.zeros((s.n_setting_seqs, s.n_outcome_seqs))
+    for row, col in zip(table, reference_vertex_columns(s, outcomes, s.L).T):
+        np.add.at(row, col, weights)
+    return table
 
 
 # (L, R, S) with L 1-4 and (R, S) of (2,2,2), (2,2,3), (2,3,3) and (3,2,2), up to
@@ -497,3 +525,35 @@ class TestPeelParity:
         terms = decompose_behavior(b).terms
         assert terms == reference_decompose(b).terms
         assert terms[0][1].outcomes == (0,) * s.n_contexts
+
+
+@st.composite
+def repeating_decompositions(draw):
+    """Two to twelve terms over a pool of one to three vertices, so that
+    vertices repeat and entries sum several random weights."""
+    s = draw(st.sampled_from(PEEL_SCENARIOS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(s.R, size=(draw(st.integers(1, 3)), s.n_contexts))
+    n = draw(st.integers(2, 12))
+    w = rng.random(n)
+    w /= w.sum()
+    picks = rng.integers(len(pool), size=n)
+    return ConvexDecomposition(
+        tuple((wk, DeterministicVertex(s, pool[k].tolist())) for wk, k in zip(w.tolist(), picks))
+    )
+
+
+class TestMixtureParity:
+    @settings(max_examples=100, deadline=None)
+    @given(repeating_decompositions())
+    def test_table_equals_the_per_row_reference(self, d):
+        assert mixture_behavior(d).table.tobytes() == reference_mixture(d).tobytes()
+
+    def test_terms_sum_in_term_order(self):
+        # e1's weights sum to (0.1 + 0.2) + 0.3 or to (0.3 + 0.2) + 0.1, which differ in the last bit
+        e1, e2 = named_vertex("e1"), named_vertex("e2")
+        forward = ConvexDecomposition(((0.1, e1), (0.2, e1), (0.3, e1), (0.4, e2)))
+        backward = ConvexDecomposition(((0.3, e1), (0.2, e1), (0.1, e1), (0.4, e2)))
+        tables = [mixture_behavior(d).table.tobytes() for d in (forward, backward)]
+        assert tables[0] != tables[1]
+        assert tables == [reference_mixture(d).tobytes() for d in (forward, backward)]

@@ -25,10 +25,10 @@ from tempocorr.correlations import (
     decompose_behavior,
     digits_of_index,
     factorize,
-    history_tree,
     index_of_digits,
     mixture_behavior,
     vertex_behavior,
+    _vertex_columns,
 )
 from tempocorr.realize import full_behavior, mixture_realization
 from tempocorr.serialize import behavior_from_json, behavior_to_json, dumps
@@ -140,9 +140,24 @@ def test_vertex_is_a_member_and_decomposes_to_itself(s, k):
 
 def test_history_tree_follows_context_order():
     for s in SCENARIOS + [Scenario(4, 2, 3)]:
-        ctxs = context_order(s)
-        tree = history_tree(s)
-        assert [context_position(h, s.S) for h in ctxs] == list(range(s.n_contexts))
-        for srow in range(s.n_setting_seqs):
-            xs = digits_of_index(srow, s.S, s.L)
-            assert [ctxs[c] for c in tree.context[srow]] == [xs[: t + 1] for t in range(s.L)]
+        assert [context_position(h, s.S) for h in context_order(s)] == list(range(s.n_contexts))
+
+
+@st.composite
+def assignments(draw):
+    """One to four drawn vertices of a scenario with L 1-4 and R, S 2-3."""
+    s = Scenario(draw(st.integers(1, 4)), draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    outcomes = st.lists(st.integers(0, s.R - 1), min_size=s.n_contexts, max_size=s.n_contexts)
+    return s, [DeterministicVertex(s, draw(outcomes)) for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(assignments())
+def test_vertex_columns_follow_each_rows_setting_prefixes(drawn):
+    s, vertices = drawn
+    outcomes = np.array([v.outcomes for v in vertices], dtype=np.min_scalar_type(s.R))
+    cols = _vertex_columns(s, outcomes)
+    assert cols.dtype == np.min_scalar_type(s.n_outcome_seqs)
+    xs = [digits_of_index(srow, s.S, s.L) for srow in range(s.n_setting_seqs)]
+    for v, row in zip(vertices, cols.tolist()):
+        assert row == [index_of_digits(realized(v, x), s.R) for x in xs]

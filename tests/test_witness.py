@@ -1341,6 +1341,27 @@ class TestLeakageBracket:
         assert lo <= hi
         assert_no_input_exceeds(lambda psi: branch_leakage(ops, proj, psi), dim, hi, rng)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_large_leakage_stops_once_the_bracket_collapses(self, dim, n_ops, seed):
+        # f grows as 1e6: the bracket collapses to rounding far above _JNR_WIDTH
+        rng = np.random.default_rng(seed)
+        ops = [k * 1e3 for k in random_instrument(rng, dim, 2, n_ops).kraus_sets[0]]
+        proj = random_projector(rng, dim)
+        rounds = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(m):
+            rounds.append(len(m))
+            return eigh(m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", counted_eigh)
+            lo, hi = w._leakage_bracket(ops, proj)
+        assert 0 < len(rounds) < w._JNR_ROUNDS
+        assert lo <= hi
+        assert_no_input_exceeds(lambda psi: branch_leakage(ops, proj, psi), dim, hi, rng)
+
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_rank_deficient_operators(self, zero):
         # K sends e0 out of the subspace and e1 into it, and row 1 is zero: A and
