@@ -37,6 +37,10 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """Read-only array of the entries of ``a``: ``a`` itself when it is a
+    read-only view of a read-only array, else a read-only copy."""
+    if not a.flags.writeable and isinstance(a.base, np.ndarray) and not a.base.flags.writeable:
+        return a
     out = np.array(a)
     out.setflags(write=False)
     return out
@@ -132,8 +136,9 @@ class Effect:
 class Instrument:
     """One measurement: a tuple of Kraus-operator collections, one per outcome.
 
-    Built via :func:`validate_instrument`, which also computes the induced
-    effects ``E_r = sum_k K_{r,k}^dag K_{r,k}``.
+    Built via :func:`validate_instrument` or, from column maps, by
+    :func:`instrument_from_column_maps`; both give the induced effects
+    ``E_r = sum_k K_{r,k}^dag K_{r,k}``.
 
     ``column_maps[r]`` is set when outcome r has a single Kraus operator that
     is a 0/1 partial permutation: every nonzero entry exactly ``1+0j`` (a +0.0
@@ -233,6 +238,26 @@ def _column_map(k: np.ndarray) -> np.ndarray | None:
     return _frozen(columns)
 
 
+def instrument_from_column_maps(maps: np.ndarray, kraus) -> Instrument:
+    """Instrument whose outcome r is the read-only 0/1 partial permutation
+    ``kraus[r]`` with column map ``maps[r]`` (see :class:`Instrument`).  Each
+    effect is the 0/1 diagonal of the columns its outcome holds, so the
+    operator sum is the identity exactly when every column is held once."""
+    n_outcomes, dim = maps.shape
+    outcome = np.nonzero(maps >= 0)[0]
+    held = maps[maps >= 0]
+    defect = float(np.max(np.abs(np.bincount(held, minlength=dim) - 1)))
+    if defect > TRACE_PRESERVING_TOL:
+        raise NotTracePreserving(
+            f"sum of K^dag K deviates from identity by {defect:.6e} > {TRACE_PRESERVING_TOL}"
+        )
+    effects = np.zeros((n_outcomes, dim, dim), dtype=complex)
+    effects[outcome, held, held] = 1.0
+    effects.setflags(write=False)
+    maps.setflags(write=False)
+    return Instrument(tuple((k,) for k in kraus), tuple(Effect(e) for e in effects), tuple(maps))
+
+
 def validate_instrument(kraus_sets) -> Instrument:
     """Validate trace preservation of a Kraus family grouped by outcome.
 
@@ -240,7 +265,8 @@ def validate_instrument(kraus_sets) -> Instrument:
     The operator sum over all outcomes must be the identity within tolerance,
     and each induced effect must satisfy the effect constraints.  An outcome
     whose single operator is a 0/1 partial permutation gets its column map
-    (see :class:`Instrument`) and its effect read off that map.
+    (see :class:`Instrument`); when every outcome has one, the instrument is
+    built around the given operators by :func:`instrument_from_column_maps`.
     """
     if not kraus_sets:
         raise WrongDimension("instrument needs at least one outcome")
@@ -259,23 +285,17 @@ def validate_instrument(kraus_sets) -> Instrument:
                 )
         normalized.append(tuple(_frozen(k) for k in ops))
 
+    column_maps = [_column_map(ops[0]) if len(ops) == 1 else None for ops in normalized]
+    if all(columns is not None for columns in column_maps):
+        return instrument_from_column_maps(np.array(column_maps), [ops[0] for ops in normalized])
     total = np.zeros((dim, dim), dtype=complex)
-    effects, column_maps = [], []
+    effects = []
     for ops in normalized:
-        columns = _column_map(ops[0]) if len(ops) == 1 else None
         induced = np.zeros((dim, dim), dtype=complex)
-        if columns is None:
-            for k in ops:
-                induced += k.conj().T @ k
-            effects.append(validate_effect(induced))
-        else:
-            # the bytes of the dense K^dag K; a real 0/1 diagonal is Hermitian
-            # with spectrum in {0, 1}, so it needs no effect check
-            live = columns[columns >= 0]
-            induced[live, live] = 1.0
-            effects.append(Effect(induced))
+        for k in ops:
+            induced += k.conj().T @ k
+        effects.append(validate_effect(induced))
         total += induced
-        column_maps.append(columns)
 
     defect = float(np.max(np.abs(total - np.eye(dim))))
     if defect > TRACE_PRESERVING_TOL:

@@ -24,6 +24,7 @@ from .errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, Unsupp
 from .qmath import (
     DensityMatrix,
     SystemModel,
+    instrument_from_column_maps,
     ketbra,
     validate_instrument,
 )
@@ -203,7 +204,8 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     after a first measurement with setting s.  Slot 0 of setting x holds the
     outcome of history ``(x,)``, slot s+1 that of ``(s, x)``.  Result r of x
     has the Kraus operator ``sum_j [slot_j(e) = r] |start_e + pi(j)><start_e + j|``
-    summed over blocks, pi the swap of levels 0 and x+1.  Raises
+    summed over blocks, pi the swap of levels 0 and x+1; each setting's column
+    maps and Kraus operators are written by one scatter each.  Raises
     :class:`TableTooLarge` before any allocation when the S * R operators
     would hold more than ``MAX_TABLE_ENTRIES`` entries.
     """
@@ -226,18 +228,19 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     initial[starts, starts] = [w for w, _v in terms]
 
     instruments = []
+    columns = starts[:, None] + np.arange(block_dim)
     for x in range(s.S):
         histories = [(x,)] + [(first, x) for first in range(s.S)]
         slots = outcomes[:, [context_position(h, s.S) for h in histories]]
         pi = np.arange(block_dim)
         pi[[0, x + 1]] = x + 1, 0
-        kraus_sets = []
-        for r in range(s.R):
-            e, j = np.nonzero(slots == r)
-            k = np.zeros((dim, dim), dtype=complex)
-            k[starts[e] + pi[j], starts[e] + j] = 1.0
-            kraus_sets.append([k])
-        instruments.append(validate_instrument(kraus_sets))
+        rows = starts[:, None] + pi
+        maps = np.full((s.R, dim), -1)
+        maps[slots, rows] = columns
+        kraus = np.zeros((s.R, dim, dim), dtype=complex)
+        kraus[slots, rows, columns] = 1.0
+        kraus.setflags(write=False)
+        instruments.append(instrument_from_column_maps(maps, kraus))
     return SystemModel(DensityMatrix(initial), tuple(instruments))
 
 

@@ -280,6 +280,30 @@ class TestPartialPermutationValidation:
             validate_instrument(kraus_sets)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "kraus_sets, defect",
+        [
+            ([[ketbra(0, 0, 2)], [ketbra(1, 0, 2)]], "1.000000e+00"),
+            ([[ketbra(0, 0, 2)], [ketbra(1, 0, 2)], [ketbra(0, 0, 2)]], "2.000000e+00"),
+        ],
+        ids=["held twice, one never", "held three times"],
+    )
+    def test_column_held_more_than_once(self, kraus_sets, defect):
+        # every outcome is a partial permutation, so the held-once count of
+        # the column maps decides, with the message of the dense operator sum
+        maps = np.array([qmath._column_map(ops[0]) for ops in kraus_sets])
+        message = f"sum of K^dag K deviates from identity by {defect} > 1e-09"
+        with pytest.raises(NotTracePreserving) as expected:
+            reference_validate_instrument(kraus_sets)
+        assert str(expected.value) == message
+        for build in (
+            lambda: validate_instrument(kraus_sets),
+            lambda: qmath.instrument_from_column_maps(maps, [ops[0] for ops in kraus_sets]),
+        ):
+            with pytest.raises(NotTracePreserving) as exc:
+                build()
+            assert str(exc.value) == message
+
 
 class TestApplyInstrument:
     def test_projective_on_plus_state(self):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from tempocorr.correlations import (
     compose_from_conditionals,
     vertex_behavior,
 )
-from tempocorr import realize
+from tempocorr import realize, serialize
 from tempocorr.errors import (
     DimensionMismatch,
     EmptyDecomposition,
@@ -321,13 +322,14 @@ def reference_mixture_realization(decomp):
 
 
 PARITY_SCENARIOS = (S222, Scenario(2, 3, 2), Scenario(2, 2, 3))
+L2_SCENARIOS = PARITY_SCENARIOS + (Scenario(2, 3, 3),)
 
 
 @st.composite
-def peeled_members(draw):
+def peeled_members(draw, scenarios=PARITY_SCENARIOS):
     """Greedy-peel decomposition of a random member; a drawn share of its
     conditionals is deterministic, so zero-measure histories occur."""
-    s = draw(st.sampled_from(PARITY_SCENARIOS))
+    s = draw(st.sampled_from(scenarios))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     share = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
     levels = []
@@ -382,6 +384,60 @@ class TestReferenceParity:
         for name in ("e1", "e2", "e3", "e4"):
             reference = reference_vertex_realization(named_vertex(name))
             assert_same_system(protocols[f"qutrit-{name}"], reference)
+
+
+def assert_same_instrument(new, reference):
+    """Same Kraus bytes, effect bytes and column maps."""
+    assert len(new.kraus_sets) == len(reference.kraus_sets)
+    for ops, ref_ops in zip(new.kraus_sets, reference.kraus_sets):
+        assert len(ops) == len(ref_ops) == 1
+        assert_same_bits(ops[0], ref_ops[0])
+    for effect, ref_effect in zip(new.effects, reference.effects):
+        assert_same_bits(effect.matrix, ref_effect.matrix)
+    for columns, ref_columns in zip(new.column_maps, reference.column_maps):
+        assert columns.dtype == ref_columns.dtype
+        assert_same_bits(columns, ref_columns)
+
+
+class TestColumnMapInstruments:
+    """Realized instruments are built from their column maps; they are the
+    instruments that dense validation of their own operators gives, and the
+    ones a saved file loads back as."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(peeled_members(L2_SCENARIOS))
+    def test_same_as_dense_validation_and_round_trip(self, decomp):
+        system = mixture_realization(decomp)
+        loaded = serialize.system_model_from_json(serialize.system_model_to_json(system))
+        for inst, back in zip(system.instruments, loaded.instruments, strict=True):
+            dense = validate_instrument([[np.array(k) for k in ops] for ops in inst.kraus_sets])
+            assert_same_instrument(inst, dense)
+            assert_same_instrument(inst, back)
+            assert all(not k.flags.writeable for ops in inst.kraus_sets for k in ops)
+            assert all(not e.matrix.flags.writeable for e in inst.effects)
+            assert all(not c.flags.writeable for c in inst.column_maps)
+
+    @pytest.mark.parametrize(
+        "name, n_bytes, digest",
+        [
+            ("e1", 2989, "e5ee780b3c3d118391db389922d764da7d988af0be89b23522b6dabc8023d3bd"),
+            ("e2", 2989, "5a12bd55a93b7cb27578dd9ca237f6980055beebc11313aed1c2c8a0868b288b"),
+            ("e3", 2989, "500256094132a160941c031d863841ab4c931e586d0d87f33b375be892c9857a"),
+            ("e4", 2989, "d710bb1e9eaa9b8d263995f4e6085f2eb0cfc76917100bfc50cb4630e9df1839"),
+            ("mixture", 325_013, "cf50899bbdd4d9a556afd525821987d8b4903d882ed439b28fa76caa32648c0b"),
+        ],
+    )
+    def test_saved_bytes_pinned(self, name, n_bytes, digest):
+        # the files ``tempocorr realize --vertex eK --out`` writes and, for the
+        # dim-33 member of the CI realize run, ``realize --decomposition --out``
+        if name == "mixture":
+            b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(0), S222))
+            decomp = decompose_behavior(b)
+        else:
+            decomp = ConvexDecomposition(((1.0, named_vertex(name)),))
+        text = serialize.dumps(serialize.system_model_to_json(mixture_realization(decomp))).encode()
+        assert len(text) == n_bytes
+        assert hashlib.sha256(text).hexdigest() == digest
 
 
 class TestRealizationBudget:
