@@ -255,7 +255,7 @@ def cmd_decompose(args) -> int:
     decomp = correlations.decompose_behavior(behavior)
     recon = correlations.mixture_behavior(decomp)
     dev = float(np.max(np.abs(recon.table - behavior.table)))
-    print(f"{len(decomp.terms)} vertices, reconstruction max deviation {dev:.3e}")
+    print(f"{len(decomp.weights)} vertices, reconstruction max deviation {dev:.3e}")
     if args.out:
         _write(args.out, serialize.dumps(serialize.decomposition_to_json(decomp)))
         print(f"wrote {args.out}")

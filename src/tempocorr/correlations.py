@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -563,33 +565,97 @@ def classify_vertices(
 
 # --- convex decomposition ---------------------------------------------------------
 
-@dataclass(frozen=True)
+def _check_weights(weights: np.ndarray, mixed_at: int) -> None:
+    """Refuse the first term, in term order, whose weight is not finite or
+    is negative, or (at ``mixed_at``) whose vertex is of another scenario;
+    then weights whose sum, taken term by term from 0.0, is off 1."""
+    bad = np.flatnonzero(~np.isfinite(weights) | (weights < -ZERO_MEASURE_TOL))
+    first = int(bad[0]) if bad.size else len(weights)
+    if mixed_at < first:
+        raise ShapeMismatch("decomposition mixes vertices of different scenarios")
+    if bad.size:
+        w = float(weights[first])
+        raise ShapeMismatch(f"weight {w!r} is not finite" if not math.isfinite(w) else f"negative weight {w!r}")
+    total = reduce(operator.add, weights.tolist(), 0.0)
+    if abs(total - 1.0) > MEMBERSHIP_TOL:
+        raise ShapeMismatch(f"weights sum to {total!r}, not 1")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ConvexDecomposition:
-    """Convex combination of deterministic vertices."""
+    """Convex combination of deterministic vertices, held as two read-only
+    arrays: ``weights`` of shape (n,), and ``outcomes`` of shape
+    (n, n_contexts) whose row k is the assignment of vertex k, as in
+    :class:`DeterministicVertex`.  Built from ``(weight, vertex)`` pairs or
+    by :meth:`from_arrays`; :attr:`terms` builds a vertex when one is read."""
 
-    terms: tuple[tuple[float, DeterministicVertex], ...]
+    scenario: Scenario
+    weights: np.ndarray
+    outcomes: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((float(w), v) for w, v in self.terms)
-        )
-        if not self.terms:
+    def __init__(self, terms):
+        terms = tuple((float(w), v) for w, v in terms)
+        if not terms:
             raise ShapeMismatch("decomposition needs at least one vertex")
-        total = 0.0
-        for w, v in self.terms:
-            if not math.isfinite(w):
-                raise ShapeMismatch(f"weight {w!r} is not finite")
-            if w < -ZERO_MEASURE_TOL:
-                raise ShapeMismatch(f"negative weight {w!r}")
-            if v.scenario != self.terms[0][1].scenario:
-                raise ShapeMismatch("decomposition mixes vertices of different scenarios")
-            total += w
-        if abs(total - 1.0) > MEMBERSHIP_TOL:
-            raise ShapeMismatch(f"weights sum to {total!r}, not 1")
+        s = terms[0][1].scenario
+        mixed = next((k for k, (_w, v) in enumerate(terms) if v.scenario != s), len(terms))
+        weights = np.array([w for w, _v in terms])
+        _check_weights(weights, mixed)
+        self._hold(s, weights, [v.outcomes for _w, v in terms])
+
+    @classmethod
+    def from_arrays(cls, scenario: Scenario, weights, outcomes) -> "ConvexDecomposition":
+        """Decomposition of the given weights (n,) and assignments
+        (n, n_contexts), each assignment checked as a vertex's is."""
+        weights, outcomes = np.asarray(weights, dtype=float), np.asarray(outcomes)
+        if not weights.size:
+            raise ShapeMismatch("decomposition needs at least one vertex")
+        if outcomes.ndim != 2 or weights.shape != (len(outcomes),):
+            raise ShapeMismatch(f"weights of shape {weights.shape} do not fit assignments of shape {outcomes.shape}")
+        if outcomes.shape[1] != scenario.n_contexts:
+            raise ShapeMismatch(f"assignment has {outcomes.shape[1]} entries, expected {scenario.n_contexts}")
+        if outcomes.min() < 0 or outcomes.max() >= scenario.R:
+            raise ShapeMismatch("assignment contains an out-of-range outcome")
+        _check_weights(weights, len(weights))
+        decomp = cls.__new__(cls)
+        decomp._hold(scenario, weights, outcomes)
+        return decomp
+
+    def _hold(self, scenario: Scenario, weights, outcomes) -> None:
+        weights, outcomes = np.array(weights), np.array(outcomes, dtype=np.min_scalar_type(scenario.R))
+        weights.setflags(write=False)
+        outcomes.setflags(write=False)
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "outcomes", outcomes)
 
     @property
-    def scenario(self) -> Scenario:
-        return self.terms[0][1].scenario
+    def terms(self) -> "_Terms":
+        """The ``(weight, vertex)`` pairs in term order."""
+        return _Terms(self)
+
+
+class _Terms(Sequence):
+    """The ``(weight, vertex)`` pairs of a decomposition; a vertex is built
+    only when its pair is read, and the pairs compare as a tuple does."""
+
+    def __init__(self, decomp: ConvexDecomposition):
+        self._decomp = decomp
+
+    def __len__(self) -> int:
+        return len(self._decomp.weights)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        d = self._decomp
+        return float(d.weights[k]), DeterministicVertex(d.scenario, d.outcomes[k].tolist())
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _vertex_columns(s: Scenario, outcomes: np.ndarray) -> np.ndarray:
@@ -607,11 +673,9 @@ def _vertex_columns(s: Scenario, outcomes: np.ndarray) -> np.ndarray:
 def mixture_behavior(decomp: ConvexDecomposition) -> Behavior:
     """Weighted sum of the vertex behaviors."""
     s = decomp.scenario
-    weights = np.array([w for w, _v in decomp.terms])
-    outcomes = np.array([v.outcomes for _w, v in decomp.terms], dtype=np.min_scalar_type(s.R))
     table = np.zeros((s.n_setting_seqs, s.n_outcome_seqs))
     # unbuffered and term-major: each entry sums its terms in term order
-    np.add.at(table, (np.arange(s.n_setting_seqs), _vertex_columns(s, outcomes)), weights[:, None])
+    np.add.at(table, (np.arange(s.n_setting_seqs), _vertex_columns(s, decomp.outcomes)), decomp.weights[:, None])
     return Behavior(s, table)
 
 
@@ -629,28 +693,45 @@ def decompose_behavior(b: Behavior) -> ConvexDecomposition:
     are the setting prefixes ``0..S^t-1``, in :func:`context_order`, and
     the realized outcome prefix of each is its parent's extended by the
     outcome just chosen, so after level L it is the vertex's column in
-    every table row, its support.
+    every table row, its support.  Each vertex is written into its row of
+    one preallocated assignment array.
     """
     s = b.scenario
     require_member(b)
     L, R, S = s.L, s.R, s.S
     residual = np.array(b.table)
-    rows = np.arange(s.n_setting_seqs)
-    terms = []
+    flat = residual.reshape(-1)
+    # per level: its slice of the assignment, each history's parent, and the
+    # flat indices of the R outcomes after each history's own row of the
+    # level-t marginal (S^t, R^t), to be offset by the realized prefix
+    levels, start = [], 0
+    for t in range(1, L + 1):
+        hist = np.arange(S**t)
+        candidates = (hist * R**t)[:, None] + np.arange(R)
+        levels.append((t, slice(start, start + S**t), hist // S, candidates))
+        start += S**t
+    row_starts = levels[-1][3][:, 0]
+    # each term zeroes one positive entry, so there are at most this many
+    cap = int(np.count_nonzero(b.table > 0.0))
+    weights = np.empty(cap)
+    outcomes = np.empty((cap, s.n_contexts), dtype=np.min_scalar_type(R))
+    n = 0
     while residual.sum() / s.n_setting_seqs > ZERO_MEASURE_TOL:
-        levels, realized = [], np.zeros(1, dtype=np.intp)
-        for t in range(1, L + 1):
-            # history x1..xt is reached with the outcome prefix of its parent x1..x(t-1)
-            realized = np.repeat(realized, S)
-            m = _pinned_marginal(s, residual, t).reshape(S**t, R ** (t - 1), R)
-            chosen = m[rows[: S**t], realized].argmax(axis=1)
-            levels.append(chosen)
-            realized = realized * R + chosen
-        support = (rows, realized)
-        w = float(residual[support].min())
+        vertex, realized = outcomes[n], np.zeros(1, dtype=np.intp)
+        for t, context_slice, parent, candidates in levels:
+            # history x1..xt is reached with the outcome prefix of its parent x1..x(t-1);
+            # at level L the marginal is the residual itself
+            realized = realized[parent] * R
+            m = residual if t == L else _pinned_marginal(s, residual, t)
+            chosen = m.take(candidates + realized[:, None]).argmax(axis=1)
+            vertex[context_slice] = chosen
+            realized += chosen
+        support = row_starts + realized
+        w = float(flat[support].min())
         if w <= ZERO_MEASURE_TOL:
             break
-        residual[support] -= w
-        terms.append((w, DeterministicVertex(s, np.concatenate(levels).tolist())))
-    total = sum(w for w, _v in terms)
-    return ConvexDecomposition(tuple((w / total, v) for w, v in terms))
+        flat[support] -= w
+        weights[n] = w
+        n += 1
+    total = sum(weights[:n].tolist())
+    return ConvexDecomposition.from_arrays(s, weights[:n] / total, outcomes[:n])

@@ -57,8 +57,10 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-entry deviation of ``m`` from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Max-entry deviation of ``m`` from its conjugate transpose; inf, with
+    no overflow warning, where that difference passes the largest float."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(m - m.conj().T)))
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -209,23 +209,23 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     :class:`TableTooLarge` before any allocation when the S * R operators
     would hold more than ``MAX_TABLE_ENTRIES`` entries.
     """
-    terms = [(w, v) for w, v in decomp.terms if w > 0.0]
-    if not terms:
+    kept = decomp.weights > 0.0
+    if not kept.any():
         raise EmptyDecomposition("decomposition has no positive-weight vertex")
-    s = terms[0][1].scenario
+    s = decomp.scenario
     if s.L != 2:
         raise UnsupportedLength(f"realization is implemented for L=2 only, got L={s.L}")
     block_dim = s.S + 1
-    dim = block_dim * len(terms)
+    weights, outcomes = decomp.weights[kept], decomp.outcomes[kept]
+    dim = block_dim * len(weights)
     entries = s.S * s.R * dim * dim
     if entries > MAX_TABLE_ENTRIES:
         what = f"a system of dimension {dim} with {entries} Kraus entries"
         raise TableTooLarge(what, MAX_TABLE_ENTRIES, (s.L, s.R, s.S))
 
-    starts = block_dim * np.arange(len(terms))
-    outcomes = np.array([v.outcomes for _w, v in terms])
+    starts = block_dim * np.arange(len(weights))
     initial = np.zeros((dim, dim), dtype=complex)
-    initial[starts, starts] = [w for w, _v in terms]
+    initial[starts, starts] = weights
 
     instruments = []
     columns = starts[:, None] + np.arange(block_dim)

@@ -116,6 +116,8 @@ def system_model_from_json(data) -> SystemModel:
     raw = data.get("instruments")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("instruments", "expected a nonempty array")
+    if len(raw) < 2:
+        raise SchemaError("instruments", f"need at least 2 settings, got {len(raw)}")
     _check_system_size(raw, dim)
     instruments = []
     for i, entry in enumerate(raw):
@@ -124,6 +126,8 @@ def system_model_from_json(data) -> SystemModel:
         kraus = entry["kraus"]
         if not isinstance(kraus, list) or not kraus:
             raise SchemaError(f"instruments[{i}].kraus", "expected a nonempty array of outcomes")
+        if len(kraus) < 2:
+            raise SchemaError(f"instruments[{i}].kraus", f"need at least 2 outcomes, got {len(kraus)}")
         sets = []
         for r, ops in enumerate(kraus):
             if not isinstance(ops, list) or not ops:
@@ -214,19 +218,19 @@ def _context_key(h: tuple[int, ...], outcomes, S: int) -> str:
     return f"t={len(h)};x={digits_string(h)};a={digits_string(realized)}"
 
 
-def _assignment_to_json(v: DeterministicVertex) -> dict[str, int]:
-    ctxs = context_order(v.scenario)
-    out = {_context_key(h, v.outcomes, v.scenario.S): a for h, a in zip(ctxs, v.outcomes)}
+def _assignment_to_json(scenario: Scenario, outcomes) -> dict[str, int]:
+    ctxs = context_order(scenario)
+    out = {_context_key(h, outcomes, scenario.S): a for h, a in zip(ctxs, outcomes)}
     if len(out) != len(ctxs):  # one digit per setting: histories can share a key at S > 10
-        raise SchemaError("S", f"the {len(ctxs)} contexts at S = {v.scenario.S} give {len(out)} distinct keys")
+        raise SchemaError("S", f"the {len(ctxs)} contexts at S = {scenario.S} give {len(out)} distinct keys")
     return out
 
 
 def vertex_to_json(v: DeterministicVertex) -> dict:
-    return {**_scenario_to_json(v.scenario), "assignment": _assignment_to_json(v)}
+    return {**_scenario_to_json(v.scenario), "assignment": _assignment_to_json(v.scenario, v.outcomes)}
 
 
-def _assignment_from_json(scenario: Scenario, data, path: str) -> DeterministicVertex:
+def _assignment_from_json(scenario: Scenario, data, path: str) -> list[int]:
     if not isinstance(data, dict):
         raise SchemaError(path, "expected an object of context -> outcome")
     outcomes = []
@@ -240,16 +244,19 @@ def _assignment_from_json(scenario: Scenario, data, path: str) -> DeterministicV
         outcomes.append(a)
     if len(data) != scenario.n_contexts:
         raise SchemaError(path, f"expected {scenario.n_contexts} contexts, got {len(data)}")
-    return DeterministicVertex(scenario, tuple(outcomes))
+    return outcomes
 
 
 def vertex_from_json(data) -> DeterministicVertex:
     scenario = _scenario_from_json(data)
-    return _assignment_from_json(scenario, data.get("assignment"), "assignment")
+    return DeterministicVertex(scenario, _assignment_from_json(scenario, data.get("assignment"), "assignment"))
 
 
 def decomposition_to_json(d: ConvexDecomposition) -> dict:
-    terms = [{"weight": float(w), "assignment": _assignment_to_json(v)} for w, v in d.terms]
+    terms = [
+        {"weight": w, "assignment": _assignment_to_json(d.scenario, a)}
+        for w, a in zip(d.weights.tolist(), d.outcomes.tolist())
+    ]
     return {**_scenario_to_json(d.scenario), "terms": terms}
 
 
@@ -258,15 +265,14 @@ def decomposition_from_json(data) -> ConvexDecomposition:
     raw = data.get("terms")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("terms", "expected a nonempty array")
-    terms = []
+    weights, outcomes = [], []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SchemaError(f"terms[{i}]", "expected an object with numeric 'weight'")
-        w = _number(entry.get("weight"), f"terms[{i}].weight")
-        v = _assignment_from_json(scenario, entry.get("assignment"), f"terms[{i}].assignment")
-        terms.append((w, v))
+        weights.append(_number(entry.get("weight"), f"terms[{i}].weight"))
+        outcomes.append(_assignment_from_json(scenario, entry.get("assignment"), f"terms[{i}].assignment"))
     try:
-        return ConvexDecomposition(tuple(terms))
+        return ConvexDecomposition.from_arrays(scenario, weights, outcomes)
     except TempocorrError as exc:
         raise SchemaError("terms", str(exc)) from exc
 

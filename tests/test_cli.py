@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,33 @@ class TestInputBoundary:
         data["L"] = 10**6
         code, _out, err = self.run_file(capsys, tmp_path, data, "witness", "--behavior", "{file}")
         assert code == 3 and "schema error: L/R/S:" in err
+
+    def test_overflowing_hermiticity_defect_warns_nothing(self, capsys, tmp_path):
+        # 1e308 and -1e308 at transposed positions differ by more than the largest float
+        data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
+        data["initial"][1], data["initial"][2] = [1e308, 0.0], [-1e308, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _out, err = self.run_file(capsys, tmp_path, data, "simulate", "--system", "{file}")
+        assert code == 3
+        assert err.splitlines() == ["schema error: initial: state deviates from Hermiticity by inf > 1e-09"]
+
+    @pytest.mark.parametrize(
+        "instruments, path, message",
+        [
+            (1, "instruments", "need at least 2 settings, got 1"),
+            (2, "instruments[0].kraus", "need at least 2 outcomes, got 1"),
+        ],
+    )
+    def test_one_setting_or_outcome_exits_3_with_its_field(self, capsys, tmp_path, instruments, path, message):
+        # one outcome of the identity is a valid instrument; only the count refuses it
+        data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
+        data["instruments"] = data["instruments"][:instruments]
+        if instruments == 2:
+            data["instruments"][0]["kraus"] = [[se.matrix_to_json(np.eye(2))]]
+        code, _out, err = self.run_file(capsys, tmp_path, data, "simulate", "--system", "{file}")
+        assert code == 3
+        assert err.splitlines() == [f"schema error: {path}: {message}"]
 
     def test_overflowing_kraus_entry_prints_one_line(self, tmp_path):
         data = se.system_model_to_json(canonical_protocols()["qutrit-e1"])

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -557,3 +558,94 @@ class TestMixtureParity:
         tables = [mixture_behavior(d).table.tobytes() for d in (forward, backward)]
         assert tables[0] != tables[1]
         assert tables == [reference_mixture(d).tobytes() for d in (forward, backward)]
+
+
+# --- the array-held decomposition ---------------------------------------------------
+
+E1, E2 = named_vertex("e1"), named_vertex("e2")
+
+
+def refused(message):
+    return pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$")
+
+
+class TestDecompositionArrays:
+    """A decomposition holds read-only weight and assignment arrays, checked
+    once, with the exception classes and messages of the per-term checks."""
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((0.5, float("nan")), "weight nan is not finite"),
+            ((float("inf"), 0.5), "weight inf is not finite"),
+            ((0.5, float("-inf")), "weight -inf is not finite"),
+            ((1.5, -0.5), "negative weight -0.5"),
+            ((0.5, 0.25), "weights sum to 0.75, not 1"),
+            ((-0.0,), "weights sum to 0.0, not 1"),
+            ((), "decomposition needs at least one vertex"),
+        ],
+    )
+    def test_weights_refused_by_both_constructors(self, weights, message):
+        vertices = (E1, E2)[: len(weights)]
+        with refused(message):
+            ConvexDecomposition(tuple(zip(weights, vertices)))
+        with refused(message):
+            ConvexDecomposition.from_arrays(S222, weights, [v.outcomes for v in vertices])
+
+    def test_mixed_scenarios_refused_in_term_order(self):
+        other = DeterministicVertex(Scenario(3, 2, 2), (0,) * 14)
+        nan = float("nan")
+        with refused("decomposition mixes vertices of different scenarios"):
+            ConvexDecomposition(((0.5, E1), (0.5, other), (nan, E2)))
+        # each term's weight is checked before its vertex's scenario
+        for terms in (((nan, E1), (0.5, other)), ((0.5, E1), (nan, other))):
+            with refused("weight nan is not finite"):
+                ConvexDecomposition(terms)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0, 0, 2, 0, 0, 0), "assignment contains an out-of-range outcome"),
+            ((0, 0, -1, 0, 0, 0), "assignment contains an out-of-range outcome"),
+            ((0, 0, 1, 0, 0), "assignment has 5 entries, expected 6"),
+            ((0, 0, 1, 0, 0, 0, 1), "assignment has 7 entries, expected 6"),
+        ],
+    )
+    def test_assignments_refused_as_a_vertex_refuses_them(self, row, message):
+        with refused(message):
+            DeterministicVertex(S222, row)
+        with refused(message):
+            ConvexDecomposition.from_arrays(S222, [0.5, 0.5], [row, row])
+
+    def test_weight_and_assignment_counts_must_agree(self):
+        with refused("weights of shape (2,) do not fit assignments of shape (1, 6)"):
+            ConvexDecomposition.from_arrays(S222, [0.5, 0.5], [E1.outcomes])
+
+    def test_arrays_are_read_only_copies(self):
+        weights, outcomes = np.array([0.25, 0.75]), np.array([E1.outcomes, E2.outcomes])
+        d = ConvexDecomposition.from_arrays(S222, weights, outcomes)
+        weights[0], outcomes[0, 0] = 0.5, 1
+        assert d.weights.tolist() == [0.25, 0.75]
+        assert d.outcomes.tolist() == [list(E1.outcomes), list(E2.outcomes)]
+        assert d.outcomes.dtype == np.uint8
+        assert not d.weights.flags.writeable and not d.outcomes.flags.writeable
+        assert d.terms == ((0.25, E1), (0.75, E2))
+        again = ConvexDecomposition(d.terms)
+        assert again.weights.tobytes() == d.weights.tobytes()
+        assert again.outcomes.tobytes() == d.outcomes.tobytes()
+
+    def test_vertices_built_only_when_a_term_is_read(self, monkeypatch):
+        built = []
+        check = DeterministicVertex.__post_init__
+        monkeypatch.setattr(DeterministicVertex, "__post_init__", lambda v: (built.append(v), check(v)))
+        from tempocorr import realize, serialize
+
+        b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(3), S222))
+        d = decompose_behavior(b)
+        mixture_behavior(d)
+        realize.mixture_realization(d)
+        serialize.decomposition_from_json(serialize.decomposition_to_json(d))
+        assert len(d.terms) == 11 and not built
+        w, v = d.terms[-1]
+        assert built == [v] and w == d.weights[-1]
+        assert v.outcomes == tuple(d.outcomes[-1].tolist())

@@ -248,7 +248,8 @@ class TestMixtureRealization:
 
     def test_empty_decomposition(self):
         class Fake:
-            terms = ()
+            weights = np.zeros(0)
+            outcomes = np.zeros((0, S222.n_contexts), dtype=np.uint8)
 
         with pytest.raises(EmptyDecomposition):
             mixture_realization(Fake())
@@ -438,6 +439,32 @@ class TestColumnMapInstruments:
         text = serialize.dumps(serialize.system_model_to_json(mixture_realization(decomp))).encode()
         assert len(text) == n_bytes
         assert hashlib.sha256(text).hexdigest() == digest
+
+
+class TestDecompositionPins:
+    """The bytes ``tempocorr decompose --out`` writes for seeded members, so
+    that a change of the peel's output fails here and not only downstream."""
+
+    @pytest.mark.parametrize(
+        "dims, digest",
+        [
+            ((2, 2, 2), "72535dbed88bb017df0efa1b2956e990b085a552e40db5ad48c1312cb058a970"),
+            ((3, 2, 2), "414ce11775c337e67b3ed3e218db7800ce5a2ddbff3c1c8b4b520c65814b1c3d"),
+            ((2, 3, 3), "5e081491bf69255bf7844115bc167c175179529488d478cdf8c7074b51f291cf"),
+        ],
+    )
+    def test_seeded_member_bytes_pinned(self, dims, digest):
+        # (2,2,2) is the member of the CI realize run, whose d.json CI pins too
+        b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(0), Scenario(*dims)))
+        text = serialize.dumps(serialize.decomposition_to_json(decompose_behavior(b))).encode()
+        assert hashlib.sha256(text).hexdigest() == digest
+
+    def test_uniform_member_bytes_pinned(self):
+        # every marginal ties, so every choice breaks to the lowest outcome
+        d = decompose_behavior(co.uniform_behavior(Scenario(3, 2, 2)))
+        text = serialize.dumps(serialize.decomposition_to_json(d)).encode()
+        assert len(d.weights) == 8
+        assert hashlib.sha256(text).hexdigest() == "5ba245b29cbb190287c9e17d1bd02d3167d097cf70326088674039e8fb70ad72"
 
 
 class TestRealizationBudget:

@@ -72,6 +72,23 @@ class TestSystemModel:
             se.system_model_from_json(data)
         assert "instruments[1]" in exc.value.path
 
+    def test_one_setting_refused_on_instruments(self):
+        data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
+        del data["instruments"][1]
+        with pytest.raises(SchemaError) as exc:
+            se.system_model_from_json(data)
+        assert exc.value.path == "instruments"
+        assert str(exc.value) == "instruments: need at least 2 settings, got 1"
+
+    def test_one_outcome_refused_on_its_kraus_field(self):
+        # one outcome of the identity is trace preserving, so only the count refuses it
+        data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
+        data["instruments"][1]["kraus"] = [[se.matrix_to_json(np.eye(2))]]
+        with pytest.raises(SchemaError) as exc:
+            se.system_model_from_json(data)
+        assert exc.value.path == "instruments[1].kraus"
+        assert str(exc.value) == "instruments[1].kraus: need at least 2 outcomes, got 1"
+
     def test_overflowing_kraus_entry_rejected_without_warnings(self):
         # K^dag K overflows to inf and nan; numpy must not warn on the way
         data = se.system_model_to_json(canonical_protocols()["qutrit-e1"])
@@ -178,6 +195,30 @@ class TestVertexAndDecomposition:
         d = decompose_behavior(b)
         parsed = roundtrip(d, se.decomposition_to_json, se.decomposition_from_json)
         assert len(parsed.terms) == len(d.terms)
+
+    @pytest.mark.parametrize(
+        "term, key, value, path, message",
+        [
+            (1, "weight", -0.5, "terms", "negative weight -0.5"),
+            (1, "weight", 0.25, "terms", "weights sum to 0.75, not 1"),
+            (1, "weight", "a", "terms[1].weight", "expected a number, got 'a'"),
+            (1, "t=1;x=0;a=", 2, "terms[1].assignment.t=1;x=0;a=", "outcome must be in 0..1, got 2"),
+            (1, "extra", 0, "terms[1].assignment", "expected 6 contexts, got 7"),
+            (0, "t=1;x=0;a=", None, "terms[0].assignment.t=1;x=0;a=", "missing context"),
+        ],
+    )
+    def test_decomposition_refused_with_field_paths(self, term, key, value, path, message):
+        data = se.decomposition_to_json(ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, named_vertex("e2")))))
+        entry = data["terms"][term]
+        target = entry if key == "weight" else entry["assignment"]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(SchemaError) as exc:
+            se.decomposition_from_json(data)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_decomposition_weight_validation(self):
         data = se.decomposition_to_json(decompose_behavior_of_e1())
