@@ -629,7 +629,7 @@ class TestDecompositionArrays:
         assert d.outcomes.tolist() == [list(E1.outcomes), list(E2.outcomes)]
         assert d.outcomes.dtype == np.uint8
         assert not d.weights.flags.writeable and not d.outcomes.flags.writeable
-        assert d.terms == ((0.25, E1), (0.75, E2))
+        assert d.terms == ((0.25, E1), (0.75, E2)) and d.terms[1:] == ((0.75, E2),)
         again = ConvexDecomposition(d.terms)
         assert again.weights.tobytes() == d.weights.tobytes()
         assert again.outcomes.tobytes() == d.outcomes.tobytes()
