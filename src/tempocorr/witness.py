@@ -251,16 +251,17 @@ def strategy_system_model(s: QubitStrategy) -> SystemModel:
 
 def _step_choices():
     """The Nelder-Mead step for each byte of six comparisons, packed big
-    endian as by ``np.packbits``: whether the reflection beats the best, the
-    second worst and the worst vertex, whether the expansion beats the
-    reflection, the outside contraction is no worse than the reflection and
-    the inside contraction beats the worst vertex.  The step is the
-    candidate that replaces the worst vertex (0 reflection, 1 expansion,
-    2 outside and 3 inside contraction), or 4 to shrink."""
+    endian as by ``np.packbits``: whether the reflection beats the best and
+    the second worst vertex, whether the reflection and the inside
+    contraction beat the worst vertex, whether the expansion beats the
+    reflection and whether the outside contraction is no worse than it.  The
+    step is the row of the candidate that replaces the worst vertex (0
+    expansion, 1 outside contraction, 2 reflection, 3 inside contraction),
+    or 4 to shrink."""
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).T.astype(bool)
-    r_best, r_second, r_worst, expand, outside, inside = bits[:6]
-    contract = np.where(r_worst, np.where(outside, 2, 4), np.where(inside, 3, 4))
-    return np.where(r_best, expand, np.where(r_second, 0, contract))
+    r_best, r_second, r_worst, inside, expand, outside = bits[:6]
+    contract = np.where(r_worst, np.where(outside, 1, 4), np.where(inside, 3, 4))
+    return np.where(r_best, np.where(expand, 0, 2), np.where(r_second, 2, contract))
 
 
 _STEP_CHOICE = _step_choices()
@@ -286,114 +287,173 @@ def _nelder_mead(fun, simplex, maxiter: int, fatol: float, stats=None):
     0 or 1 returns the best initial vertex.  No start depends on another,
     so each start's result equals its run alone.  Returns the best vertex
     ``(starts, n)`` and its value ``(starts,)`` per start; a ``stats`` dict
-    receives ``iterations``, the count at which the last start stopped, and
-    ``shrinks``, the number of start-steps that shrank.
+    receives ``iterations``, the count at which the last start stopped,
+    ``shrinks``, the number of start-steps that shrank, and ``running``,
+    the number of starts still running when ``maxiter`` ended the search.
 
-    The simplices are held vertex major, ``(n+1, starts, n)``: the centroid
-    sums the outer axis, so every start's vertices add in sequence as in a
-    loop over them, and each step replaces the worst vertices and re-sorts
-    the simplices by gathers of whole rows.  Each start's arithmetic is that
-    of a start-major loop, operation for operation, so the results equal it
-    bit for bit; the tests keep such a loop as the reference.
+    The simplices are held vertex major, ``(n+2, starts, n)``: rows 0..n
+    the vertices and row n+1 the centroid, next to the worst vertex.  The
+    centroid sums the outer axis, so every start's vertices add in
+    sequence as in a loop over them.  Each step replaces the worst vertices
+    and re-sorts the simplices by gathers of whole rows into a second such
+    block, and the two blocks take turns; every array and view a step needs
+    is made once per set of running starts.  Each start's arithmetic is
+    that of a start-major loop, operation for operation, so the results
+    equal it bit for bit; the tests keep such a loop as the reference.
     """
     sim = np.asarray(simplex, dtype=float)
     starts, n1, n = sim.shape
-    # vertex major: s[j, k] is vertex j of the k-th running start
-    s = np.ascontiguousarray(sim.transpose(1, 0, 2))
-    fs = fun(s.reshape(-1, n)).reshape(n1, starts)
-    here = np.arange(starts)
-    s, fs = _sort_simplices(s, fs, here)
-    best_x, best_f = np.empty((starts, n)), np.empty(starts)
-
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    # candidate k is toward[k] * xbar - away[k] * worst: reflection,
-    # expansion, outside and inside contraction
-    toward = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None, None]
-    away = np.array([rho, rho * chi, psi * rho, -psi])[:, None, None]
+    # candidate k is -away[k] * worst + toward[k] * xbar, which is
+    # toward[k] * xbar - away[k] * worst exactly: expansion, outside
+    # contraction, reflection and inside contraction
+    toward = [1 + rho * chi, 1 + psi * rho, 1 + rho, 1 - psi]
+    away = [rho * chi, psi * rho, rho, -psi]
+    weights = np.array([[-q for q in away], toward]).T[:, :, None, None]
+
+    s = np.empty((n1 + 1, starts, n))
+    s[:n1] = sim.transpose(1, 0, 2)
+    fs = fun(s[:n1].reshape(-1, n)).reshape(n1, starts)
+    sorted_s, sorted_fs = np.empty_like(s), np.empty_like(fs)
+    _sort_simplices(s.reshape(-1, n), fs, np.arange(starts), sorted_s[:n1], sorted_fs)
+    s, fs = sorted_s, sorted_fs
+    best_x, best_f = np.empty((starts, n)), np.empty(starts)
     active = np.arange(starts)  # the starts still running; s and fs hold their simplices
     iterations, shrinks = 1, 0
     while iterations < maxiter:
-        # the values are sorted, so the last minus the first is the spread
-        done = fs[-1] - fs[0] <= fatol
-        if np.count_nonzero(done):
-            best_x[active[done]], best_f[active[done]] = s[0, done], fs[0, done]
-            running = (~done).nonzero()[0]
-            active, s, fs = active[running], s.take(running, axis=1), fs.take(running, axis=1)
-            if not active.size:
+        k = active.size
+        here, step_at = np.arange(k), _STEP_CHOICE * k  # a step's flat candidate row for start 0
+        spread, done, shrinking = np.empty(k), np.empty(k, dtype=bool), np.empty(k, dtype=bool)
+        test = np.empty((6, k), dtype=bool)  # the six comparisons of _STEP_CHOICE, in its order
+        r_best, r_second, r_worst, inside, expand, outside = test
+        terms, cand, fc, at = np.empty((4, 2, k, n)), np.empty((4, k, n)), np.empty((4, k)), np.empty((1, k), np.intp)
+        halves, flat_cand, flat_fc, at_row = (terms[:, 0], terms[:, 1]), cand.reshape(-1, n), fc.reshape(-1), at[0]
+        fe, fo, fr, fi = fc
+        blocks = [  # each block with the views a step reads or writes
+            (b, f, b.reshape(-1, n), b[:n1], b[:n], b[n], b[n:], b[n1], f[0], f[-2], f[-1])
+            for b, f in ((s, fs), (np.empty_like(s), np.empty_like(fs)))
+        ]
+        while iterations < maxiter:
+            s, fs, rows, _, kept, worst, pair, xbar, f_best, f_second, f_worst = blocks[0]
+            # the values are sorted, so the last minus the first is the spread
+            np.subtract(f_worst, f_best, out=spread)
+            np.less_equal(spread, fatol, out=done)
+            if np.count_nonzero(done):
                 break
-            here = here[: active.size]
-
-        xbar = s[:-1].sum(axis=0)  # in sequence over the vertices
-        xbar /= n
-        cand = toward * xbar
-        cand -= away * s[-1]
-        flat_cand = cand.reshape(-1, n)
-        fcand = fun(flat_cand)
-        fr, fe, fo, fi = fcand.reshape(4, -1)
-        # the candidate that replaces the worst vertex, or 4 to shrink, looked
-        # up from the six comparisons packed into one byte per start
-        test = np.empty((6, active.size), dtype=bool)
-        np.less(fr, fs[0], out=test[0])
-        np.less(fr, fs[-2], out=test[1])
-        np.less(fr, fs[-1], out=test[2])
-        np.less(fe, fr, out=test[3])
-        np.less_equal(fo, fr, out=test[4])
-        np.less(fi, fs[-1], out=test[5])
-        pick = _STEP_CHOICE.take(np.packbits(test, axis=0)[0])
-        shrink = (pick == 4).nonzero()[0]
-        if shrink.size:
-            shrinks += shrink.size
-            sub = s.take(shrink, axis=1)
-            shrunk = sub[1:] - sub[0]
-            shrunk *= sigma
-            shrunk += sub[0]
-        # every start's worst vertex by two gathers; a start that shrinks
-        # reads a clipped index, and the shrink then overwrites that vertex
-        at = pick * active.size + here
-        flat_cand.take(at, axis=0, out=s[-1], mode="clip")
-        fcand.take(at, out=fs[-1], mode="clip")
-        if shrink.size:
-            s[1:, shrink] = shrunk
-            fs[1:, shrink] = fun(shrunk.reshape(-1, n)).reshape(n1 - 1, -1)
-        iterations += 1
-        s, fs = _sort_simplices(s, fs, here)
+            np.add.reduce(kept, axis=0, out=xbar)  # in sequence over the vertices
+            np.divide(xbar, n, out=xbar)
+            np.multiply(weights, pair, out=terms)
+            np.add(*halves, out=cand)
+            np.copyto(flat_fc, fun(flat_cand))
+            # the candidate that replaces the worst vertex, or a row past the
+            # candidates to shrink, looked up from the six comparisons packed
+            # into one byte per start
+            np.less(fr, f_best, out=r_best)
+            np.less(fr, f_second, out=r_second)
+            np.less(fr, f_worst, out=r_worst)
+            np.less(fi, f_worst, out=inside)
+            np.less(fe, fr, out=expand)
+            np.less_equal(fo, fr, out=outside)
+            step_at.take(np.packbits(test, axis=0), out=at, mode="wrap")
+            np.add(at_row, here, out=at_row)
+            np.greater_equal(at_row, 4 * k, out=shrinking)
+            shrink = shrinking.nonzero()[0] if np.count_nonzero(shrinking) else None
+            if shrink is not None:
+                shrinks += shrink.size
+                sub = s.take(shrink, axis=1)
+                shrunk = sub[1:n1] - sub[0]
+                shrunk *= sigma
+                shrunk += sub[0]
+            # every start's worst vertex by two gathers; a start that shrinks
+            # reads a wrapped index, and the shrink then overwrites that vertex
+            flat_cand.take(at_row, axis=0, out=worst, mode="wrap")
+            flat_fc.take(at_row, out=f_worst, mode="wrap")
+            if shrink is not None:
+                s[1:n1, shrink] = shrunk
+                fs[1:, shrink] = fun(shrunk.reshape(-1, n)).reshape(n1 - 1, -1)
+            iterations += 1
+            _sort_simplices(rows, fs, here, blocks[1][3], blocks[1][1])
+            blocks.reverse()
+        else:
+            s, fs = blocks[0][:2]
+            break
+        best_x[active[done]], best_f[active[done]] = s[0, done], fs[0, done]
+        running = (~done).nonzero()[0]
+        active, s, fs = active[running], s.take(running, axis=1), fs.take(running, axis=1)
+        if not active.size:
+            break
     best_x[active], best_f[active] = s[0], fs[0]
     if stats is not None:
-        stats["iterations"], stats["shrinks"] = iterations, shrinks
+        stats["iterations"], stats["shrinks"], stats["running"] = iterations, shrinks, active.size
     return best_x, best_f
 
 
-def _sort_simplices(s, fs, here):
-    """Each start's vertices ``s`` ``(n + 1, starts, n)`` and values ``fs``
-    ``(n + 1, starts)`` sorted stably by value; ``here`` is ``arange(starts)``."""
-    at = np.argsort(fs, axis=0, kind="stable")
+def _sort_simplices(rows, fs, here, s_out, fs_out):
+    """Each start's vertices, ``rows`` ``((n + 1) * starts, n)`` vertex
+    major, and values ``fs`` ``(n + 1, starts)`` sorted stably by value into
+    ``s_out`` ``(n + 1, starts, n)`` and ``fs_out``; ``here`` is
+    ``arange(starts)``.  The gathers write in place, which an ``out``
+    gather does only in a mode other than raise; every index is in range."""
+    at = fs.argsort(axis=0, kind="stable")
     at *= len(here)
     at += here
-    return s.reshape(-1, s.shape[2]).take(at, axis=0), fs.take(at)
+    rows.take(at, axis=0, out=s_out, mode="wrap")
+    fs.take(at, out=fs_out, mode="wrap")
 
 
 # --- closed-form state elimination and the restart optimizer -----------------------
 #
 # Inside the objective the m search points run along the last axis, so every
-# quantity is a short stack of rows over the points, and one call costs a
-# few dozen array operations, however many points it gets.  Each operation
-# reads and writes whole contiguous blocks of those rows, never a strided
-# column, and sums run over outer axes only, in term order.  A term
+# quantity is a short stack of rows over the points.  A call of m rows fills
+# one parameter-major work block, (14, m):
+#
+#   rows 0, 1    the effect weights a of settings 0 and 1 (first u, clipped)
+#   rows 2, 3    the biases b of settings 0 and 1, clipped
+#   rows 4, 5    1 - a of settings 0 and 1
+#   rows 6..9    the (x, z) components of the setting axes in the gauge of
+#                optimize_qubit: 0 and 1 for setting 0, sin gamma and cos
+#                gamma for setting 1
+#   rows 10..13  the top of slot 2 a + x; a slot outside the table stays 0
+#
+# One precompiled gather reads every per-term quantity out of it.  The block,
+# the gathered table and every intermediate are allocated once per row count
+# and reused by the calls of that count, with their views taken once, so a
+# call is some 26 array operations on whole blocks of rows, however many
+# points it gets.  Sums run over outer axes only, in term order.  A term
 # ((a, b), (x, y), coeff) feeds the slot 2 a + x of the first step's outcome
 # and setting.
+#
+# The arithmetic is the reference's (kept in the tests), operation for
+# operation, with three exceptions that change no bit of a finite value:
+#
+# - The gauge axes have no y component.  The reference's y components are
+#   sums of products with 0.0, so +0.0 or -0.0, and a square of either adds
+#   +0.0 to a sum of squares, which leaves it unchanged; they are left out.
+# - The reference sums each slot from 0.0; these sums start from the first
+#   term.  That can only turn a +0.0 sum into -0.0: the squared components
+#   do not see it, and the constant only enters as ``constant + norm``,
+#   where norm >= +0.0 turns -0.0 back into +0.0.
+# - The input vector's coefficient e0 * (0, 0, 1) + e1 * (sin gamma, 0,
+#   cos gamma) is taken as (e1 sin gamma, e1 cos gamma + e0): e0 * 1.0 is
+#   e0, and e0 * 0.0 is a signed zero, which the square drops.
+
+_WORK_ROWS = 14
+_A, _B, _ONE_MINUS_A, _AXES, _TOPS = 0, 2, 4, 6, 10  # the first row of each group above
 
 
 class _CompiledTerms(NamedTuple):
-    """A functional's terms as a ``(depth, n)`` table over the n slots that
-    have terms: entry ``[k, j]`` is the k-th term of slot ``slots[j]``, and
-    slots with fewer terms are padded with zero coefficients."""
+    """A functional's terms as a ``(depth, n)`` table over n slot columns:
+    entry ``[k, j]`` is the k-th term of slot ``slots[j]``, and slots with
+    fewer terms are padded with zero coefficients.  The columns are the
+    slots with terms and any slot between them that makes them an
+    arithmetic progression, so one slice of the work block holds their
+    tops."""
 
-    slots: np.ndarray  # (n,) the slots with terms, ascending
+    slots: np.ndarray  # (n,) the slot columns, ascending
     second: np.ndarray  # (depth, n) second setting y
-    offset: np.ndarray  # (depth, n, 1) 0 where the second outcome b is 0, else 1
-    sign: np.ndarray  # (depth, n, 1) 1 where b is 0, else -1
-    coeff: np.ndarray  # (depth, n, 1)
-    signed: np.ndarray  # (depth, n, 1) sign * coeff
+    rows: np.ndarray  # (7, depth, n) work-block rows of p, a, a, b, b, n_x, n_z of setting y; p is a or 1 - a by b
+    scale: np.ndarray  # (3, depth, n, 1) coeff, sign * coeff, sign * coeff; sign 1 where b is 0, else -1
+    blocks: dict  # the evaluator of the last row count, by row count
 
 
 def _compile_terms(terms) -> _CompiledTerms:
@@ -403,74 +463,98 @@ def _compile_terms(terms) -> _CompiledTerms:
     by_slot = [[], [], [], []]
     for (a, b), (x, y), coeff in terms:
         by_slot[2 * a + x].append((b, y, coeff))
-    slots = [slot for slot, entries in enumerate(by_slot) if entries]
+    used = [slot for slot, entries in enumerate(by_slot) if entries] or [0]
+    slots = range(used[0], used[-1] + 1, math.gcd(*(s - used[0] for s in used)) or 1)
     depth = max(1, *map(len, by_slot))
     if realize._exceeds_budget(depth * len(slots), 1, 4):
         what = f"a per-term table row of 4 * depth * slots = 4 * {depth} * {len(slots)} entries"
         raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
     table = np.zeros((depth, len(slots), 3))
     for j, slot in enumerate(slots):
-        table[: len(by_slot[slot]), j] = by_slot[slot]
-    offset, coeff = table[..., :1], table[..., 2:]
-    sign = 1.0 - 2.0 * offset
-    second = table[..., 1].astype(np.intp)
-    return _CompiledTerms(np.array(slots, dtype=np.intp), second, offset, sign, coeff, sign * coeff)
+        table[: len(by_slot[slot]), j] = by_slot[slot] or np.zeros((0, 3))
+    b, y, coeff = table.transpose(2, 0, 1)
+    y = y.astype(np.intp)
+    prob = np.where(b == 0, _A, _ONE_MINUS_A) + y  # a for b = 0, else 1 - a
+    rows = np.stack([prob, _A + y, _A + y, _B + y, _B + y, _AXES + 2 * y, _AXES + 1 + 2 * y])
+    signed = (1.0 - 2.0 * b) * coeff
+    scale = np.stack([coeff, signed, signed])[..., None]
+    return _CompiledTerms(np.array(slots, dtype=np.intp), y, rows, scale, {})
 
 
-# Rows of the parameter-major copy of the weights u and b, each for settings 0
-# and 1.
-_WEIGHT_ROWS = np.array([0, 2, 1, 3])
+def _evaluator(prog: _CompiledTerms, m: int):
+    """The evaluator of m rows, ``(evaluate, work, table)``: ``evaluate``
+    maps the parameter-major rows ``(5, m)`` of ``[u0, b0, u1, b1, gamma]``
+    to their m values, filling the work block and the per-term table ``(7,
+    depth, n, m)``, whose first three rows are each term's contributions
+    ``coeff * p(b | y)`` to its slot's constant and ``sign * coeff * a * b *
+    axis`` to the x and z components of the slot's linear coefficient
+    vector.  Built once per row count: a call of another count replaces
+    it."""
+    prog.blocks.clear()
+    depth, n = prog.second.shape
+    rows = prog.rows  # read here, so that the evaluator, which prog holds, does not hold prog
+    work = np.zeros((_WORK_ROWS, m))
+    work[_AXES + 1] = 1.0
+    weights = work[_A : _B + 2]
+    by_setting = weights.reshape(2, 2, m).transpose(1, 0, 2)  # the rows of theta are by (setting, parameter)
+    a, b, one_minus_a = work[_A : _A + 2], work[_B : _B + 2], work[_ONE_MINUS_A : _ONE_MINUS_A + 2]
+    sin, cos, trig = work[_AXES + 2], work[_AXES + 3], work[_AXES + 2 : _AXES + 4]
+    lo, hi, step = prog.slots[0], prog.slots[-1], (prog.slots[1] - prog.slots[0] if n > 1 else 1)
+    slot_tops = work[_TOPS + lo : _TOPS + hi + 1 : step]
+    top0, top1 = work[_TOPS : _TOPS + 2], work[_TOPS + 2 : _TOPS + 4]  # [first outcome][setting]
+    den = np.empty((2, m))
+    # p, a, a, b, b, n_x, n_z of each entry; the first three rows become
+    # coeff * p, then sign * coeff * a * b, twice, then its x and z components
+    table = np.empty((7, depth, n, m))
+    coeffs = np.empty((3, depth, n, m))  # coeff, sign * coeff, sign * coeff
+    coeffs[...] = prog.scale
+    head, lin, bias, axes = table[:3], table[1:3], table[3:5], table[5:7]
+    terms = [table[:3, k] for k in range(depth)]
+    sums = np.empty((3, n, m))  # the constant, x and z, per slot
+    squares, norm = sums[1:], np.empty((n, m))
+    da = np.empty((2, m))
+    halves = np.empty((2, 2, m))  # the constants, then the squared input coefficient vector
+    const, v = halves
+    pair = np.empty((2, m))
 
+    def evaluate(th):
+        # the work block
+        np.maximum(th[:4].reshape(2, 2, m), 0.0, out=by_setting)
+        np.minimum(weights, 1.0, out=weights)
+        np.add(1.0, b, out=den)
+        np.divide(a, den, out=a)
+        np.subtract(1.0, a, out=one_minus_a)
+        np.sin(th[4], out=sin)
+        np.cos(th[4], out=cos)
+        # each entry's contributions, then each slot's top, constant + norm
+        work.take(rows, axis=0, out=table, mode="wrap")  # in place, as only a mode other than raise writes
+        np.multiply(coeffs, head, out=head)
+        np.multiply(lin, bias, out=lin)
+        np.multiply(lin, axes, out=lin)
+        if depth > 1:
+            np.add(terms[0], terms[1], out=sums)
+            for term in terms[2:]:
+                np.add(sums, term, out=sums)
+        else:
+            np.copyto(sums, terms[0])
+        np.square(squares, out=squares)
+        np.add(squares[0], squares[1], out=norm)
+        np.sqrt(norm, out=norm)
+        np.add(norm, sums[0], out=slot_tops)
+        # the input vector: the constants plus the norm of its coefficient vector
+        np.subtract(top0, top1, out=da)
+        np.multiply(da, a, out=da)
+        np.add(top1, da, out=const)
+        np.multiply(da, b, out=da)
+        np.multiply(da[1], trig, out=v)
+        np.add(v[1], da[0], out=v[1])
+        np.square(v, out=v)
+        np.add(halves[:, 0], halves[:, 1], out=pair)
+        np.sqrt(pair[1], out=pair[1])
+        return pair[0] + pair[1]
 
-def _effect_params(theta):
-    """Decode ``(..., 5)`` search parameters ``[u0, b0, u1, b1, gamma]`` into
-    one ``(5, 2, m)`` array over the m rows: the effect weight a, the bias b
-    and the three components of the unit axis, each per setting.  The axes
-    are those of the gauge of :func:`optimize_qubit`, (0, 0, 1) for setting 0
-    and (sin gamma, 0, cos gamma) for setting 1.  The rows are copied once,
-    parameter major, so every step acts on a contiguous block."""
-    th = np.asarray(theta, dtype=float).reshape(-1, 5)
-    eff = np.zeros((5, 2, th.shape[0]))
-    rows = eff.reshape(10, -1)
-    clipped = rows[:4]  # u and b
-    np.take(th.T, _WEIGHT_ROWS, axis=0, out=clipped, mode="clip")
-    np.maximum(clipped, 0.0, out=clipped)
-    np.minimum(clipped, 1.0, out=clipped)
-    np.divide(eff[0], 1.0 + eff[1], out=eff[0])
-    np.sin(th[:, 4], out=rows[5])
-    rows[8] = 1.0
-    np.cos(th[:, 4], out=rows[9])
-    return eff
-
-
-def _slot_coefficients(prog: _CompiledTerms, eff):
-    """Per slot with terms, ``(4, n, m)``: the constant part, then the three
-    components of the linear coefficient vector of the second-step
-    contribution, maximized at the unit vector along that vector; both are
-    0 in the other slots.  Each slot sums its terms from 0 in term order,
-    so the sums do not depend on how the terms are laid out."""
-    g = eff.take(prog.second, axis=1)  # the second setting's parameters, per table entry
-    a_y = g[0]
-    per_term = np.empty((4,) + a_y.shape)
-    const = per_term[0]
-    np.multiply(prog.sign, a_y, out=const)
-    const += prog.offset
-    const *= prog.coeff
-    lin = prog.signed * a_y
-    lin *= g[1]
-    np.multiply(lin, g[2:], out=per_term[1:])
-    sums = 0.0 + per_term[:, 0]
-    for k in range(1, len(prog.second)):
-        sums += per_term[:, k]
-    return sums
-
-
-def _norm3(v):
-    """Euclidean norm over the first axis, of length 3; squares ``v`` in place."""
-    np.square(v, out=v)
-    norm = v[0] + v[1]
-    norm += v[2]
-    return np.sqrt(norm, out=norm)
+    prog.blocks[m] = found = evaluate, work, table
+    return found
 
 
 def _state_optimal_value(prog: _CompiledTerms, theta):
@@ -482,14 +566,15 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
     substituting those optima leaves an affine function of the input vector,
     again maximized by alignment.  Every row's value is computed by the same
     operations in the same order whatever the other rows are, and equals
-    the per-term reference of the tests bit for bit: the first term of each
-    sum is added to 0.0 (so -0.0 becomes +0.0), a term's constant stays
-    ``coeff * (offset + sign * a)`` unexpanded, and no sum runs along the
-    contiguous last axis, where numpy would sum pairwise.
+    the per-term reference of the tests bit for bit (see above): a term's
+    constant is ``coeff * a`` or ``coeff * (1 - a)``, and no sum runs along
+    the contiguous last axis, where numpy would sum pairwise.
 
-    The rows are evaluated in blocks whose per-term table, ``(4, depth, n,
-    rows)``, holds at most ``realize.MAX_TABLE_ENTRIES`` entries, so a
-    functional of many terms costs bounded memory however many rows come.
+    The rows are evaluated in blocks of at most ``realize.MAX_TABLE_ENTRIES
+    // (4 * depth * n)`` rows, so the gathered per-term table and the
+    coefficient block of :func:`_evaluator`, 7 and 3 entries per term and
+    row, hold at most 7/4 and 3/4 of ``realize.MAX_TABLE_ENTRIES`` entries:
+    a functional of many terms costs bounded memory however many rows come.
     """
     th = np.asarray(theta, dtype=float)
     rows = th.reshape(-1, 5)
@@ -503,31 +588,26 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
 
 def _rows_value(prog: _CompiledTerms, theta):
     """:func:`_state_optimal_value` of ``(m, 5)`` rows, in one block."""
-    eff = _effect_params(theta)
-    sums = _slot_coefficients(prog, eff)
-    top = np.zeros((4, eff.shape[2]))  # [2 * first outcome + setting]
-    slot_top = _norm3(sums[1:])
-    slot_top += sums[0]
-    top[prog.slots] = slot_top
-    da = top[:2] - top[2:]
-    da *= eff[0]
-    const = top[2:] + da
-    da *= eff[1]
-    v = da * eff[2:]  # [component, setting]
-    value = const[0] + const[1]
-    value += _norm3(v[:, 0] + v[:, 1])
-    return value
+    m = len(theta)
+    return (prog.blocks.get(m) or _evaluator(prog, m))[0](theta.T)
 
 
 def _reconstruct_strategy(prog: _CompiledTerms, theta) -> QubitStrategy:
     """Explicit optimal states for the effects of one ``(5,)`` parameter row;
     a zero coefficient vector, where every unit vector is optimal, gets
     (0, 0, 1)."""
-    eff = _effect_params(theta)
-    sums = np.zeros((4, 4))
-    sums[prog.slots] = _slot_coefficients(prog, eff)[..., 0].T
-    base, wvec = sums[:, 0].reshape(2, 2), sums[:, 1:].reshape(2, 2, 3)
-    a, b, axis = eff[0, :, 0], eff[1, :, 0], eff[2:, :, 0].T
+    evaluate, work, table = _evaluator(prog, 1)
+    evaluate(np.asarray(theta, dtype=float).reshape(5, 1))
+    sums = 0.0 + table[:3, 0, :, 0]  # from 0.0, as the reference: a -0.0 sum becomes +0.0
+    for k in range(1, len(prog.second)):
+        sums += table[:3, k, :, 0]
+    slot_sums = np.zeros((4, 3))
+    slot_sums[prog.slots] = sums.T
+    wvec = np.zeros((2, 2, 3))  # the y component stays +0.0
+    base, wvec[..., 0], wvec[..., 2] = (slot_sums[:, i].reshape(2, 2) for i in range(3))
+    a, b = work[_A : _A + 2, 0], work[_B : _B + 2, 0]
+    axis = np.zeros((2, 3))
+    axis[:, [0, 2]] = work[_AXES : _AXES + 4, 0].reshape(2, 2)
     post = np.tile([0.0, 0.0, 1.0], (2, 2, 1))
     tops = base.copy()
     for ax in np.ndindex(2, 2):
@@ -563,8 +643,11 @@ class OptimizationResult:
     calls and the parameter rows they carried, ``iterations`` is the
     lockstep iteration count at which the last restart stopped (counted as
     ``max_iterations`` counts), ``shrink_steps`` counts the steps of single
-    restarts that shrank their simplex, and ``value_spread`` is the largest
-    minus the smallest of the restarts' final objective values."""
+    restarts that shrank their simplex, ``value_spread`` is the largest
+    minus the smallest of the restarts' final objective values, and
+    ``restarts_at_cap`` counts the restarts still running when
+    ``max_iterations`` ended the search (0 when every restart stopped on
+    its values)."""
 
     value: float
     strategy: QubitStrategy
@@ -574,6 +657,19 @@ class OptimizationResult:
     iterations: int
     shrink_steps: int
     value_spread: float
+    restarts_at_cap: int
+
+
+def _unit_scale(total: float) -> float:
+    """The power of two 2**k that takes ``total`` into [2**-0.5, 2**0.5],
+    the one nearest ``1 / total`` in ratio, or 1 for a total of 0; k stays
+    within [-1022, 1022], so 2**k and its inverse are normal floats."""
+    if total == 0.0:
+        return 1.0
+    mantissa, exp = math.frexp(total)  # total = mantissa * 2**exp, mantissa in [0.5, 1)
+    # mantissa <= 2**-0.5, decided exactly on the integer mantissa * 2**53
+    k = -exp + (int(mantissa * 2**53) ** 2 <= 2**105)
+    return math.ldexp(1.0, min(max(k, -1022), 1022))
 
 
 def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
@@ -601,12 +697,18 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     restart k starts at the same point in every search of more than k
     restarts.  The functional's terms are compiled into a table of index
     and coefficient columns once per call, and the objective and the
-    strategy rebuild both read it.  The search space is exactly the
+    strategy rebuild both read it.  The compiled coefficients are scaled by
+    the power of two nearest ``1 / sum |coeff|`` (:func:`_unit_scale`), so
+    the search, its stopping rule and the rebuild's thresholds on
+    coefficient vectors act on a problem of unit scale whatever the
+    functional's; a power of two scales every objective value exactly, and
+    ``value_spread`` is scaled back.  The search space is exactly the
     achievable qubit set, and the reported value is recomputed from the
-    rebuilt strategy, in the gauge, a valid lower bound on the qubit
-    maximum.  Results are deterministic for a fixed seed, with ties between
-    restarts resolved toward the lower restart index.  A restart
-    stops once its values agree within ``2 eps sum |coeff|``.
+    rebuilt strategy with the functional as given, in the gauge, a valid
+    lower bound on the qubit maximum.  Results are deterministic for a
+    fixed seed, with ties between restarts resolved toward the lower
+    restart index.  A restart stops once its values agree within ``2 eps
+    sum |coeff|``.
     """
     if cfg.restarts < 1:
         raise ParamOutOfRange(f"restarts must be >= 1, got {cfg.restarts}")
@@ -619,7 +721,8 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     if realize._exceeds_budget(cfg.restarts, 1, (n + 1) * n):
         what = f"a simplex stack of restarts * (n+1) * n = {cfg.restarts} * {n + 1} * {n} entries"
         raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
-    prog = _compile_terms(f.terms)
+    scale = _unit_scale(sum(abs(t.coeff) for t in f.terms))
+    prog = _compile_terms([(t.outcomes, t.settings, t.coeff * scale) for t in f.terms])
 
     theta0 = np.random.default_rng(cfg.seed).uniform(size=(cfg.restarts, n))
     theta0[:, 4] = np.arccos(2.0 * theta0[:, 4] - 1.0)  # cos gamma uniform on [-1, 1]
@@ -633,7 +736,8 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         return -_state_optimal_value(prog, theta)
 
     stats = {}
-    fatol = 2 * np.finfo(float).eps * sum(abs(t.coeff) for t in f.terms)  # 2 ulps of the largest value
+    # 2 ulps of the largest value, sum |coeff| of the scaled terms
+    fatol = 2 * np.finfo(float).eps * sum(abs(t.coeff * scale) for t in f.terms)
     thetas, fvals = _nelder_mead(objective, simplices, cfg.max_iterations, fatol, stats)
     k = int(np.argmin(fvals))
     strategy = _reconstruct_strategy(prog, thetas[k])
@@ -645,7 +749,8 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         objective_rows=sum(rows),
         iterations=stats["iterations"],
         shrink_steps=stats["shrinks"],
-        value_spread=float(fvals.max() - fvals.min()),
+        value_spread=float(fvals.max() - fvals.min()) / scale,
+        restarts_at_cap=stats["running"],
     )
 
 

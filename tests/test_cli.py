@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -300,6 +301,35 @@ class TestOptimize:
         assert strategy_value(builtin_functionals()["B3"], strategy) == pytest.approx(
             payload["value"], abs=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("B1", "79626def10867dedbfc887e32b75ce3252addd818527d640fce1aec9afa86f5a"),
+            ("B2", "b604b2e337b4d3afa73f44626c2b74cb69e104f6d6edb72595c3bff3661d8e22"),
+            ("B3", "e459df95244f849201e86f869c797944bf6dd620ee89a96dea91a42411e67df0"),
+            ("B4", "26facdabfc0d161aaba7b9accf269b5eba6b127cd404869f9ca8a9dee492dd00"),
+        ],
+    )
+    def test_out_file_pinned(self, capsys, tmp_path, name, digest):
+        # sha256 of the --out file, pinned so a byte drift between commits fails
+        out_file = tmp_path / "best.json"
+        args = ["optimize", "--functional", name, "--restarts", "20", "--seed", "7", "--out", str(out_file)]
+        assert run(capsys, *args)[0] == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("scale, printed", [(1e-20, "3.1862278837e-20"), (1e200, "3.1862278837e+200")])
+    def test_scaled_functional_reaches_c3(self, capsys, tmp_path, scale, printed):
+        # B3 times 1e-20 or 1e200: the search runs at unit scale, warns
+        # nothing and reaches scale * C3
+        path = tmp_path / "f.json"
+        terms = [{"a": a, "x": x, "coeff": scale} for a, x in (("01", "00"), ("00", "11"), ("01", "01"), ("01", "10"))]
+        path.write_text(json.dumps({"L": 2, "R": 2, "S": 2, "name": "B3 scaled", "terms": terms}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "optimize", "--functional", str(path), "--restarts", "20", "--seed", "7")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"best value: {printed} (restart ")
 
     def test_negative_iterations_rejected(self, capsys):
         code, _out, err = run(capsys, "optimize", "--functional", "B1", "--iterations", "-5")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -307,6 +308,49 @@ class TestOptimizer:
         assert (res.objective_calls, res.objective_rows, res.iterations) == (207, 8_806, 205)
         assert res.shrink_steps == 2
         assert res.value_spread == 1.1862278837025162
+        assert res.restarts_at_cap == 0
+
+    def test_restarts_at_cap_counts_the_straggler(self):
+        # one of B4's 200 restarts at seed 1729 creeps along the clip
+        # boundary and is still running at the 2,000-iteration cap
+        res = optimize_qubit(F["B4"], OptimizerConfig(restarts=200, seed=1729))
+        assert (res.iterations, res.restarts_at_cap) == (2000, 1)
+
+    @pytest.mark.parametrize("max_iterations, at_cap", [(0, 6), (1, 6), (3, 6), (2000, 0)])
+    def test_restarts_at_cap_at_small_caps(self, max_iterations, at_cap):
+        # a cap of 0 or 1 runs no step, so every restart is still running
+        res = optimize_qubit(F["B3"], OptimizerConfig(restarts=6, seed=7, max_iterations=max_iterations))
+        assert res.restarts_at_cap == at_cap
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(sorted(F)), st.integers(-900, 900))
+    def test_power_of_two_scale_is_exact(self, name, k):
+        # the search runs on coefficients scaled to unit size by a power of
+        # two, so a functional times 2**k takes the same steps and reports
+        # 2**k times the value and spread
+        f = F[name]
+        scaled = w.WitnessFunctional(name, S222, tuple(t._replace(coeff=math.ldexp(t.coeff, k)) for t in f.terms))
+        cfg = OptimizerConfig(restarts=20, seed=7)
+        base, res = optimize_qubit(f, cfg), optimize_qubit(scaled, cfg)
+        assert res.value == math.ldexp(base.value, k)
+        assert res.value_spread == math.ldexp(base.value_spread, k)
+        assert strategy_bytes(res.strategy) == strategy_bytes(base.strategy)
+        counters = ("restart_index", "objective_calls", "objective_rows", "iterations", "shrink_steps", "restarts_at_cap")
+        assert [getattr(res, c) for c in counters] == [getattr(base, c) for c in counters]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("name", sorted(F))
+    def test_decimal_scales_reach_the_maximum(self, name, scale):
+        # at 1e-150 the rebuild's 1e-15 thresholds used to zero every
+        # coefficient vector, and at 1e150 the squared vectors overflowed
+        target = scale * (3.0 if name in ("B1", "B2") else c3_bound().value)
+        f = F[name]
+        scaled = w.WitnessFunctional(name, S222, tuple(t._replace(coeff=t.coeff * scale) for t in f.terms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize_qubit(scaled, OptimizerConfig(restarts=20, seed=7))
+        assert abs(res.value - target) <= 1e-14 * target
+        assert res.iterations < 2000
 
     @pytest.mark.parametrize("seed", [7, 1729])
     @pytest.mark.parametrize("name", ["B3", "B4"])
@@ -320,9 +364,10 @@ class TestOptimizer:
         assert (prefix.value, prefix.restart_index) == (res.value, k)
         assert strategy_bytes(prefix.strategy) == strategy_bytes(res.strategy)
 
-    def test_zero_functional_stops_at_once(self):
+    @pytest.mark.parametrize("terms", [(((0, 0), (0, 0), 0.0),), ()], ids=["zero", "empty"])
+    def test_zero_functional_stops_at_once(self, terms):
         # every value is 0, within the tolerance 0 of a zero sum |coeff|
-        zero = w.WitnessFunctional("zero", S222, (((0, 0), (0, 0), 0.0),))
+        zero = w.WitnessFunctional("zero", S222, terms)
         res = optimize_qubit(zero, OptimizerConfig(restarts=20, seed=7))
         assert (res.value, res.iterations, res.objective_calls) == (0.0, 1, 1)
 
@@ -1059,10 +1104,23 @@ def gauge_row(general):
     return [u0, b0, u1, b1, math.acos(min(max(cos_gamma, -1.0), 1.0))]
 
 
+def unit_power_of_two(total):
+    """2**k with (total * 2**k)**2 in (1/2, 2], decided in exact rational
+    arithmetic, k within [-1022, 1022]; 1 for a total of 0."""
+    if total == 0.0:
+        return 1.0
+    mantissa, exp = math.frexp(total)
+    k = -exp + (Fraction(mantissa) ** 2 <= Fraction(1, 2))
+    return 2.0 ** min(max(k, -1022), 1022)
+
+
 def reference_optimize_qubit(f, cfg):
     """Value, restart index, strategy, iterations, shrinks and value spread of
-    the reference pipeline, for any functional's terms."""
-    terms = tuple((t.outcomes, t.settings, t.coeff) for t in f.terms)
+    the reference pipeline, for any functional's terms.  The search runs on
+    the terms scaled by a power of two to sum |coeff| near 1, and the spread
+    is scaled back."""
+    scale = unit_power_of_two(sum(abs(t.coeff) for t in f.terms))
+    terms = tuple((t.outcomes, t.settings, t.coeff * scale) for t in f.terms)
     theta0 = np.random.default_rng(cfg.seed).uniform(size=(cfg.restarts, 5))
     theta0[:, 4] = np.arccos(2.0 * theta0[:, 4] - 1.0)
     simplices = theta0[:, None, :] + np.vstack([np.zeros(5), w._INITIAL_STEP * np.eye(5)])
@@ -1077,7 +1135,7 @@ def reference_optimize_qubit(f, cfg):
     return SimpleNamespace(
         value=strategy_value(f, strategy), restart_index=k, strategy=strategy,
         iterations=stats["iterations"], shrink_steps=stats["shrinks"],
-        value_spread=float(fvals.max() - fvals.min()),
+        value_spread=float(fvals.max() - fvals.min()) / scale,
     )
 
 
