@@ -8,7 +8,7 @@ exceeded (vertices: vertex count above --cap; simulate: behavior table or
 the states of its last step, realize: Kraus entries of the system, bounds:
 profile table, optimize: the restarts' initial simplices of 6 * 5 entries
 each (so more than 34,952 restarts) or one row of the functional's per-term
-table, each above realize.MAX_TABLE_ENTRIES), 3 schema violation,
+table, each above errors.MAX_TABLE_ENTRIES), 3 schema violation,
 4 behavior not in the polytope, 5 outside the implemented scope (sequence
 length != 2), 64 usage error.
 
@@ -34,6 +34,7 @@ from .errors import (
     TempocorrError,
     TooManyVertices,
     UnsupportedLength,
+    exceeds_table_budget,
 )
 
 EXIT_OK = 0
@@ -163,7 +164,7 @@ def cmd_witness(args) -> int:
 def cmd_bounds(args) -> int:
     import numpy as np
 
-    from . import realize, witness
+    from . import witness
 
     which = args.which
     if which == "C1":
@@ -189,9 +190,9 @@ def cmd_bounds(args) -> int:
     if n < 2:
         raise SchemaError("grid", f"profiles need --grid >= 2, got {n}")
     entries = n * n if which == "B4envelope" else n
-    if entries > realize.MAX_TABLE_ENTRIES:
+    if exceeds_table_budget(entries):
         what = f"a {which} table of {entries} entries (--grid {n})"
-        raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
+        raise TableTooLarge(what)
     xs = np.linspace(-1.0, 1.0, n)
     profiles = {"B1profile": witness.b1_projective_profile, "B3profile": witness.b3_profile}
     if which in profiles:

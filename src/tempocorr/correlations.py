@@ -185,21 +185,22 @@ class MembershipReport:
 
 
 def check_membership(b: Behavior) -> MembershipReport:
-    """Full polytope membership report for a behavior."""
+    """Full polytope membership report for a behavior; a sum or spread that
+    overflows to inf is a violation, reported without a numpy warning."""
     s, L, table = b.scenario, b.scenario.L, b.table
     rows, cols = np.nonzero(table < -MEMBERSHIP_TOL)
     neg = [(i, j, float(table[i, j])) for i, j in zip(rows.tolist(), cols.tolist())]
-    sums = table.sum(axis=1)
-    norm = [(i, float(sums[i])) for i in np.nonzero(np.abs(sums - 1.0) > MEMBERSHIP_TOL)[0].tolist()]
-
     aot = []
-    for t in range(1, L):
-        m = _level_marginal(s, table, t)
-        future = tuple(range(t, L))
-        dev = m.max(axis=future) - m.min(axis=future)
-        for idx in np.argwhere(dev > MEMBERSHIP_TOL):
-            xs, As = idx[:t], idx[t:]
-            aot.append((t, digits_string(xs), digits_string(As), float(dev[tuple(idx)])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = table.sum(axis=1)
+        norm = [(i, float(sums[i])) for i in np.nonzero(np.abs(sums - 1.0) > MEMBERSHIP_TOL)[0].tolist()]
+        for t in range(1, L):
+            m = _level_marginal(s, table, t)
+            future = tuple(range(t, L))
+            dev = m.max(axis=future) - m.min(axis=future)
+            for idx in np.argwhere(dev > MEMBERSHIP_TOL):
+                xs, As = idx[:t], idx[t:]
+                aot.append((t, digits_string(xs), digits_string(As), float(dev[tuple(idx)])))
 
     return MembershipReport(s, MEMBERSHIP_TOL, tuple(neg), tuple(norm), tuple(aot))
 

@@ -1,6 +1,21 @@
-"""Exception hierarchy shared by all tempocorr modules."""
+"""Exception hierarchy shared by all tempocorr modules, and its table-size budget."""
 
 from __future__ import annotations
+
+# Largest behavior table full_behavior builds: S^L * R^L entries, 8 MiB of
+# float64, checked before any allocation.  The same budget caps the last
+# simulation step, the Kraus entries of a realized or loaded system, the
+# profile tables of ``tempocorr bounds`` and the qubit optimizer's simplices
+# and per-term rows; every check reads it here as it runs.
+MAX_TABLE_ENTRIES = 1 << 20
+
+
+def exceeds_table_budget(base: int, L: int = 1, factor: int = 1) -> bool:
+    """Whether ``factor * base**L`` exceeds ``MAX_TABLE_ENTRIES``; a base of
+    2 or more doubles it per step, so a long L answers before any power."""
+    if base > 1 and L > MAX_TABLE_ENTRIES.bit_length():
+        return True
+    return factor * base**L > MAX_TABLE_ENTRIES
 
 
 class TempocorrError(Exception):
@@ -71,13 +86,13 @@ class TooManyVertices(TempocorrError):
 
 
 class TableTooLarge(TempocorrError):
-    """A table or matrix stack would exceed the table-size budget; ``shape``
-    is the scenario (L, R, S) it belongs to, if any."""
+    """A table or matrix stack would exceed ``MAX_TABLE_ENTRIES``, read into
+    ``cap`` when raised; ``shape`` is its scenario (L, R, S), if any."""
 
-    def __init__(self, what, cap, shape=None):
-        super().__init__(f"{what} exceeds the cap {cap}")
+    def __init__(self, what, shape=None):
+        self.cap = MAX_TABLE_ENTRIES
+        super().__init__(f"{what} exceeds the cap {self.cap}")
         self.shape = shape
-        self.cap = cap
 
 
 # --- quantum realization -----------------------------------------------------

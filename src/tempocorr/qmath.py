@@ -107,7 +107,8 @@ class DensityMatrix:
         defect = hermiticity_defect(m)
         if defect > HERMITICITY_TOL:
             raise NotHermitian(f"state deviates from Hermiticity by {defect:.3e} > {HERMITICITY_TOL}")
-        tr = m.trace().real
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOne(f"state trace {float(tr)!r} deviates from 1 by {abs(tr - 1.0):.3e} > {TRACE_TOL}")
         low = float(hermitian_eigenvalues(m)[0])

@@ -20,7 +20,7 @@ from .correlations import (
     context_position,
     named_vertex,
 )
-from .errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, UnsupportedLength
+from .errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, UnsupportedLength, exceeds_table_budget
 from .qmath import (
     DensityMatrix,
     SystemModel,
@@ -30,31 +30,15 @@ from .qmath import (
 )
 
 
-# Largest behavior table full_behavior builds: S^L * R^L entries, 8 MiB of
-# float64 and about as many Kraus-map applications, checked before any
-# allocation.  The same budget caps the R^L * K * dim^2 entries of the last
-# simulation step, the S * R * dim^2 Kraus entries of a realized system and
-# the profile tables of ``tempocorr bounds``.
-MAX_TABLE_ENTRIES = 1 << 20
-
-
-def _exceeds_budget(base: int, L: int, factor: int = 1) -> bool:
-    """Whether ``factor * base**L`` exceeds ``MAX_TABLE_ENTRIES``; a base of
-    2 or more doubles it per step, so a long L answers before any power."""
-    if base > 1 and L > MAX_TABLE_ENTRIES.bit_length():
-        return True
-    return factor * base**L > MAX_TABLE_ENTRIES
-
-
 def _check_walk(sys: SystemModel, L: int) -> None:
     """Refuse a simulation of length L whose last step would stack more than
-    ``MAX_TABLE_ENTRIES`` complex entries: R^L * K states of d x d, K the most
-    Kraus operators of any outcome."""
+    ``errors.MAX_TABLE_ENTRIES`` complex entries: R^L * K states of d x d, K
+    the most Kraus operators of any outcome."""
     n_k = max(len(ops) for inst in sys.instruments for ops in inst.kraus_sets)
     R, d = sys.n_outcomes, sys.dim
-    if _exceeds_budget(R, L, n_k * d * d):
+    if exceeds_table_budget(R, L, n_k * d * d):
         what = f"a simulation step of R^L * K * d^2 = {R}^{L} * {n_k} * {d}^2 entries"
-        raise TableTooLarge(what, MAX_TABLE_ENTRIES, (L, R, sys.n_settings))
+        raise TableTooLarge(what, (L, R, sys.n_settings))
 
 
 @dataclass(frozen=True)
@@ -143,7 +127,7 @@ def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
     Chains the per-outcome Kraus maps on subnormalized states, never
     renormalizing mid-sequence, so zero-probability branches stay exact.
     Raises :class:`TableTooLarge` when the last step would stack more than
-    ``MAX_TABLE_ENTRIES`` entries.
+    ``errors.MAX_TABLE_ENTRIES`` entries.
     """
     settings = tuple(int(x) for x in settings)
     if not settings:
@@ -165,13 +149,13 @@ def full_behavior(sys: SystemModel, L: int) -> Behavior:
     instrument.  One depth-first walk of the setting tree computes every
     shared prefix state once.  Raises :class:`TableTooLarge` when the table,
     or the states of the walk's last step, would have more than
-    ``MAX_TABLE_ENTRIES`` entries."""
+    ``errors.MAX_TABLE_ENTRIES`` entries."""
     if L < 1:
         raise DimensionMismatch(f"sequence length must be >= 1, got {L}")
     S, R = sys.n_settings, sys.n_outcomes
-    if _exceeds_budget(S * R, L):
+    if exceeds_table_budget(S * R, L):
         what = f"a behavior table of S^L * R^L = {S}^{L} * {R}^{L} entries"
-        raise TableTooLarge(what, MAX_TABLE_ENTRIES, (L, R, S))
+        raise TableTooLarge(what, (L, R, S))
     _check_walk(sys, L)
     scenario = Scenario(L, sys.n_outcomes, sys.n_settings)
     table = np.zeros((scenario.n_setting_seqs, scenario.n_outcome_seqs))
@@ -207,7 +191,7 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     summed over blocks, pi the swap of levels 0 and x+1; each setting's column
     maps and Kraus operators are written by one scatter each.  Raises
     :class:`TableTooLarge` before any allocation when the S * R operators
-    would hold more than ``MAX_TABLE_ENTRIES`` entries.
+    would hold more than ``errors.MAX_TABLE_ENTRIES`` entries.
     """
     kept = decomp.weights > 0.0
     if not kept.any():
@@ -219,9 +203,9 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     weights, outcomes = decomp.weights[kept], decomp.outcomes[kept]
     dim = block_dim * len(weights)
     entries = s.S * s.R * dim * dim
-    if entries > MAX_TABLE_ENTRIES:
+    if exceeds_table_budget(entries):
         what = f"a system of dimension {dim} with {entries} Kraus entries"
-        raise TableTooLarge(what, MAX_TABLE_ENTRIES, (s.L, s.R, s.S))
+        raise TableTooLarge(what, (s.L, s.R, s.S))
 
     starts = block_dim * np.arange(len(weights))
     initial = np.zeros((dim, dim), dtype=complex)

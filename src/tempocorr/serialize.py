@@ -4,7 +4,7 @@ Complex matrices are flat row-major arrays of [re, im] pairs.  Floats are
 emitted with Python's shortest round-trip repr, so parse(emit(x)) recovers x
 exactly.  Parsers validate shapes and value ranges and raise
 :class:`~tempocorr.errors.SchemaError` with the offending field path; a
-system of more Kraus entries than ``realize.MAX_TABLE_ENTRIES`` is refused
+system of more Kraus entries than ``errors.MAX_TABLE_ENTRIES`` is refused
 with :class:`~tempocorr.errors.TableTooLarge` before its matrices are read.
 """
 
@@ -28,9 +28,8 @@ from .correlations import (
     digits_string,
     index_of_digits,
 )
-from .errors import SchemaError, TableTooLarge, TempocorrError
+from .errors import SchemaError, TableTooLarge, TempocorrError, exceeds_table_budget
 from .qmath import DensityMatrix, SystemModel, validate_instrument
-from .realize import MAX_TABLE_ENTRIES
 
 if TYPE_CHECKING:
     # imported where used: simulate, decompose, realize and vertices never
@@ -91,17 +90,17 @@ def system_model_to_json(sys: SystemModel) -> dict:
 
 def _check_system_size(raw: list, dim: int) -> None:
     """Refuse, from the list lengths alone, a system of more than
-    ``MAX_TABLE_ENTRIES`` Kraus entries S * R * K * d^2 (R the most outcomes
-    and K the most Kraus operators of any outcome), before any matrix of an
-    instrument is parsed or validated; malformed entries are left to the
-    parser."""
+    ``errors.MAX_TABLE_ENTRIES`` Kraus entries S * R * K * d^2 (R the most
+    outcomes and K the most Kraus operators of any outcome), before any
+    matrix of an instrument is parsed or validated; malformed entries are
+    left to the parser."""
     kraus = [e["kraus"] for e in raw if isinstance(e, dict) and isinstance(e.get("kraus"), list)]
     R = max(map(len, kraus), default=0)
     K = max((len(ops) for sets in kraus for ops in sets if isinstance(ops, list)), default=0)
     S = len(raw)
-    if S * R * K * dim * dim > MAX_TABLE_ENTRIES:
+    if exceeds_table_budget(S * R * K * dim * dim):
         what = f"a system of S * R * K * d^2 = {S} * {R} * {K} * {dim}^2 Kraus entries"
-        raise TableTooLarge(what, MAX_TABLE_ENTRIES)
+        raise TableTooLarge(what)
 
 
 def system_model_from_json(data) -> SystemModel:

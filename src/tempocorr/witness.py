@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import realize
+from . import errors
 from .correlations import (
     QUBIT_UNREACHABLE_UNIT_ENTRIES,
     Behavior,
@@ -39,11 +39,13 @@ from .errors import (
     ParamOutOfRange,
     ScenarioMismatch,
     TableTooLarge,
+    exceeds_table_budget,
 )
 from .qmath import (
     SystemModel,
     bloch_to_density,
     effect_from_params,
+    hermiticity_defect,
     psd_sqrt,
     trace_norm,
     validate_instrument,
@@ -450,7 +452,6 @@ class _CompiledTerms(NamedTuple):
     tops."""
 
     slots: np.ndarray  # (n,) the slot columns, ascending
-    second: np.ndarray  # (depth, n) second setting y
     rows: np.ndarray  # (7, depth, n) work-block rows of p, a, a, b, b, n_x, n_z of setting y; p is a or 1 - a by b
     scale: np.ndarray  # (3, depth, n, 1) coeff, sign * coeff, sign * coeff; sign 1 where b is 0, else -1
     blocks: dict  # the evaluator of the last row count, by row count
@@ -459,16 +460,16 @@ class _CompiledTerms(NamedTuple):
 def _compile_terms(terms) -> _CompiledTerms:
     """Table of ``((a, b), (x, y), coeff)`` terms, built once per search.
     A table whose per-term row for one search point, ``4 * depth * n``
-    entries, exceeds ``realize.MAX_TABLE_ENTRIES`` is refused."""
+    entries, exceeds ``errors.MAX_TABLE_ENTRIES`` is refused."""
     by_slot = [[], [], [], []]
     for (a, b), (x, y), coeff in terms:
         by_slot[2 * a + x].append((b, y, coeff))
     used = [slot for slot, entries in enumerate(by_slot) if entries] or [0]
     slots = range(used[0], used[-1] + 1, math.gcd(*(s - used[0] for s in used)) or 1)
     depth = max(1, *map(len, by_slot))
-    if realize._exceeds_budget(depth * len(slots), 1, 4):
+    if exceeds_table_budget(depth * len(slots), 1, 4):
         what = f"a per-term table row of 4 * depth * slots = 4 * {depth} * {len(slots)} entries"
-        raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
+        raise TableTooLarge(what)
     table = np.zeros((depth, len(slots), 3))
     for j, slot in enumerate(slots):
         table[: len(by_slot[slot]), j] = by_slot[slot] or np.zeros((0, 3))
@@ -478,7 +479,7 @@ def _compile_terms(terms) -> _CompiledTerms:
     rows = np.stack([prob, _A + y, _A + y, _B + y, _B + y, _AXES + 2 * y, _AXES + 1 + 2 * y])
     signed = (1.0 - 2.0 * b) * coeff
     scale = np.stack([coeff, signed, signed])[..., None]
-    return _CompiledTerms(np.array(slots, dtype=np.intp), y, rows, scale, {})
+    return _CompiledTerms(np.array(slots, dtype=np.intp), rows, scale, {})
 
 
 def _evaluator(prog: _CompiledTerms, m: int):
@@ -491,7 +492,7 @@ def _evaluator(prog: _CompiledTerms, m: int):
     vector.  Built once per row count: a call of another count replaces
     it."""
     prog.blocks.clear()
-    depth, n = prog.second.shape
+    depth, n = prog.rows.shape[1:]
     rows = prog.rows  # read here, so that the evaluator, which prog holds, does not hold prog
     work = np.zeros((_WORK_ROWS, m))
     work[_AXES + 1] = 1.0
@@ -570,15 +571,15 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
     constant is ``coeff * a`` or ``coeff * (1 - a)``, and no sum runs along
     the contiguous last axis, where numpy would sum pairwise.
 
-    The rows are evaluated in blocks of at most ``realize.MAX_TABLE_ENTRIES
+    The rows are evaluated in blocks of at most ``errors.MAX_TABLE_ENTRIES
     // (4 * depth * n)`` rows, so the gathered per-term table and the
     coefficient block of :func:`_evaluator`, 7 and 3 entries per term and
-    row, hold at most 7/4 and 3/4 of ``realize.MAX_TABLE_ENTRIES`` entries:
+    row, hold at most 7/4 and 3/4 of ``errors.MAX_TABLE_ENTRIES`` entries:
     a functional of many terms costs bounded memory however many rows come.
     """
     th = np.asarray(theta, dtype=float)
     rows = th.reshape(-1, 5)
-    block = realize.MAX_TABLE_ENTRIES // (4 * prog.second.size)
+    block = errors.MAX_TABLE_ENTRIES // (4 * prog.rows[0].size)
     if len(rows) <= block:
         value = _rows_value(prog, rows)
     else:
@@ -599,7 +600,7 @@ def _reconstruct_strategy(prog: _CompiledTerms, theta) -> QubitStrategy:
     evaluate, work, table = _evaluator(prog, 1)
     evaluate(np.asarray(theta, dtype=float).reshape(5, 1))
     sums = 0.0 + table[:3, 0, :, 0]  # from 0.0, as the reference: a -0.0 sum becomes +0.0
-    for k in range(1, len(prog.second)):
+    for k in range(1, prog.rows.shape[1]):
         sums += table[:3, k, :, 0]
     slot_sums = np.zeros((4, 3))
     slot_sums[prog.slots] = sums.T
@@ -718,9 +719,9 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         raise ParamOutOfRange(f"seed must be >= 0, got {cfg.seed}")
     _require_binary_pair_scenario(f)
     n = 5  # the searched effect parameters; each simplex has n + 1 vertices
-    if realize._exceeds_budget(cfg.restarts, 1, (n + 1) * n):
+    if exceeds_table_budget(cfg.restarts, 1, (n + 1) * n):
         what = f"a simplex stack of restarts * (n+1) * n = {cfg.restarts} * {n + 1} * {n} entries"
-        raise TableTooLarge(what, realize.MAX_TABLE_ENTRIES)
+        raise TableTooLarge(what)
     scale = _unit_scale(sum(abs(t.coeff) for t in f.terms))
     prog = _compile_terms([(t.outcomes, t.settings, t.coeff * scale) for t in f.terms])
 
@@ -1105,10 +1106,12 @@ def system_epsilon(
         raise NotAProjector(f"projector must be square, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise NotAProjector("projector has non-finite entries")
-    # written so that a NaN, from an overflowing product, fails the check
-    if not float(np.max(np.abs(p - p.conj().T))) <= 1e-9:
+    if not hermiticity_defect(p) <= 1e-9:
         raise NotAProjector("projector is not Hermitian")
-    if not float(np.max(np.abs(p @ p - p))) <= 1e-8:
+    # written so that a NaN, from an overflowing product, fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        idempotency = float(np.max(np.abs(p @ p - p)))
+    if not idempotency <= 1e-8:
         raise NotAProjector("projector is not idempotent")
     rank = int(round(float(p.trace().real)))
     if rank != 2:

@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -11,8 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from tempocorr import realize
+from tempocorr import errors, realize
 from tempocorr import serialize as se
 from tempocorr.cli import main
 from tempocorr.correlations import (
@@ -267,7 +272,7 @@ class TestBounds:
         assert err == f"size cap exceeded: a {which} table of {entries} entries (--grid {grid}) exceeds the cap {2**20}\n"
 
     def test_grid_budget_is_inclusive(self, capsys, monkeypatch):
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 100)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 100)
         for which, fits in (("B4envelope", 10), ("B3profile", 100), ("B1profile", 100)):
             assert run(capsys, "bounds", "--which", which, "--grid", str(fits))[0] == 0
             assert run(capsys, "bounds", "--which", which, "--grid", str(fits + 1))[0] == 2
@@ -357,7 +362,7 @@ class TestOptimize:
 
     def test_oversized_term_table_exit_2(self, capsys, tmp_path, monkeypatch):
         # nine terms in one slot: a row of 4 * 9 * 1 = 36 entries above a cap of 32
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 32)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 32)
         path = tmp_path / "f.json"
         terms = [{"a": "00", "x": "01", "coeff": 1.0}] * 9
         path.write_text(json.dumps({"L": 2, "R": 2, "S": 2, "name": "nine", "terms": terms}))
@@ -539,6 +544,48 @@ class TestInputBoundary:
         assert code == 3
         assert err.splitlines() == ["schema error: initial: state deviates from Hermiticity by inf > 1e-09"]
 
+    @pytest.mark.parametrize("command", ["witness", "decompose"])
+    @pytest.mark.parametrize(
+        "entries, report",
+        [
+            (
+                (("00", 0, 1e308), ("00", 1, 1e308)),
+                [
+                    "setting block 0 sums to inf (deviation inf)",
+                    "arrow-of-time violation at level 1, settings 0, outcomes 0: spread inf",
+                ],
+            ),
+            (
+                (("00", 0, 1e308), ("01", 0, -1e308)),
+                [
+                    "negative entry p[1,0] = -1.000000e+308",
+                    "setting block 0 sums to 1e+308 (deviation 1.000e+308)",
+                    "setting block 1 sums to -1e+308 (deviation 1.000e+308)",
+                    "arrow-of-time violation at level 1, settings 0, outcomes 0: spread inf",
+                ],
+            ),
+        ],
+    )
+    def test_overflowing_behavior_sums_warn_nothing(self, capsys, tmp_path, command, entries, report):
+        # the row sums and the arrow-of-time spreads of these finite entries overflow
+        data = self.member_json()
+        for row, col, value in entries:
+            data["table"][row][col] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _out, err = self.run_file(capsys, tmp_path, data, command, "--behavior", "{file}")
+        assert code == 4
+        assert err.splitlines() == ["membership error: behavior is not in the polytope:", *report]
+
+    def test_overflowing_state_trace_warns_nothing(self, capsys, tmp_path):
+        data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
+        data["initial"][0], data["initial"][3] = [1e308, 0.0], [1e308, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _out, err = self.run_file(capsys, tmp_path, data, "simulate", "--system", "{file}")
+        assert code == 3
+        assert err.splitlines() == ["schema error: initial: state trace inf deviates from 1 by inf > 1e-09"]
+
     @pytest.mark.parametrize(
         "instruments, path, message",
         [
@@ -566,6 +613,110 @@ class TestInputBoundary:
         assert proc.stderr.splitlines() == [
             "schema error: instruments[0]: matrix contains NaN or infinite entries"
         ]
+
+
+# Edge values a mutated leaf of an input file may take.
+EDGE_VALUES = (1e308, -1e308, 1e154, 5e-324, 0.0, -0.0, True, "1", [], {}, None)
+
+# The file-reading commands, each with the argument its mutated file replaces
+# ("{file}") and the seed document that file starts from; "{behavior}" is a
+# valid behavior file.
+FUZZED_COMMANDS = {
+    "simulate --system": (("simulate", "--system", "{file}"), "system"),
+    "simulate --system --L 3": (("simulate", "--system", "{file}", "--L", "3"), "system"),
+    "witness --behavior": (("witness", "--behavior", "{file}"), "behavior"),
+    "witness --functional": (("witness", "--behavior", "{behavior}", "--functional", "{file}"), "functional"),
+    "decompose --behavior": (("decompose", "--behavior", "{file}"), "behavior"),
+    "realize --decomposition": (("realize", "--decomposition", "{file}"), "decomposition"),
+    "optimize --functional": (
+        ("optimize", "--functional", "{file}", "--restarts", "2", "--iterations", "50"),
+        "functional",
+    ),
+}
+
+
+def seed_documents():
+    """Small valid input files: a (2,2,2) member behavior, its 11-term
+    decomposition, the qubit-B1-3 system and B3."""
+    behavior = TestInputBoundary.member_json()
+    return {
+        "behavior": behavior,
+        "decomposition": se.decomposition_to_json(decompose_behavior(se.behavior_from_json(behavior))),
+        "system": se.system_model_to_json(canonical_protocols()["qubit-B1-3"]),
+        "functional": se.functional_to_json(builtin_functionals()["B3"]),
+    }
+
+
+SEED_DOCUMENTS = seed_documents()
+
+
+def leaf_paths(node, path=()):
+    """Paths of the scalar leaves of a JSON document, in document order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def mutate(doc, index, op, value):
+    """Replace, delete or duplicate the leaf ``index`` (modulo the leaf
+    count) of ``doc`` in place; a duplicated list item is inserted again
+    after itself, a duplicated object value becomes a list of two copies."""
+    paths = list(leaf_paths(doc))
+    *head, key = paths[index % len(paths)]
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    if op == "replace":
+        parent[key] = copy.deepcopy(value)
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        parent[key] = [parent[key], parent[key]]
+
+
+mutations = st.lists(
+    st.tuples(st.integers(0, 10**4), st.sampled_from(("replace", "delete", "duplicate")), st.sampled_from(EDGE_VALUES)),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestMutatedInputFiles:
+    """Every file-reading command ends a mutated seed file in an exit code of
+    the README contract, with no traceback and no numpy warning."""
+
+    # leaves 3 and 4 of the behavior are table["00"][0] and [1], leaf 7 is
+    # table["01"][0]; leaves 1 and 7 of the system are the real parts of
+    # initial[0] and initial[3], the diagonal of the initial state
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(FUZZED_COMMANDS)), mutations)
+    @example("witness --behavior", [(3, "replace", 1e308), (4, "replace", 1e308)])
+    @example("decompose --behavior", [(3, "replace", 1e308), (4, "replace", 1e308)])
+    @example("witness --behavior", [(3, "replace", 1e308), (7, "replace", -1e308)])
+    @example("decompose --behavior", [(3, "replace", 1e308), (7, "replace", -1e308)])
+    @example("simulate --system", [(1, "replace", 1e308), (7, "replace", 1e308)])
+    def test_documented_exit_and_clean_stderr(self, tmp_path, command, changes):
+        argv, seed = FUZZED_COMMANDS[command]
+        doc = copy.deepcopy(SEED_DOCUMENTS[seed])
+        for index, op, value in changes:
+            mutate(doc, index, op, value)
+        mutated, behavior = tmp_path / "mutated.json", tmp_path / "behavior.json"
+        mutated.write_text(json.dumps(doc))
+        behavior.write_text(json.dumps(SEED_DOCUMENTS["behavior"]))
+        argv = [a.format(file=mutated, behavior=behavior) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in range(6), err.getvalue()
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue(), err.getvalue()
 
 
 PACKAGE_EXPORTS = {
@@ -687,4 +838,42 @@ def test_commands_without_witnesses_leave_witness_unloaded(tmp_path):
         ["realize", 0, False],
         ["simulate", 0, False],
         ["witness", 0, True],
+    ]
+
+
+# Runs in a fresh interpreter inside a scratch directory holding b.json: prints,
+# as JSON, the exit code of each command and whether tempocorr.realize was
+# loaded after it.
+REALIZE_PROBE = """
+import contextlib, io, json, sys
+import tempocorr.cli
+report = []
+for argv in (
+    ["witness", "--behavior", "b.json"],
+    ["bounds", "--which", "C3"],
+    ["optimize", "--restarts", "2"],
+    ["decompose", "--behavior", "b.json"],
+    ["vertices", "--L", "2", "--R", "2", "--S", "2"],
+    ["simulate", "--protocol", "qutrit-e1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = tempocorr.cli.main(argv)
+    report.append([argv[0], code, "tempocorr.realize" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_simulating_commands_load_realize(tmp_path):
+    (tmp_path / "b.json").write_text(se.dumps(TestInputBoundary.member_json()))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", REALIZE_PROBE], capture_output=True, text=True, env=env, cwd=tmp_path, check=True
+    )
+    assert json.loads(proc.stdout) == [
+        ["witness", 0, False],
+        ["bounds", 0, False],
+        ["optimize", 0, False],
+        ["decompose", 0, False],
+        ["vertices", 0, False],
+        ["simulate", 0, True],
     ]

@@ -20,7 +20,7 @@ from tempocorr.correlations import (
     compose_from_conditionals,
     vertex_behavior,
 )
-from tempocorr import realize, serialize
+from tempocorr import errors, realize, serialize
 from tempocorr.errors import (
     DimensionMismatch,
     EmptyDecomposition,
@@ -125,11 +125,11 @@ class TestTableBudget:
             with pytest.raises(TableTooLarge) as exc:
                 full_behavior(canonical_protocols()["qutrit-e1"], L)
             assert exc.value.shape == (L, 2, 2)
-            assert exc.value.cap == realize.MAX_TABLE_ENTRIES
+            assert exc.value.cap == errors.MAX_TABLE_ENTRIES
 
     def test_budget_is_inclusive(self, monkeypatch):
         # a qubit: the last step of 2^L * 1 * 2^2 entries stays below the table
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 64)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 64)
         proto = canonical_protocols()["qubit-B1-3"]
         assert full_behavior(proto, 3).table.size == 64
         with pytest.raises(TableTooLarge):
@@ -138,10 +138,10 @@ class TestTableBudget:
     def test_walk_budget_is_inclusive(self, monkeypatch):
         # qutrit-e1 at L = 3: a table of 64 entries, a last step of 2^3 * 1 * 3^2 = 72
         proto = canonical_protocols()["qutrit-e1"]
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 72)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 72)
         assert full_behavior(proto, 3).table.size == 64
         assert run_sequence(proto, (0, 1, 0)).probs.size == 8
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 71)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 71)
         for simulate in (lambda: full_behavior(proto, 3), lambda: run_sequence(proto, (0, 1, 0))):
             with pytest.raises(TableTooLarge, match=r"R\^L \* K \* d\^2 = 2\^3 \* 1 \* 3\^2 ") as exc:
                 simulate()
@@ -150,9 +150,9 @@ class TestTableBudget:
     def test_walk_budget_counts_kraus_operators(self, monkeypatch):
         # two Kraus operators per outcome double the last step: 2^2 * 2 * 2^2 = 32
         proto = random_system_model(np.random.default_rng(27), 2, 2, 2, kraus_per_outcome=2)
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 32)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 32)
         assert full_behavior(proto, 2).table.shape == (4, 4)
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 31)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 31)
         with pytest.raises(TableTooLarge, match=r"= 2\^2 \* 2 \* 2\^2 "):
             full_behavior(proto, 2)
 
@@ -167,7 +167,7 @@ class TestTableBudget:
         s = Scenario(2, 3, 3)
         terms = tuple((1 / 81, DeterministicVertex.from_index(s, 1009 * k)) for k in range(81))
         system = mixture_realization(ConvexDecomposition(terms))
-        assert system.dim == 324 and 3**2 * 324**2 <= realize.MAX_TABLE_ENTRIES
+        assert system.dim == 324 and 3**2 * 324**2 <= errors.MAX_TABLE_ENTRIES
         assert full_behavior(system, 2).table.shape == (9, 9)
 
 
@@ -471,9 +471,9 @@ class TestRealizationBudget:
     def test_budget_is_inclusive(self, monkeypatch):
         # two (2,2,2) blocks: dimension 6, S * R * 6^2 = 144 Kraus entries
         d = ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, named_vertex("e3"))))
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 144)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 144)
         assert mixture_realization(d).dim == 6
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 143)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 143)
         with pytest.raises(TableTooLarge, match="dimension 6") as exc:
             mixture_realization(d)
         assert exc.value.shape == (2, 2, 2)
@@ -481,7 +481,7 @@ class TestRealizationBudget:
 
     def test_zero_weight_terms_do_not_count(self, monkeypatch):
         d = ConvexDecomposition(((1.0, named_vertex("e1")), (0.0, named_vertex("e2"))))
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 36)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 36)
         assert mixture_realization(d).dim == 3
 
     def test_large_vertex_rejected(self):
@@ -491,7 +491,7 @@ class TestRealizationBudget:
 
     def test_peel_outputs_fit_the_budget(self):
         # a (2,3,3) peel has at most one term per table entry: 81 blocks of 4 levels
-        assert 3 * 3 * (81 * 4) ** 2 <= realize.MAX_TABLE_ENTRIES
+        assert 3 * 3 * (81 * 4) ** 2 <= errors.MAX_TABLE_ENTRIES
         rng = np.random.default_rng(26)
         for _ in range(5):
             b = compose_from_conditionals(random_conditional_chain(rng, Scenario(2, 3, 3)))

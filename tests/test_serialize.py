@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempocorr import errors
 from tempocorr import serialize as se
 from tempocorr.correlations import (
     ConvexDecomposition,
@@ -102,9 +103,9 @@ class TestSystemModel:
     def test_size_budget_is_inclusive(self, monkeypatch):
         # qubit-B1-3 holds S * R * K * d^2 = 2 * 2 * 1 * 2^2 = 16 Kraus entries
         data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
-        monkeypatch.setattr(se, "MAX_TABLE_ENTRIES", 16)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 16)
         assert se.system_model_from_json(data).dim == 2
-        monkeypatch.setattr(se, "MAX_TABLE_ENTRIES", 15)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 15)
         with pytest.raises(TableTooLarge, match=r"2 \* 2 \* 1 \* 2\^2 Kraus entries exceeds the cap 15"):
             se.system_model_from_json(data)
 
@@ -114,10 +115,10 @@ class TestSystemModel:
         data = se.system_model_to_json(canonical_protocols()["qubit-B1-3"])
         data["instruments"][1]["kraus"][0] = ["not a matrix"] * 3
         data["instruments"][0]["kraus"].append([])
-        monkeypatch.setattr(se, "MAX_TABLE_ENTRIES", 2 * 3 * 3 * 4 - 1)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 2 * 3 * 3 * 4 - 1)
         with pytest.raises(TableTooLarge, match=r"2 \* 3 \* 3 \* 2\^2"):
             se.system_model_from_json(data)
-        monkeypatch.setattr(se, "MAX_TABLE_ENTRIES", 2 * 3 * 3 * 4)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 2 * 3 * 3 * 4)
         with pytest.raises(SchemaError):
             se.system_model_from_json(data)
 

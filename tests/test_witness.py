@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempocorr import realize
+from tempocorr import errors
 from tempocorr import witness as w
 from tempocorr.correlations import (
     Behavior,
@@ -275,7 +275,7 @@ class TestOptimizer:
 
     def test_restart_budget_is_inclusive(self, monkeypatch):
         # three restarts stack 3 * 6 * 5 = 90 simplex entries
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 90)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 90)
         assert optimize_qubit(F["B1"], OptimizerConfig(restarts=3, max_iterations=5)).restart_index < 3
 
         def no_draw(*_args):
@@ -292,7 +292,7 @@ class TestOptimizer:
     @pytest.mark.parametrize("restarts", [34_953, 10**12])
     def test_too_many_restarts_refused_before_allocation(self, restarts):
         # 34,952 restarts stack 1,048,560 entries, within the 2^20 budget
-        assert 34_952 * 30 <= realize.MAX_TABLE_ENTRIES < 34_953 * 30
+        assert 34_952 * 30 <= errors.MAX_TABLE_ENTRIES < 34_953 * 30
         tracemalloc.start()
         try:
             with pytest.raises(TableTooLarge, match=f"= {restarts} \\* 6 \\* 5 entries exceeds the cap 1048576"):
@@ -407,7 +407,7 @@ class TestOptimizer:
             tracemalloc.stop()
         assert res.value == 800.0
         # four float64 tables of the entry budget
-        assert peak < 32 * realize.MAX_TABLE_ENTRIES
+        assert peak < 32 * errors.MAX_TABLE_ENTRIES
 
     @settings(max_examples=20, deadline=None)
     @given(random_terms, st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 6))
@@ -423,7 +423,7 @@ class TestOptimizer:
             return rows_value(prog, theta)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(realize, "MAX_TABLE_ENTRIES", 4 * prog.second.size * block)
+            mp.setattr(errors, "MAX_TABLE_ENTRIES", 4 * prog.rows[0].size * block)
             mp.setattr(w, "_rows_value", recording)
             assert w._state_optimal_value(prog, theta).tobytes() == whole.tobytes()
         # full blocks of the budget's rows, then the rest
@@ -431,7 +431,7 @@ class TestOptimizer:
 
     def test_term_row_budget_is_inclusive(self, monkeypatch):
         # eight terms in one slot fill a row of 4 * 8 * 1 = 32 entries
-        monkeypatch.setattr(realize, "MAX_TABLE_ENTRIES", 32)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 32)
         eight = w.WitnessFunctional("eight", S222, (((0, 0), (0, 1), 1.0),) * 8)
         assert optimize_qubit(eight, OptimizerConfig(restarts=1, max_iterations=50)).value == 8.0
         nine = w.WitnessFunctional("nine", S222, eight.terms + eight.terms[:1])
@@ -870,6 +870,25 @@ class TestSystemEpsilon:
         huge[1, 0] = 1e300 * (1 - 1j)
         with np.errstate(all="ignore"), pytest.raises(NotAProjector):
             system_epsilon(proto, huge)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((0, 1, 1e300 * (1 + 1j)), (1, 0, 1e300 * (1 - 1j))), "projector is not idempotent"),
+            (((0, 2, 1e308), (2, 0, -1e308)), "projector is not Hermitian"),
+            (((0, 2, 1e308), (2, 0, 1e308)), "projector is not idempotent"),
+        ],
+    )
+    def test_overflowing_projector_warns_nothing(self, entries, message):
+        # finite entries whose Hermiticity defect or P @ P - P overflows
+        proj = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        for i, j, value in entries:
+            proj[i, j] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAProjector) as exc:
+                system_epsilon(canonical_protocols()["qutrit-e1"], proj)
+        assert str(exc.value) == message
 
     def test_returns_plain_float(self):
         for name, proto in canonical_protocols().items():
