@@ -3,14 +3,16 @@
 Subcommands: vertices, simulate, witness, bounds, optimize, decompose,
 realize.  Every run is deterministic given its flags; all randomness flows
 from --seed (default 1729).  Exit codes are a stable scripting contract:
-0 success, 1 parameter out of range or another library error, 2 size cap
-exceeded (vertices: vertex count above --cap; simulate: behavior table or
-the states of its last step, realize: Kraus entries of the system, bounds:
-profile table, optimize: the restarts' initial simplices of 6 * 5 entries
-each (so more than 34,952 restarts) or one row of the functional's per-term
-table, each above errors.MAX_TABLE_ENTRIES), 3 schema violation,
-4 behavior not in the polytope, 5 outside the implemented scope (sequence
-length != 2), 64 usage error.
+0 success, 1 parameter out of range, an --out file that cannot be written
+(one line, error: cannot write <path>: <reason>) or another library error,
+2 size cap exceeded (vertices: vertex count above --cap; simulate: behavior
+table or the states of its last step, realize: Kraus entries of the system,
+bounds: profile table, optimize: the restarts' initial simplices of 6 * 5
+entries each (so more than 34,952 restarts) or one row of the functional's
+per-term table, each above errors.MAX_TABLE_ENTRIES), 3 schema violation,
+or an input file that is missing, unreadable or not JSON, 4 behavior not
+in the polytope, 5 outside the implemented scope (sequence length != 2),
+64 usage error.
 
 Arguments are parsed before numpy loads, so --help and usage errors never
 load it.  A command then runs with one OpenBLAS thread: each further thread
@@ -59,8 +61,11 @@ class _Parser(argparse.ArgumentParser):
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:  # a directory, a missing parent, no permission
+        raise TempocorrError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _load_json(path: str):
@@ -68,8 +73,10 @@ def _load_json(path: str):
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise SchemaError(path, "file not found") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, f"invalid JSON: {exc}") from exc
+    except OSError as exc:  # a directory, no permission
+        raise SchemaError(path, f"cannot read: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON, nested too deep, too many digits
+        raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 
 # --- subcommands -----------------------------------------------------------------

@@ -445,16 +445,16 @@ _A, _B, _ONE_MINUS_A, _AXES, _TOPS = 0, 2, 4, 6, 10  # the first row of each gro
 
 class _CompiledTerms(NamedTuple):
     """A functional's terms as a ``(depth, n)`` table over n slot columns:
-    entry ``[k, j]`` is the k-th term of slot ``slots[j]``, and slots with
+    entry ``[k, j]`` is the k-th term of the j-th column, and slots with
     fewer terms are padded with zero coefficients.  The columns are the
     slots with terms and any slot between them that makes them an
     arithmetic progression, so one slice of the work block holds their
     tops."""
 
-    slots: np.ndarray  # (n,) the slot columns, ascending
+    slots: slice  # the work-block rows of the columns' slot tops, which the evaluator writes
     rows: np.ndarray  # (7, depth, n) work-block rows of p, a, a, b, b, n_x, n_z of setting y; p is a or 1 - a by b
     scale: np.ndarray  # (3, depth, n, 1) coeff, sign * coeff, sign * coeff; sign 1 where b is 0, else -1
-    blocks: dict  # the evaluator of the last row count, by row count
+    blocks: dict  # the evaluate function of the last row count, by row count
 
 
 def _compile_terms(terms) -> _CompiledTerms:
@@ -479,18 +479,17 @@ def _compile_terms(terms) -> _CompiledTerms:
     rows = np.stack([prob, _A + y, _A + y, _B + y, _B + y, _AXES + 2 * y, _AXES + 1 + 2 * y])
     signed = (1.0 - 2.0 * b) * coeff
     scale = np.stack([coeff, signed, signed])[..., None]
-    return _CompiledTerms(np.array(slots, dtype=np.intp), rows, scale, {})
+    return _CompiledTerms(slice(_TOPS + slots.start, _TOPS + slots.stop, slots.step), rows, scale, {})
 
 
 def _evaluator(prog: _CompiledTerms, m: int):
-    """The evaluator of m rows, ``(evaluate, work, table)``: ``evaluate``
-    maps the parameter-major rows ``(5, m)`` of ``[u0, b0, u1, b1, gamma]``
-    to their m values, filling the work block and the per-term table ``(7,
-    depth, n, m)``, whose first three rows are each term's contributions
-    ``coeff * p(b | y)`` to its slot's constant and ``sign * coeff * a * b *
-    axis`` to the x and z components of the slot's linear coefficient
-    vector.  Built once per row count: a call of another count replaces
-    it."""
+    """The evaluator of m rows, a function that maps the parameter-major rows
+    ``(5, m)`` of ``[u0, b0, u1, b1, gamma]`` to their m values, filling the
+    work block and the per-term table ``(7, depth, n, m)``, whose first
+    three rows are each term's contributions ``coeff * p(b | y)`` to its
+    slot's constant and ``sign * coeff * a * b * axis`` to the x and z
+    components of the slot's linear coefficient vector.  Built once per row
+    count: a call of another count replaces it."""
     prog.blocks.clear()
     depth, n = prog.rows.shape[1:]
     rows = prog.rows  # read here, so that the evaluator, which prog holds, does not hold prog
@@ -500,8 +499,7 @@ def _evaluator(prog: _CompiledTerms, m: int):
     by_setting = weights.reshape(2, 2, m).transpose(1, 0, 2)  # the rows of theta are by (setting, parameter)
     a, b, one_minus_a = work[_A : _A + 2], work[_B : _B + 2], work[_ONE_MINUS_A : _ONE_MINUS_A + 2]
     sin, cos, trig = work[_AXES + 2], work[_AXES + 3], work[_AXES + 2 : _AXES + 4]
-    lo, hi, step = prog.slots[0], prog.slots[-1], (prog.slots[1] - prog.slots[0] if n > 1 else 1)
-    slot_tops = work[_TOPS + lo : _TOPS + hi + 1 : step]
+    slot_tops = work[prog.slots]
     top0, top1 = work[_TOPS : _TOPS + 2], work[_TOPS + 2 : _TOPS + 4]  # [first outcome][setting]
     den = np.empty((2, m))
     # p, a, a, b, b, n_x, n_z of each entry; the first three rows become
@@ -554,8 +552,8 @@ def _evaluator(prog: _CompiledTerms, m: int):
         np.sqrt(pair[1], out=pair[1])
         return pair[0] + pair[1]
 
-    prog.blocks[m] = found = evaluate, work, table
-    return found
+    prog.blocks[m] = evaluate
+    return evaluate
 
 
 def _state_optimal_value(prog: _CompiledTerms, theta):
@@ -590,27 +588,23 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
 def _rows_value(prog: _CompiledTerms, theta):
     """:func:`_state_optimal_value` of ``(m, 5)`` rows, in one block."""
     m = len(theta)
-    return (prog.blocks.get(m) or _evaluator(prog, m))[0](theta.T)
+    return (prog.blocks.get(m) or _evaluator(prog, m))(theta.T)
 
 
-def _reconstruct_strategy(prog: _CompiledTerms, theta) -> QubitStrategy:
-    """Explicit optimal states for the effects of one ``(5,)`` parameter row;
-    a zero coefficient vector, where every unit vector is optimal, gets
-    (0, 0, 1)."""
-    evaluate, work, table = _evaluator(prog, 1)
-    evaluate(np.asarray(theta, dtype=float).reshape(5, 1))
-    sums = 0.0 + table[:3, 0, :, 0]  # from 0.0, as the reference: a -0.0 sum becomes +0.0
-    for k in range(1, prog.rows.shape[1]):
-        sums += table[:3, k, :, 0]
-    slot_sums = np.zeros((4, 3))
-    slot_sums[prog.slots] = sums.T
-    wvec = np.zeros((2, 2, 3))  # the y component stays +0.0
-    base, wvec[..., 0], wvec[..., 2] = (slot_sums[:, i].reshape(2, 2) for i in range(3))
-    a, b = work[_A : _A + 2, 0], work[_B : _B + 2, 0]
-    axis = np.zeros((2, 3))
-    axis[:, [0, 2]] = work[_AXES : _AXES + 4, 0].reshape(2, 2)
+def _reconstruct_strategy(terms, theta) -> QubitStrategy:
+    """Explicit optimal states for the effects of one ``(5,)`` parameter row
+    of the ``((a, b), (x, y), coeff)`` terms, each slot's constant and
+    coefficient vector summed from 0.0 in term order; a zero coefficient
+    vector, where every unit vector is optimal, gets (0, 0, 1)."""
+    th = np.asarray(theta, dtype=float)
+    u, b = np.minimum(np.maximum(th[[0, 2]], 0.0), 1.0), np.minimum(np.maximum(th[[1, 3]], 0.0), 1.0)
+    a = u / (1.0 + b)
+    axis = np.array([[0.0, 0.0, 1.0], [np.sin(th[4]), 0.0, np.cos(th[4])]])
+    tops, wvec = np.zeros((2, 2)), np.zeros((2, 2, 3))
+    for (oa, ob), (x, y), coeff in terms:
+        tops[oa, x] += coeff * (a[y] if ob == 0 else 1.0 - a[y])
+        wvec[oa, x] += (1.0 - 2.0 * ob) * coeff * a[y] * b[y] * axis[y]
     post = np.tile([0.0, 0.0, 1.0], (2, 2, 1))
-    tops = base.copy()
     for ax in np.ndindex(2, 2):
         norm = float(np.linalg.norm(wvec[ax]))
         if norm > 1e-15:
@@ -696,20 +690,20 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     uniform on [0, 1], and ``gamma = arccos(2 v - 1)`` so that ``cos gamma``
     is uniform on [-1, 1].  Row k does not depend on the restart count, so
     restart k starts at the same point in every search of more than k
-    restarts.  The functional's terms are compiled into a table of index
-    and coefficient columns once per call, and the objective and the
-    strategy rebuild both read it.  The compiled coefficients are scaled by
-    the power of two nearest ``1 / sum |coeff|`` (:func:`_unit_scale`), so
-    the search, its stopping rule and the rebuild's thresholds on
-    coefficient vectors act on a problem of unit scale whatever the
-    functional's; a power of two scales every objective value exactly, and
-    ``value_spread`` is scaled back.  The search space is exactly the
-    achievable qubit set, and the reported value is recomputed from the
-    rebuilt strategy with the functional as given, in the gauge, a valid
-    lower bound on the qubit maximum.  Results are deterministic for a
-    fixed seed, with ties between restarts resolved toward the lower
-    restart index.  A restart stops once its values agree within ``2 eps
-    sum |coeff|``.
+    restarts.  The functional's terms are scaled once per call and
+    compiled into a table of index and coefficient columns, which only the
+    objective reads; the strategy rebuild sums the same scaled terms slot
+    by slot for the best row.  The coefficients are scaled by the power of
+    two nearest ``1 / sum |coeff|`` (:func:`_unit_scale`), so the search,
+    its stopping rule and the rebuild's thresholds on coefficient vectors
+    act on a problem of unit scale whatever the functional's; a power of
+    two scales every objective value exactly, and ``value_spread`` is
+    scaled back.  The search space is exactly the achievable qubit set,
+    and the reported value is recomputed from the rebuilt strategy with
+    the functional as given, in the gauge, a valid lower bound on the
+    qubit maximum.  Results are deterministic for a fixed seed, with ties
+    between restarts resolved toward the lower restart index.  A restart
+    stops once its values agree within ``2 eps sum |coeff|``.
     """
     if cfg.restarts < 1:
         raise ParamOutOfRange(f"restarts must be >= 1, got {cfg.restarts}")
@@ -723,7 +717,8 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         what = f"a simplex stack of restarts * (n+1) * n = {cfg.restarts} * {n + 1} * {n} entries"
         raise TableTooLarge(what)
     scale = _unit_scale(sum(abs(t.coeff) for t in f.terms))
-    prog = _compile_terms([(t.outcomes, t.settings, t.coeff * scale) for t in f.terms])
+    terms = [(t.outcomes, t.settings, t.coeff * scale) for t in f.terms]
+    prog = _compile_terms(terms)
 
     theta0 = np.random.default_rng(cfg.seed).uniform(size=(cfg.restarts, n))
     theta0[:, 4] = np.arccos(2.0 * theta0[:, 4] - 1.0)  # cos gamma uniform on [-1, 1]
@@ -738,10 +733,10 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
 
     stats = {}
     # 2 ulps of the largest value, sum |coeff| of the scaled terms
-    fatol = 2 * np.finfo(float).eps * sum(abs(t.coeff * scale) for t in f.terms)
+    fatol = 2 * np.finfo(float).eps * sum(abs(coeff) for *_, coeff in terms)
     thetas, fvals = _nelder_mead(objective, simplices, cfg.max_iterations, fatol, stats)
     k = int(np.argmin(fvals))
-    strategy = _reconstruct_strategy(prog, thetas[k])
+    strategy = _reconstruct_strategy(terms, thetas[k])
     return OptimizationResult(
         strategy_value(f, strategy),
         strategy,
@@ -1207,8 +1202,11 @@ def certify(b: Behavior) -> CertificationReport:
     entries = []
     for name, bound, kind, cap in plan:
         value = evaluate(functionals[name], b)
-        eps = epsilon_lower_bound(value, bound)
-        eps_cert = epsilon_lower_bound(value, cap)
+        # a member's entries may each stray 1e-9, so its value may leave [0, 4]; the
+        # epsilon arithmetic clamps it to the range epsilon_lower_bound accepts
+        at_edge = min(max(value, -1e-9), 4.0 + 1e-9)
+        eps = epsilon_lower_bound(at_edge, bound)
+        eps_cert = epsilon_lower_bound(at_edge, cap)
         entries.append(
             WitnessVerdict(
                 name=name,

@@ -26,7 +26,9 @@ from tempocorr.correlations import (
     Scenario,
     compose_from_conditionals,
     decompose_behavior,
+    named_vertex,
     random_conditional_chain,
+    vertex_behavior,
 )
 from tempocorr.realize import canonical_protocols
 from tempocorr.witness import builtin_functionals
@@ -614,6 +616,94 @@ class TestInputBoundary:
             "schema error: instruments[0]: matrix contains NaN or infinite entries"
         ]
 
+
+def five_thousand_digit_behavior():
+    """e1's vertex table with its first unit entry written as an integer of
+    5,000 digits, past the default limit of int conversion."""
+    text = json.dumps(se.behavior_to_json(vertex_behavior(named_vertex("e1"))))
+    return text.replace("1.0", "1" + "0" * 4999, 1)
+
+
+# Input files that cannot be read or parsed: how each is written at a path,
+# and how its schema error goes on after the path
+UNREADABLE_INPUTS = {
+    "directory": (lambda path: path.mkdir(), "cannot read: "),
+    "not UTF-8": (lambda path: path.write_bytes(b'\xff\xfe{"L": 2}'), "invalid JSON: "),
+    "nested too deep": (lambda path: path.write_text("[" * 100_000), "invalid JSON: "),
+    "5,000 digits": (lambda path: path.write_text(five_thousand_digit_behavior()), "invalid JSON: "),
+}
+
+
+class TestUnreadableFiles:
+    """An input file that cannot be read or parsed ends in exit 3, and an
+    --out that cannot be written in exit 1, each with one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "kind, command",
+        [
+            ("directory", "witness --behavior"),
+            ("directory", "simulate --system"),
+            ("not UTF-8", "witness --behavior"),
+            ("not UTF-8", "decompose --behavior"),
+            ("not UTF-8", "optimize --functional"),
+            ("nested too deep", "witness --behavior"),
+            ("5,000 digits", "witness --behavior"),
+        ],
+    )
+    def test_unreadable_input_exits_3(self, capsys, tmp_path, kind, command):
+        write, reason = UNREADABLE_INPUTS[kind]
+        path = tmp_path / "in.json"
+        write(path)
+        code, _out, err = run(capsys, *command.split(), str(path))
+        assert code == 3
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"schema error: {path}: {reason}")
+
+    @pytest.mark.parametrize(
+        "command, target, reason",
+        [
+            ("simulate --protocol qubit-B1-3", "", "Is a directory"),
+            ("bounds --which C3", "missing/bounds.txt", "No such file or directory"),
+        ],
+    )
+    def test_unwritable_out_exits_1(self, capsys, tmp_path, command, target, reason):
+        path = tmp_path / target
+        code, _out, err = run(capsys, *command.split(), "--out", str(path))
+        assert code == 1
+        assert err.splitlines() == [f"error: cannot write {path}: {reason}"]
+
+
+class TestMembersAtTheTolerance:
+    """A member's entries may each stray 1e-9 from the polytope, and its
+    witness values as far from [0, 4]; certification still reports them."""
+
+    def witness(self, capsys, tmp_path, data):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(data))
+        return run(capsys, "witness", "--behavior", str(path))
+
+    def test_value_below_zero_is_qubit_compatible(self, capsys, tmp_path):
+        d = -0.9e-9  # B1 = 4 d
+        table = {"00": [d, 0.5, 0.5, -d], "11": [d, 0.5, 0.5, -d], "01": [0.5, d, -d, 0.5], "10": [0.5, d, -d, 0.5]}
+        code, out, err = self.witness(capsys, tmp_path, {"L": 2, "R": 2, "S": 2, "table": table})
+        assert (code, err) == (0, "")
+        assert "value: -3.6e-09" in out.splitlines()
+        assert "verdict: qubit-compatible" in out.splitlines()
+        assert out.splitlines()[-1].startswith("overall: qubit-compatible,")
+
+    def test_value_above_four_is_dimension_above_2(self, capsys, tmp_path):
+        # each unit entry of e1 raised by 0.9e-9, the entry of the same first
+        # outcome lowered by as much: B1 = 4 + 4 * 0.9e-9
+        data = se.behavior_to_json(vertex_behavior(named_vertex("e1")))
+        for row in data["table"].values():
+            unit = row.index(1.0)
+            row[unit] += 0.9e-9
+            row[unit ^ 1] -= 0.9e-9
+        code, out, err = self.witness(capsys, tmp_path, data)
+        assert (code, err) == (0, "")
+        assert "value: 4.0000000036" in out.splitlines()
+        assert "verdict: dimension > 2" in out.splitlines()
+        assert out.splitlines()[-1].startswith("overall: dimension > 2,")
 
 # Edge values a mutated leaf of an input file may take.
 EDGE_VALUES = (1e308, -1e308, 1e154, 5e-324, 0.0, -0.0, True, "1", [], {}, None)

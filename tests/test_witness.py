@@ -600,7 +600,7 @@ class TestLockstepNelderMead:
     def test_reconstructed_strategy_attains_objective(self):
         prog = w._compile_terms(F["B4"].terms)
         theta = np.random.default_rng(9).uniform(0.0, 3.0, size=5)
-        s = w._reconstruct_strategy(prog, theta)
+        s = w._reconstruct_strategy(F["B4"].terms, theta)
         assert strategy_value(F["B4"], s) == pytest.approx(
             float(w._state_optimal_value(prog, theta)), abs=1e-12
         )
@@ -1263,7 +1263,9 @@ class TestReferenceParity:
         # the CLI and benchmark shape: 20 lockstep restarts, many stopping mid-run
         assert_optimizer_matches_reference(F[name], OptimizerConfig(restarts=20, seed=seed))
 
-    def test_reconstructed_strategy_matches_reference_on_signed_zeros(self):
+    @settings(max_examples=15, deadline=None)
+    @given(random_terms)
+    def test_reconstructed_strategy_matches_reference_on_signed_zeros(self, random_functional):
         # u of -0.0 gives a = -0.0, and gamma of +-0.0 gives an axis component
         # of +-0.0; each slot's sums start from 0.0, so post vectors keep the
         # reference's +0.0 where a single term contributes -0.0
@@ -1272,12 +1274,12 @@ class TestReferenceParity:
         choices = [u, b, u, b, [0.0, -0.0, 1.1, math.pi, -2.0]]
         functionals = [functional_terms(name) for name in sorted(F)] + [
             (((0, 1), (1, 1), -2.5), ((0, 0), (1, 0), 0.5), ((1, 1), (0, 1), -1.0)),
+            random_functional,
         ]
         for terms in functionals:
-            prog = w._compile_terms(terms)
             for _ in range(60):
                 theta = np.array([rng.choice(c) for c in choices])
-                s = w._reconstruct_strategy(prog, theta)
+                s = w._reconstruct_strategy(terms, theta)
                 ref = reference_reconstruct_strategy(terms, theta)
                 assert strategy_bytes(s) == strategy_bytes(ref), (terms, theta)
 
