@@ -138,8 +138,10 @@ class EffectParams:
         object.__setattr__(self, "b", float(self.b))
         if ax.shape != (3,):
             raise InvalidStrategy(f"effect axis must have shape (3,), got {ax.shape}")
-        if not abs(float(np.linalg.norm(ax)) - 1.0) <= 1e-9:  # NaN fails too
-            raise InvalidStrategy(f"effect axis norm {float(np.linalg.norm(ax))!r} is not 1")
+        with np.errstate(over="ignore"):  # an overflowing norm is inf and fails
+            norm = math.sqrt(ax.dot(ax))  # np.linalg.norm(ax), which takes this dot product
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+            raise InvalidStrategy(f"effect axis norm {norm!r} is not 1")
         if not -1e-12 <= self.b <= 1.0 + 1e-12:
             raise InvalidStrategy(f"b={self.b!r} outside [0, 1]")
         if not -1e-12 <= self.a <= 1.0 / (1.0 + self.b) + 1e-12:
@@ -165,9 +167,11 @@ class QubitStrategy:
             raise InvalidStrategy(f"initial Bloch vector must have shape (3,), got {init.shape}")
         if post.shape != (2, 2, 3):
             raise InvalidStrategy(f"post array must have shape (2, 2, 3), got {post.shape}")
-        if not float(np.linalg.norm(init)) <= 1.0 + 1e-9:  # NaN fails too
-            raise InvalidStrategy(f"initial Bloch norm {float(np.linalg.norm(init))!r} exceeds 1")
-        norms = np.linalg.norm(post, axis=2)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf and fails
+            norm = math.sqrt(init.dot(init))  # np.linalg.norm(init), which takes this dot product
+            norms = np.sqrt(np.add.reduce(post * post, axis=2))  # np.linalg.norm(post, axis=2) of a real array
+        if not norm <= 1.0 + 1e-9:  # NaN fails too
+            raise InvalidStrategy(f"initial Bloch norm {norm!r} exceeds 1")
         if not float(norms.max()) <= 1.0 + 1e-9:  # a NaN norm makes the max NaN
             raise InvalidStrategy(f"post Bloch norm {float(norms.max())!r} exceeds 1")
         if len(self.effects) != 2:
@@ -273,25 +277,28 @@ def _nelder_mead(fun, simplex, maxiter: int, fatol: float, stats=None):
     """Minimize ``fun`` by Nelder-Mead from a ``(starts, n+1, n)`` stack of
     initial simplices, all starts stepped in lockstep.
 
-    ``fun`` maps an ``(m, n)`` array of points to their ``m`` values, each
-    row's value independent of the other rows.  Each iteration reflects the
-    worst vertex through the centroid of the others, then expands or
-    contracts (outside or inside), and shrinks toward the best vertex when
-    the contraction fails, with the dimension-adaptive coefficients of Gao
-    and Han, Comput. Optim. Appl. 51 (2012): rho = 1, chi = 1 + 2/n,
-    psi = 3/4 - 1/(2n), sigma = 1 - 1/n.  The four candidates of every
-    running start are evaluated together in one call, and the shrunk
-    vertices, where a start shrinks, in a second; so an iteration makes at
-    most two calls.  Each simplex is sorted stably, so ties keep their
-    vertex order.  A start stops once its values agree within ``fatol``,
-    however far apart its vertices lie; it is then frozen and not evaluated
-    again.  The iteration count starts at 1, so ``maxiter``
-    0 or 1 returns the best initial vertex.  No start depends on another,
-    so each start's result equals its run alone.  Returns the best vertex
-    ``(starts, n)`` and its value ``(starts,)`` per start; a ``stats`` dict
-    receives ``iterations``, the count at which the last start stopped,
-    ``shrinks``, the number of start-steps that shrank, and ``running``,
-    the number of starts still running when ``maxiter`` ended the search.
+    ``fun(points, out)`` writes the values of the rows of an ``(m, n)``
+    array of points into the ``(m,)`` array ``out``, each row's value
+    independent of the other rows.  Each iteration reflects the worst
+    vertex through the centroid of the others, then expands or contracts
+    (outside or inside), and shrinks toward the best vertex when the
+    contraction fails, with the dimension-adaptive coefficients of Gao and
+    Han, Comput. Optim. Appl. 51 (2012): rho = 1, chi = 1 + 2/n, psi = 3/4 -
+    1/(2n), sigma = 1 - 1/n.  The four candidates of every running start
+    are evaluated together in one call, straight into the loop's value
+    block, and the shrunk vertices, where a start shrinks, in a second; so
+    an iteration makes at most two calls.  Each simplex is sorted stably,
+    so ties keep their vertex order.  A start stops once its values agree
+    within ``fatol``, however far apart its vertices lie; it is then frozen
+    and not evaluated again.  The iteration count starts at 1, so
+    ``maxiter`` 0 or 1 returns the best initial vertex.  No start depends
+    on another, so each start's result equals its run alone.  Returns the
+    best vertex ``(starts, n)`` and its value ``(starts,)`` per start; a
+    ``stats`` dict receives ``iterations``, the count at which the last
+    start stopped, ``shrinks``, the number of start-steps that shrank,
+    ``running``, the number of starts still running when ``maxiter`` ended
+    the search, and ``calls`` and ``rows``, the calls of ``fun`` and the
+    points they carried.
 
     The simplices are held vertex major, ``(n+2, starts, n)``: rows 0..n
     the vertices and row n+1 the centroid, next to the worst vertex.  The
@@ -299,10 +306,14 @@ def _nelder_mead(fun, simplex, maxiter: int, fatol: float, stats=None):
     sequence as in a loop over them.  Each step replaces the worst vertices
     and re-sorts the simplices by gathers of whole rows into a second such
     block, and the two blocks take turns; every array and view a step needs
-    is made once per set of running starts.  Each start's arithmetic is
-    that of a start-major loop, operation for operation, so the results
-    equal it bit for bit; the tests keep such a loop as the reference.
+    is made once per set of running starts, and the ufuncs are bound once
+    and given their outputs positionally.  Each start's arithmetic is that
+    of a start-major loop, operation for operation, so the results equal it
+    bit for bit; the tests keep such a loop as the reference.
     """
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    less, less_equal, greater_equal = np.less, np.less_equal, np.greater_equal
+    add_reduce, count_nonzero, packbits = np.add.reduce, np.count_nonzero, np.packbits
     sim = np.asarray(simplex, dtype=float)
     starts, n1, n = sim.shape
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
@@ -311,11 +322,15 @@ def _nelder_mead(fun, simplex, maxiter: int, fatol: float, stats=None):
     # contraction, reflection and inside contraction
     toward = [1 + rho * chi, 1 + psi * rho, 1 + rho, 1 - psi]
     away = [rho * chi, psi * rho, rho, -psi]
-    weights = np.array([[-q for q in away], toward]).T[:, :, None, None]
+    weights = np.array([[-q for q in away], toward])[:, :, None, None]
+    lead = slice(0, n1 - 1, max(n1 - 2, 1))  # the rows of the best and second worst values
+    # 0-d operands, which a ufunc call takes faster than Python numbers
+    tol, dim = np.full((), fatol, dtype=float), np.full((), n, dtype=float)
 
-    s = np.empty((n1 + 1, starts, n))
+    s, fs = np.empty((n1 + 1, starts, n)), np.empty((n1, starts))
     s[:n1] = sim.transpose(1, 0, 2)
-    fs = fun(s[:n1].reshape(-1, n)).reshape(n1, starts)
+    fun(s[:n1].reshape(-1, n), fs.reshape(-1))
+    calls, rows_evaluated = 1, fs.size
     sorted_s, sorted_fs = np.empty_like(s), np.empty_like(fs)
     _sort_simplices(s.reshape(-1, n), fs, np.arange(starts), sorted_s[:n1], sorted_fs)
     s, fs = sorted_s, sorted_fs
@@ -324,42 +339,43 @@ def _nelder_mead(fun, simplex, maxiter: int, fatol: float, stats=None):
     iterations, shrinks = 1, 0
     while iterations < maxiter:
         k = active.size
-        here, step_at = np.arange(k), _STEP_CHOICE * k  # a step's flat candidate row for start 0
+        here, step_at, past = np.arange(k), _STEP_CHOICE * k, np.full((), 4 * k)  # a step's flat candidate row for start 0
         spread, done, shrinking = np.empty(k), np.empty(k, dtype=bool), np.empty(k, dtype=bool)
-        test = np.empty((6, k), dtype=bool)  # the six comparisons of _STEP_CHOICE, in its order
-        r_best, r_second, r_worst, inside, expand, outside = test
-        terms, cand, fc, at = np.empty((4, 2, k, n)), np.empty((4, k, n)), np.empty((4, k)), np.empty((1, k), np.intp)
-        halves, flat_cand, flat_fc, at_row = (terms[:, 0], terms[:, 1]), cand.reshape(-1, n), fc.reshape(-1), at[0]
-        fe, fo, fr, fi = fc
+        # the six comparisons of _STEP_CHOICE, in its order, made by four calls
+        test = np.empty((6, k), dtype=bool)
+        r_lead, r_worst_inside, expand, outside = test[0:2], test[2:4], test[4], test[5]
+        terms, cand, fc, at = np.empty((2, 4, k, n)), np.empty((4, k, n)), np.empty((4, k)), np.empty((1, k), np.intp)
+        term0, term1, flat_cand, flat_fc, at_row = terms[0], terms[1], cand.reshape(-1, n), fc.reshape(-1), at[0]
+        fe, fo, fr = fc[:3]
+        f_ri = fc[2:4]  # the reflection and the inside contraction
         blocks = [  # each block with the views a step reads or writes
-            (b, f, b.reshape(-1, n), b[:n1], b[:n], b[n], b[n:], b[n1], f[0], f[-2], f[-1])
+            (b, f, b.reshape(-1, n), b[:n1], b[:n], b[n], b[n:, None], b[n1], f[0], f[lead], f[-1])
             for b, f in ((s, fs), (np.empty_like(s), np.empty_like(fs)))
         ]
         while iterations < maxiter:
-            s, fs, rows, _, kept, worst, pair, xbar, f_best, f_second, f_worst = blocks[0]
+            s, fs, rows, _, kept, worst, pair, xbar, f_best, f_lead, f_worst = blocks[0]
             # the values are sorted, so the last minus the first is the spread
-            np.subtract(f_worst, f_best, out=spread)
-            np.less_equal(spread, fatol, out=done)
-            if np.count_nonzero(done):
+            subtract(f_worst, f_best, spread)
+            less_equal(spread, tol, done)
+            if count_nonzero(done):
                 break
-            np.add.reduce(kept, axis=0, out=xbar)  # in sequence over the vertices
-            np.divide(xbar, n, out=xbar)
-            np.multiply(weights, pair, out=terms)
-            np.add(*halves, out=cand)
-            np.copyto(flat_fc, fun(flat_cand))
+            add_reduce(kept, 0, None, xbar)  # in sequence over the vertices
+            divide(xbar, dim, xbar)
+            multiply(weights, pair, terms)
+            add(term0, term1, cand)
+            fun(flat_cand, flat_fc)
+            calls, rows_evaluated = calls + 1, rows_evaluated + 4 * k
             # the candidate that replaces the worst vertex, or a row past the
             # candidates to shrink, looked up from the six comparisons packed
             # into one byte per start
-            np.less(fr, f_best, out=r_best)
-            np.less(fr, f_second, out=r_second)
-            np.less(fr, f_worst, out=r_worst)
-            np.less(fi, f_worst, out=inside)
-            np.less(fe, fr, out=expand)
-            np.less_equal(fo, fr, out=outside)
-            step_at.take(np.packbits(test, axis=0), out=at, mode="wrap")
-            np.add(at_row, here, out=at_row)
-            np.greater_equal(at_row, 4 * k, out=shrinking)
-            shrink = shrinking.nonzero()[0] if np.count_nonzero(shrinking) else None
+            less(fr, f_lead, r_lead)
+            less(f_ri, f_worst, r_worst_inside)
+            less(fe, fr, expand)
+            less_equal(fo, fr, outside)
+            step_at.take(packbits(test, 0), None, at, "wrap")
+            add(at_row, here, at_row)
+            greater_equal(at_row, past, shrinking)
+            shrink = shrinking.nonzero()[0] if count_nonzero(shrinking) else None
             if shrink is not None:
                 shrinks += shrink.size
                 sub = s.take(shrink, axis=1)
@@ -368,11 +384,14 @@ def _nelder_mead(fun, simplex, maxiter: int, fatol: float, stats=None):
                 shrunk += sub[0]
             # every start's worst vertex by two gathers; a start that shrinks
             # reads a wrapped index, and the shrink then overwrites that vertex
-            flat_cand.take(at_row, axis=0, out=worst, mode="wrap")
-            flat_fc.take(at_row, out=f_worst, mode="wrap")
+            flat_cand.take(at_row, 0, worst, "wrap")
+            flat_fc.take(at_row, None, f_worst, "wrap")
             if shrink is not None:
                 s[1:n1, shrink] = shrunk
-                fs[1:, shrink] = fun(shrunk.reshape(-1, n)).reshape(n1 - 1, -1)
+                values = np.empty((n1 - 1, shrink.size))
+                fun(shrunk.reshape(-1, n), values.reshape(-1))
+                fs[1:, shrink] = values
+                calls, rows_evaluated = calls + 1, rows_evaluated + values.size
             iterations += 1
             _sort_simplices(rows, fs, here, blocks[1][3], blocks[1][1])
             blocks.reverse()
@@ -386,7 +405,7 @@ def _nelder_mead(fun, simplex, maxiter: int, fatol: float, stats=None):
             break
     best_x[active], best_f[active] = s[0], fs[0]
     if stats is not None:
-        stats["iterations"], stats["shrinks"], stats["running"] = iterations, shrinks, active.size
+        stats.update(iterations=iterations, shrinks=shrinks, running=active.size, calls=calls, rows=rows_evaluated)
     return best_x, best_f
 
 
@@ -396,11 +415,11 @@ def _sort_simplices(rows, fs, here, s_out, fs_out):
     ``s_out`` ``(n + 1, starts, n)`` and ``fs_out``; ``here`` is
     ``arange(starts)``.  The gathers write in place, which an ``out``
     gather does only in a mode other than raise; every index is in range."""
-    at = fs.argsort(axis=0, kind="stable")
+    at = fs.argsort(0, "stable")
     at *= len(here)
     at += here
-    rows.take(at, axis=0, out=s_out, mode="wrap")
-    fs.take(at, out=fs_out, mode="wrap")
+    rows.take(at, 0, s_out, "wrap")
+    fs.take(at, None, fs_out, "wrap")
 
 
 # --- closed-form state elimination and the restart optimizer -----------------------
@@ -418,12 +437,12 @@ def _sort_simplices(rows, fs, here, s_out, fs_out):
 #   rows 10..13  the top of slot 2 a + x; a slot outside the table stays 0
 #
 # One precompiled gather reads every per-term quantity out of it.  The block,
-# the gathered table and every intermediate are allocated once per row count
-# and reused by the calls of that count, with their views taken once, so a
-# call is some 26 array operations on whole blocks of rows, however many
-# points it gets.  Sums run over outer axes only, in term order.  A term
-# ((a, b), (x, y), coeff) feeds the slot 2 a + x of the first step's outcome
-# and setting.
+# the gathered table and every intermediate are views of one flat buffer,
+# allocated once per search (see _Workspace), with the views of each row
+# count taken once, so a call is some 27 array operations on whole blocks of
+# rows, however many points it gets.  Sums run over outer axes only, in term
+# order.  A term ((a, b), (x, y), coeff) feeds the slot 2 a + x of the first
+# step's outcome and setting.
 #
 # The arithmetic is the reference's (kept in the tests), operation for
 # operation, with three exceptions that change no bit of a finite value:
@@ -441,6 +460,12 @@ def _sort_simplices(rows, fs, here, s_out, fs_out):
 
 _WORK_ROWS = 14
 _A, _B, _ONE_MINUS_A, _AXES, _TOPS = 0, 2, 4, 6, 10  # the first row of each group above
+_ZERO, _ONE = np.zeros(()), np.ones(())  # a ufunc call takes a 0-d array faster than a Python float
+# rows _AXES.. of a fresh work block: setting 0's axis (0, 1), then zeros
+_WORK_TAIL = np.array([0.0, 1.0] + [0.0] * (_WORK_ROWS - _AXES - 2))[:, None]
+# row counts whose views a workspace keeps, about 8 KB each; a 20-restart
+# search evaluates at most 41 counts (4 k and 5 k for k <= 20, and 120)
+_KEPT_VIEWS = 64
 
 
 class _CompiledTerms(NamedTuple):
@@ -449,18 +474,24 @@ class _CompiledTerms(NamedTuple):
     fewer terms are padded with zero coefficients.  The columns are the
     slots with terms and any slot between them that makes them an
     arithmetic progression, so one slice of the work block holds their
-    tops."""
+    tops.
+
+    The table is read only and lives as long as the functional's entry in
+    :func:`_compiled_terms`; any number of threads may read it at once.
+    ``pool`` holds the idle :class:`_Workspace` of the table: a search
+    pops one (or allocates one when none is idle or big enough) and
+    appends it back when it ends, so no two searches share a workspace."""
 
     slots: slice  # the work-block rows of the columns' slot tops, which the evaluator writes
     rows: np.ndarray  # (7, depth, n) work-block rows of p, a, a, b, b, n_x, n_z of setting y; p is a or 1 - a by b
     scale: np.ndarray  # (3, depth, n, 1) coeff, sign * coeff, sign * coeff; sign 1 where b is 0, else -1
-    blocks: dict  # the evaluate function of the last row count, by row count
+    pool: list  # idle workspaces of this table
 
 
 def _compile_terms(terms) -> _CompiledTerms:
-    """Table of ``((a, b), (x, y), coeff)`` terms, built once per search.
-    A table whose per-term row for one search point, ``4 * depth * n``
-    entries, exceeds ``errors.MAX_TABLE_ENTRIES`` is refused."""
+    """Table of ``((a, b), (x, y), coeff)`` terms.  A table whose per-term
+    row for one search point, ``4 * depth * n`` entries, exceeds
+    ``errors.MAX_TABLE_ENTRIES`` is refused."""
     by_slot = [[], [], [], []]
     for (a, b), (x, y), coeff in terms:
         by_slot[2 * a + x].append((b, y, coeff))
@@ -479,81 +510,169 @@ def _compile_terms(terms) -> _CompiledTerms:
     rows = np.stack([prob, _A + y, _A + y, _B + y, _B + y, _AXES + 2 * y, _AXES + 1 + 2 * y])
     signed = (1.0 - 2.0 * b) * coeff
     scale = np.stack([coeff, signed, signed])[..., None]
-    return _CompiledTerms(slice(_TOPS + slots.start, _TOPS + slots.stop, slots.step), rows, scale, {})
+    rows.setflags(write=False)
+    scale.setflags(write=False)
+    return _CompiledTerms(slice(_TOPS + slots.start, _TOPS + slots.stop, slots.step), rows, scale, [])
 
 
-def _evaluator(prog: _CompiledTerms, m: int):
-    """The evaluator of m rows, a function that maps the parameter-major rows
-    ``(5, m)`` of ``[u0, b0, u1, b1, gamma]`` to their m values, filling the
-    work block and the per-term table ``(7, depth, n, m)``, whose first
-    three rows are each term's contributions ``coeff * p(b | y)`` to its
-    slot's constant and ``sign * coeff * a * b * axis`` to the x and z
-    components of the slot's linear coefficient vector.  Built once per row
-    count: a call of another count replaces it."""
-    prog.blocks.clear()
-    depth, n = prog.rows.shape[1:]
-    rows = prog.rows  # read here, so that the evaluator, which prog holds, does not hold prog
-    work = np.zeros((_WORK_ROWS, m))
-    work[_AXES + 1] = 1.0
-    weights = work[_A : _B + 2]
-    by_setting = weights.reshape(2, 2, m).transpose(1, 0, 2)  # the rows of theta are by (setting, parameter)
-    a, b, one_minus_a = work[_A : _A + 2], work[_B : _B + 2], work[_ONE_MINUS_A : _ONE_MINUS_A + 2]
-    sin, cos, trig = work[_AXES + 2], work[_AXES + 3], work[_AXES + 2 : _AXES + 4]
-    slot_tops = work[prog.slots]
-    top0, top1 = work[_TOPS : _TOPS + 2], work[_TOPS + 2 : _TOPS + 4]  # [first outcome][setting]
-    den = np.empty((2, m))
+@lru_cache(maxsize=8)
+def _compiled_terms(terms: tuple, coeff_bytes: bytes, budget: int) -> _CompiledTerms:
+    """:func:`_compile_terms` of ``terms`` (tuples), compiled once and kept
+    for the eight most recent functionals.  The key also holds the bytes of
+    the coefficients, which tell -0.0 from 0.0, and the table-size budget,
+    so a smaller ``errors.MAX_TABLE_ENTRIES`` checks the table again."""
+    return _compile_terms(terms)
+
+
+class _Workspace:
+    """The work of one search on a compiled table: one flat buffer sized for
+    ``size`` rows, of which :func:`_evaluator` views a block of every row
+    count the search evaluates, each count's views taken once and kept (up
+    to ``_KEPT_VIEWS`` counts, then dropped and taken again).  The views of
+    different counts overlap, so the constant rows of the work block are
+    written again whenever the count changes (``layout``).
+
+    A workspace belongs to one caller at a time: taken by :func:`_borrow`,
+    which also sets ``block``, and appended back to ``pool`` by the caller
+    when done."""
+
+    def __init__(self, prog: _CompiledTerms, size: int):
+        depth, n = prog.rows.shape[1:]
+        # the table's arrays, not prog, whose pool holds the workspace
+        self.slots, self.rows, self.scale = prog.slots, prog.rows, prog.scale
+        self.size, self.block = size, size
+        self.buffer = np.empty(size * (_WORK_ROWS + 10 * depth * n + 4 * n + 10))
+        self.evaluators = {}  # by row count
+        self.layout = None  # the row count whose constant rows the buffer holds
+
+    def negated_values(self, points, out):
+        """The objective: writes the negated witness value of each row of
+        ``(m, 5)`` effect parameters into ``out`` ``(m,)``, in blocks of at
+        most ``block`` rows."""
+        m, block = len(out), self.block
+        if m <= block:
+            self.rows_value(points, out)
+        else:
+            for lo in range(0, m, block):
+                self.rows_value(points[lo : lo + block], out[lo : lo + block])
+
+    def rows_value(self, points, out):
+        """:meth:`negated_values` of at most ``size`` rows, in one block."""
+        m = len(out)
+        if m != self.layout:
+            if m not in self.evaluators:
+                if len(self.evaluators) == _KEPT_VIEWS:
+                    self.evaluators.clear()
+                self.evaluators[m] = _evaluator(self, m)
+            (self.evaluate, reset), self.layout = self.evaluators[m], m
+            reset()
+        self.evaluate(points, out)
+
+
+def _borrow(prog: _CompiledTerms, rows: int) -> _Workspace:
+    """An idle workspace of ``prog`` for calls of up to ``rows`` rows,
+    evaluated in blocks of at most ``errors.MAX_TABLE_ENTRIES // (4 * depth
+    * n)`` rows, read now; allocated when ``prog.pool`` has none big enough.
+    The caller appends it back to ``prog.pool`` when done."""
+    block = errors.MAX_TABLE_ENTRIES // (4 * prog.rows[0].size)
+    size = min(rows, block)
+    try:
+        ws = prog.pool.pop()
+    except IndexError:
+        ws = None
+    if ws is None or ws.size < size:
+        ws = _Workspace(prog, size)
+    ws.block = min(block, ws.size)
+    return ws
+
+
+def _evaluator(ws: _Workspace, m: int):
+    """The evaluator of m rows on a workspace's buffer, a function that writes
+    the negated values of the rows ``(m, 5)`` of ``[u0, b0, u1, b1, gamma]``
+    into ``out`` ``(m,)``, filling the work block and the per-term table
+    ``(7, depth, n, m)``, whose first three rows are each term's
+    contributions ``coeff * p(b | y)`` to its slot's constant and ``sign *
+    coeff * a * b * axis`` to the x and z components of the slot's linear
+    coefficient vector; and a function that writes the work block's
+    constant rows and the coefficient block, which the views of other row
+    counts overwrite.  Its views of the buffer are taken here, once per row
+    count of a workspace."""
+    rows, scale, slots, buffer = ws.rows, ws.scale, ws.slots, ws.buffer
+    depth, n = rows.shape[1:]
+    at = 0
+
+    def block(*shape):
+        nonlocal at
+        size = math.prod(shape) * m
+        at += size
+        return buffer[at - size : at].reshape(*shape, m)
+
+    work = block(_WORK_ROWS)
     # p, a, a, b, b, n_x, n_z of each entry; the first three rows become
     # coeff * p, then sign * coeff * a * b, twice, then its x and z components
-    table = np.empty((7, depth, n, m))
-    coeffs = np.empty((3, depth, n, m))  # coeff, sign * coeff, sign * coeff
-    coeffs[...] = prog.scale
+    table = block(7, depth, n)
+    coeffs = block(3, depth, n)  # coeff, sign * coeff, sign * coeff
+    sums = table[:3, 0] if depth == 1 else block(3, n)  # the constant, x and z, per slot
+    norm, den, da, halves, pair = block(n), block(2), block(2), block(2, 2), block(2)
+    weights, tail = work[_A : _B + 2], work[_AXES:]
+    by_param = weights.reshape(2, 2, m)  # by (parameter, setting); the points' columns are by (setting, parameter)
+    a, b, one_minus_a = work[_A : _A + 2], work[_B : _B + 2], work[_ONE_MINUS_A : _ONE_MINUS_A + 2]
+    sin_row, cos_row, trig = work[_AXES + 2], work[_AXES + 3], work[_AXES + 2 : _AXES + 4]
+    slot_tops = work[slots]
+    top0, top1 = work[_TOPS : _TOPS + 2], work[_TOPS + 2 : _TOPS + 4]  # [first outcome][setting]
     head, lin, bias, axes = table[:3], table[1:3], table[3:5], table[5:7]
     terms = [table[:3, k] for k in range(depth)]
-    sums = np.empty((3, n, m))  # the constant, x and z, per slot
-    squares, norm = sums[1:], np.empty((n, m))
-    da = np.empty((2, m))
-    halves = np.empty((2, 2, m))  # the constants, then the squared input coefficient vector
-    const, v = halves
-    pair = np.empty((2, m))
+    first, second, *later = terms if depth > 1 else (None, None)
+    const_sum, squares = sums[0], sums[1:]
+    square0, square1 = squares
+    da0, da1 = da
+    const, v = halves  # the constants, then the squared input coefficient vector
+    v1, h0, h1 = v[1], halves[:, 0], halves[:, 1]
+    pair0, pair1 = pair
+    maximum, minimum, add, subtract, multiply, divide = np.maximum, np.minimum, np.add, np.subtract, np.multiply, np.divide
+    sin, cos, square, sqrt, negative, copyto = np.sin, np.cos, np.square, np.sqrt, np.negative, np.copyto
 
-    def evaluate(th):
+    def evaluate(points, out):
         # the work block
-        np.maximum(th[:4].reshape(2, 2, m), 0.0, out=by_setting)
-        np.minimum(weights, 1.0, out=weights)
-        np.add(1.0, b, out=den)
-        np.divide(a, den, out=a)
-        np.subtract(1.0, a, out=one_minus_a)
-        np.sin(th[4], out=sin)
-        np.cos(th[4], out=cos)
+        maximum(points[:, :4].reshape(m, 2, 2).transpose(2, 1, 0), _ZERO, out=by_param)  # out positionally is deprecated here
+        minimum(weights, _ONE, out=weights)
+        add(_ONE, b, den)
+        divide(a, den, a)
+        subtract(_ONE, a, one_minus_a)
+        gamma = points[:, 4]
+        sin(gamma, sin_row)
+        cos(gamma, cos_row)
         # each entry's contributions, then each slot's top, constant + norm
-        work.take(rows, axis=0, out=table, mode="wrap")  # in place, as only a mode other than raise writes
-        np.multiply(coeffs, head, out=head)
-        np.multiply(lin, bias, out=lin)
-        np.multiply(lin, axes, out=lin)
+        work.take(rows, 0, table, "wrap")  # in place, as only a mode other than raise writes
+        multiply(coeffs, head, head)
+        multiply(lin, bias, lin)
+        multiply(lin, axes, lin)
         if depth > 1:
-            np.add(terms[0], terms[1], out=sums)
-            for term in terms[2:]:
-                np.add(sums, term, out=sums)
-        else:
-            np.copyto(sums, terms[0])
-        np.square(squares, out=squares)
-        np.add(squares[0], squares[1], out=norm)
-        np.sqrt(norm, out=norm)
-        np.add(norm, sums[0], out=slot_tops)
+            add(first, second, sums)
+            for term in later:
+                add(sums, term, sums)
+        square(squares, squares)
+        add(square0, square1, norm)
+        sqrt(norm, norm)
+        add(norm, const_sum, slot_tops)
         # the input vector: the constants plus the norm of its coefficient vector
-        np.subtract(top0, top1, out=da)
-        np.multiply(da, a, out=da)
-        np.add(top1, da, out=const)
-        np.multiply(da, b, out=da)
-        np.multiply(da[1], trig, out=v)
-        np.add(v[1], da[0], out=v[1])
-        np.square(v, out=v)
-        np.add(halves[:, 0], halves[:, 1], out=pair)
-        np.sqrt(pair[1], out=pair[1])
-        return pair[0] + pair[1]
+        subtract(top0, top1, da)
+        multiply(da, a, da)
+        add(top1, da, const)
+        multiply(da, b, da)
+        multiply(da1, trig, v)
+        add(v1, da0, v1)
+        square(v, v)
+        add(h0, h1, pair)
+        sqrt(pair1, pair1)
+        add(pair0, pair1, out)
+        negative(out, out)
 
-    prog.blocks[m] = evaluate
-    return evaluate
+    def reset():
+        copyto(tail, _WORK_TAIL)
+        copyto(coeffs, scale)
+
+    return evaluate, reset
 
 
 def _state_optimal_value(prog: _CompiledTerms, theta):
@@ -574,48 +693,58 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
     coefficient block of :func:`_evaluator`, 7 and 3 entries per term and
     row, hold at most 7/4 and 3/4 of ``errors.MAX_TABLE_ENTRIES`` entries:
     a functional of many terms costs bounded memory however many rows come.
+    This is the blocked entry point that returns values; the search calls
+    :meth:`_Workspace.negated_values`, which writes their negation in place.
     """
     th = np.asarray(theta, dtype=float)
     rows = th.reshape(-1, 5)
-    block = errors.MAX_TABLE_ENTRIES // (4 * prog.rows[0].size)
-    if len(rows) <= block:
-        value = _rows_value(prog, rows)
-    else:
-        value = np.concatenate([_rows_value(prog, rows[lo : lo + block]) for lo in range(0, len(rows), block)])
-    return value.reshape(th.shape[:-1])
-
-
-def _rows_value(prog: _CompiledTerms, theta):
-    """:func:`_state_optimal_value` of ``(m, 5)`` rows, in one block."""
-    m = len(theta)
-    return (prog.blocks.get(m) or _evaluator(prog, m))(theta.T)
+    out = np.empty(len(rows))
+    ws = _borrow(prog, len(rows))
+    try:
+        ws.negated_values(rows, out)
+    finally:
+        prog.pool.append(ws)
+    return np.negative(out, out=out).reshape(th.shape[:-1])
 
 
 def _reconstruct_strategy(terms, theta) -> QubitStrategy:
     """Explicit optimal states for the effects of one ``(5,)`` parameter row
     of the ``((a, b), (x, y), coeff)`` terms, each slot's constant and
     coefficient vector summed from 0.0 in term order; a zero coefficient
-    vector, where every unit vector is optimal, gets (0, 0, 1)."""
+    vector, where every unit vector is optimal, gets (0, 0, 1).
+
+    The sums and products run on Python floats, which round as numpy's
+    float64 scalars do; every norm and dot product of 3-vectors is taken
+    by ``ndarray.dot``, as ``np.linalg.norm`` and ``np.dot`` take them, so
+    the states equal the reference's bit for bit."""
     th = np.asarray(theta, dtype=float)
     u, b = np.minimum(np.maximum(th[[0, 2]], 0.0), 1.0), np.minimum(np.maximum(th[[1, 3]], 0.0), 1.0)
     a = u / (1.0 + b)
     axis = np.array([[0.0, 0.0, 1.0], [np.sin(th[4]), 0.0, np.cos(th[4])]])
-    tops, wvec = np.zeros((2, 2)), np.zeros((2, 2, 3))
+    af, bf, axes = a.tolist(), b.tolist(), axis.tolist()
+    tops, wvec = [[0.0, 0.0], [0.0, 0.0]], [[[0.0] * 3 for _ in range(2)] for _ in range(2)]
     for (oa, ob), (x, y), coeff in terms:
-        tops[oa, x] += coeff * (a[y] if ob == 0 else 1.0 - a[y])
-        wvec[oa, x] += (1.0 - 2.0 * ob) * coeff * a[y] * b[y] * axis[y]
-    post = np.tile([0.0, 0.0, 1.0], (2, 2, 1))
-    for ax in np.ndindex(2, 2):
-        norm = float(np.linalg.norm(wvec[ax]))
+        tops[oa][x] += coeff * (af[y] if ob == 0 else 1.0 - af[y])
+        weight, vec = (1.0 - 2.0 * ob) * coeff * af[y] * bf[y], wvec[oa][x]
+        for i, component in enumerate(axes[y]):
+            vec[i] += weight * component
+    wvec = np.array(wvec)
+    post = np.zeros((2, 2, 3))
+    post[..., 2] = 1.0
+    for oa, x in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        vec = wvec[oa, x]
+        norm = math.sqrt(vec.dot(vec))
         if norm > 1e-15:
-            post[ax] = wvec[ax] / norm
-        tops[ax] += float(np.dot(wvec[ax], post[ax]))
-    v = np.zeros(3)
+            post[oa, x] = vec / norm
+        tops[oa][x] += float(vec.dot(post[oa, x]))
+    v = [0.0, 0.0, 0.0]
     for x in (0, 1):
-        v += (tops[0, x] - tops[1, x]) * a[x] * b[x] * axis[x]
-    initial = np.array([0.0, 0.0, 1.0])
-    if float(np.linalg.norm(v)) > 1e-15:
-        initial = v / np.linalg.norm(v)
+        weight = (tops[0][x] - tops[1][x]) * af[x] * bf[x]
+        v = [vi + weight * component for vi, component in zip(v, axes[x])]
+    initial, v = np.array([0.0, 0.0, 1.0]), np.array(v)
+    norm = math.sqrt(v.dot(v))
+    if norm > 1e-15:
+        initial = v / norm
     eff_params = tuple(EffectParams(a[x], b[x], axis[x]) for x in (0, 1))
     return QubitStrategy(initial, post, eff_params)
 
@@ -692,8 +821,13 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     restart k starts at the same point in every search of more than k
     restarts.  The functional's terms are scaled once per call and
     compiled into a table of index and coefficient columns, which only the
-    objective reads; the strategy rebuild sums the same scaled terms slot
-    by slot for the best row.  The coefficients are scaled by the power of
+    objective reads; the table is compiled once per functional's scaled
+    terms and kept (:func:`_compiled_terms`).  The objective's work buffer
+    is sized for the search's largest call, the ``6 * restarts`` initial
+    vertices, and borrowed from the table's pool for the search, so
+    threads may search the same functional at once; each row count of the
+    search views it once.  The strategy rebuild sums the same scaled terms
+    slot by slot for the best row.  The coefficients are scaled by the power of
     two nearest ``1 / sum |coeff|`` (:func:`_unit_scale`), so the search,
     its stopping rule and the rebuild's thresholds on coefficient vectors
     act on a problem of unit scale whatever the functional's; a power of
@@ -717,32 +851,31 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
         what = f"a simplex stack of restarts * (n+1) * n = {cfg.restarts} * {n + 1} * {n} entries"
         raise TableTooLarge(what)
     scale = _unit_scale(sum(abs(t.coeff) for t in f.terms))
-    terms = [(t.outcomes, t.settings, t.coeff * scale) for t in f.terms]
-    prog = _compile_terms(terms)
+    terms = tuple((t.outcomes, t.settings, t.coeff * scale) for t in f.terms)
+    prog = _compiled_terms(terms, np.array([coeff for *_, coeff in terms]).tobytes(), errors.MAX_TABLE_ENTRIES)
 
     theta0 = np.random.default_rng(cfg.seed).uniform(size=(cfg.restarts, n))
     theta0[:, 4] = np.arccos(2.0 * theta0[:, 4] - 1.0)  # cos gamma uniform on [-1, 1]
 
     steps = np.vstack([np.zeros(n), _INITIAL_STEP * np.eye(n)])
     simplices = theta0[:, None, :] + steps
-    rows = []  # per objective call
-
-    def objective(theta):
-        rows.append(len(theta))
-        return -_state_optimal_value(prog, theta)
 
     stats = {}
     # 2 ulps of the largest value, sum |coeff| of the scaled terms
     fatol = 2 * np.finfo(float).eps * sum(abs(coeff) for *_, coeff in terms)
-    thetas, fvals = _nelder_mead(objective, simplices, cfg.max_iterations, fatol, stats)
+    ws = _borrow(prog, (n + 1) * cfg.restarts)  # the initial vertices are the largest call
+    try:
+        thetas, fvals = _nelder_mead(ws.negated_values, simplices, cfg.max_iterations, fatol, stats)
+    finally:
+        prog.pool.append(ws)
     k = int(np.argmin(fvals))
     strategy = _reconstruct_strategy(terms, thetas[k])
     return OptimizationResult(
         strategy_value(f, strategy),
         strategy,
         k,
-        objective_calls=len(rows),
-        objective_rows=sum(rows),
+        objective_calls=stats["calls"],
+        objective_rows=stats["rows"],
         iterations=stats["iterations"],
         shrink_steps=stats["shrinks"],
         value_spread=float(fvals.max() - fvals.min()) / scale,
@@ -957,9 +1090,13 @@ class EpsilonBound:
 
 
 def epsilon_lower_bound(b_value: float, c_value: float) -> EpsilonBound:
+    """(B - C)/12, at least 0 and at most the cap (4 - C)/12: a value in
+    (4, 4 + 1e-9], which a member's rounded entries can give, is taken as
+    4."""
     if not -1e-9 <= b_value <= 4.0 + 1e-9:
         raise ParamOutOfRange(f"witness value {b_value!r} outside [0, 4]")
-    return EpsilonBound(max(0.0, (b_value - c_value) / 12.0), (4.0 - c_value) / 12.0)
+    cap = (4.0 - c_value) / 12.0
+    return EpsilonBound(min(max(0.0, (b_value - c_value) / 12.0), cap), cap)
 
 
 @dataclass(frozen=True)

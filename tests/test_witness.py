@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -230,6 +232,23 @@ class TestStrategyValue:
         with pytest.raises(InvalidStrategy):
             builds[field]()
 
+    @pytest.mark.parametrize("field", ["axis", "initial", "post"])
+    def test_overflowing_norms_rejected_without_warning(self, field):
+        # a component of 1e155 squares past the float range: the norm is inf,
+        # and numpy's overflow warning, an error under the test settings,
+        # used to escape the validation
+        s = b1_saturating_strategy()
+        e = s.effects[0]
+        post = np.array(s.post)
+        post[1, 0, 2] = 1e155
+        builds = {
+            "axis": lambda: EffectParams(e.a, e.b, [1e155, 0.0, 0.0]),
+            "initial": lambda: QubitStrategy([1e155, 0.0, 0.0], s.post, s.effects),
+            "post": lambda: QubitStrategy(s.initial, post, s.effects),
+        }
+        with pytest.raises(InvalidStrategy, match="norm inf"):
+            builds[field]()
+
 
 class TestOptimizer:
     def test_b1_close_to_three(self):
@@ -416,15 +435,15 @@ class TestOptimizer:
         theta = gauge_rows(np.random.default_rng(seed), rows)
         whole = w._state_optimal_value(prog, theta)
         sizes = []
-        rows_value = w._rows_value
+        rows_value = w._Workspace.rows_value
 
-        def recording(prog, theta):
-            sizes.append(len(theta))
-            return rows_value(prog, theta)
+        def recording(ws, points, out):
+            sizes.append(len(points))
+            return rows_value(ws, points, out)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(errors, "MAX_TABLE_ENTRIES", 4 * prog.rows[0].size * block)
-            mp.setattr(w, "_rows_value", recording)
+            mp.setattr(w._Workspace, "rows_value", recording)
             assert w._state_optimal_value(prog, theta).tobytes() == whole.tobytes()
         # full blocks of the budget's rows, then the rest
         assert sizes == [block] * (rows // block) + [rows % block] * (rows % block > 0)
@@ -444,13 +463,13 @@ class TestOptimizer:
     @pytest.mark.parametrize("restarts, max_iterations", [(1, 2000), (6, 2000), (20, 40), (5, 0)])
     def test_counters_match_a_counting_objective(self, monkeypatch, restarts, max_iterations):
         calls = []
-        objective = w._state_optimal_value
+        objective = w._Workspace.negated_values
 
-        def counting(prog, theta):
-            calls.append(len(theta))
-            return objective(prog, theta)
+        def counting(ws, points, out):
+            calls.append(len(points))
+            return objective(ws, points, out)
 
-        monkeypatch.setattr(w, "_state_optimal_value", counting)
+        monkeypatch.setattr(w._Workspace, "negated_values", counting)
         res = optimize_qubit(F["B2"], OptimizerConfig(restarts=restarts, seed=11, max_iterations=max_iterations))
         assert (res.objective_calls, res.objective_rows) == (len(calls), sum(calls))
         # the initial vertices, then per iteration one call of candidates and
@@ -535,9 +554,146 @@ def qubit_objective(name):
     return lambda theta: -w._state_optimal_value(prog, theta)
 
 
+def in_place(fun):
+    """``fun``, a function of an ``(m, n)`` array of points, in the form
+    ``w._nelder_mead`` calls: ``fun(points, out)`` writes the values into
+    ``out``."""
+
+    def call(points, out):
+        out[...] = fun(points)
+
+    return call
+
+
 def random_simplices(seed, starts, n=5, step=0.25):
     x0 = np.random.default_rng(seed).uniform(-0.5, 4.0, size=(starts, n))
     return x0[:, None, :] + np.vstack([np.zeros(n), step * np.eye(n)])
+
+
+CUSTOM = w.WitnessFunctional("custom", S222, (
+    ((0, 1), (1, 1), -2.5), ((0, 0), (1, 0), 0.5), ((0, 1), (1, 0), 3.0), ((1, 1), (0, 1), -1.0), ((0, 0), (1, 1), 1.25),
+))
+
+
+def result_bytes(res):
+    """Value, spread, restart index, every counter and the strategy of a search."""
+    counters = (res.restart_index, res.objective_calls, res.objective_rows, res.iterations, res.shrink_steps, res.restarts_at_cap)
+    return np.float64(res.value).tobytes() + np.float64(res.value_spread).tobytes() + repr(counters).encode() + strategy_bytes(res.strategy)
+
+
+def cold_search(f, cfg):
+    """:func:`result_bytes` of a search on an empty cache of compiled tables."""
+    w._compiled_terms.cache_clear()
+    return result_bytes(optimize_qubit(f, cfg))
+
+
+@pytest.fixture
+def allocations(monkeypatch):
+    """The sizes of the workspaces allocated while the test runs."""
+    sizes = []
+
+    class Counting(w._Workspace):
+        def __init__(self, prog, size):
+            sizes.append(size)
+            super().__init__(prog, size)
+
+    monkeypatch.setattr(w, "_Workspace", Counting)
+    return sizes
+
+
+class TestWorkspaceReuse:
+    def test_interleaved_searches_equal_cold_runs(self):
+        # B3 times 2**30 has B3's unit-scaled terms, so it shares B3's table
+        # and workspaces; the restart counts give different row counts, and
+        # a larger _state_optimal_value call replaces B3's pooled workspace
+        b3x = w.WitnessFunctional("B3", S222, tuple(t._replace(coeff=math.ldexp(t.coeff, 30)) for t in F["B3"].terms))
+        functionals = [F["B1"], F["B2"], F["B3"], F["B4"], CUSTOM, b3x]
+        cfgs = [OptimizerConfig(restarts=restarts, seed=seed) for restarts, seed in ((20, 7), (3, 1729), (7, 11))]
+        cold = {(i, j): cold_search(f, cfg) for i, f in enumerate(functionals) for j, cfg in enumerate(cfgs)}
+        theta = gauge_rows(np.random.default_rng(5), 500)
+        scaled = tuple((t.outcomes, t.settings, t.coeff / 4) for t in F["B3"].terms)
+        values = w._state_optimal_value(w._compile_terms(scaled), theta)
+        w._compiled_terms.cache_clear()
+        for _ in range(2):
+            for j, cfg in enumerate(cfgs):
+                for i, f in enumerate(functionals):
+                    assert result_bytes(optimize_qubit(f, cfg)) == cold[i, j], (f.name, cfg)
+                shared = w._compiled_terms(scaled, np.array([c for *_, c in scaled]).tobytes(), errors.MAX_TABLE_ENTRIES)
+                assert w._state_optimal_value(shared, theta).tobytes() == values.tobytes()
+
+    def test_threads_on_one_functional_equal_cold_runs(self, allocations):
+        f = F["B4"]
+        cfgs = [OptimizerConfig(restarts=restarts, seed=seed) for restarts, seed in ((20, 7), (5, 3), (12, 1729))]
+        cold = [cold_search(f, cfg) for cfg in cfgs]
+        allocations.clear()
+        results, failures = [], []
+
+        def run(offset):
+            try:
+                for i in range(6):
+                    j = (i + offset) % len(cfgs)
+                    results.append((j, result_bytes(optimize_qubit(f, cfgs[j]))))
+            except Exception as exc:  # reported by the assertions below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert sorted(j for j, _ in results) == sorted(list(range(len(cfgs))) * 8)
+        assert all(got == cold[j] for j, got in results)
+        # the cold runs leave one idle workspace of 120 rows, enough for
+        # every search, so an allocation means that searches overlapped
+        assert allocations
+
+    def test_kept_views_are_capped(self, monkeypatch):
+        # a workspace keeps the views of at most _KEPT_VIEWS row counts; the
+        # dropped ones are taken again, and the search does not change
+        cfg = OptimizerConfig(restarts=20, seed=7)
+        cold = cold_search(F["B3"], cfg)
+        kept = []
+        rows_value = w._Workspace.rows_value
+
+        def recording(ws, points, out):
+            rows_value(ws, points, out)
+            kept.append(len(ws.evaluators))
+
+        monkeypatch.setattr(w, "_KEPT_VIEWS", 3)
+        monkeypatch.setattr(w._Workspace, "rows_value", recording)
+        w._compiled_terms.cache_clear()
+        assert result_bytes(optimize_qubit(F["B3"], cfg)) == cold
+        assert max(kept) == 3
+
+    def test_search_allocates_work_blocks_once(self, allocations, monkeypatch):
+        # the evaluator used to be rebuilt each time a restart stopped and
+        # twice around every shrink, 14-21 times per search
+        viewed = []
+        evaluator = w._evaluator
+
+        def counting_views(ws, m):
+            viewed.append(m)
+            return evaluator(ws, m)
+
+        monkeypatch.setattr(w, "_evaluator", counting_views)
+        w._compiled_terms.cache_clear()
+        cfg = OptimizerConfig(restarts=20, seed=7)
+        for name in sorted(F):
+            optimize_qubit(F[name], cfg)
+            # one buffer for the 6 * 20 initial vertices, viewed once per row count
+            assert allocations == [120] and len(viewed) == len(set(viewed))
+            allocations.clear()
+            viewed.clear()
+        for name in sorted(F):
+            optimize_qubit(F[name], cfg)
+        assert allocations == [] and viewed == []
 
 
 class TestLockstepNelderMead:
@@ -551,9 +707,9 @@ class TestLockstepNelderMead:
     def test_starts_are_independent(self, name, seed, starts, maxiter):
         fun = qubit_objective(name)
         simplices = random_simplices(seed, starts)
-        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-13)
+        xs, fs = w._nelder_mead(in_place(fun), simplices, maxiter, 1e-13)
         for k in range(starts):
-            x1, f1 = w._nelder_mead(fun, simplices[k : k + 1], maxiter, 1e-13)
+            x1, f1 = w._nelder_mead(in_place(fun), simplices[k : k + 1], maxiter, 1e-13)
             assert np.array_equal(xs[k], x1[0])
             assert fs[k] == f1[0]
 
@@ -561,7 +717,7 @@ class TestLockstepNelderMead:
     def test_no_iteration_returns_best_initial_vertex(self, maxiter):
         fun = qubit_objective("B3")
         simplices = random_simplices(5, 4)
-        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-13)
+        xs, fs = w._nelder_mead(in_place(fun), simplices, maxiter, 1e-13)
         for k, sim in enumerate(simplices):
             values = fun(sim)
             best = int(np.argmin(values))
@@ -581,7 +737,7 @@ class TestLockstepNelderMead:
             return np.einsum("mi,ij,mj->m", d, hess, d)
 
         stats = {}
-        xs, fs = w._nelder_mead(fun, random_simplices(seed, 3, n=n, step=1.0), 5000, 1e-14, stats)
+        xs, fs = w._nelder_mead(in_place(fun), random_simplices(seed, 3, n=n, step=1.0), 5000, 1e-14, stats)
         # every start stops on its values, near the minimum 0; the Hessian's
         # eigenvalues are at least n, so the value bounds the distance too
         assert stats["iterations"] < 5000
@@ -613,9 +769,9 @@ class TestLockstepNelderMead:
             return (x[:, 0] > 0.5e-12).astype(float)
 
         simplex = np.vstack([np.zeros(3), 1e-12 * np.eye(3)])[None]
-        for nelder_mead in (w._nelder_mead, reference_nelder_mead):
+        for nelder_mead, fun in ((w._nelder_mead, in_place(step)), (reference_nelder_mead, step)):
             stats = {}
-            xs, fs = nelder_mead(step, simplex, 50, 1e-13, stats)
+            xs, fs = nelder_mead(fun, simplex, 50, 1e-13, stats)
             assert stats["iterations"] == 2 and fs[0] == 0.0
 
     @pytest.mark.parametrize("maxiter", [1, 2, 5, 40])
@@ -630,7 +786,7 @@ class TestLockstepNelderMead:
             calls.append(len(x))
             return objective(x)
 
-        w._nelder_mead(counting, random_simplices(3, 5), maxiter, -1.0)
+        w._nelder_mead(in_place(counting), random_simplices(3, 5), maxiter, -1.0)
         assert maxiter <= len(calls) <= 1 + 2 * (maxiter - 1)
 
 
@@ -820,6 +976,16 @@ class TestEpsilon:
 
     def test_below_bound_gives_zero(self):
         assert epsilon_lower_bound(2.5, 3.0).lower == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([-1e-9, 0.0, 4.0, 4.0 + 0.9e-9, 4.0 + 1e-9]), st.floats(-1e-9, 4.0 + 1e-9)),
+        st.one_of(st.sampled_from([w.C1_VALUE, w.B2_ANALYTIC_CAP, w.B4_ANALYTIC_CAP]), st.floats(0.0, 4.0)),
+    )
+    def test_lower_bound_never_exceeds_cap(self, b_value, c_value):
+        # a value above 4 by rounding used to give a lower bound above the cap
+        eps = epsilon_lower_bound(b_value, c_value)
+        assert 0.0 <= eps.lower <= eps.cap == (4.0 - c_value) / 12.0
 
     def test_with_computed_c3(self):
         c3 = c3_bound().value
@@ -1234,7 +1400,7 @@ class TestReferenceParity:
     def test_nelder_mead_matches_reference(self, name, seed, starts, maxiter, step):
         fun = qubit_objective(name)
         simplices = random_simplices(seed, starts, step=step)
-        xs, fs = w._nelder_mead(fun, simplices, maxiter, 1e-13)
+        xs, fs = w._nelder_mead(in_place(fun), simplices, maxiter, 1e-13)
         ref_xs, ref_fs = reference_nelder_mead(fun, simplices, maxiter, 1e-13)
         assert np.array_equal(xs, ref_xs)
         assert np.array_equal(fs, ref_fs)
@@ -1329,7 +1495,7 @@ def assert_no_input_exceeds(f, dim, hi, rng):
 
     best = psi[np.argsort(-sampled)[:8]]
     simplex = nelder_mead_simplex(np.hstack([best.real, best.imag]))
-    _x, fvals = w._nelder_mead(negf, simplex, 500, 1e-15)
+    _x, fvals = w._nelder_mead(in_place(negf), simplex, 500, 1e-15)
     assert -fvals.min() <= hi
 
 
