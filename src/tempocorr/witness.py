@@ -17,6 +17,7 @@ subspace obeys B_i <= C_i + 12 eps.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -463,9 +464,11 @@ _A, _B, _ONE_MINUS_A, _AXES, _TOPS = 0, 2, 4, 6, 10  # the first row of each gro
 _ZERO, _ONE = np.zeros(()), np.ones(())  # a ufunc call takes a 0-d array faster than a Python float
 # rows _AXES.. of a fresh work block: setting 0's axis (0, 1), then zeros
 _WORK_TAIL = np.array([0.0, 1.0] + [0.0] * (_WORK_ROWS - _AXES - 2))[:, None]
-# row counts whose views a workspace keeps, about 8 KB each; a 20-restart
-# search evaluates at most 41 counts (4 k and 5 k for k <= 20, and 120)
-_KEPT_VIEWS = 64
+# row counts whose views a workspace keeps, about 8 KB each plus 150 bytes
+# per unit of depth (tracemalloc); a search of B1..B4 at 20 restarts views at
+# most 21 counts, at 200 restarts 28 to 77 (seeds 0..19 and 1729), so a
+# repeated search of the default size keeps all of its views
+_KEPT_VIEWS = 128
 
 
 class _CompiledTerms(NamedTuple):
@@ -478,9 +481,10 @@ class _CompiledTerms(NamedTuple):
 
     The table is read only and lives as long as the functional's entry in
     :func:`_compiled_terms`; any number of threads may read it at once.
-    ``pool`` holds the idle :class:`_Workspace` of the table: a search
-    pops one (or allocates one when none is idle or big enough) and
-    appends it back when it ends, so no two searches share a workspace."""
+    ``pool`` holds the idle :class:`_Workspace` of the table that fit their
+    calls in one block: a search pops one (or allocates one when none is
+    idle or big enough) and gives it back when it ends, so no two searches
+    share a workspace (see :func:`_borrowed`)."""
 
     slots: slice  # the work-block rows of the columns' slot tops, which the evaluator writes
     rows: np.ndarray  # (7, depth, n) work-block rows of p, a, a, b, b, n_x, n_z of setting y; p is a or 1 - a by b
@@ -532,9 +536,8 @@ class _Workspace:
     different counts overlap, so the constant rows of the work block are
     written again whenever the count changes (``layout``).
 
-    A workspace belongs to one caller at a time: taken by :func:`_borrow`,
-    which also sets ``block``, and appended back to ``pool`` by the caller
-    when done."""
+    A workspace belongs to one caller at a time, which takes it with
+    :func:`_borrowed`; that also sets ``block``."""
 
     def __init__(self, prog: _CompiledTerms, size: int):
         depth, n = prog.rows.shape[1:]
@@ -564,16 +567,23 @@ class _Workspace:
                 if len(self.evaluators) == _KEPT_VIEWS:
                     self.evaluators.clear()
                 self.evaluators[m] = _evaluator(self, m)
-            (self.evaluate, reset), self.layout = self.evaluators[m], m
+            evaluate, reset = self.evaluators[m]
+            # no layout until the constant rows are whole: an interrupted
+            # reset leaves the workspace to be reset again on its next call
+            self.layout = None
             reset()
+            self.evaluate, self.layout = evaluate, m
         self.evaluate(points, out)
 
 
-def _borrow(prog: _CompiledTerms, rows: int) -> _Workspace:
+@contextmanager
+def _borrowed(prog: _CompiledTerms, rows: int):
     """An idle workspace of ``prog`` for calls of up to ``rows`` rows,
     evaluated in blocks of at most ``errors.MAX_TABLE_ENTRIES // (4 * depth
     * n)`` rows, read now; allocated when ``prog.pool`` has none big enough.
-    The caller appends it back to ``prog.pool`` when done."""
+    It goes back to the pool afterwards only if it is smaller than one
+    block: a workspace of blocked calls holds some 2.5 *
+    ``errors.MAX_TABLE_ENTRIES`` floats, which are freed with it."""
     block = errors.MAX_TABLE_ENTRIES // (4 * prog.rows[0].size)
     size = min(rows, block)
     try:
@@ -583,7 +593,11 @@ def _borrow(prog: _CompiledTerms, rows: int) -> _Workspace:
     if ws is None or ws.size < size:
         ws = _Workspace(prog, size)
     ws.block = min(block, ws.size)
-    return ws
+    try:
+        yield ws
+    finally:
+        if ws.size < block:
+            prog.pool.append(ws)
 
 
 def _evaluator(ws: _Workspace, m: int):
@@ -699,11 +713,8 @@ def _state_optimal_value(prog: _CompiledTerms, theta):
     th = np.asarray(theta, dtype=float)
     rows = th.reshape(-1, 5)
     out = np.empty(len(rows))
-    ws = _borrow(prog, len(rows))
-    try:
+    with _borrowed(prog, len(rows)) as ws:
         ws.negated_values(rows, out)
-    finally:
-        prog.pool.append(ws)
     return np.negative(out, out=out).reshape(th.shape[:-1])
 
 
@@ -826,11 +837,13 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     is sized for the search's largest call, the ``6 * restarts`` initial
     vertices, and borrowed from the table's pool for the search, so
     threads may search the same functional at once; each row count of the
-    search views it once.  The strategy rebuild sums the same scaled terms
-    slot by slot for the best row.  The coefficients are scaled by the power of
-    two nearest ``1 / sum |coeff|`` (:func:`_unit_scale`), so the search,
-    its stopping rule and the rebuild's thresholds on coefficient vectors
-    act on a problem of unit scale whatever the functional's; a power of
+    search views it once.  A buffer of one block goes back to the pool, a
+    buffer of blocked calls (a functional of many terms) is freed.  The
+    strategy rebuild sums the same scaled terms slot by slot for the best
+    row.  The coefficients are scaled by the power of two nearest ``1 /
+    sum |coeff|`` (:func:`_unit_scale`), so the search, its stopping rule
+    and the rebuild's thresholds on coefficient vectors act on a problem
+    of unit scale whatever the functional's; a power of
     two scales every objective value exactly, and ``value_spread`` is
     scaled back.  The search space is exactly the achievable qubit set,
     and the reported value is recomputed from the rebuilt strategy with
@@ -863,11 +876,8 @@ def optimize_qubit(f: WitnessFunctional, cfg: OptimizerConfig = OptimizerConfig(
     stats = {}
     # 2 ulps of the largest value, sum |coeff| of the scaled terms
     fatol = 2 * np.finfo(float).eps * sum(abs(coeff) for *_, coeff in terms)
-    ws = _borrow(prog, (n + 1) * cfg.restarts)  # the initial vertices are the largest call
-    try:
+    with _borrowed(prog, (n + 1) * cfg.restarts) as ws:  # the initial vertices are the largest call
         thetas, fvals = _nelder_mead(ws.negated_values, simplices, cfg.max_iterations, fatol, stats)
-    finally:
-        prog.pool.append(ws)
     k = int(np.argmin(fvals))
     strategy = _reconstruct_strategy(terms, thetas[k])
     return OptimizationResult(
