@@ -87,15 +87,13 @@ def cmd_vertices(args) -> int:
     cap = correlations.DEFAULT_VERTEX_CAP if args.cap is None else args.cap
     scenario = correlations.Scenario(args.L, args.R, args.S)
     count = correlations.count_vertices(scenario)
-    vertices = correlations.enumerate_vertices(scenario, cap=cap)
-    out = {
-        "L": args.L,
-        "R": args.R,
-        "S": args.S,
-        "count": count,
-        "vertices": [serialize.vertex_to_json(v)["assignment"] for v in vertices],
-    }
     shown = correlations.vertex_count_text(scenario)
+    if count > cap:
+        raise TooManyVertices(count, cap, shown)
+    out = {"L": args.L, "R": args.R, "S": args.S, "count": count}
+    if args.out:  # the summary needs only the count
+        vertices = correlations.enumerate_vertices(scenario, cap=cap)
+        out["vertices"] = [serialize.vertex_to_json(v)["assignment"] for v in vertices]
     print(f"scenario (L={args.L}, R={args.R}, S={args.S}): {shown} vertices")
     if args.classify:
         classes = correlations.classify_vertices(scenario, cap=cap)
@@ -209,10 +207,12 @@ def cmd_bounds(args) -> int:
     else:  # B4envelope
         ps = np.linspace(0.0, 1.0, n)
         grid = witness.b4_envelope(ps[:, None], xs[None, :])
+        # each distinct p and cos_gamma is formatted once, not once per cell
+        xs_text = [_fmt(x) for x in xs.tolist()]
         rows = ["p,cos_gamma,value"]
-        for i, p in enumerate(ps):
-            for j, x in enumerate(xs):
-                rows.append(f"{_fmt(p)},{_fmt(x)},{_fmt(grid[i, j])}")
+        for p, values in zip(ps.tolist(), grid.tolist()):
+            p_text = _fmt(p) + ","
+            rows += [f"{p_text}{x},{_fmt(v)}" for x, v in zip(xs_text, values)]
         k = int(grid.argmax())
         print(
             f"max = {_fmt(grid.max())} at p = {_fmt(ps[k // n])}, "

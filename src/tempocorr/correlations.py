@@ -118,7 +118,8 @@ def context_order(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
 class Behavior:
     """Dense probability table, rows = setting sequences, columns = outcome
     sequences.  Only the shape is enforced here; probabilistic validity is
-    the job of :func:`check_membership`."""
+    the job of :func:`check_membership`, which keeps its report on the
+    behavior."""
 
     scenario: Scenario
     table: np.ndarray
@@ -186,7 +187,20 @@ class MembershipReport:
 
 def check_membership(b: Behavior) -> MembershipReport:
     """Full polytope membership report for a behavior; a sum or spread that
-    overflows to inf is a violation, reported without a numpy warning."""
+    overflows to inf is a violation, reported without a numpy warning.
+
+    The report is computed once per :class:`Behavior` and kept on it: the
+    behavior is frozen and its table a read-only copy, so every later call,
+    including those of :func:`require_member`, returns the same report.
+    """
+    report = getattr(b, "_membership", None)
+    if report is None:
+        report = _membership_report(b)
+        object.__setattr__(b, "_membership", report)
+    return report
+
+
+def _membership_report(b: Behavior) -> MembershipReport:
     s, L, table = b.scenario, b.scenario.L, b.table
     rows, cols = np.nonzero(table < -MEMBERSHIP_TOL)
     neg = [(i, j, float(table[i, j])) for i, j in zip(rows.tolist(), cols.tolist())]
@@ -712,14 +726,20 @@ def decompose_behavior(b: Behavior) -> ConvexDecomposition:
         levels.append((t, slice(start, start + S**t), hist // S, candidates))
         start += S**t
     row_starts = levels[-1][3][:, 0]
+    (_, root_slice, _, root_candidates), deeper = levels[0], levels[1:]
     # each term zeroes one positive entry, so there are at most this many
     cap = int(np.count_nonzero(b.table > 0.0))
     weights = np.empty(cap)
     outcomes = np.empty((cap, s.n_contexts), dtype=np.min_scalar_type(R))
     n = 0
     while residual.sum() / s.n_setting_seqs > ZERO_MEASURE_TOL:
-        vertex, realized = outcomes[n], np.zeros(1, dtype=np.intp)
-        for t, context_slice, parent, candidates in levels:
+        vertex = outcomes[n]
+        # level 1 hangs off the root, whose realized prefix is empty, so its
+        # candidates need no offset
+        m = residual if L == 1 else _pinned_marginal(s, residual, 1)
+        realized = m.take(root_candidates).argmax(axis=1)
+        vertex[root_slice] = realized
+        for t, context_slice, parent, candidates in deeper:
             # history x1..xt is reached with the outcome prefix of its parent x1..x(t-1);
             # at level L the marginal is the residual itself
             realized = realized[parent] * R

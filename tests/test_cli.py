@@ -82,11 +82,38 @@ class TestVertices:
         assert len(data["vertices"]) == 2048 and all(len(a) == 11 for a in data["vertices"])
 
     def test_cap_breach_exit_code(self, capsys):
-        code, _out, err = run(
+        code, out, err = run(
             capsys, "vertices", "--L", "3", "--R", "3", "--S", "3", "--cap", "1000"
         )
-        assert code == 2
-        assert "4052555153018976267" in err  # the formula count is still printed
+        assert code == 2 and out == ""
+        # the formula count is still printed
+        assert err == "vertex count 4052555153018976267 exceeds the cap 1000\n"
+
+    @pytest.mark.parametrize(
+        "dims, digest",
+        [
+            ((2, 2, 2), "bc2eb301e01bc4654e039922aea1a9ddf68989ad06a82e0088a94acaf7f53fd9"),
+            ((3, 2, 2), "f6c5a95385905389dd18cb0da8c7adf5b8b98e5ac2cdcfdad729c2bc8c2c7bd1"),
+            ((2, 2, 3), "bbbcd74ca28ec160cef82176e958d26b39094d55e66b476441cf69237bc2bea7"),
+        ],
+    )
+    def test_out_file_pinned(self, capsys, tmp_path, dims, digest):
+        # sha256 of the --out file, pinned so a byte drift between commits fails
+        out_file = tmp_path / "v.json"
+        flags = [f for name, n in zip(("--L", "--R", "--S"), dims) for f in (name, str(n))]
+        code, out, _ = run(capsys, "vertices", *flags, "--out", str(out_file))
+        assert code == 0 and out.endswith(f"wrote {out_file}\n")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+    def test_summary_enumerates_nothing(self, capsys, monkeypatch):
+        from tempocorr import correlations
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the summary enumerated the vertices")
+
+        monkeypatch.setattr(correlations, "enumerate_vertices", refuse)
+        code, out, err = run(capsys, "vertices", "--L", "2", "--R", "3", "--S", "3")
+        assert (code, out, err) == (0, "scenario (L=2, R=3, S=3): 531441 vertices\n", "")
 
     def test_count_past_int_str_limit_exits_2(self):
         # (2,2,500) has 2^250500 vertices, about 75,000 decimal digits
@@ -263,6 +290,14 @@ class TestBounds:
         assert len(lines) == 1 + 41 * 41
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert max(values) <= 2 + 2**0.5 + 1e-9
+
+    def test_envelope_csv_pinned(self, capsys, tmp_path):
+        # sha256 of the grid-101 table, pinned so a byte drift between commits fails
+        out_file = tmp_path / "b4.csv"
+        code, out, _ = run(capsys, "bounds", "--which", "B4envelope", "--grid", "101", "--out", str(out_file))
+        assert code == 0 and out == "max = 3.1862154063 at p = 1, cos_gamma = 0.76\n"
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == "85fea0ec4ab6e005afe0a728664d4acc059abb74f06f676b85943cc8f89b5d65"
 
     @pytest.mark.parametrize(
         "which, grid, entries",

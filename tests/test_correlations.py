@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import time
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempocorr import correlations as co
+from tempocorr import witness
 from tempocorr.correlations import (
     ZERO_MEASURE_TOL,
     Behavior,
@@ -201,6 +203,88 @@ class TestMembership:
         for _ in range(20):
             sys_model = random_system_model(rng, 3, 2, 2)
             assert check_membership(full_behavior(sys_model, 2)).is_member
+
+
+@st.composite
+def members_and_non_members(draw):
+    """A random member of a small scenario, or that member with one entry
+    moved by a drawn amount, which breaks positivity, normalization or the
+    arrow-of-time constraints when the amount is large enough."""
+    s = draw(st.sampled_from([S222, Scenario(1, 2, 2), Scenario(3, 2, 2), Scenario(2, 3, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = np.array(compose_from_conditionals(random_conditional_chain(rng, s)).table)
+    if draw(st.booleans()):
+        row, col = draw(st.integers(0, s.n_setting_seqs - 1)), draw(st.integers(0, s.n_outcome_seqs - 1))
+        table[row, col] += draw(st.sampled_from([-1.0, -1e-8, 1e-10, 1e-8, 0.5]))
+    return Behavior(s, table)
+
+
+class TestMembershipKeptOnce:
+    """``check_membership`` keeps its report on the frozen behavior, so the
+    stages that require a member reuse one verdict."""
+
+    # negative, unnormalized and signaling at once
+    NON_MEMBER = np.array(
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [1.0, 0.5, 0.0, 0.0], [1.25, -0.25, 0.0, 0.0]]
+    )
+    # the message of the parent commit, which computed the report on every call
+    MESSAGE = (
+        "behavior is not in the polytope:\n"
+        "negative entry p[3,1] = -2.500000e-01\n"
+        "setting block 2 sums to 1.5 (deviation 5.000e-01)\n"
+        "arrow-of-time violation at level 1, settings 0, outcomes 0: spread 1.000000e+00\n"
+        "arrow-of-time violation at level 1, settings 0, outcomes 1: spread 1.000000e+00\n"
+        "arrow-of-time violation at level 1, settings 1, outcomes 0: spread 5.000000e-01"
+    )
+
+    def test_same_report_object(self):
+        b = uniform_behavior(S222)
+        assert check_membership(b) is check_membership(b)
+
+    @pytest.mark.parametrize("s", [S222, Scenario(3, 2, 2), Scenario(4, 2, 2)], ids=str)
+    def test_one_marginal_pass_from_check_to_decomposition(self, s, monkeypatch):
+        calls = []
+        original = co._level_marginal
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(co, "_level_marginal", counted)
+        b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(3), s))
+        assert check_membership(b).is_member
+        factorize(b)
+        decompose_behavior(b)
+        marginal(b, 1)
+        assert calls == list(range(1, s.L))
+
+    @settings(max_examples=80, deadline=None)
+    @given(members_and_non_members())
+    def test_kept_report_equals_a_fresh_behaviors(self, b):
+        kept = check_membership(b)
+        fresh = Behavior(b.scenario, np.array(b.table))
+        assert check_membership(b) is kept
+        assert check_membership(fresh) == kept and check_membership(fresh) is not kept
+
+    def test_replaced_behavior_computes_its_own_report(self):
+        b = uniform_behavior(S222)
+        assert check_membership(b).is_member
+        assert not check_membership(dataclasses.replace(b, table=self.NON_MEMBER)).is_member
+        assert check_membership(dataclasses.replace(b)) is not check_membership(b)
+
+    @pytest.mark.parametrize(
+        "stage",
+        [factorize, decompose_behavior, lambda b: marginal(b, 1), witness.certify, co.require_member],
+        ids=["factorize", "decompose_behavior", "marginal", "certify", "require_member"],
+    )
+    def test_non_member_refused_with_the_same_message(self, stage):
+        b = Behavior(S222, self.NON_MEMBER)
+        report = check_membership(b)
+        for _ in range(2):
+            with pytest.raises(NotAMember) as exc:
+                stage(b)
+            assert str(exc.value) == self.MESSAGE
+            assert exc.value.report is report
 
 
 class TestMarginal:
