@@ -250,6 +250,37 @@ class TestSimulateAndWitness:
         payload = json.loads(out)
         assert payload["verdict"] == "dimension > 2"
 
+    @pytest.mark.parametrize(
+        "system, L, digest",
+        [
+            ("qubit-B1-3 realized", 4, "2a9f8f6364c0398be13952ca22875b98b32fa985574602aaf86c733c5904636e"),
+            ("dim-33 realized", 3, "d593598ba18f835e46232ae2cc049cd917d75ddecaeeea9783d9b7f2e95fd2cd"),
+            ("dense, 2-3 Kraus operators", 3, "cc6d4f2ffd1f9ca9d835777a4ec44e01db66294ece4962593f651b3a7c32f419"),
+        ],
+    )
+    def test_simulated_table_pinned(self, capsys, tmp_path, system, L, digest):
+        # sha256 of simulate --system --out, pinned so a byte drift between commits fails
+        system_file, out_file = tmp_path / "s.json", tmp_path / "b.json"
+        if system == "dense, 2-3 Kraus operators":
+            from tempocorr.qmath import SystemModel, random_density_matrix, random_instrument
+
+            rng = np.random.default_rng(53)
+            rho = random_density_matrix(rng, 3)
+            model = SystemModel(rho, tuple(random_instrument(rng, 3, 2, k) for k in (2, 3, 2)))
+            system_file.write_text(se.dumps(se.system_model_to_json(model)))
+        else:
+            behavior_file, decomp_file = tmp_path / "member.json", tmp_path / "d.json"
+            if system == "qubit-B1-3 realized":
+                run(capsys, "simulate", "--protocol", "qubit-B1-3", "--out", str(behavior_file))
+            else:
+                chain = random_conditional_chain(np.random.default_rng(0), Scenario(2, 2, 2))
+                behavior_file.write_text(se.dumps(se.behavior_to_json(compose_from_conditionals(chain))))
+            run(capsys, "decompose", "--behavior", str(behavior_file), "--out", str(decomp_file))
+            run(capsys, "realize", "--decomposition", str(decomp_file), "--out", str(system_file))
+        code, _out, _err = run(capsys, "simulate", "--system", str(system_file), "--L", str(L), "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
 
 class TestBounds:
     def test_c3(self, capsys):
