@@ -58,12 +58,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text) -> None:
+    """Write ``text``, a string or an iterable of strings written in turn,
+    to ``path``, or to stdout when it is None or "-"."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(chunks)
     except OSError as exc:  # a directory, a missing parent, no permission
         raise TempocorrError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -204,22 +208,31 @@ def cmd_bounds(args) -> int:
         ys = profiles[which](xs)
         rows = ["cos_gamma,value"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
         print(f"max = {_fmt(ys.max())} at cos_gamma = {_fmt(xs[int(ys.argmax())])}")
-    else:  # B4envelope
+        text = "\n".join(rows) + "\n"
+    else:  # B4envelope: evaluated and written one p-row at a time, so neither
+        # the envelope's temporaries nor the text ever span the n x n table
         ps = np.linspace(0.0, 1.0, n)
-        grid = witness.b4_envelope(ps[:, None], xs[None, :])
-        # each distinct p and cos_gamma is formatted once, not once per cell
-        xs_text = [_fmt(x) for x in xs.tolist()]
-        rows = ["p,cos_gamma,value"]
-        for p, values in zip(ps.tolist(), grid.tolist()):
-            p_text = _fmt(p) + ","
-            rows += [f"{p_text}{x},{_fmt(v)}" for x, v in zip(xs_text, values)]
+        grid = np.empty((n, n))
+        for i, p in enumerate(ps.tolist()):
+            grid[i] = witness.b4_envelope(p, xs)
         k = int(grid.argmax())
         print(
             f"max = {_fmt(grid.max())} at p = {_fmt(ps[k // n])}, "
             f"cos_gamma = {_fmt(xs[k % n])}"
         )
-    _write(args.out, "\n".join(rows) + "\n")
+        text = _envelope_rows(ps, xs, grid)
+    _write(args.out, text)
     return EXIT_OK
+
+
+def _envelope_rows(ps, xs, grid):
+    """The B4envelope CSV, one block of text per p; each distinct p and
+    cos_gamma is formatted once, not once per cell."""
+    yield "p,cos_gamma,value\n"
+    xs_text = [_fmt(x) for x in xs.tolist()]
+    for p, values in zip(ps.tolist(), grid):
+        p_text = _fmt(p) + ","
+        yield "".join([f"{p_text}{x},{_fmt(v)}\n" for x, v in zip(xs_text, values.tolist())])
 
 
 def cmd_optimize(args) -> int:

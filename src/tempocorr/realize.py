@@ -20,6 +20,7 @@ from .correlations import (
     context_position,
     named_vertex,
 )
+from . import errors
 from .errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, UnsupportedLength, exceeds_table_budget
 from .qmath import (
     DensityMatrix,
@@ -55,79 +56,114 @@ class SequenceOutcomeDistribution:
         object.__setattr__(self, "probs", p)
 
 
-def _kraus_stacks(sys: SystemModel) -> list[np.ndarray | tuple[np.ndarray, np.ndarray]]:
-    """Per setting, what :func:`_step` applies.  When every outcome has a
-    column map, the flat gather indices of all R children into a state of
-    d * d entries followed by one zero pad, which zero rows and columns read.
-    Otherwise its Kraus operators as an (R, K, d, d) stack and the stack of
-    their adjoints; outcomes with fewer than K operators are padded with zero
-    operators, which add exact zeros to the sum."""
-    d = sys.dim
-    stacks = []
-    for inst in sys.instruments:
-        if all(c is not None for c in inst.column_maps):
-            c = np.array(inst.column_maps)
-            rows, cols = c[:, :, None], c[:, None, :]
-            idx = np.where((rows < 0) | (cols < 0), d * d, rows * d + cols)
-            stacks.append(idx.reshape(-1))
-            continue
-        n_k = max(len(ops) for ops in inst.kraus_sets)
-        k = np.zeros((inst.n_outcomes, n_k, d, d), dtype=complex)
+def _stacks(sys: SystemModel) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """What :func:`_step` applies, for all settings at once.  When every
+    outcome of every setting has a column map, the gather indices (S, R,
+    d + 1) into a diagonal of d entries followed by one zero pad: entry j of
+    outcome r reads entry ``map[j]`` of its parent, a zero row reads the pad,
+    and the pad reads itself.  Otherwise the Kraus operators as one (S, R, K,
+    d, d) stack and the stack of their adjoints, K the most operators of any
+    outcome; shorter outcomes are padded with zero operators, which add exact
+    zeros to the sum."""
+    S, R, d = sys.n_settings, sys.n_outcomes, sys.dim
+    maps = [c for inst in sys.instruments for c in inst.column_maps]
+    if all(c is not None for c in maps):
+        idx = np.full((S * R, d + 1), d)
+        c = np.array(maps)
+        idx[:, :d] = np.where(c < 0, d, c)
+        return idx.reshape(S, R, d + 1)
+    n_k = max(len(ops) for inst in sys.instruments for ops in inst.kraus_sets)
+    k = np.zeros((S, R, n_k, d, d), dtype=complex)
+    for x, inst in enumerate(sys.instruments):
         for r, ops in enumerate(inst.kraus_sets):
-            k[r, : len(ops)] = ops
-        stacks.append((k, k.conj().swapaxes(-1, -2)))
-    return stacks
+            k[x, r, : len(ops)] = ops
+    return k, k.conj().swapaxes(-1, -2)
 
 
-def _step(states: np.ndarray, stack) -> np.ndarray:
-    """All children of the stacked states (N, d, d) under one instrument:
-    state n with outcome r lands at ``n * R + r``.  Each Kraus operator maps
-    a state to ``(K rho) K^dag``, and these are summed over k in order from
-    zeros, so every entry is bit-identical to applying the operators of one
-    outcome to one state at a time.
+def _root(sys: SystemModel, stack) -> np.ndarray:
+    """The walk's initial state: the density matrix, or for a gather stack
+    its diagonal plus +0.0 (so -0.0 becomes +0.0) followed by the zero pad."""
+    rho = sys.initial.matrix
+    if not isinstance(stack, np.ndarray):
+        return rho
+    diag = np.zeros(sys.dim + 1, dtype=complex)
+    np.add(rho.diagonal(), 0.0, out=diag[:-1])
+    return diag
 
-    A gather-index stack copies entries instead.  With 0/1 entries every
+
+def _step(states: np.ndarray, stack, settings: slice) -> np.ndarray:
+    """All children of the states (..., d, d) under the instruments of
+    ``settings``, as (g, ..., R, d, d): entry [x, ..., r] is the child of
+    state [...] under the x-th of those settings with outcome r.  Each Kraus
+    operator maps a state to ``(K rho) K^dag``, and these are summed over k
+    in order from zeros, so every entry is bit-identical to applying the
+    operators of one outcome to one state at a time.
+
+    With a gather stack the states are padded diagonals (..., d + 1) and
+    each child is one ``np.take``.  A 0/1 partial permutation K maps a
+    diagonal entry to ``(K rho K^dag)[j, j] = rho[map[j], map[j]]``: every
     product in ``(K rho) K^dag`` is exact and each sum has at most one term
     that is not a signed zero, so the sum from zeros is the gathered entry
-    with -0.0 made +0.0; adding +0.0 on the way into the padded copy does
-    the same."""
-    n, d = states.shape[:2]
+    with -0.0 made +0.0, which :func:`_root` did once for all."""
     if isinstance(stack, np.ndarray):
-        padded = np.zeros((n, d * d + 1), dtype=complex)
-        np.add(states.reshape(n, d * d), 0.0, out=padded[:, :-1])
-        return np.take(padded, stack, axis=1).reshape(-1, d, d)
-    k, k_dag = stack
-    branches = (k[None] @ states[:, None, None]) @ k_dag[None]
-    out = np.zeros_like(branches[:, :, 0])
-    for j in range(k.shape[1]):
-        out += branches[:, :, j]
-    return out.reshape(-1, d, d)
+        return np.moveaxis(np.take(states, stack[settings], axis=-1), -3, 0)
+    k, k_dag = (a[(settings,) + (None,) * (states.ndim - 2)] for a in stack)
+    branches = (k @ states[..., None, None, :, :]) @ k_dag
+    out = branches[..., 0, :, :] + 0.0  # the sum from zeros: +0.0 + b == b + 0.0
+    for j in range(1, k.shape[-3]):
+        out += branches[..., j, :, :]
+    return out
 
 
-# A module-level function, not a closure over ``stacks`` and ``table``: a
+def _traces(children: np.ndarray, stack) -> np.ndarray:
+    """Real traces of the children of :func:`_step` over their last (d, d)
+    or, for a gather stack, over their diagonal without its pad: the same
+    sum over the same d entries as ``np.trace``."""
+    if isinstance(stack, np.ndarray):
+        return children[..., :-1].sum(axis=-1).real
+    return np.trace(children, axis1=-2, axis2=-1).real
+
+
+def _settings_per_step(states: np.ndarray, stack) -> int:
+    """How many settings one step from ``states`` covers: as many as fit in
+    ``errors.MAX_TABLE_ENTRIES`` at the step's size for one setting (R padded
+    diagonals or R * K matrices per state), and at least one."""
+    if isinstance(stack, np.ndarray):
+        per_setting = states.size * stack.shape[1]
+    else:
+        per_setting = states.size * stack[0].shape[1] * stack[0].shape[2]
+    return max(1, errors.MAX_TABLE_ENTRIES // per_setting)
+
+
+# A module-level function, not a closure over ``stack`` and ``table``: a
 # closure that calls itself is a reference cycle, which keeps every call's
 # arrays alive until the cyclic garbage collector runs.
-def _walk(states, depth, prefix, stacks, table) -> None:
+def _walk(states, depth, row, stack, table) -> None:
     """Depth-first over setting prefixes, so only one root-to-leaf path of
     states is alive: ``states`` are those of every outcome prefix after the
-    settings of base-S index ``prefix``; at the last step each child writes
-    the traces of its states into its table row."""
-    for x, stack in enumerate(stacks):
-        children = _step(states, stack)
-        row = prefix * len(stacks) + x
+    settings of base-S index ``row``.  Each node steps a group of settings
+    at once and recurses per setting on its slice of the children; at the
+    last step one trace writes the rows of the whole group."""
+    n_settings = len(stack) if isinstance(stack, np.ndarray) else len(stack[0])
+    group = _settings_per_step(states, stack)
+    for first in range(0, n_settings, group):
+        children = _step(states, stack, slice(first, first + group))
+        rows = row * n_settings + first
         if depth == 1:
-            table[row] = np.trace(children, axis1=1, axis2=2).real
+            table[rows : rows + len(children)] = _traces(children, stack).reshape(len(children), -1)
         else:
-            _walk(children, depth - 1, row, stacks, table)
+            for x, child in enumerate(children):
+                _walk(child, depth - 1, rows + x, stack, table)
 
 
 def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
     """Probabilities of all outcome sequences for one setting sequence.
 
     Chains the per-outcome Kraus maps on subnormalized states, never
-    renormalizing mid-sequence, so zero-probability branches stay exact.
-    Raises :class:`TableTooLarge` when the last step would stack more than
-    ``errors.MAX_TABLE_ENTRIES`` entries.
+    renormalizing mid-sequence, so zero-probability branches stay exact; a
+    system whose every outcome has a column map chains diagonals only (see
+    :func:`_step`).  Raises :class:`TableTooLarge` when the last step would
+    stack more than ``errors.MAX_TABLE_ENTRIES`` entries.
     """
     settings = tuple(int(x) for x in settings)
     if not settings:
@@ -137,19 +173,23 @@ def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
             raise DimensionMismatch(f"setting {x} out of range 0..{sys.n_settings - 1}")
     _check_walk(sys, len(settings))
 
-    stacks = _kraus_stacks(sys)
-    states = sys.initial.matrix[None]
+    stack = _stacks(sys)
+    states = _root(sys, stack)
     for x in settings:
-        states = _step(states, stacks[x])
-    return SequenceOutcomeDistribution(settings, np.trace(states, axis1=1, axis2=2).real)
+        states = _step(states, stack, slice(x, x + 1))[0]
+    return SequenceOutcomeDistribution(settings, _traces(states, stack).reshape(-1))
 
 
 def full_behavior(sys: SystemModel, L: int) -> Behavior:
     """Behavior of length-L sequences; repeated settings reuse the identical
     instrument.  One depth-first walk of the setting tree computes every
-    shared prefix state once.  Raises :class:`TableTooLarge` when the table,
-    or the states of the walk's last step, would have more than
-    ``errors.MAX_TABLE_ENTRIES`` entries."""
+    shared prefix state once, and each node steps all its settings in one
+    stacked product, or in as few as the table budget allows.  A system
+    whose every outcome has a column map (realized mixtures and vertices,
+    the canonical protocols) walks diagonals of d + 1 entries instead of
+    d x d states, since its table needs only traces.  Raises
+    :class:`TableTooLarge` when the table, or the states of the walk's last
+    step, would have more than ``errors.MAX_TABLE_ENTRIES`` entries."""
     if L < 1:
         raise DimensionMismatch(f"sequence length must be >= 1, got {L}")
     S, R = sys.n_settings, sys.n_outcomes
@@ -159,7 +199,8 @@ def full_behavior(sys: SystemModel, L: int) -> Behavior:
     _check_walk(sys, L)
     scenario = Scenario(L, sys.n_outcomes, sys.n_settings)
     table = np.zeros((scenario.n_setting_seqs, scenario.n_outcome_seqs))
-    _walk(sys.initial.matrix[None], L, 0, _kraus_stacks(sys), table)
+    stack = _stacks(sys)
+    _walk(_root(sys, stack), L, 0, stack, table)
     return Behavior(scenario, table)
 
 

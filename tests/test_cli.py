@@ -330,6 +330,28 @@ class TestBounds:
         digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
         assert digest == "85fea0ec4ab6e005afe0a728664d4acc059abb74f06f676b85943cc8f89b5d65"
 
+    def test_envelope_on_stdout_follows_the_max_line(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--which", "B4envelope", "--grid", "101")
+        max_line = "max = 3.1862154063 at p = 1, cos_gamma = 0.76\n"
+        assert code == 0 and out.startswith(max_line)
+        digest = hashlib.sha256(out[len(max_line):].encode()).hexdigest()
+        assert digest == "85fea0ec4ab6e005afe0a728664d4acc059abb74f06f676b85943cc8f89b5d65"
+
+    def test_envelope_written_row_by_row(self, capsys, tmp_path):
+        # the grid-1001 table is a 26 MB file; its 8 MB of values are the
+        # largest thing held, where joining all rows first peaked at 137 MB
+        out_file = tmp_path / "b4.csv"
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "bounds", "--which", "B4envelope", "--grid", "1001", "--out", str(out_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out == "max = 3.18622781067 at p = 1, cos_gamma = 0.756\n"
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == "df03b003526000181582f9a04d9d47f353f63cef21c9e64f4a4560f83bf16f01"
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize(
         "which, grid, entries",
         [("B4envelope", "100000", 10**10), ("B3profile", "1000000000", 10**9), ("B1profile", "1048577", 2**20 + 1)],
@@ -730,6 +752,7 @@ class TestUnreadableFiles:
         [
             ("simulate --protocol qubit-B1-3", "", "Is a directory"),
             ("bounds --which C3", "missing/bounds.txt", "No such file or directory"),
+            ("bounds --which B4envelope --grid 11", "missing/b4.csv", "No such file or directory"),
         ],
     )
     def test_unwritable_out_exits_1(self, capsys, tmp_path, command, target, reason):

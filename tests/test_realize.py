@@ -615,16 +615,26 @@ class TestSimulationParity:
     def test_partial_permutations(self, drawn, xs):
         sys_model, mapped = drawn
         L, path = len(xs), [x % sys_model.n_settings for x in xs]
-        states = sys_model.initial.matrix[None]
-        for inst, flags, stack in zip(sys_model.instruments, mapped, realize._kraus_stacks(sys_model)):
+        # the dense path is taken exactly when some outcome has no column map
+        assert isinstance(realize._stacks(sys_model), np.ndarray) == all(map(all, mapped))
+        for inst, flags in zip(sys_model.instruments, mapped):
             assert [c is not None for c in inst.column_maps] == flags
-            assert isinstance(stack, np.ndarray) == all(flags)
             for ops, effect in zip(inst.kraus_sets, inst.effects):
                 assert_same_bits(effect.matrix, dense_effect(ops))
-            if all(flags):
-                # the gathered children are the dense products, signed zeros included
-                k = np.array(inst.kraus_sets)
-                assert_same_bits(realize._step(states, stack), realize._step(states, (k, k.conj().swapaxes(-1, -2))))
+        mapped_only = tuple(inst for inst, flags in zip(sys_model.instruments, mapped) if all(flags))
+        if mapped_only:
+            # over two steps, the gathered diagonals are the diagonals of the
+            # dense products, signed zeros included, and the pad stays +0.0
+            sub = SystemModel(sys_model.initial, mapped_only)
+            gather = realize._stacks(sub)
+            k = np.array([inst.kraus_sets for inst in mapped_only])
+            dense = (k, k.conj().swapaxes(-1, -2))
+            diagonals, states = realize._root(sub, gather), sub.initial.matrix
+            for _ in range(2):
+                diagonals = realize._step(diagonals, gather, slice(None))
+                states = realize._step(states, dense, slice(None))
+                assert_same_bits(diagonals[..., :-1], np.diagonal(states, axis1=-2, axis2=-1))
+                assert_same_bits(diagonals[..., -1], np.zeros(diagonals.shape[:-1], dtype=complex))
         assert_same_bits(full_behavior(sys_model, L).table, reference_full_behavior(sys_model, L))
         assert_same_bits(run_sequence(sys_model, path).probs, reference_run_sequence(sys_model, path))
 
@@ -673,6 +683,72 @@ class TestSimulationParity:
         assert_same_bits(full_behavior(proto, L).table, reference_full_behavior(proto, L))
 
 
+def ragged_dense_system():
+    """A seeded dense system of dimension 3: S = 3 settings of 2, 3 and 2
+    Kraus operators per outcome, R = 2 outcomes."""
+    rng = np.random.default_rng(53)
+    rho = random_density_matrix(rng, 3)
+    return SystemModel(rho, tuple(random_instrument(rng, 3, 2, k) for k in (2, 3, 2)))
+
+
+class TestSettingGroups:
+    """A step covers as many settings as fit in the table budget at its own
+    size for one setting, and at least one; every grouping writes the bits
+    of the row-by-row reference."""
+
+    @pytest.mark.parametrize("group", [1, 2, 3])
+    def test_dense_groups_same_bits(self, monkeypatch, group):
+        # the last step of L = 3 makes R^L * K * d^2 = 2^3 * 3 * 3^2 = 216
+        # entries per setting; the table has S^L * R^L = 216
+        system = ragged_dense_system()
+        reference = reference_full_behavior(system, 3)
+        sizes = self.last_step_groups(monkeypatch)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 216 * group)
+        assert_same_bits(full_behavior(system, 3).table, reference)
+        # each of the 9 last-level nodes splits its 3 settings into groups
+        assert sizes == {1: [1, 1, 1], 2: [2, 1], 3: [3]}[group] * 9
+        assert_same_bits(run_sequence(system, (2, 1, 0)).probs, reference_run_sequence(system, (2, 1, 0)))
+
+    @pytest.mark.parametrize("budget, group", [(16, 1), (24, 2)])
+    def test_diagonal_groups_same_bits(self, monkeypatch, budget, group):
+        # qubit-B1-3 at L = 2: 2^2 padded diagonals of 3 entries per setting
+        # in the last step; the walk budget is 2^2 * 1 * 2^2 = 16
+        proto = canonical_protocols()["qubit-B1-3"]
+        assert isinstance(realize._stacks(proto), np.ndarray)
+        sizes = self.last_step_groups(monkeypatch)
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", budget)
+        assert_same_bits(full_behavior(proto, 2).table, reference_full_behavior(proto, 2))
+        assert sizes == {1: [1, 1], 2: [2]}[group] * 2
+
+    @staticmethod
+    def last_step_groups(monkeypatch):
+        """The number of settings of each last step, in walk order."""
+        sizes, traces = [], realize._traces
+        monkeypatch.setattr(realize, "_traces", lambda children, stack: sizes.append(len(children)) or traces(children, stack))
+        return sizes
+
+    def test_peak_near_one_setting_step(self, monkeypatch):
+        # S = 8 settings; the last step of one setting is 2^3 * 4 * 16^2 =
+        # 8192 entries of 16 bytes, B, made by two stacked products of that
+        # size, and the budget is B, so the walk peaks near 2 * 16 B bytes;
+        # all 8 settings in one last step would take 8 times that
+        system = random_system_model(np.random.default_rng(28), 16, 8, 2, kraus_per_outcome=4)
+        one_step = 2**3 * 4 * 16**2
+        peaks = {}
+        for budget in (one_step, 8 * one_step):
+            monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", budget)
+            stack = realize._stacks(system)
+            root, table = realize._root(system, stack), np.zeros((8**3, 2**3))
+            tracemalloc.start()
+            try:
+                realize._walk(root, 3, 0, stack, table)
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[one_step] < 3 * 16 * one_step
+        assert peaks[8 * one_step] > 8 * 2 * 16 * one_step
+
+
 class TestSimulationMemory:
     @pytest.fixture(scope="class")
     def dim33(self):
@@ -682,8 +758,8 @@ class TestSimulationMemory:
         return system
 
     def test_peak_stays_on_one_path(self, dim33):
-        # one root-to-leaf path holds at most 2 * 64 states of 33 x 33; a
-        # level-by-level walk would hold all 4096 leaves at once (> 70 MB)
+        # one root-to-leaf path holds at most 2 * 2 * 64 diagonals of 34
+        # entries; a level-by-level walk would hold all 4096 leaves at once
         full_behavior(dim33, 6)
         tracemalloc.start()
         try:
