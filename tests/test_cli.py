@@ -310,6 +310,23 @@ class TestBounds:
         assert len(lines) == 102
         assert "max = 2.91421356237" in out
 
+    @pytest.mark.parametrize(
+        "which, max_line, digest",
+        [
+            ("B1profile", "max = 2.91421356237 at cos_gamma = 0", "2eea87b0523f8a9e4e305b26345159e332dbed9ca40fa84228c67342c1e1c641"),
+            ("B3profile", "max = 3.1862154063 at cos_gamma = 0.76", "7dcdcd34b83b63eeacb51afb68c6ab006e6a2d5d5849a12aa6f5a3c42c948e41"),
+        ],
+    )
+    def test_profile_csv_pinned(self, capsys, tmp_path, which, max_line, digest):
+        # sha256 of the grid-101 table, pinned so a byte drift between commits fails
+        out_file = tmp_path / "profile.csv"
+        code, out, _ = run(capsys, "bounds", "--which", which, "--grid", "101", "--out", str(out_file))
+        assert code == 0 and out == max_line + "\n"
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        code, out, _ = run(capsys, "bounds", "--which", which, "--grid", "101")
+        assert code == 0 and out.startswith(max_line + "\n")
+        assert hashlib.sha256(out[len(max_line) + 1 :].encode()).hexdigest() == digest
+
     def test_envelope_csv(self, capsys, tmp_path):
         out_file = tmp_path / "b4.csv"
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import time
 
@@ -512,6 +513,39 @@ def reference_pinned_marginal(s, table, t):
     return m.reshape(s.S**t, s.R**t)
 
 
+def reference_compose(chain):
+    """The product of the step conditionals, entry by entry from the first
+    step; a product that reached 0 stays as it is."""
+    s = chain.scenario
+    table = np.empty((s.n_setting_seqs, s.n_outcome_seqs))
+    for row in range(s.n_setting_seqs):
+        xs = co.digits_of_index(row, s.S, s.L)
+        for col in range(s.n_outcome_seqs):
+            As = co.digits_of_index(col, s.R, s.L)
+            p = 1.0
+            for t, lvl in enumerate(chain.levels, start=1):
+                if p != 0.0:
+                    p = p * float(lvl[co.index_of_digits(xs[:t], s.S), co.index_of_digits(As[: t - 1], s.R), As[t - 1]])
+            table[row, col] = p
+    return table
+
+
+def reference_factorize(b):
+    """Each history's conditional by one division of its level-t marginal by
+    its parent's, uniform where the parent has zero measure, clipped at 0."""
+    s = b.scenario
+    marginals = [np.ones((1, 1))] + [reference_pinned_marginal(s, b.table, t) for t in range(1, s.L + 1)]
+    levels = []
+    for t in range(1, s.L + 1):
+        lvl = np.empty((s.S**t, s.R ** (t - 1), s.R))
+        for x, prefix, a in itertools.product(range(s.S**t), range(s.R ** (t - 1)), range(s.R)):
+            parent = float(marginals[t - 1][x // s.S, prefix])
+            c = 1.0 / s.R if parent <= ZERO_MEASURE_TOL else float(marginals[t][x, prefix * s.R + a]) / parent
+            lvl[x, prefix, a] = c if c > 0.0 else 0.0
+        levels.append(lvl)
+    return levels
+
+
 def reference_decompose(b):
     """The greedy peel as first written: every level of every term rebuilds the
     realized outcome prefixes of all rows from the first step."""
@@ -558,11 +592,16 @@ PEEL_SCENARIOS = [
 
 
 def sparse_member(s, rng, first_zero=False, quarters=False):
-    """A member composed from random conditionals with about a third of the
-    entries zeroed, so that some histories have zero measure; a conditional
-    left with no mass gets all of it on one drawn outcome.  ``first_zero``
-    also zeroes outcome 0 of setting 0 at step 1; ``quarters`` rounds every
-    conditional to a multiple of 1/4 first, so that marginals tie exactly."""
+    """A member composed from :func:`sparse_chain`."""
+    return compose_from_conditionals(sparse_chain(s, rng, first_zero, quarters))
+
+
+def sparse_chain(s, rng, first_zero=False, quarters=False):
+    """Random conditionals with about a third of the entries zeroed, so that
+    some histories have zero measure; a conditional left with no mass gets
+    all of it on one drawn outcome.  ``first_zero`` also zeroes outcome 0 of
+    setting 0 at step 1; ``quarters`` rounds every conditional to a multiple
+    of 1/4 first, so that marginals tie exactly."""
     levels = []
     for lvl in random_conditional_chain(rng, s).levels:
         if quarters:
@@ -573,7 +612,7 @@ def sparse_member(s, rng, first_zero=False, quarters=False):
         empty = lvl.sum(axis=2) == 0.0
         lvl[empty, rng.integers(s.R)] = 1.0
         levels.append(lvl / lvl.sum(axis=2, keepdims=True))
-    return compose_from_conditionals(ConditionalChain(s, tuple(levels)))
+    return ConditionalChain(s, tuple(levels))
 
 
 @st.composite
@@ -610,6 +649,31 @@ class TestPeelParity:
         terms = decompose_behavior(b).terms
         assert terms == reference_decompose(b).terms
         assert terms[0][1].outcomes == (0,) * s.n_contexts
+
+
+@st.composite
+def sparse_chains(draw):
+    s = draw(st.sampled_from(PEEL_SCENARIOS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return sparse_chain(s, rng, first_zero=draw(st.booleans()), quarters=draw(st.booleans()))
+
+
+class TestComposeFactorizeParity:
+    """compose and factorize give the per-entry and per-history reference
+    bits, on chains with zero-measure histories."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_chains())
+    def test_compose_equals_the_per_entry_product(self, chain):
+        assert compose_from_conditionals(chain).table.tobytes() == reference_compose(chain).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_chains())
+    def test_factorize_equals_the_per_history_reference(self, chain):
+        b = compose_from_conditionals(chain)
+        ref = reference_factorize(b)
+        for lvl, want in zip(factorize(b).levels, ref, strict=True):
+            assert lvl.shape == want.shape and lvl.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -451,10 +451,15 @@ class TestDecompositionPins:
             ((2, 2, 2), "72535dbed88bb017df0efa1b2956e990b085a552e40db5ad48c1312cb058a970"),
             ((3, 2, 2), "414ce11775c337e67b3ed3e218db7800ce5a2ddbff3c1c8b4b520c65814b1c3d"),
             ((2, 3, 3), "5e081491bf69255bf7844115bc167c175179529488d478cdf8c7074b51f291cf"),
+            ((3, 3, 2), "c7c3ec4045503ef23f1852aac0a064f08ed7b7970efac2830cd92814f905e89e"),
+            ((3, 2, 3), "561c254f43eae57d4e4a619e7c11e52c7383188602aa25930f3adad2d25035dc"),
+            ((4, 2, 2), "76c7b141b980865d3ccda2ead7430c5a0900443f58ec112ef60c8ffd268d3832"),
         ],
     )
     def test_seeded_member_bytes_pinned(self, dims, digest):
-        # (2,2,2) is the member of the CI realize run, whose d.json CI pins too
+        # (2,2,2) is the member of the CI realize run, whose d.json CI pins
+        # too, as it does the (3,2,2) one; L >= 3 peels pin the marginals
+        # of the levels between the first and the last
         b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(0), Scenario(*dims)))
         text = serialize.dumps(serialize.decomposition_to_json(decompose_behavior(b))).encode()
         assert hashlib.sha256(text).hexdigest() == digest
