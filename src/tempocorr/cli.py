@@ -206,9 +206,8 @@ def cmd_bounds(args) -> int:
     profiles = {"B1profile": witness.b1_projective_profile, "B3profile": witness.b3_profile}
     if which in profiles:
         ys = profiles[which](xs)
-        rows = ["cos_gamma,value"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys)]
         print(f"max = {_fmt(ys.max())} at cos_gamma = {_fmt(xs[int(ys.argmax())])}")
-        text = "\n".join(rows) + "\n"
+        text = _profile_rows(xs, ys)
     else:  # B4envelope: evaluated and written one p-row at a time, so neither
         # the envelope's temporaries nor the text ever span the n x n table
         ps = np.linspace(0.0, 1.0, n)
@@ -223,6 +222,14 @@ def cmd_bounds(args) -> int:
         text = _envelope_rows(ps, xs, grid)
     _write(args.out, text)
     return EXIT_OK
+
+
+def _profile_rows(xs, ys, block=4096):
+    """The B1profile/B3profile CSV in blocks of ``block`` rows, so the text
+    never spans the whole table."""
+    yield "cos_gamma,value\n"
+    for i in range(0, len(xs), block):
+        yield "".join([f"{_fmt(x)},{_fmt(y)}\n" for x, y in zip(xs[i : i + block].tolist(), ys[i : i + block].tolist())])
 
 
 def _envelope_rows(ps, xs, grid):

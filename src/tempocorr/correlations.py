@@ -26,6 +26,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,6 +113,56 @@ def context_order(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
     return tuple(
         h for t in range(1, scenario.L + 1) for h in itertools.product(range(scenario.S), repeat=t)
     )
+
+
+class TreeLevel(NamedTuple):
+    """Index tables of level t of the setting/outcome history tree, in the
+    order of :func:`context_order`; the arrays are read-only.
+
+    - ``contexts``: the slice of its S^t histories in context order.
+    - ``rows``: the table rows ``x1..xt 0..0`` that pin the later settings
+      to 0, one per history, every S^(L-t)-th row.
+    - ``pinned_shape``/``later_axes``: those rows with one axis per outcome,
+      (S^t,) + (R,) * L, and the axes of steps t+1..L that sum them to the
+      level-t marginal (see :func:`_pinned_marginal`).
+    - ``parent``: each history's parent at level t - 1, ``h // S``.
+    - ``candidates``: (S^t, R), the flat index into the level-t marginal
+      (S^t, R^t) of each history's R outcomes after the empty outcome
+      prefix; adding ``R`` times a realized prefix moves them to that
+      prefix.
+    """
+
+    contexts: slice
+    rows: slice
+    pinned_shape: tuple[int, ...]
+    later_axes: tuple[int, ...]
+    parent: np.ndarray
+    candidates: np.ndarray
+
+
+# Built once per scenario and shared by every caller: the arrays are read-only.
+# A few scenarios are in use at a time; the bound keeps a long run of distinct
+# scenarios from holding every scenario's tables.
+@lru_cache(maxsize=16)
+def tree_levels(scenario: Scenario) -> tuple[TreeLevel, ...]:
+    """The :class:`TreeLevel` of each level t = 1..L of the scenario's tree."""
+    L, R, S = scenario.L, scenario.R, scenario.S
+    levels, start = [], 0
+    for t in range(1, L + 1):
+        hist = np.arange(S**t)
+        parent, candidates = hist // S, (hist * R**t)[:, None] + np.arange(R)
+        parent.setflags(write=False)
+        candidates.setflags(write=False)
+        levels.append(TreeLevel(
+            slice(start, start + S**t),
+            slice(None, None, S ** (L - t)),
+            (S**t,) + (R,) * L,
+            tuple(range(t + 1, L + 1)),
+            parent,
+            candidates,
+        ))
+        start += S**t
+    return tuple(levels)
 
 
 @dataclass(frozen=True)
@@ -239,9 +290,17 @@ def _pinned_marginal(s: Scenario, table: np.ndarray, t: int) -> np.ndarray:
     Only the rows ``prefix * S^(L-t)`` are summed, over the same trailing
     axes as :func:`_level_marginal`, so the result equals its slice bit for bit.
     """
-    L, R, S = s.L, s.R, s.S
-    rows = table[:: S ** (L - t)].reshape((S**t,) + (R,) * L)
-    return rows.sum(axis=tuple(range(t + 1, L + 1))).reshape(S**t, R**t)
+    level = tree_levels(s)[t - 1]
+    rows = table[level.rows].reshape(level.pinned_shape)
+    return rows.sum(axis=level.later_axes).reshape(s.S**t, s.R**t)
+
+
+def _summed(level: TreeLevel, rows: np.ndarray) -> np.ndarray:
+    """The level's marginal from its pinned rows (a view of the table shaped
+    ``level.pinned_shape``): their sum over the later outcome axes, as in
+    :func:`_pinned_marginal` but not reshaped, or at level L the rows
+    themselves, whose sum over no axes would only copy them."""
+    return rows.sum(axis=level.later_axes) if level.later_axes else rows
 
 
 def marginal(b: Behavior, t: int) -> Behavior:
@@ -293,7 +352,10 @@ def factorize(b: Behavior) -> ConditionalChain:
 
     Conditionals on zero-measure histories are set to the uniform
     distribution, so every level is a valid stochastic table and
-    :func:`compose_from_conditionals` inverts this exactly.
+    :func:`compose_from_conditionals` inverts this exactly.  Level t's
+    marginal is divided by its parent's, laid out as (S^(t-1), S, R^(t-1), R)
+    over (S^(t-1), 1, R^(t-1), 1): each history's parent is broadcast, not
+    gathered, and only reachable parents are divided by.
     """
     s = b.scenario
     require_member(b)
@@ -302,14 +364,11 @@ def factorize(b: Behavior) -> ConditionalChain:
 
     levels = []
     for t in range(1, L + 1):
-        m_t = marginals[t].reshape(S**t, R ** (t - 1), R)
-        parent = marginals[t - 1][np.arange(S**t) // S]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = m_t / parent[:, :, None]
-        unreachable = parent <= ZERO_MEASURE_TOL
-        cond[unreachable, :] = 1.0 / R
-        cond = np.clip(cond, 0.0, None)
-        levels.append(cond)
+        shape = (S ** (t - 1), S, R ** (t - 1), R)
+        parent = marginals[t - 1].reshape(S ** (t - 1), 1, R ** (t - 1), 1)
+        cond = np.full(shape, 1.0 / R)
+        np.divide(marginals[t].reshape(shape), parent, out=cond, where=~(parent <= ZERO_MEASURE_TOL))
+        levels.append(np.clip(cond, 0.0, None, out=cond).reshape(S**t, R ** (t - 1), R))
     return ConditionalChain(s, tuple(levels))
 
 
@@ -317,9 +376,13 @@ def compose_from_conditionals(chain: ConditionalChain) -> Behavior:
     """Behavior defined by the product of step conditionals.
 
     The result satisfies the arrow-of-time constraints by construction.
+    The rows of a setting prefix x1..xt and the columns of an outcome prefix
+    a1..at are contiguous blocks of the table, so level t's conditionals,
+    viewed as (S^t, 1, R^t, 1), broadcast over the table viewed as (S^t,
+    S^(L-t), R^t, R^(L-t)): no per-entry index is built.
     """
     s = chain.scenario
-    L, R = s.L, s.R
+    L, R, S = s.L, s.R, s.S
     for t, lvl in enumerate(chain.levels, start=1):
         if float(lvl.min()) < -ZERO_MEASURE_TOL:
             raise UnnormalizedConditional(f"level {t} has a negative conditional {float(lvl.min())!r}")
@@ -328,16 +391,12 @@ def compose_from_conditionals(chain: ConditionalChain) -> Behavior:
         if dev > MEMBERSHIP_TOL:
             raise UnnormalizedConditional(f"level {t} conditionals deviate from sum 1 by {dev:.3e}")
 
-    rows = np.arange(s.n_setting_seqs)[:, None]
-    cols = np.arange(s.n_outcome_seqs)
     table = np.ones((s.n_setting_seqs, s.n_outcome_seqs))
-    for t in range(1, L + 1):
-        xs = rows // s.S ** (L - t)  # each row's base-S index of x1..xt
-        As = cols // R ** (L - t)
-        factor = chain.levels[t - 1][xs, As // R, As % R]
+    for t, lvl in enumerate(chain.levels, start=1):
         # step by step, left to right; a product that reached 0 stays as it is
-        table = np.where(table == 0.0, table, table * factor)
-    return Behavior(s, table)
+        blocks = table.reshape(S**t, S ** (L - t), R**t, R ** (L - t))
+        table = np.where(blocks == 0.0, blocks, blocks * lvl.reshape(S**t, 1, R**t, 1))
+    return Behavior(s, table.reshape(s.n_setting_seqs, s.n_outcome_seqs))
 
 
 def random_conditional_chain(rng: np.random.Generator, scenario: Scenario) -> ConditionalChain:
@@ -678,10 +737,8 @@ def _vertex_columns(s: Scenario, outcomes: np.ndarray) -> np.ndarray:
     table row: the base-R index of the outcomes it assigns along the row's
     path through the tree, built level by level as the peel does."""
     cols = np.zeros((len(outcomes), 1), dtype=np.min_scalar_type(s.n_outcome_seqs))
-    start = 0
-    for t in range(1, s.L + 1):
-        cols = np.repeat(cols, s.S, axis=1) * s.R + outcomes[:, start : start + s.S**t]
-        start += s.S**t
+    for level in tree_levels(s):
+        cols = np.repeat(cols, s.S, axis=1) * s.R + outcomes[:, level.contexts]
     return cols
 
 
@@ -709,43 +766,36 @@ def decompose_behavior(b: Behavior) -> ConvexDecomposition:
     the realized outcome prefix of each is its parent's extended by the
     outcome just chosen, so after level L it is the vertex's column in
     every table row, its support.  Each vertex is written into its row of
-    one preallocated assignment array.
+    one preallocated assignment array.  The level tables come from
+    :func:`tree_levels`, and the pinned rows of each level t < L are viewed
+    once per call, as (S^t,) + (R,) * L views of the residual, so each term
+    only sums them.
     """
     s = b.scenario
     require_member(b)
-    L, R, S = s.L, s.R, s.S
+    R = s.R
     residual = np.array(b.table)
     flat = residual.reshape(-1)
-    # per level: its slice of the assignment, each history's parent, and the
-    # flat indices of the R outcomes after each history's own row of the
-    # level-t marginal (S^t, R^t), to be offset by the realized prefix
-    levels, start = [], 0
-    for t in range(1, L + 1):
-        hist = np.arange(S**t)
-        candidates = (hist * R**t)[:, None] + np.arange(R)
-        levels.append((t, slice(start, start + S**t), hist // S, candidates))
-        start += S**t
-    row_starts = levels[-1][3][:, 0]
-    (_, root_slice, _, root_candidates), deeper = levels[0], levels[1:]
+    levels = tree_levels(s)
+    # each level's pinned rows, viewed once per call
+    (root, root_rows), *deeper = zip(levels, [residual[lv.rows].reshape(lv.pinned_shape) for lv in levels])
+    row_starts = levels[-1].candidates[:, 0]
     # each term zeroes one positive entry, so there are at most this many
     cap = int(np.count_nonzero(b.table > 0.0))
     weights = np.empty(cap)
     outcomes = np.empty((cap, s.n_contexts), dtype=np.min_scalar_type(R))
-    n = 0
-    while residual.sum() / s.n_setting_seqs > ZERO_MEASURE_TOL:
+    n, n_rows = 0, s.n_setting_seqs
+    while residual.sum() / n_rows > ZERO_MEASURE_TOL:
         vertex = outcomes[n]
-        # level 1 hangs off the root, whose realized prefix is empty, so its
-        # candidates need no offset
-        m = residual if L == 1 else _pinned_marginal(s, residual, 1)
-        realized = m.take(root_candidates).argmax(axis=1)
-        vertex[root_slice] = realized
-        for t, context_slice, parent, candidates in deeper:
-            # history x1..xt is reached with the outcome prefix of its parent x1..x(t-1);
-            # at level L the marginal is the residual itself
-            realized = realized[parent] * R
-            m = residual if t == L else _pinned_marginal(s, residual, t)
-            chosen = m.take(candidates + realized[:, None]).argmax(axis=1)
-            vertex[context_slice] = chosen
+        # level 1 hangs off the root, whose realized prefix is empty: its
+        # (S, R) marginal holds each history's R candidates as a row
+        realized = _summed(root, root_rows).argmax(axis=1)
+        vertex[root.contexts] = realized
+        for level, rows in deeper:
+            # history x1..xt is reached with the outcome prefix of its parent x1..x(t-1)
+            realized = realized[level.parent] * R
+            chosen = _summed(level, rows).take(level.candidates + realized[:, None]).argmax(axis=1)
+            vertex[level.contexts] = chosen
             realized += chosen
         support = row_starts + realized
         w = float(flat[support].min())

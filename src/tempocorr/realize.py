@@ -9,6 +9,7 @@ canonical named protocols used throughout the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,7 +107,10 @@ def _step(states: np.ndarray, stack, settings: slice) -> np.ndarray:
     that is not a signed zero, so the sum from zeros is the gathered entry
     with -0.0 made +0.0, which :func:`_root` did once for all."""
     if isinstance(stack, np.ndarray):
-        return np.moveaxis(np.take(states, stack[settings], axis=-1), -3, 0)
+        # the taken axes (g, R, d + 1) follow the k outcome axes of the
+        # states; the settings axis is moved first as np.moveaxis would
+        k = states.ndim - 1
+        return np.take(states, stack[settings], axis=-1).transpose(k, *range(k), k + 1, k + 2)
     k, k_dag = (a[(settings,) + (None,) * (states.ndim - 2)] for a in stack)
     branches = (k @ states[..., None, None, :, :]) @ k_dag
     out = branches[..., 0, :, :] + 0.0  # the sum from zeros: +0.0 + b == b + 0.0
@@ -221,6 +225,20 @@ def qutrit_vertex_realization(v: DeterministicVertex) -> VertexRealization:
     return VertexRealization(mixture_realization(ConvexDecomposition(((1.0, v),))), v)
 
 
+@lru_cache(maxsize=16)
+def _block_layout(S: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (S, S + 1) tables of a realization block, per setting x:
+    the context positions of the histories ``(x,)``, ``(0, x)``, ..,
+    ``(S-1, x)`` held by its slots, and the swap pi of levels 0 and x + 1."""
+    positions = np.array([[context_position(h, S) for h in [(x,)] + [(first, x) for first in range(S)]] for x in range(S)])
+    pi = np.tile(np.arange(S + 1), (S, 1))
+    pi[:, 0] = np.arange(1, S + 1)
+    pi[np.arange(S), np.arange(1, S + 1)] = 0
+    positions.setflags(write=False)
+    pi.setflags(write=False)
+    return positions, pi
+
+
 def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     """Block-diagonal system realizing a convex mixture of length-2 vertices.
 
@@ -229,8 +247,9 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     after a first measurement with setting s.  Slot 0 of setting x holds the
     outcome of history ``(x,)``, slot s+1 that of ``(s, x)``.  Result r of x
     has the Kraus operator ``sum_j [slot_j(e) = r] |start_e + pi(j)><start_e + j|``
-    summed over blocks, pi the swap of levels 0 and x+1; each setting's column
-    maps and Kraus operators are written by one scatter each.  Raises
+    summed over blocks, pi the swap of levels 0 and x+1.  The slot positions
+    and swaps of every setting are built once per S; the column maps and
+    Kraus operators of all settings are written by one scatter each.  Raises
     :class:`TableTooLarge` before any allocation when the S * R operators
     would hold more than ``errors.MAX_TABLE_ENTRIES`` entries.
     """
@@ -252,21 +271,20 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     initial = np.zeros((dim, dim), dtype=complex)
     initial[starts, starts] = weights
 
-    instruments = []
-    columns = starts[:, None] + np.arange(block_dim)
-    for x in range(s.S):
-        histories = [(x,)] + [(first, x) for first in range(s.S)]
-        slots = outcomes[:, [context_position(h, s.S) for h in histories]]
-        pi = np.arange(block_dim)
-        pi[[0, x + 1]] = x + 1, 0
-        rows = starts[:, None] + pi
-        maps = np.full((s.R, dim), -1)
-        maps[slots, rows] = columns
-        kraus = np.zeros((s.R, dim, dim), dtype=complex)
-        kraus[slots, rows, columns] = 1.0
-        kraus.setflags(write=False)
-        instruments.append(instrument_from_column_maps(maps, kraus))
-    return SystemModel(DensityMatrix(initial), tuple(instruments))
+    # (blocks, S, S + 1): each block's slots, rows and columns for every setting
+    positions, pi = _block_layout(s.S)
+    slots = outcomes[:, positions]
+    rows = starts[:, None, None] + pi
+    columns = (starts[:, None] + np.arange(block_dim))[:, None, :]
+    settings = np.arange(s.S)[:, None]
+    maps = np.full((s.S, s.R, dim), -1)
+    maps[settings, slots, rows] = columns
+    kraus = np.zeros((s.S, s.R, dim, dim), dtype=complex)
+    kraus[settings, slots, rows, columns] = 1.0
+    maps.setflags(write=False)
+    kraus.setflags(write=False)
+    instruments = tuple(instrument_from_column_maps(m, k) for m, k in zip(maps, kraus))
+    return SystemModel(DensityMatrix(initial), instruments)
 
 
 # --- canonical protocols ----------------------------------------------------------

@@ -369,6 +369,22 @@ class TestBounds:
         assert digest == "df03b003526000181582f9a04d9d47f353f63cef21c9e64f4a4560f83bf16f01"
         assert peak < 16 * 2**20
 
+    def test_profile_written_in_row_blocks(self, capsys, tmp_path):
+        # the grid-2^20 table is a 31 MB file; joining all rows first peaked
+        # at 160 MB traced, where the grid, its values and the profile's
+        # temporaries now are the largest things held
+        out_file = tmp_path / "b3.csv"
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "bounds", "--which", "B3profile", "--grid", str(2**20), "--out", str(out_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out == "max = 3.1862278837 at cos_gamma = 0.75628448132\n"
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == "85edf140c3b0292fbc705f9663b1f25866bbbb00c279f1005a3f108d68d1638b"
+        assert peak < 80 * 2**20
+
     @pytest.mark.parametrize(
         "which, grid, entries",
         [("B4envelope", "100000", 10**10), ("B3profile", "1000000000", 10**9), ("B1profile", "1048577", 2**20 + 1)],

@@ -671,9 +671,59 @@ class TestComposeFactorizeParity:
     @given(sparse_chains())
     def test_factorize_equals_the_per_history_reference(self, chain):
         b = compose_from_conditionals(chain)
-        ref = reference_factorize(b)
-        for lvl, want in zip(factorize(b).levels, ref, strict=True):
-            assert lvl.shape == want.shape and lvl.tobytes() == want.tobytes()
+        # the same member with every zero entry -0.0: its conditionals are +0.0
+        negated = Behavior(b.scenario, np.where(b.table == 0.0, -0.0, b.table))
+        for member in (b, negated):
+            ref = reference_factorize(member)
+            for lvl, want in zip(factorize(member).levels, ref, strict=True):
+                assert lvl.shape == want.shape and lvl.tobytes() == want.tobytes()
+
+
+class TestTreeLevels:
+    """The per-scenario index tables: one level per step, read-only, in a
+    bounded cache that never hands one scenario's tables to another."""
+
+    @pytest.mark.parametrize("s", PEEL_SCENARIOS, ids=lambda s: f"{s.L}{s.R}{s.S}")
+    def test_levels_follow_context_order(self, s):
+        order = co.context_order(s)
+        levels = co.tree_levels(s)
+        assert len(levels) == s.L
+        for t, level in enumerate(levels, start=1):
+            histories = order[level.contexts]
+            assert histories == tuple(co.digits_of_index(h, s.S, t) for h in range(s.S**t))
+            if t > 1:
+                assert [order[levels[t - 2].contexts][p] for p in level.parent.tolist()] == [h[:-1] for h in histories]
+            assert level.candidates.tolist() == [[h * s.R**t + a for a in range(s.R)] for h in range(s.S**t)]
+
+    @pytest.mark.parametrize("s", PEEL_SCENARIOS, ids=lambda s: f"{s.L}{s.R}{s.S}")
+    def test_cached_arrays_are_read_only(self, s):
+        arrays = [a for level in co.tree_levels(s) for a in level if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2 * s.L
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1
+
+    def test_cache_is_bounded(self):
+        assert co.tree_levels.cache_info().maxsize == 16
+        for S in range(2, 40):
+            co.tree_levels(Scenario(1, 2, S))
+        assert co.tree_levels.cache_info().currsize == 16
+        # an evicted scenario's tables are built again, equal to the first ones
+        again = co.tree_levels(Scenario(1, 2, 2))
+        assert again[0].candidates.tolist() == [[2 * h, 2 * h + 1] for h in range(2)]
+
+    def test_interleaved_scenarios_keep_their_own_tables(self):
+        rng = np.random.default_rng(28)
+        scenarios = [Scenario(2, 2, 3), Scenario(2, 3, 2), Scenario(3, 2, 2)]
+        for _ in range(4):
+            for s in scenarios:
+                chain = sparse_chain(s, rng)
+                b = compose_from_conditionals(chain)
+                assert b.table.tobytes() == reference_compose(chain).tobytes()
+                assert decompose_behavior(b).terms == reference_decompose(b).terms
+                assert [lvl.tobytes() for lvl in factorize(b).levels] == [lvl.tobytes() for lvl in reference_factorize(b)]
 
 
 @st.composite

@@ -387,6 +387,30 @@ class TestReferenceParity:
             assert_same_system(protocols[f"qutrit-{name}"], reference)
 
 
+class TestBlockLayout:
+    """The slot positions and level swaps of a realization block, built once
+    per S: read-only, bounded, and never shared across scenarios."""
+
+    @pytest.mark.parametrize("S", [2, 3, 4])
+    def test_cached_tables_are_read_only(self, S):
+        positions, pi = realize._block_layout(S)
+        assert positions.tolist() == [[co.context_position(h, S) for h in [(x,)] + [(s, x) for s in range(S)]] for x in range(S)]
+        assert pi.tolist() == [[x + 1 if j == 0 else 0 if j == x + 1 else j for j in range(S + 1)] for x in range(S)]
+        for a in (positions, pi):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_cache_is_bounded(self):
+        assert realize._block_layout.cache_info().maxsize == 16
+
+    def test_interleaved_scenarios_give_the_reference_systems(self):
+        rng = np.random.default_rng(28)
+        for _ in range(3):
+            for s in (Scenario(2, 2, 3), Scenario(2, 3, 2), S222):
+                decomp = decompose_behavior(compose_from_conditionals(random_conditional_chain(rng, s)))
+                assert_same_system(mixture_realization(decomp), reference_mixture_realization(decomp))
+
+
 def assert_same_instrument(new, reference):
     """Same Kraus bytes, effect bytes and column maps."""
     assert len(new.kraus_sets) == len(reference.kraus_sets)
