@@ -224,12 +224,12 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _profile_rows(xs, ys, block=4096):
-    """The B1profile/B3profile CSV in blocks of ``block`` rows, so the text
-    never spans the whole table."""
+def _profile_rows(xs, ys):
+    """The B1profile/B3profile CSV in blocks of 4096 rows, so the text never
+    spans the whole table."""
     yield "cos_gamma,value\n"
-    for i in range(0, len(xs), block):
-        yield "".join([f"{_fmt(x)},{_fmt(y)}\n" for x, y in zip(xs[i : i + block].tolist(), ys[i : i + block].tolist())])
+    for i in range(0, len(xs), 4096):
+        yield "".join([f"{_fmt(x)},{_fmt(y)}\n" for x, y in zip(xs[i : i + 4096].tolist(), ys[i : i + 4096].tolist())])
 
 
 def _envelope_rows(ps, xs, grid):
