@@ -256,12 +256,22 @@ class TestSimulateAndWitness:
             ("qubit-B1-3 realized", 4, "2a9f8f6364c0398be13952ca22875b98b32fa985574602aaf86c733c5904636e"),
             ("dim-33 realized", 3, "d593598ba18f835e46232ae2cc049cd917d75ddecaeeea9783d9b7f2e95fd2cd"),
             ("dense, 2-3 Kraus operators", 3, "cc6d4f2ffd1f9ca9d835777a4ec44e01db66294ece4962593f651b3a7c32f419"),
+            ("qubit-B1-3", 3, "feb6c70830ea5869eabec2c4c44f0c7f40c4a4005a81eac14ad16455f7d6f20e"),
+            ("qubit-B2-3", 3, "1c1c13272d2face07724edc88e7de68a17ed352ba58fb715b9293561cc04150d"),
+            ("qutrit-e1", 3, "5409f0751d1bd059ff10027490ad6b4ca25899ba0b4323b89723a66933869852"),
+            ("qutrit-e2", 3, "3f8f26a599ffdcadec453e761b847f396b98170ebac98fe1fe62f89f7fc11f2b"),
+            ("qutrit-e3", 3, "c8b71fbb0f22bf7d7e269299be264e98e9f3b6f7b9e54d74984eed52e94d2706"),
+            ("qutrit-e4", 3, "de41d2d10a8b3aedfe6ef78f58ca228436083c7e3d090a3c24880f062fbe78c5"),
         ],
     )
     def test_simulated_table_pinned(self, capsys, tmp_path, system, L, digest):
-        # sha256 of simulate --system --out, pinned so a byte drift between commits fails
+        # sha256 of simulate --system --out, or of simulate --protocol --out
+        # for a canonical protocol, pinned so a byte drift between commits fails
         system_file, out_file = tmp_path / "s.json", tmp_path / "b.json"
-        if system == "dense, 2-3 Kraus operators":
+        source = ["--system", str(system_file)]
+        if system in canonical_protocols():
+            source = ["--protocol", system]
+        elif system == "dense, 2-3 Kraus operators":
             from tempocorr.qmath import SystemModel, random_density_matrix, random_instrument
 
             rng = np.random.default_rng(53)
@@ -277,7 +287,7 @@ class TestSimulateAndWitness:
                 behavior_file.write_text(se.dumps(se.behavior_to_json(compose_from_conditionals(chain))))
             run(capsys, "decompose", "--behavior", str(behavior_file), "--out", str(decomp_file))
             run(capsys, "realize", "--decomposition", str(decomp_file), "--out", str(system_file))
-        code, _out, _err = run(capsys, "simulate", "--system", str(system_file), "--L", str(L), "--out", str(out_file))
+        code, _out, _err = run(capsys, "simulate", *source, "--L", str(L), "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
@@ -373,17 +383,28 @@ class TestBounds:
         # the grid-2^20 table is a 31 MB file; joining all rows first peaked
         # at 160 MB traced, where the grid, its values and the profile's
         # temporaries now are the largest things held
-        out_file = tmp_path / "b3.csv"
-        tracemalloc.start()
-        try:
-            code, out, _ = run(capsys, "bounds", "--which", "B3profile", "--grid", str(2**20), "--out", str(out_file))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0 and out == "max = 3.1862278837 at cos_gamma = 0.75628448132\n"
-        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
-        assert digest == "85edf140c3b0292fbc705f9663b1f25866bbbb00c279f1005a3f108d68d1638b"
-        assert peak < 80 * 2**20
+        out_file = tmp_path / "profile.csv"
+        for which, max_line, digest in (
+            (
+                "B3profile",
+                "max = 3.1862278837 at cos_gamma = 0.75628448132\n",
+                "85edf140c3b0292fbc705f9663b1f25866bbbb00c279f1005a3f108d68d1638b",
+            ),
+            (
+                "B1profile",
+                "max = 2.91421356237 at cos_gamma = -9.53675225901e-07\n",
+                "848de5439ada47e3fb230840f543d05c1335ccb65da8413da84921b03a52be66",
+            ),
+        ):
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, "bounds", "--which", which, "--grid", str(2**20), "--out", str(out_file))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and out == max_line
+            assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+            assert peak < 80 * 2**20
 
     @pytest.mark.parametrize(
         "which, grid, entries",

@@ -449,15 +449,19 @@ class TestColumnMapInstruments:
             ("e2", 2989, "5a12bd55a93b7cb27578dd9ca237f6980055beebc11313aed1c2c8a0868b288b"),
             ("e3", 2989, "500256094132a160941c031d863841ab4c931e586d0d87f33b375be892c9857a"),
             ("e4", 2989, "d710bb1e9eaa9b8d263995f4e6085f2eb0cfc76917100bfc50cb4630e9df1839"),
+            ("5", 7312, "cc50c85f0143e72f3086444a2700d0c18d68d51a0a0e00d2471a84680fe2090f"),
             ("mixture", 325_013, "cf50899bbdd4d9a556afd525821987d8b4903d882ed439b28fa76caa32648c0b"),
         ],
     )
     def test_saved_bytes_pinned(self, name, n_bytes, digest):
-        # the files ``tempocorr realize --vertex eK --out`` writes and, for the
-        # dim-33 member of the CI realize run, ``realize --decomposition --out``
+        # the files ``tempocorr realize --vertex eK --out`` and ``realize
+        # --vertex 5 --S 3 --out`` write and, for the dim-33 member of the CI
+        # realize run, ``realize --decomposition --out``
         if name == "mixture":
             b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(0), S222))
             decomp = decompose_behavior(b)
+        elif name == "5":
+            decomp = ConvexDecomposition(((1.0, DeterministicVertex.from_index(Scenario(2, 2, 3), 5)),))
         else:
             decomp = ConvexDecomposition(((1.0, named_vertex(name)),))
         text = serialize.dumps(serialize.system_model_to_json(mixture_realization(decomp))).encode()
