@@ -34,15 +34,15 @@ print("\n=== stepping through the B1-saturating qubit protocol ===")
 proto = canonical_protocols()["qubit-B1-3"]
 for settings in [(0, 0), (1, 1), (0, 1), (1, 0)]:
     dist = run_sequence(proto, settings)
-    print(f"  settings {settings}: outcome distribution {np.round(dist.probs, 6)}")
+    print(f"  settings {settings}: outcome distribution {np.round(dist, 6)}")
 
 print("\n=== exact three-level realization of a vertex ===")
 v = named_vertex("e1")
 realization = qutrit_vertex_realization(v)
 for s in (0, 1):
-    effect = realization.system.instruments[s].effects[0].matrix
+    effect = realization.instruments[s].effects[0]
     print(f"  effect of result 0 for measurement {s}:\n{effect.real.astype(int)}")
-realized = full_behavior(realization.system, 2)
+realized = full_behavior(realization, 2)
 target = vertex_behavior(v)
 print(f"  realized behavior matches the vertex exactly: "
       f"max deviation {np.max(np.abs(realized.table - target.table)):.2e}")

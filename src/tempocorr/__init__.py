@@ -34,7 +34,6 @@ _EXPORTS = {
     ),
     "qmath": (
         "DensityMatrix",
-        "Effect",
         "Instrument",
         "SystemModel",
         "bloch_to_density",

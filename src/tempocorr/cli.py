@@ -205,7 +205,9 @@ def cmd_bounds(args) -> int:
     xs = np.linspace(-1.0, 1.0, n)
     profiles = {"B1profile": witness.b1_projective_profile, "B3profile": witness.b3_profile}
     if which in profiles:
-        ys = profiles[which](xs)
+        ys = np.empty(n)
+        for i in range(0, n, _PROFILE_BLOCK):
+            ys[i : i + _PROFILE_BLOCK] = profiles[which](xs[i : i + _PROFILE_BLOCK])
         print(f"max = {_fmt(ys.max())} at cos_gamma = {_fmt(xs[int(ys.argmax())])}")
         text = _profile_rows(xs, ys)
     else:  # B4envelope: evaluated and written one p-row at a time, so neither
@@ -224,12 +226,15 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+_PROFILE_BLOCK = 4096  # rows of B1profile/B3profile evaluated, and written as text, at once
+
+
 def _profile_rows(xs, ys):
-    """The B1profile/B3profile CSV in blocks of 4096 rows, so the text never
-    spans the whole table."""
+    """The B1profile/B3profile CSV, one block of rows at a time."""
     yield "cos_gamma,value\n"
-    for i in range(0, len(xs), 4096):
-        yield "".join([f"{_fmt(x)},{_fmt(y)}\n" for x, y in zip(xs[i : i + 4096].tolist(), ys[i : i + 4096].tolist())])
+    for i in range(0, len(xs), _PROFILE_BLOCK):
+        block = zip(xs[i : i + _PROFILE_BLOCK].tolist(), ys[i : i + _PROFILE_BLOCK].tolist())
+        yield "".join([f"{_fmt(x)},{_fmt(y)}\n" for x, y in block])
 
 
 def _envelope_rows(ps, xs, grid):

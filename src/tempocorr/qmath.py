@@ -1,9 +1,9 @@
 """Small dense complex linear algebra and validated quantum objects.
 
-States, effects and instruments live on spaces of dimension 2..~200 and are
-stored as plain numpy arrays wrapped in frozen dataclasses.  Every object is
-validated once on construction and immutable afterwards, so all operations
-here are pure and safe to call concurrently.
+States, instruments and system models are frozen dataclasses around numpy
+arrays on spaces of dimension 2..~200, and an effect is its read-only complex
+matrix.  Each is validated once, where it is built, and immutable afterwards,
+so all operations here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -122,26 +122,12 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True)
-class Effect:
-    """Hermitian matrix with spectrum in [0, 1]; built via :func:`validate_effect`."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(as_complex_matrix(self.matrix)))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class Instrument:
     """One measurement: a tuple of Kraus-operator collections, one per outcome.
 
     Built via :func:`validate_instrument` or, from column maps, by
     :func:`instrument_from_column_maps`; both give the induced effects
-    ``E_r = sum_k K_{r,k}^dag K_{r,k}``.
+    ``E_r = sum_k K_{r,k}^dag K_{r,k}`` as read-only complex matrices.
 
     ``column_maps[r]`` is set when outcome r has a single Kraus operator that
     is a 0/1 partial permutation: every nonzero entry exactly ``1+0j`` (a +0.0
@@ -153,7 +139,7 @@ class Instrument:
     """
 
     kraus_sets: tuple[tuple[np.ndarray, ...], ...]
-    effects: tuple[Effect, ...]
+    effects: tuple[np.ndarray, ...]
     column_maps: tuple[np.ndarray | None, ...]
 
     @property
@@ -206,9 +192,9 @@ class SystemModel:
         return self.instruments[0].n_outcomes
 
 
-def validate_effect(m) -> Effect:
+def validate_effect(m) -> np.ndarray:
     """Check Hermiticity to ``HERMITICITY_TOL`` and the spectrum in
-    [-PSD_TOL, 1 + PSD_TOL], returning an Effect."""
+    [-PSD_TOL, 1 + PSD_TOL]; returns the read-only complex matrix."""
     a = as_complex_matrix(m)
     defect = hermiticity_defect(a)
     if defect > HERMITICITY_TOL:
@@ -219,7 +205,7 @@ def validate_effect(m) -> Effect:
         raise SpectrumOutOfRange(f"effect has eigenvalue {low:.6e} below -{PSD_TOL}")
     if high > 1.0 + PSD_TOL:
         raise SpectrumOutOfRange(f"effect has eigenvalue {high:.6e} above 1+{PSD_TOL}")
-    return Effect(a)
+    return _frozen(a)
 
 
 # 1+0j with a +0.0 imaginary part, as the bits of its (re, im) pair
@@ -243,8 +229,8 @@ def _column_map(k: np.ndarray) -> np.ndarray | None:
 
 def instrument_from_column_maps(maps: np.ndarray, kraus) -> Instrument:
     """Instrument whose outcome r is the read-only 0/1 partial permutation
-    ``kraus[r]`` with column map ``maps[r]`` (see :class:`Instrument`).  Each
-    effect is the 0/1 diagonal of the columns its outcome holds, so the
+    ``kraus[r]`` with column map ``maps[r]`` (see :class:`Instrument`).  The
+    effects are the rows of one read-only 0/1 diagonal (R, d, d) stack; the
     operator sum is the identity exactly when every column is held once."""
     n_outcomes, dim = maps.shape
     outcome = np.nonzero(maps >= 0)[0]
@@ -258,7 +244,7 @@ def instrument_from_column_maps(maps: np.ndarray, kraus) -> Instrument:
     effects[outcome, held, held] = 1.0
     effects.setflags(write=False)
     maps.setflags(write=False)
-    return Instrument(tuple((k,) for k in kraus), tuple(Effect(e) for e in effects), tuple(maps))
+    return Instrument(tuple((k,) for k in kraus), tuple(effects), tuple(maps))
 
 
 def validate_instrument(kraus_sets) -> Instrument:
@@ -335,7 +321,7 @@ def density_to_bloch(rho: DensityMatrix) -> np.ndarray:
     return np.array([float((rho.matrix @ p).trace().real) for p in PAULI])
 
 
-def effect_from_params(a: float, b: float, axis) -> Effect:
+def effect_from_params(a: float, b: float, axis) -> np.ndarray:
     """Binary-outcome qubit effect ``a (identity + b axis . sigma)``.
 
     Requires ``0 <= b <= 1`` and ``0 <= a <= 1/(1+b)`` so that both the effect

@@ -8,7 +8,6 @@ canonical named protocols used throughout the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +25,7 @@ from .errors import DimensionMismatch, EmptyDecomposition, TableTooLarge, Unsupp
 from .qmath import (
     DensityMatrix,
     SystemModel,
+    _frozen,
     instrument_from_column_maps,
     ketbra,
     validate_instrument,
@@ -41,20 +41,6 @@ def _check_walk(sys: SystemModel, L: int) -> None:
     if exceeds_table_budget(R, L, n_k * d * d):
         what = f"a simulation step of R^L * K * d^2 = {R}^{L} * {n_k} * {d}^2 entries"
         raise TableTooLarge(what, (L, R, sys.n_settings))
-
-
-@dataclass(frozen=True)
-class SequenceOutcomeDistribution:
-    """Outcome distribution of one fixed setting sequence."""
-
-    settings: tuple[int, ...]
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(int(x) for x in self.settings))
-        p = np.array(np.asarray(self.probs, dtype=float))
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
 
 
 def _stacks(sys: SystemModel) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -160,8 +146,9 @@ def _walk(states, depth, row, stack, table) -> None:
                 _walk(child, depth - 1, rows + x, stack, table)
 
 
-def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
-    """Probabilities of all outcome sequences for one setting sequence.
+def run_sequence(sys: SystemModel, settings) -> np.ndarray:
+    """Probabilities of all outcome sequences for one setting sequence, as a
+    read-only float array indexed by the outcome sequence in base R.
 
     Chains the per-outcome Kraus maps on subnormalized states, never
     renormalizing mid-sequence, so zero-probability branches stay exact; a
@@ -181,7 +168,7 @@ def run_sequence(sys: SystemModel, settings) -> SequenceOutcomeDistribution:
     states = _root(sys, stack)
     for x in settings:
         states = _step(states, stack, slice(x, x + 1))[0]
-    return SequenceOutcomeDistribution(settings, _traces(states, stack).reshape(-1))
+    return _frozen(_traces(states, stack).reshape(-1))
 
 
 def full_behavior(sys: SystemModel, L: int) -> Behavior:
@@ -210,19 +197,11 @@ def full_behavior(sys: SystemModel, L: int) -> Behavior:
 
 # --- exact realization of length-2 mixtures on S+1 levels per vertex ------------
 
-@dataclass(frozen=True)
-class VertexRealization:
-    """A system model of dimension S+1 whose behavior is a given vertex."""
-
-    system: SystemModel
-    vertex: DeterministicVertex
-
-
-def qutrit_vertex_realization(v: DeterministicVertex) -> VertexRealization:
+def qutrit_vertex_realization(v: DeterministicVertex) -> SystemModel:
     """Exact realization of a length-2 vertex on an (S+1)-level system: the
     one-term :func:`mixture_realization`.  The realized behavior is 0/1
     exactly (up to floating-point roundoff)."""
-    return VertexRealization(mixture_realization(ConvexDecomposition(((1.0, v),))), v)
+    return mixture_realization(ConvexDecomposition(((1.0, v),)))
 
 
 @lru_cache(maxsize=16)
@@ -321,5 +300,5 @@ def canonical_protocols() -> dict[str, SystemModel]:
     )
     protocols = {"qubit-B1-3": b1, "qubit-B2-3": b2}
     for name in ("e1", "e2", "e3", "e4"):
-        protocols[f"qutrit-{name}"] = qutrit_vertex_realization(named_vertex(name)).system
+        protocols[f"qutrit-{name}"] = qutrit_vertex_realization(named_vertex(name))
     return protocols

@@ -235,7 +235,7 @@ def strategy_system_model(s: QubitStrategy) -> SystemModel:
     """
     instruments = []
     for x, eff in enumerate(s.effects):
-        e0 = effect_from_params(eff.a, eff.b, eff.axis).matrix
+        e0 = effect_from_params(eff.a, eff.b, eff.axis)
         kraus_sets = []
         for outcome, effect in ((0, e0), (1, np.eye(2, dtype=complex) - e0)):
             target = bloch_to_density(s.post[outcome, x]).matrix
@@ -551,7 +551,8 @@ class _Workspace:
     def negated_values(self, points, out):
         """The objective: writes the negated witness value of each row of
         ``(m, 5)`` effect parameters into ``out`` ``(m,)``, in blocks of at
-        most ``block`` rows."""
+        most ``block`` rows.  No sum runs along the rows' axis, where numpy
+        would sum pairwise, so the blocks change no bit of any value."""
         m, block = len(out), self.block
         if m <= block:
             self.rows_value(points, out)
@@ -687,35 +688,6 @@ def _evaluator(ws: _Workspace, m: int):
         copyto(coeffs, scale)
 
     return evaluate, reset
-
-
-def _state_optimal_value(prog: _CompiledTerms, theta):
-    """Witness value of each row of ``(..., 5)`` effect parameters with every
-    Bloch vector replaced by its optimizer.
-
-    Post-measurement vectors enter linearly with the nonnegative weight
-    p(a|x), so each one independently aligns with its coefficient vector;
-    substituting those optima leaves an affine function of the input vector,
-    again maximized by alignment.  Every row's value is computed by the same
-    operations in the same order whatever the other rows are, and equals
-    the per-term reference of the tests bit for bit (see above): a term's
-    constant is ``coeff * a`` or ``coeff * (1 - a)``, and no sum runs along
-    the contiguous last axis, where numpy would sum pairwise.
-
-    The rows are evaluated in blocks of at most ``errors.MAX_TABLE_ENTRIES
-    // (4 * depth * n)`` rows, so the gathered per-term table and the
-    coefficient block of :func:`_evaluator`, 7 and 3 entries per term and
-    row, hold at most 7/4 and 3/4 of ``errors.MAX_TABLE_ENTRIES`` entries:
-    a functional of many terms costs bounded memory however many rows come.
-    This is the blocked entry point that returns values; the search calls
-    :meth:`_Workspace.negated_values`, which writes their negation in place.
-    """
-    th = np.asarray(theta, dtype=float)
-    rows = th.reshape(-1, 5)
-    out = np.empty(len(rows))
-    with _borrowed(prog, len(rows)) as ws:
-        ws.negated_values(rows, out)
-    return np.negative(out, out=out).reshape(th.shape[:-1])
 
 
 def _reconstruct_strategy(terms, theta) -> QubitStrategy:

@@ -96,7 +96,7 @@ def test_criterion_03_vertex_realization_exactness():
     worst = 0.0
     for scenario in (Scenario(2, 2, 2), Scenario(2, 3, 2)):
         for v in enumerate_vertices(scenario):
-            realized = full_behavior(qutrit_vertex_realization(v).system, 2)
+            realized = full_behavior(qutrit_vertex_realization(v), 2)
             worst = max(worst, float(np.max(np.abs(realized.table - vertex_behavior(v).table))))
     elapsed = time.perf_counter() - t0
     report(3, worst < 1e-12 and elapsed < 10.0, f"793 vertices realized, max deviation {worst:.2e}", elapsed)

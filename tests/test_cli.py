@@ -380,9 +380,9 @@ class TestBounds:
         assert peak < 16 * 2**20
 
     def test_profile_written_in_row_blocks(self, capsys, tmp_path):
-        # the grid-2^20 table is a 31 MB file; joining all rows first peaked
-        # at 160 MB traced, where the grid, its values and the profile's
-        # temporaries now are the largest things held
+        # the grid-2^20 table is a 31 MB file; the profile is evaluated and
+        # written in row blocks, so the grid and its values, 8 MB each, are
+        # the largest things held
         out_file = tmp_path / "profile.csv"
         for which, max_line, digest in (
             (
@@ -404,7 +404,7 @@ class TestBounds:
                 tracemalloc.stop()
             assert code == 0 and out == max_line
             assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
-            assert peak < 80 * 2**20
+            assert peak < 32 * 2**20
 
     @pytest.mark.parametrize(
         "which, grid, entries",
@@ -959,7 +959,7 @@ PACKAGE_EXPORTS = {
         " enumerate_vertices factorize marginal named_vertex require_member vertex_behavior"
     ),
     "qmath": (
-        "DensityMatrix Effect Instrument SystemModel bloch_to_density"
+        "DensityMatrix Instrument SystemModel bloch_to_density"
         " density_to_bloch effect_from_params validate_effect validate_instrument"
     ),
     "realize": "canonical_protocols full_behavior mixture_realization qutrit_vertex_realization run_sequence",

@@ -52,7 +52,7 @@ def apply_instrument(rho, inst, outcome):
 class TestValidateEffect:
     def test_identity_is_valid(self):
         e = validate_effect(np.eye(2))
-        assert np.allclose(e.matrix, np.eye(2))
+        assert np.allclose(e, np.eye(2))
 
     def test_eigenvalue_above_one_rejected(self):
         with pytest.raises(SpectrumOutOfRange):
@@ -70,7 +70,7 @@ class TestValidateEffect:
         # eigenvalues of (1 + 0.9 sigma_z)/2 are (1 +- 0.9)/2, frozen from the
         # 2x2 quadratic formula
         e = validate_effect(0.5 * (np.eye(2) + 0.9 * qmath.SIGMA_Z))
-        vals = qmath.hermitian_eigenvalues(e.matrix)
+        vals = qmath.hermitian_eigenvalues(e)
         assert np.allclose(vals, [0.05, 0.95], atol=1e-12)
 
     def test_rejects_non_square(self):
@@ -174,13 +174,13 @@ class TestValidateInstrument:
     def test_projective(self):
         inst = validate_instrument([[ketbra(0, 0, 2)], [ketbra(1, 1, 2)]])
         assert inst.n_outcomes == 2
-        assert np.allclose(inst.effects[0].matrix, ketbra(0, 0, 2))
+        assert np.allclose(inst.effects[0], ketbra(0, 0, 2))
 
     def test_flip_with_fixed_outcome(self):
         # trivial measurement: always result 0, but the state is flipped
         inst = validate_instrument([[X], [ZERO2]])
-        assert np.allclose(inst.effects[0].matrix, np.eye(2))
-        assert np.allclose(inst.effects[1].matrix, ZERO2)
+        assert np.allclose(inst.effects[0], np.eye(2))
+        assert np.allclose(inst.effects[1], ZERO2)
 
     def test_incomplete_rejected(self):
         with pytest.raises(NotTracePreserving):
@@ -189,7 +189,7 @@ class TestValidateInstrument:
     def test_multi_kraus_outcome(self):
         # measure-and-prepare: any input collapses to |0><0| with probability 1
         inst = validate_instrument([[ketbra(0, 0, 2), ketbra(0, 1, 2)]])
-        assert np.allclose(inst.effects[0].matrix, np.eye(2))
+        assert np.allclose(inst.effects[0], np.eye(2))
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -342,7 +342,7 @@ class TestApplyInstrument:
             rho = random_density_matrix(rng, dim)
             inst = random_instrument(rng, dim, 2, kraus_per_outcome=2)
             for r in range(2):
-                via_effect = float((inst.effects[r].matrix @ rho.matrix).trace().real)
+                via_effect = float((inst.effects[r] @ rho.matrix).trace().real)
                 assert apply_instrument(rho, inst, r).probability == pytest.approx(
                     via_effect, abs=1e-12
                 )
@@ -392,7 +392,7 @@ class TestBloch:
 class TestEffectFromParams:
     def test_projector_case(self):
         e = effect_from_params(0.5, 1.0, [0, 0, 1])
-        assert np.allclose(e.matrix, ketbra(0, 0, 2))
+        assert np.allclose(e, ketbra(0, 0, 2))
 
     def test_boundary_matches_rank1_complement_form(self):
         # at a = 1/(1+b) with b = p/(2-p) the effect is ((2-p) id + p n.sigma)/2
@@ -405,11 +405,11 @@ class TestEffectFromParams:
             direct = 0.5 * (
                 (2 - p) * np.eye(2) + p * np.einsum("i,ijk->jk", axis, qmath.PAULI)
             )
-            assert np.allclose(e.matrix, direct, atol=1e-12)
+            assert np.allclose(e, direct, atol=1e-12)
 
     def test_zero_effect(self):
         e = effect_from_params(0.0, 0.7, [1, 0, 0])
-        assert np.allclose(e.matrix, ZERO2)
+        assert np.allclose(e, ZERO2)
 
     def test_complement_rank_at_boundary(self):
         rng = np.random.default_rng(11)
@@ -418,7 +418,7 @@ class TestEffectFromParams:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             e = effect_from_params(1.0 / (1.0 + b), b, axis)
-            complement = np.eye(2) - e.matrix
+            complement = np.eye(2) - e
             vals = qmath.hermitian_eigenvalues(complement)
             assert abs(vals[0]) < 1e-12  # rank <= 1
 

@@ -31,6 +31,7 @@ from tempocorr.errors import (
 from tempocorr.qmath import (
     DensityMatrix,
     SystemModel,
+    effect_from_params,
     ketbra,
     random_density_matrix,
     random_instrument,
@@ -56,20 +57,20 @@ class TestRunSequence:
     def test_b1_protocol_repeated_zero(self):
         proto = canonical_protocols()["qubit-B1-3"]
         dist = run_sequence(proto, (0, 0))
-        assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)  # p(00|00) = 1
+        assert dist[0] == pytest.approx(1.0, abs=1e-12)  # p(00|00) = 1
 
     def test_b1_protocol_mixed_settings(self):
         proto = canonical_protocols()["qubit-B1-3"]
         dist = run_sequence(proto, (1, 0))
-        assert dist.probs[co.index_of_digits((0, 0), 2)] == pytest.approx(1.0, abs=1e-12)
-        assert dist.probs[co.index_of_digits((0, 1), 2)] == pytest.approx(0.0, abs=1e-12)
+        assert dist[co.index_of_digits((0, 0), 2)] == pytest.approx(1.0, abs=1e-12)
+        assert dist[co.index_of_digits((0, 1), 2)] == pytest.approx(0.0, abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(20)
         for _ in range(10):
             sys_model = random_system_model(rng, 3, 2, 3, kraus_per_outcome=2)
             for settings in ((0,), (0, 1), (1, 1, 0)):
-                assert run_sequence(sys_model, settings).probs.sum() == pytest.approx(
+                assert run_sequence(sys_model, settings).sum() == pytest.approx(
                     1.0, abs=1e-9
                 )
 
@@ -95,7 +96,7 @@ class TestRunSequence:
                                 assert joint == pytest.approx(0.0, abs=1e-12)
                                 continue
                             post = DensityMatrix(first / p_first).matrix
-                            effect = sys_model.instruments[y].effects[bb].matrix
+                            effect = sys_model.instruments[y].effects[bb]
                             p_second = float((effect @ post).trace().real)
                             assert joint == pytest.approx(p_first * p_second, abs=1e-12)
 
@@ -140,7 +141,7 @@ class TestTableBudget:
         proto = canonical_protocols()["qutrit-e1"]
         monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 72)
         assert full_behavior(proto, 3).table.size == 64
-        assert run_sequence(proto, (0, 1, 0)).probs.size == 8
+        assert run_sequence(proto, (0, 1, 0)).size == 8
         monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 71)
         for simulate in (lambda: full_behavior(proto, 3), lambda: run_sequence(proto, (0, 1, 0))):
             with pytest.raises(TableTooLarge, match=r"R\^L \* K \* d\^2 = 2\^3 \* 1 \* 3\^2 ") as exc:
@@ -174,19 +175,19 @@ class TestTableBudget:
 class TestQutritRealization:
     def test_e1_effects_match_projector_structure(self):
         real = qutrit_vertex_realization(named_vertex("e1"))
-        e00 = real.system.instruments[0].effects[0].matrix
-        e01 = real.system.instruments[1].effects[0].matrix
+        e00 = real.instruments[0].effects[0]
+        e01 = real.instruments[1].effects[0]
         assert np.allclose(e00, ketbra(0, 0, 3) + ketbra(1, 1, 3))
         assert np.allclose(e01, ketbra(0, 0, 3) + ketbra(2, 2, 3))
 
     def test_constant_zero_vertex_has_trivial_effects(self):
         real = qutrit_vertex_realization(DeterministicVertex(S222, (0,) * 6))
         for s in (0, 1):
-            assert np.allclose(real.system.instruments[s].effects[0].matrix, np.eye(3))
+            assert np.allclose(real.instruments[s].effects[0], np.eye(3))
 
     def test_all_vertices_of_222_exact(self):
         for v in co.enumerate_vertices(S222):
-            b = full_behavior(qutrit_vertex_realization(v).system, 2)
+            b = full_behavior(qutrit_vertex_realization(v), 2)
             assert np.max(np.abs(b.table - vertex_behavior(v).table)) < 1e-12
 
     def test_three_outcome_vertex(self):
@@ -194,7 +195,7 @@ class TestQutritRealization:
         rng = np.random.default_rng(21)
         for _ in range(10):
             v = DeterministicVertex.from_index(scenario, int(rng.integers(729)))
-            b = full_behavior(qutrit_vertex_realization(v).system, 2)
+            b = full_behavior(qutrit_vertex_realization(v), 2)
             assert np.max(np.abs(b.table - vertex_behavior(v).table)) < 1e-12
 
     def test_three_setting_vertices_use_four_levels(self):
@@ -203,8 +204,8 @@ class TestQutritRealization:
         for index in rng.integers(4096, size=40):
             v = DeterministicVertex.from_index(scenario, int(index))
             real = qutrit_vertex_realization(v)
-            assert real.system.dim == 4
-            b = full_behavior(real.system, 2)
+            assert real.dim == 4
+            b = full_behavior(real, 2)
             assert np.max(np.abs(b.table - vertex_behavior(v).table)) < 1e-12
 
     def test_three_setting_three_outcome_vertices(self):
@@ -212,7 +213,7 @@ class TestQutritRealization:
         rng = np.random.default_rng(25)
         for index in rng.integers(co.count_vertices(scenario), size=40):
             v = DeterministicVertex.from_index(scenario, int(index))
-            b = full_behavior(qutrit_vertex_realization(v).system, 2)
+            b = full_behavior(qutrit_vertex_realization(v), 2)
             assert np.max(np.abs(b.table - vertex_behavior(v).table)) < 1e-12
 
     def test_rejects_longer_sequences(self):
@@ -378,7 +379,7 @@ class TestReferenceParity:
 
     def test_all_vertices_of_222(self):
         for v in co.enumerate_vertices(S222):
-            assert_same_system(qutrit_vertex_realization(v).system, reference_vertex_realization(v))
+            assert_same_system(qutrit_vertex_realization(v), reference_vertex_realization(v))
 
     def test_canonical_protocols(self):
         protocols = canonical_protocols()
@@ -411,6 +412,42 @@ class TestBlockLayout:
                 assert_same_system(mixture_realization(decomp), reference_mixture_realization(decomp))
 
 
+TWO_VERTICES = ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, named_vertex("e3"))))
+
+# builders of the arrays that realizations, simulations and validations return
+RETURNED_ARRAYS = {
+    "run_sequence mapped": lambda: [run_sequence(canonical_protocols()["qubit-B1-3"], (0, 1))],
+    "run_sequence dense": lambda: [run_sequence(random_system_model(np.random.default_rng(30), 3, 2, 2, 2), (1, 0))],
+    "dense effects": lambda: validate_instrument([[np.sqrt(0.5) * np.eye(2)], [np.sqrt(0.5) * np.eye(2)]]).effects,
+    "multi-Kraus effects": lambda: validate_instrument([[ketbra(0, 0, 2), ketbra(1, 1, 2)], [ZERO2]]).effects,
+    "column-mapped effects": lambda: validate_instrument([[ketbra(0, 0, 2)], [ketbra(0, 1, 2)]]).effects,
+    "random_instrument effects": lambda: random_instrument(np.random.default_rng(31), 3, 2, 2).effects,
+    "mixture_realization effects": lambda: [
+        e for inst in mixture_realization(TWO_VERTICES).instruments for e in inst.effects
+    ],
+    "validate_effect": lambda: [validate_effect(np.diag([0.25, 1.0]))],
+    "effect_from_params": lambda: [effect_from_params(0.5, 0.5, [0.0, 0.6, 0.8])],
+}
+
+
+class TestReadOnlyResults:
+    """Every array a realization, a simulation or a validation returns is
+    read-only: writing into it raises."""
+
+    @pytest.mark.parametrize("name", RETURNED_ARRAYS)
+    def test_writes_raise(self, name):
+        arrays = RETURNED_ARRAYS[name]()
+        assert len(arrays) > 0
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_run_sequence_is_contiguous_float(self):
+        for sys_model in (canonical_protocols()["qutrit-e1"], random_system_model(np.random.default_rng(32), 2, 2, 3)):
+            probs = run_sequence(sys_model, (0, 1, 1))
+            assert probs.dtype == np.float64 and probs.flags.c_contiguous and probs.shape == (sys_model.n_outcomes**3,)
+
+
 def assert_same_instrument(new, reference):
     """Same Kraus bytes, effect bytes and column maps."""
     assert len(new.kraus_sets) == len(reference.kraus_sets)
@@ -418,7 +455,7 @@ def assert_same_instrument(new, reference):
         assert len(ops) == len(ref_ops) == 1
         assert_same_bits(ops[0], ref_ops[0])
     for effect, ref_effect in zip(new.effects, reference.effects):
-        assert_same_bits(effect.matrix, ref_effect.matrix)
+        assert_same_bits(effect, ref_effect)
     for columns, ref_columns in zip(new.column_maps, reference.column_maps):
         assert columns.dtype == ref_columns.dtype
         assert_same_bits(columns, ref_columns)
@@ -439,7 +476,7 @@ class TestColumnMapInstruments:
             assert_same_instrument(inst, dense)
             assert_same_instrument(inst, back)
             assert all(not k.flags.writeable for ops in inst.kraus_sets for k in ops)
-            assert all(not e.matrix.flags.writeable for e in inst.effects)
+            assert all(not e.flags.writeable for e in inst.effects)
             assert all(not c.flags.writeable for c in inst.column_maps)
 
     @pytest.mark.parametrize(
@@ -653,7 +690,7 @@ class TestSimulationParity:
         for inst, flags in zip(sys_model.instruments, mapped):
             assert [c is not None for c in inst.column_maps] == flags
             for ops, effect in zip(inst.kraus_sets, inst.effects):
-                assert_same_bits(effect.matrix, dense_effect(ops))
+                assert_same_bits(effect, dense_effect(ops))
         mapped_only = tuple(inst for inst, flags in zip(sys_model.instruments, mapped) if all(flags))
         if mapped_only:
             # over two steps, the gathered diagonals are the diagonals of the
@@ -669,7 +706,7 @@ class TestSimulationParity:
                 assert_same_bits(diagonals[..., :-1], np.diagonal(states, axis1=-2, axis2=-1))
                 assert_same_bits(diagonals[..., -1], np.zeros(diagonals.shape[:-1], dtype=complex))
         assert_same_bits(full_behavior(sys_model, L).table, reference_full_behavior(sys_model, L))
-        assert_same_bits(run_sequence(sys_model, path).probs, reference_run_sequence(sys_model, path))
+        assert_same_bits(run_sequence(sys_model, path), reference_run_sequence(sys_model, path))
 
     @pytest.mark.parametrize(
         "kraus_sets",
@@ -693,7 +730,7 @@ class TestSimulationParity:
     def test_ragged_systems(self, sys_model, xs):
         L, path = len(xs), [x % sys_model.n_settings for x in xs]
         assert_same_bits(full_behavior(sys_model, L).table, reference_full_behavior(sys_model, L))
-        assert_same_bits(run_sequence(sys_model, path).probs, reference_run_sequence(sys_model, path))
+        assert_same_bits(run_sequence(sys_model, path), reference_run_sequence(sys_model, path))
 
     @settings(max_examples=20, deadline=None)
     @given(peeled_members(), st.integers(1, 3))
@@ -740,7 +777,7 @@ class TestSettingGroups:
         assert_same_bits(full_behavior(system, 3).table, reference)
         # each of the 9 last-level nodes splits its 3 settings into groups
         assert sizes == {1: [1, 1, 1], 2: [2, 1], 3: [3]}[group] * 9
-        assert_same_bits(run_sequence(system, (2, 1, 0)).probs, reference_run_sequence(system, (2, 1, 0)))
+        assert_same_bits(run_sequence(system, (2, 1, 0)), reference_run_sequence(system, (2, 1, 0)))
 
     @pytest.mark.parametrize("budget, group", [(16, 1), (24, 2)])
     def test_diagonal_groups_same_bits(self, monkeypatch, budget, group):

@@ -438,7 +438,7 @@ class TestOptimizer:
     def test_blocks_leave_values_unchanged(self, terms, seed, rows, block):
         prog = w._compile_terms(terms)
         theta = gauge_rows(np.random.default_rng(seed), rows)
-        whole = w._state_optimal_value(prog, theta)
+        whole = state_optimal_value(prog, theta)
         sizes = []
         rows_value = w._Workspace.rows_value
 
@@ -449,7 +449,7 @@ class TestOptimizer:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(errors, "MAX_TABLE_ENTRIES", 4 * prog.rows[0].size * block)
             mp.setattr(w._Workspace, "rows_value", recording)
-            assert w._state_optimal_value(prog, theta).tobytes() == whole.tobytes()
+            assert state_optimal_value(prog, theta).tobytes() == whole.tobytes()
         # full blocks of the budget's rows, then the rest
         assert sizes == [block] * (rows // block) + [rows % block] * (rows % block > 0)
 
@@ -504,6 +504,18 @@ class TestOptimizer:
                 assert strategy_value(F[name], s) <= cap + 1e-9
 
 
+def state_optimal_value(prog, theta):
+    """Witness value of each row of ``(..., 5)`` gauge parameters with every
+    Bloch vector at its optimum: the negation of the search's objective,
+    evaluated in its blocks on a borrowed workspace."""
+    th = np.asarray(theta, dtype=float)
+    rows = th.reshape(-1, 5)
+    out = np.empty(len(rows))
+    with w._borrowed(prog, len(rows)) as ws:
+        ws.negated_values(rows, out)
+    return np.negative(out, out=out).reshape(th.shape[:-1])
+
+
 def loop_state_optimal_value(terms, theta) -> float:
     """Per-term scalar reference for the closed-form objective on one row."""
     effects = []
@@ -556,7 +568,7 @@ def gauge_rows(rng, rows):
 
 def qubit_objective(name):
     prog = w._compile_terms(F[name].terms)
-    return lambda theta: -w._state_optimal_value(prog, theta)
+    return lambda theta: -state_optimal_value(prog, theta)
 
 
 def in_place(fun):
@@ -610,21 +622,21 @@ class TestWorkspaceReuse:
     def test_interleaved_searches_equal_cold_runs(self):
         # B3 times 2**30 has B3's unit-scaled terms, so it shares B3's table
         # and workspaces; the restart counts give different row counts, and
-        # a larger _state_optimal_value call replaces B3's pooled workspace
+        # a larger state_optimal_value call replaces B3's pooled workspace
         b3x = w.WitnessFunctional("B3", S222, tuple(t._replace(coeff=math.ldexp(t.coeff, 30)) for t in F["B3"].terms))
         functionals = [F["B1"], F["B2"], F["B3"], F["B4"], CUSTOM, b3x]
         cfgs = [OptimizerConfig(restarts=restarts, seed=seed) for restarts, seed in ((20, 7), (3, 1729), (7, 11))]
         cold = {(i, j): cold_search(f, cfg) for i, f in enumerate(functionals) for j, cfg in enumerate(cfgs)}
         theta = gauge_rows(np.random.default_rng(5), 500)
         scaled = tuple((t.outcomes, t.settings, t.coeff / 4) for t in F["B3"].terms)
-        values = w._state_optimal_value(w._compile_terms(scaled), theta)
+        values = state_optimal_value(w._compile_terms(scaled), theta)
         w._compiled_terms.cache_clear()
         for _ in range(2):
             for j, cfg in enumerate(cfgs):
                 for i, f in enumerate(functionals):
                     assert result_bytes(optimize_qubit(f, cfg)) == cold[i, j], (f.name, cfg)
                 shared = w._compiled_terms(scaled, np.array([c for *_, c in scaled]).tobytes(), errors.MAX_TABLE_ENTRIES)
-                assert w._state_optimal_value(shared, theta).tobytes() == values.tobytes()
+                assert state_optimal_value(shared, theta).tobytes() == values.tobytes()
 
     def test_threads_on_one_functional_equal_cold_runs(self, allocations, monkeypatch):
         f = F["B4"]
@@ -813,7 +825,7 @@ class TestLockstepNelderMead:
     def test_batched_objective_matches_loop_reference(self, name, seed):
         theta = gauge_rows(np.random.default_rng(seed), 64)
         terms = functional_terms(name)
-        batched = w._state_optimal_value(w._compile_terms(terms), theta)
+        batched = state_optimal_value(w._compile_terms(terms), theta)
         reference = np.array([loop_state_optimal_value(terms, row) for row in embed(theta)])
         assert np.max(np.abs(batched - reference)) <= 1e-15
 
@@ -822,7 +834,7 @@ class TestLockstepNelderMead:
         theta = np.random.default_rng(9).uniform(0.0, 3.0, size=5)
         s = w._reconstruct_strategy(F["B4"].terms, theta)
         assert strategy_value(F["B4"], s) == pytest.approx(
-            float(w._state_optimal_value(prog, theta)), abs=1e-12
+            float(state_optimal_value(prog, theta)), abs=1e-12
         )
 
     def test_start_runs_on_while_its_worst_value_is_far(self):
@@ -1407,17 +1419,17 @@ class TestReferenceParity:
         theta = gauge_rows(np.random.default_rng(seed), rows)
         prog = w._compile_terms(F[name].terms)
         terms = functional_terms(name)
-        batched = w._state_optimal_value(prog, theta)
+        batched = state_optimal_value(prog, theta)
         assert batched.tobytes() == reference_state_optimal_value(terms, theta).tobytes()
         assert batched.tobytes() == reference_state_optimal_value(terms, embed(theta)).tobytes()
-        assert w._state_optimal_value(prog, theta[0]) == reference_state_optimal_value(terms, embed(theta[0]))
+        assert state_optimal_value(prog, theta[0]) == reference_state_optimal_value(terms, embed(theta[0]))
 
     @settings(max_examples=60, deadline=None)
     @given(random_terms, st.integers(0, 2**32 - 1), st.integers(1, 32))
     def test_objective_matches_reference_on_random_functionals(self, terms, seed, rows):
         # repeated slots and non-unit coefficients: each slot still sums in term order
         theta = gauge_rows(np.random.default_rng(seed), rows)
-        batched = w._state_optimal_value(w._compile_terms(terms), theta)
+        batched = state_optimal_value(w._compile_terms(terms), theta)
         assert batched.tobytes() == reference_state_optimal_value(terms, embed(theta)).tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -1436,7 +1448,7 @@ class TestReferenceParity:
         # the gauge row [u0, b0, u1, b1, gamma] is the general row with axis 0
         # at polar angle 0 and axis 1 at polar angle gamma, azimuth 0
         theta = np.array(rows)
-        batched = w._state_optimal_value(w._compile_terms(terms), theta)
+        batched = state_optimal_value(w._compile_terms(terms), theta)
         assert batched.tobytes() == reference_state_optimal_value(terms, embed(theta)).tobytes()
         loop = np.array([loop_state_optimal_value(terms, row) for row in embed(theta)])
         assert np.max(np.abs(batched - loop)) <= 1e-15 * max(1.0, np.max(np.abs(loop)))
@@ -1449,7 +1461,7 @@ class TestReferenceParity:
         general = np.random.default_rng(seed).uniform(-20.0, 20.0, size=(16, 8))
         general[:, [0, 1, 4, 5]] = np.random.default_rng(seed + 1).uniform(-0.5, 1.5, size=(16, 4))
         gauge = np.array([gauge_row(row) for row in general])
-        value = w._state_optimal_value(w._compile_terms(terms), gauge)
+        value = state_optimal_value(w._compile_terms(terms), gauge)
         scale = max(1.0, sum(abs(c) for *_, c in terms))
         assert np.max(np.abs(value - reference_state_optimal_value(terms, general))) <= 1e-12 * scale
 
@@ -1523,7 +1535,7 @@ class TestReferenceParity:
             (((1, 0), (0, 1), 1.0), ((1, 0), (0, 1), -0.25), ((1, 1), (0, 0), 2.0)),
         ]
         for terms in functionals:
-            batched = w._state_optimal_value(w._compile_terms(terms), theta)
+            batched = state_optimal_value(w._compile_terms(terms), theta)
             assert batched.tobytes() == reference_state_optimal_value(terms, embed(theta)).tobytes()
 
 
@@ -1639,7 +1651,7 @@ class TestLeakageBracket:
         rng = np.random.default_rng(29)
         projs = [random_projector(rng, 3) for _ in range(10)]
         for v in enumerate_vertices(S222):
-            for inst in qutrit_vertex_realization(v).system.instruments:
+            for inst in qutrit_vertex_realization(v).instruments:
                 for ops in inst.kraus_sets:
                     for proj in projs:
                         lo, hi = w._leakage_bracket(ops, proj)
