@@ -9,6 +9,7 @@ so all operations here are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     """One measurement: a tuple of Kraus-operator collections, one per outcome.
 
@@ -136,19 +137,54 @@ class Instrument:
     for a zero row, so ``(K rho K^dag)[i, j] = rho[map[i], map[j]]`` (zero
     where either is -1) and ``E_r`` is the 0/1 diagonal of the columns it
     holds.  Any other outcome has ``None``.
+
+    An instrument whose every outcome has a column map holds its maps; the
+    operators and effects it was not given are built from them on first read
+    of ``kraus_sets`` or ``effects``, as rows of one read-only 0/1 (R, d, d)
+    stack, and kept.
     """
 
-    kraus_sets: tuple[tuple[np.ndarray, ...], ...]
-    effects: tuple[np.ndarray, ...]
     column_maps: tuple[np.ndarray | None, ...]
+
+    def __init__(self, column_maps, kraus_sets=None, effects=None):
+        object.__setattr__(self, "column_maps", tuple(column_maps))
+        # a given view is kept where cached_property would keep a built one
+        for name, value in (("kraus_sets", kraus_sets), ("effects", effects)):
+            if value is not None:
+                self.__dict__[name] = tuple(value)
+
+    def _from_maps(self, effects: bool) -> tuple[np.ndarray, ...]:
+        """Rows of the read-only (R, d, d) stack of the operators, or of the
+        effects, written from the column maps: 1+0j at (row, map[row]), or
+        at (map[row], map[row]) for an effect."""
+        maps = np.array(self.column_maps)
+        outcome, row = np.nonzero(maps >= 0)
+        held = maps[outcome, row]
+        stack = np.zeros(maps.shape + maps.shape[-1:], dtype=complex)
+        stack[outcome, held if effects else row, held] = 1.0
+        stack.setflags(write=False)
+        return tuple(stack)
+
+    # setdefault keeps the first build, so threads that race to the first
+    # read all return the same views
+    @cached_property
+    def kraus_sets(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        return self.__dict__.setdefault("kraus_sets", tuple((k,) for k in self._from_maps(effects=False)))
+
+    @cached_property
+    def effects(self) -> tuple[np.ndarray, ...]:
+        return self.__dict__.setdefault("effects", self._from_maps(effects=True))
 
     @property
     def dim(self) -> int:
+        for columns in self.column_maps:
+            if columns is not None:
+                return len(columns)
         return self.kraus_sets[0][0].shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.kraus_sets)
+        return len(self.column_maps)
 
 
 @dataclass(frozen=True)
@@ -227,24 +263,20 @@ def _column_map(k: np.ndarray) -> np.ndarray | None:
     return _frozen(columns)
 
 
-def instrument_from_column_maps(maps: np.ndarray, kraus) -> Instrument:
-    """Instrument whose outcome r is the read-only 0/1 partial permutation
-    ``kraus[r]`` with column map ``maps[r]`` (see :class:`Instrument`).  The
-    effects are the rows of one read-only 0/1 diagonal (R, d, d) stack; the
-    operator sum is the identity exactly when every column is held once."""
-    n_outcomes, dim = maps.shape
-    outcome = np.nonzero(maps >= 0)[0]
+def instrument_from_column_maps(maps: np.ndarray, kraus=None) -> Instrument:
+    """Instrument whose outcome r is the 0/1 partial permutation with column
+    map ``maps[r]`` (see :class:`Instrument`): the read-only ``kraus[r]``
+    when given, else built from the maps on first read, as are the effects.
+    The operator sum is the identity exactly when every column is held
+    once."""
     held = maps[maps >= 0]
-    defect = float(np.max(np.abs(np.bincount(held, minlength=dim) - 1)))
+    defect = float(np.max(np.abs(np.bincount(held, minlength=maps.shape[1]) - 1)))
     if defect > TRACE_PRESERVING_TOL:
         raise NotTracePreserving(
             f"sum of K^dag K deviates from identity by {defect:.6e} > {TRACE_PRESERVING_TOL}"
         )
-    effects = np.zeros((n_outcomes, dim, dim), dtype=complex)
-    effects[outcome, held, held] = 1.0
-    effects.setflags(write=False)
     maps.setflags(write=False)
-    return Instrument(tuple((k,) for k in kraus), tuple(effects), tuple(maps))
+    return Instrument(maps, None if kraus is None else ((k,) for k in kraus))
 
 
 def validate_instrument(kraus_sets) -> Instrument:
@@ -291,7 +323,7 @@ def validate_instrument(kraus_sets) -> Instrument:
         raise NotTracePreserving(
             f"sum of K^dag K deviates from identity by {defect:.6e} > {TRACE_PRESERVING_TOL}"
         )
-    return Instrument(tuple(normalized), tuple(effects), tuple(column_maps))
+    return Instrument(column_maps, normalized, effects)
 
 
 # --- Bloch parametrization (qubits) ------------------------------------------

@@ -32,11 +32,21 @@ from .qmath import (
 )
 
 
+def _kraus_count(sys: SystemModel) -> int:
+    """The most Kraus operators of any outcome, one for a column-mapped one,
+    so a column-mapped instrument's operators are not built to count them."""
+    return max(
+        1 if columns is not None else len(inst.kraus_sets[r])
+        for inst in sys.instruments
+        for r, columns in enumerate(inst.column_maps)
+    )
+
+
 def _check_walk(sys: SystemModel, L: int) -> None:
     """Refuse a simulation of length L whose last step would stack more than
     ``errors.MAX_TABLE_ENTRIES`` complex entries: R^L * K states of d x d, K
     the most Kraus operators of any outcome."""
-    n_k = max(len(ops) for inst in sys.instruments for ops in inst.kraus_sets)
+    n_k = _kraus_count(sys)
     R, d = sys.n_outcomes, sys.dim
     if exceeds_table_budget(R, L, n_k * d * d):
         what = f"a simulation step of R^L * K * d^2 = {R}^{L} * {n_k} * {d}^2 entries"
@@ -59,8 +69,7 @@ def _stacks(sys: SystemModel) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         c = np.array(maps)
         idx[:, :d] = np.where(c < 0, d, c)
         return idx.reshape(S, R, d + 1)
-    n_k = max(len(ops) for inst in sys.instruments for ops in inst.kraus_sets)
-    k = np.zeros((S, R, n_k, d, d), dtype=complex)
+    k = np.zeros((S, R, _kraus_count(sys), d, d), dtype=complex)
     for x, inst in enumerate(sys.instruments):
         for r, ops in enumerate(inst.kraus_sets):
             k[x, r, : len(ops)] = ops
@@ -80,11 +89,15 @@ def _root(sys: SystemModel, stack) -> np.ndarray:
 
 def _step(states: np.ndarray, stack, settings: slice) -> np.ndarray:
     """All children of the states (..., d, d) under the instruments of
-    ``settings``, as (g, ..., R, d, d): entry [x, ..., r] is the child of
-    state [...] under the x-th of those settings with outcome r.  Each Kraus
-    operator maps a state to ``(K rho) K^dag``, and these are summed over k
-    in order from zeros, so every entry is bit-identical to applying the
-    operators of one outcome to one state at a time.
+    ``settings``, as (g, R, ..., d, d), newest outcome first: entry [x, r,
+    ...] is the child of state [...] under the x-th of those settings with
+    outcome r.  Each Kraus operator maps a state to ``(K rho) K^dag``, made
+    by two stacked products: the node's g * R * K operators stacked along
+    rows times each state, (g R K d, d) @ (d, d), then, regrouped per
+    operator, the n states stacked along rows times its adjoint, (n d, d) @
+    (d, d), in one batched product.  These are summed over k in order from
+    zeros, so every entry is bit-identical to applying the operators of one
+    outcome to one state at a time.
 
     With a gather stack the states are padded diagonals (..., d + 1) and
     each child is one ``np.take``.  A 0/1 partial permutation K maps a
@@ -94,24 +107,35 @@ def _step(states: np.ndarray, stack, settings: slice) -> np.ndarray:
     with -0.0 made +0.0, which :func:`_root` did once for all."""
     if isinstance(stack, np.ndarray):
         # the taken axes (g, R, d + 1) follow the k outcome axes of the
-        # states; the settings axis is moved first as np.moveaxis would
+        # states; the settings and outcome axes are moved first
         k = states.ndim - 1
-        return np.take(states, stack[settings], axis=-1).transpose(k, *range(k), k + 1, k + 2)
-    k, k_dag = (a[(settings,) + (None,) * (states.ndim - 2)] for a in stack)
-    branches = (k @ states[..., None, None, :, :]) @ k_dag
-    out = branches[..., 0, :, :] + 0.0  # the sum from zeros: +0.0 + b == b + 0.0
-    for j in range(1, k.shape[-3]):
-        out += branches[..., j, :, :]
+        return np.take(states, stack[settings], axis=-1).transpose(k, k + 1, *range(k), k + 2)
+    k, k_dag = (a[settings] for a in stack)
+    prefix, d = states.shape[:-2], states.shape[-1]
+    n = states.size // (d * d)
+    # (n, g R K d, d): one product per state; then (g R K, n d, d), one copy
+    first = k.reshape(-1, d) @ states.reshape(n, d, d)
+    regrouped = first.reshape(n, -1, d, d).swapaxes(0, 1).reshape(-1, n * d, d)
+    del first
+    branches = (regrouped @ k_dag.reshape(-1, d, d)).reshape(k.shape[:3] + prefix + (d, d))
+    del regrouped
+    out = branches[:, :, 0] + 0.0  # the sum from zeros: +0.0 + b == b + 0.0
+    for j in range(1, k.shape[2]):
+        out += branches[:, :, j]
     return out
 
 
 def _traces(children: np.ndarray, stack) -> np.ndarray:
-    """Real traces of the children of :func:`_step` over their last (d, d)
-    or, for a gather stack, over their diagonal without its pad: the same
-    sum over the same d entries as ``np.trace``."""
+    """Table rows (g, R^t) of the children (g, R, ..., d, d) of
+    :func:`_step`: their real traces over the last (d, d) or, for a gather
+    stack, over their diagonal without its pad (the same sum over the same
+    d entries as ``np.trace``), with the outcome axes turned from newest
+    first into table order, oldest first."""
     if isinstance(stack, np.ndarray):
-        return children[..., :-1].sum(axis=-1).real
-    return np.trace(children, axis1=-2, axis2=-1).real
+        traces = children[..., :-1].sum(axis=-1).real
+    else:
+        traces = np.trace(children, axis1=-2, axis2=-1).real
+    return traces.transpose(0, *range(traces.ndim - 1, 0, -1)).reshape(len(traces), -1)
 
 
 def _settings_per_step(states: np.ndarray, stack) -> int:
@@ -140,7 +164,7 @@ def _walk(states, depth, row, stack, table) -> None:
         children = _step(states, stack, slice(first, first + group))
         rows = row * n_settings + first
         if depth == 1:
-            table[rows : rows + len(children)] = _traces(children, stack).reshape(len(children), -1)
+            table[rows : rows + len(children)] = _traces(children, stack)
         else:
             for x, child in enumerate(children):
                 _walk(child, depth - 1, rows + x, stack, table)
@@ -151,10 +175,13 @@ def run_sequence(sys: SystemModel, settings) -> np.ndarray:
     read-only float array indexed by the outcome sequence in base R.
 
     Chains the per-outcome Kraus maps on subnormalized states, never
-    renormalizing mid-sequence, so zero-probability branches stay exact; a
-    system whose every outcome has a column map chains diagonals only (see
-    :func:`_step`).  Raises :class:`TableTooLarge` when the last step would
-    stack more than ``errors.MAX_TABLE_ENTRIES`` entries.
+    renormalizing mid-sequence, so zero-probability branches stay exact.
+    Each step applies the setting's operators to the states of every outcome
+    prefix by two stacked products and puts the newest outcome first; the
+    last traces are turned into table order once.  A system whose every
+    outcome has a column map chains diagonals only (see :func:`_step`).
+    Raises :class:`TableTooLarge` when the last step would stack more than
+    ``errors.MAX_TABLE_ENTRIES`` entries.
     """
     settings = tuple(int(x) for x in settings)
     if not settings:
@@ -167,18 +194,21 @@ def run_sequence(sys: SystemModel, settings) -> np.ndarray:
     stack = _stacks(sys)
     states = _root(sys, stack)
     for x in settings:
-        states = _step(states, stack, slice(x, x + 1))[0]
-    return _frozen(_traces(states, stack).reshape(-1))
+        children = _step(states, stack, slice(x, x + 1))
+        states = children[0]
+    return _frozen(_traces(children, stack)[0])
 
 
 def full_behavior(sys: SystemModel, L: int) -> Behavior:
     """Behavior of length-L sequences; repeated settings reuse the identical
     instrument.  One depth-first walk of the setting tree computes every
-    shared prefix state once, and each node steps all its settings in one
-    stacked product, or in as few as the table budget allows.  A system
-    whose every outcome has a column map (realized mixtures and vertices,
-    the canonical protocols) walks diagonals of d + 1 entries instead of
-    d x d states, since its table needs only traces.  Raises
+    shared prefix state once, and each node steps all its settings at once,
+    or in as few groups as the table budget allows, by two stacked products
+    with the newest outcome first (see :func:`_step`); the leaves turn their
+    real traces into table order once.  A system whose every outcome has a
+    column map (realized mixtures and vertices, the canonical protocols)
+    walks diagonals of d + 1 entries instead of d x d states, since its
+    table needs only traces.  Raises
     :class:`TableTooLarge` when the table, or the states of the walk's last
     step, would have more than ``errors.MAX_TABLE_ENTRIES`` entries."""
     if L < 1:
@@ -227,10 +257,12 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     outcome of history ``(x,)``, slot s+1 that of ``(s, x)``.  Result r of x
     has the Kraus operator ``sum_j [slot_j(e) = r] |start_e + pi(j)><start_e + j|``
     summed over blocks, pi the swap of levels 0 and x+1.  The slot positions
-    and swaps of every setting are built once per S; the column maps and
-    Kraus operators of all settings are written by one scatter each.  Raises
-    :class:`TableTooLarge` before any allocation when the S * R operators
-    would hold more than ``errors.MAX_TABLE_ENTRIES`` entries.
+    and swaps of every setting are built once per S; the column maps of all
+    settings are written by one scatter, and each instrument holds its maps
+    only, building its dense operators and effects on first read (see
+    :class:`~tempocorr.qmath.Instrument`).  Raises :class:`TableTooLarge`
+    before any allocation when the S * R operators would hold more than
+    ``errors.MAX_TABLE_ENTRIES`` entries.
     """
     kept = decomp.weights > 0.0
     if not kept.any():
@@ -258,12 +290,8 @@ def mixture_realization(decomp: ConvexDecomposition) -> SystemModel:
     settings = np.arange(s.S)[:, None]
     maps = np.full((s.S, s.R, dim), -1)
     maps[settings, slots, rows] = columns
-    kraus = np.zeros((s.S, s.R, dim, dim), dtype=complex)
-    kraus[settings, slots, rows, columns] = 1.0
     maps.setflags(write=False)
-    kraus.setflags(write=False)
-    instruments = tuple(instrument_from_column_maps(m, k) for m, k in zip(maps, kraus))
-    return SystemModel(DensityMatrix(initial), instruments)
+    return SystemModel(DensityMatrix(initial), tuple(map(instrument_from_column_maps, maps)))
 
 
 # --- canonical protocols ----------------------------------------------------------

@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -506,6 +508,72 @@ class TestColumnMapInstruments:
         assert hashlib.sha256(text).hexdigest() == digest
 
 
+class TestDeferredViews:
+    """A realized mixture holds the column maps of its instruments and
+    builds their dense operators and effects only when one is read."""
+
+    @pytest.fixture(scope="class")
+    def decomp(self):
+        b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(0), Scenario(2, 2, 3)))
+        return decompose_behavior(b)
+
+    def test_realization_peaks_below_one_dense_stack(self, decomp):
+        system = mixture_realization(decomp)
+        tracemalloc.start()
+        try:
+            mixture_realization(decomp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # dimension 88: a dense (S, R, d, d) complex stack takes 743,424 bytes
+        S, R, d = system.n_settings, system.n_outcomes, system.dim
+        assert d == 88
+        assert peak < S * R * d * d * 16
+
+    def test_views_built_on_first_read(self, decomp):
+        system = mixture_realization(decomp)
+        assert realize._kraus_count(system) == 1
+        digest = hashlib.sha256()
+        for inst in system.instruments:
+            kraus_sets, effects = inst.kraus_sets, inst.effects
+            assert inst.kraus_sets is kraus_sets and inst.effects is effects
+            for ops, effect in zip(kraus_sets, effects, strict=True):
+                assert len(ops) == 1 and not ops[0].flags.writeable and not effect.flags.writeable
+                assert_same_bits(effect, dense_effect(ops))
+                digest.update(ops[0].tobytes())
+            for effect in effects:
+                digest.update(effect.tobytes())
+        # the operators and effects that realized mixtures stored densely
+        assert digest.hexdigest() == "764fdc9a4304f5a8c5e6e153d61cc91b740aebdb923f373f806ceaf8905f5a9f"
+
+    def test_racing_first_reads_share_the_views(self, decomp):
+        # threads released together at a short switch interval read the
+        # views of fresh instruments: every thread gets the same objects
+        n_threads, rounds = 8, 20
+        barrier = threading.Barrier(n_threads)
+        seen = [[] for _ in range(n_threads)]
+        systems = [mixture_realization(decomp) for _ in range(rounds)]
+
+        def read(i):
+            for system in systems:
+                barrier.wait(timeout=30)
+                seen[i].append([(id(inst.kraus_sets), id(inst.effects)) for inst in system.instruments])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(ids) == rounds for ids in seen)
+        assert all(ids == seen[0] for ids in seen)
+
+
 class TestDecompositionPins:
     """The bytes ``tempocorr decompose --out`` writes for seeded members, so
     that a change of the peel's output fails here and not only downstream."""
@@ -751,6 +819,21 @@ class TestSimulationParity:
     def test_canonical_protocols(self, name, L):
         proto = canonical_protocols()[name]
         assert_same_bits(full_behavior(proto, L).table, reference_full_behavior(proto, L))
+
+    @pytest.mark.parametrize(
+        "d, S, R, K, L",
+        [(1, 2, 2, 1, 3), (5, 2, 3, 2, 3), (7, 3, 2, 3, 2), (9, 2, 2, 2, 3), (16, 2, 2, 2, 2), (17, 2, 2, 3, 2)],
+    )
+    def test_odd_and_large_dimensions(self, d, S, R, K, L):
+        # the stacked products of a dense step against one pair at a time,
+        # at odd d and above 8, where BLAS kernels split a product by edge
+        # cases that ``ragged_systems`` (d 2-4) does not reach
+        rng = np.random.default_rng(1000 + d)
+        system = random_system_model(rng, d, S, R, K)
+        assert not isinstance(realize._stacks(system), np.ndarray)
+        assert_same_bits(full_behavior(system, L).table, reference_full_behavior(system, L))
+        path = tuple(int(x) for x in rng.integers(S, size=L))
+        assert_same_bits(run_sequence(system, path), reference_run_sequence(system, path))
 
 
 def ragged_dense_system():
