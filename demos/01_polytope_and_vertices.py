@@ -28,13 +28,15 @@ for L, R, S in [(1, 2, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (4, 2, 2)
     print(f"  P_{L}^({R},{S}): {count_vertices(scenario)} extreme points")
 
 scenario = Scenario(2, 2, 2)
-vertices = enumerate_vertices(scenario)
-print(f"\nenumerated {len(vertices)} vertices of the (2,2,2) polytope;")
+vertices = enumerate_vertices(scenario)  # row k: vertex k's outcome per setting history
+print(f"\nenumerated {len(vertices)} vertices of the (2,2,2) polytope, "
+      f"one outcome for each of its {vertices.shape[1]} setting histories;")
 print(f"formula agrees: {count_vertices(scenario) == len(vertices)}")
 
 print("\n=== the four vertices no qubit reaches ===")
 for name in ("e1", "e2", "e3", "e4"):
     v = named_vertex(name)
+    assert tuple(vertices[v.index]) == v.outcomes
     b = vertex_behavior(v)
     units = [
         f"p({a}{bb}|{x}{y})"

@@ -5,11 +5,14 @@ realize.  Every run is deterministic given its flags; all randomness flows
 from --seed (default 1729).  Exit codes are a stable scripting contract:
 0 success, 1 parameter out of range, an --out file that cannot be written
 (one line, error: cannot write <path>: <reason>) or another library error,
-2 size cap exceeded (vertices: vertex count above --cap; simulate: behavior
-table or the states of its last step, realize: Kraus entries of the system,
-bounds: profile table, optimize: the restarts' initial simplices of 6 * 5
-entries each (so more than 34,952 restarts) or one row of the functional's
-per-term table, each above errors.MAX_TABLE_ENTRIES), 3 schema violation,
+2 size cap exceeded (vertices: vertex count above --cap, with --out or
+--classify its count * n_contexts outcomes above errors.MAX_VERTEX_ENTRIES;
+vertices --classify: the relabeling group's S! * (R!)^S elements, simulate:
+behavior table or the states of its last step, realize: Kraus entries of the
+system, bounds: profile table, optimize: the restarts' initial simplices of
+6 * 5 entries each (so more than 34,952 restarts) or one row of the
+functional's per-term table, each above errors.MAX_TABLE_ENTRIES; every
+check runs before the allocation it guards), 3 schema violation,
 or an input file that is missing, unreadable or not JSON, 4 behavior not
 in the polytope, 5 outside the implemented scope (sequence length != 2),
 64 usage error.
@@ -94,18 +97,15 @@ def cmd_vertices(args) -> int:
     shown = correlations.vertex_count_text(scenario)
     if count > cap:
         raise TooManyVertices(count, cap, shown)
-    out = {"L": args.L, "R": args.R, "S": args.S, "count": count}
-    if args.out:  # the summary needs only the count
-        vertices = correlations.enumerate_vertices(scenario, cap=cap)
-        out["vertices"] = [serialize.vertex_to_json(v)["assignment"] for v in vertices]
+    # every size check runs before the first line is printed; the summary needs only the count
+    classes = correlations.classify_vertices(scenario, cap=cap) if args.classify else None
+    outcomes = correlations.enumerate_vertices(scenario, cap=cap) if args.out else None
     print(f"scenario (L={args.L}, R={args.R}, S={args.S}): {shown} vertices")
-    if args.classify:
-        classes = correlations.classify_vertices(scenario, cap=cap)
-        out["orbits"] = [list(orb) for orb in classes.orbits]
+    if classes is not None:
         sizes = sorted((len(o) for o in classes.orbits), reverse=True)
         print(f"{classes.n_orbits} relabeling classes (sizes {sizes})")
     if args.out:
-        _write(args.out, serialize.dumps(out))
+        _write(args.out, serialize.vertices_text(scenario, outcomes, classes.orbits if classes else None))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -304,6 +304,8 @@ def cmd_realize(args) -> int:
         raise UnsupportedLength(f"realization is implemented for L=2 only, got L={args.L}")
     if args.decomposition:
         decomp = serialize.decomposition_from_json(_load_json(args.decomposition))
+        system = realize.mixture_realization(decomp)
+        target = correlations.mixture_behavior(decomp)
     else:
         scenario = correlations.Scenario(2, args.R, args.S)
         if args.vertex in correlations.QUBIT_UNREACHABLE_UNIT_ENTRIES:
@@ -321,9 +323,8 @@ def cmd_realize(args) -> int:
                 last = correlations.vertex_count_text(scenario, -1)
                 raise SchemaError("vertex", f"index {index} outside 0..{last}")
             vertex = correlations.DeterministicVertex.from_index(scenario, index)
-        decomp = correlations.ConvexDecomposition(((1.0, vertex),))
-    system = realize.mixture_realization(decomp)
-    target = correlations.mixture_behavior(decomp)
+        system = realize.qutrit_vertex_realization(vertex)
+        target = correlations.vertex_behavior(vertex)
 
     resim = realize.full_behavior(system, 2)
     dev = float(np.max(np.abs(resim.table - target.table)))

@@ -31,10 +31,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    MAX_VERTEX_ENTRIES,
     NotAMember,
     ShapeMismatch,
+    TableTooLarge,
     TooManyVertices,
     UnnormalizedConditional,
+    exceeds_table_budget,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -471,27 +474,32 @@ def vertex_count_text(scenario: Scenario, offset: int = 0) -> str:
 
 
 def _capped_count(scenario: Scenario, cap: int) -> int:
+    """The vertex count, refused above ``cap`` or when the vertex set's
+    outcomes would exceed ``errors.MAX_VERTEX_ENTRIES``."""
     n = count_vertices(scenario)
     if n > cap:
         raise TooManyVertices(n, cap, vertex_count_text(scenario))
+    if n * scenario.n_contexts > MAX_VERTEX_ENTRIES:
+        what = f"a vertex set of {vertex_count_text(scenario)} * {scenario.n_contexts} outcomes"
+        raise TableTooLarge(what, (scenario.L, scenario.R, scenario.S), MAX_VERTEX_ENTRIES)
     return n
 
 
-def enumerate_vertices(
-    scenario: Scenario, cap: int = DEFAULT_VERTEX_CAP
-) -> list[DeterministicVertex]:
-    """All vertices in lexicographic assignment order; raises
-    :class:`TooManyVertices` above ``cap`` before allocating."""
+def enumerate_vertices(scenario: Scenario, cap: int = DEFAULT_VERTEX_CAP) -> np.ndarray:
+    """All vertices in lexicographic order, as the read-only (n, n_contexts)
+    outcome array whose row k is vertex k's assignment; see
+    :func:`_capped_count` for what is refused before allocating."""
     k = np.arange(_capped_count(scenario, cap))
     out = np.empty((len(k), scenario.n_contexts), dtype=np.min_scalar_type(scenario.R))
     for c in range(scenario.n_contexts - 1, -1, -1):
         k, out[:, c] = np.divmod(k, scenario.R)
-    return [DeterministicVertex(scenario, row) for row in out.tolist()]
+    out.setflags(write=False)
+    return out
 
 
 def vertex_behavior(v: DeterministicVertex) -> Behavior:
     """The 0/1 probability table induced by a deterministic assignment."""
-    return mixture_behavior(ConvexDecomposition(((1.0, v),)))
+    return mixture_behavior(ConvexDecomposition(v.scenario, [1.0], [v.outcomes]))
 
 
 # The four vertices of the (2,2,2) scenario that no qubit reaches; their unit
@@ -535,7 +543,12 @@ class RelabelingGroup:
     @classmethod
     def full(cls, scenario: Scenario) -> "RelabelingGroup":
         """All setting permutations combined with independent per-setting
-        outcome permutations; order S! * (R!)^S."""
+        outcome permutations; order S! * (R!)^S, refused above
+        ``errors.MAX_TABLE_ENTRIES`` before any element is built."""
+        order = math.factorial(scenario.S) * math.factorial(scenario.R) ** scenario.S
+        if exceeds_table_budget(order):
+            what = f"a relabeling group of S! * (R!)^S = {scenario.S}! * {scenario.R}!^{scenario.S} elements"
+            raise TableTooLarge(what, (scenario.L, scenario.R, scenario.S))
         elems = tuple(
             (sp, ops)
             for sp in itertools.permutations(range(scenario.S))
@@ -586,6 +599,25 @@ def relabel_vertex(v: DeterministicVertex, element) -> DeterministicVertex:
     return DeterministicVertex(v.scenario, tuple(m[v.outcomes[i]] for i, m in zip(src, omap)))
 
 
+def relabel_behavior(b: Behavior, element) -> Behavior:
+    """Image of a behavior under one relabeling element, the image of each
+    vertex in its mixture: entry (x, a) is b's entry at the settings the
+    element sends to x, with each a_t undone by the outcome permutation of
+    the history x1..xt (see :func:`_relabel_action`)."""
+    s = b.scenario
+    src, omap = _relabel_action(s, element)
+    levels = tree_levels(s)
+    leaves = levels[-1].contexts
+    rows = np.array(src[leaves]) - leaves.start
+    undo = np.argsort(omap, axis=1)  # per context, the inverse outcome permutation
+    settings, outcomes = np.arange(s.n_setting_seqs)[:, None], np.arange(s.n_outcome_seqs)
+    cols = np.zeros((s.n_setting_seqs, s.n_outcome_seqs), dtype=np.int64)
+    for t, level in enumerate(levels, start=1):
+        history = level.contexts.start + settings // s.S ** (s.L - t)
+        cols = cols * s.R + undo[history, outcomes // s.R ** (s.L - t) % s.R]
+    return Behavior(s, b.table[rows[:, None], cols])
+
+
 @dataclass(frozen=True)
 class VertexClassification:
     """Orbit partition of the vertex set under a relabeling group.
@@ -614,11 +646,11 @@ def classify_vertices(
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> VertexClassification:
     """Partition all vertices into relabeling orbits (full group by default)."""
+    n = _capped_count(scenario, cap)
     if group is None:
         group = RelabelingGroup.full(scenario)
     if group.scenario != scenario:
         raise ShapeMismatch("relabeling group belongs to a different scenario")
-    n = _capped_count(scenario, cap)
     actions = [_relabel_action(scenario, element) for element in group.elements]
 
     orbits = []
@@ -639,67 +671,45 @@ def classify_vertices(
 
 # --- convex decomposition ---------------------------------------------------------
 
-def _check_weights(weights: np.ndarray, mixed_at: int) -> None:
-    """Refuse the first term, in term order, whose weight is not finite or
-    is negative, or (at ``mixed_at``) whose vertex is of another scenario;
-    then weights whose sum, taken term by term from 0.0, is off 1."""
+def _check_weights(weights: np.ndarray) -> None:
+    """Refuse the first weight, in term order, that is not finite or is
+    negative; then weights whose sum, taken term by term from 0.0, is off 1."""
     bad = np.flatnonzero(~np.isfinite(weights) | (weights < -ZERO_MEASURE_TOL))
-    first = int(bad[0]) if bad.size else len(weights)
-    if mixed_at < first:
-        raise ShapeMismatch("decomposition mixes vertices of different scenarios")
     if bad.size:
-        w = float(weights[first])
+        w = float(weights[bad[0]])
         raise ShapeMismatch(f"weight {w!r} is not finite" if not math.isfinite(w) else f"negative weight {w!r}")
     total = reduce(operator.add, weights.tolist(), 0.0)
     if abs(total - 1.0) > MEMBERSHIP_TOL:
         raise ShapeMismatch(f"weights sum to {total!r}, not 1")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class ConvexDecomposition:
     """Convex combination of deterministic vertices, held as two read-only
-    arrays: ``weights`` of shape (n,), and ``outcomes`` of shape
-    (n, n_contexts) whose row k is the assignment of vertex k, as in
-    :class:`DeterministicVertex`.  Built from ``(weight, vertex)`` pairs or
-    by :meth:`from_arrays`; :attr:`terms` builds a vertex when one is read."""
+    arrays, copied and checked once: ``weights`` of shape (n,), and
+    ``outcomes`` of shape (n, n_contexts) whose row k is the assignment of
+    vertex k, checked as a :class:`DeterministicVertex`'s is; :attr:`terms`
+    builds a vertex when one is read."""
 
     scenario: Scenario
     weights: np.ndarray
     outcomes: np.ndarray
 
-    def __init__(self, terms):
-        terms = tuple((float(w), v) for w, v in terms)
-        if not terms:
-            raise ShapeMismatch("decomposition needs at least one vertex")
-        s = terms[0][1].scenario
-        mixed = next((k for k, (_w, v) in enumerate(terms) if v.scenario != s), len(terms))
-        weights = np.array([w for w, _v in terms])
-        _check_weights(weights, mixed)
-        self._hold(s, weights, [v.outcomes for _w, v in terms])
-
-    @classmethod
-    def from_arrays(cls, scenario: Scenario, weights, outcomes) -> "ConvexDecomposition":
-        """Decomposition of the given weights (n,) and assignments
-        (n, n_contexts), each assignment checked as a vertex's is."""
-        weights, outcomes = np.asarray(weights, dtype=float), np.asarray(outcomes)
+    def __post_init__(self):
+        s = self.scenario
+        weights, outcomes = np.asarray(self.weights, dtype=float), np.asarray(self.outcomes)
         if not weights.size:
             raise ShapeMismatch("decomposition needs at least one vertex")
         if outcomes.ndim != 2 or weights.shape != (len(outcomes),):
             raise ShapeMismatch(f"weights of shape {weights.shape} do not fit assignments of shape {outcomes.shape}")
-        if outcomes.shape[1] != scenario.n_contexts:
-            raise ShapeMismatch(f"assignment has {outcomes.shape[1]} entries, expected {scenario.n_contexts}")
-        if outcomes.min() < 0 or outcomes.max() >= scenario.R:
+        if outcomes.shape[1] != s.n_contexts:
+            raise ShapeMismatch(f"assignment has {outcomes.shape[1]} entries, expected {s.n_contexts}")
+        if outcomes.min() < 0 or outcomes.max() >= s.R:
             raise ShapeMismatch("assignment contains an out-of-range outcome")
-        _check_weights(weights, len(weights))
-        decomp = cls.__new__(cls)
-        decomp._hold(scenario, weights, outcomes)
-        return decomp
-
-    def _hold(self, scenario: Scenario, weights, outcomes) -> None:
-        weights, outcomes = np.array(weights), np.array(outcomes, dtype=np.min_scalar_type(scenario.R))
+        _check_weights(weights)
+        weights, outcomes = np.array(weights), np.array(outcomes, dtype=np.min_scalar_type(s.R))
         weights.setflags(write=False)
         outcomes.setflags(write=False)
-        object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -805,4 +815,4 @@ def decompose_behavior(b: Behavior) -> ConvexDecomposition:
         weights[n] = w
         n += 1
     total = sum(weights[:n].tolist())
-    return ConvexDecomposition.from_arrays(s, weights[:n] / total, outcomes[:n])
+    return ConvexDecomposition(s, weights[:n] / total, outcomes[:n])

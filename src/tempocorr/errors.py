@@ -9,6 +9,14 @@ from __future__ import annotations
 # and per-term rows; every check reads it here as it runs.
 MAX_TABLE_ENTRIES = 1 << 20
 
+# Largest vertex set enumerated: count * n_contexts outcomes, written by
+# ``vertices --out`` or walked by ``--classify``, checked before any
+# allocation.  Every scenario under the default vertex cap fits; of
+# (2,3,3)'s 531,441 vertices, 6,377,292 entries, and of (1,2,19)'s,
+# 9,961,472.  The relabeling group of ``--classify``, S! * (R!)^S elements,
+# stays within MAX_TABLE_ENTRIES.
+MAX_VERTEX_ENTRIES = 1 << 24
+
 
 def exceeds_table_budget(base: int, L: int = 1, factor: int = 1) -> bool:
     """Whether ``factor * base**L`` exceeds ``MAX_TABLE_ENTRIES``; a base of
@@ -86,11 +94,12 @@ class TooManyVertices(TempocorrError):
 
 
 class TableTooLarge(TempocorrError):
-    """A table or matrix stack would exceed ``MAX_TABLE_ENTRIES``, read into
-    ``cap`` when raised; ``shape`` is its scenario (L, R, S), if any."""
+    """A table or matrix stack would exceed ``cap``, by default
+    ``MAX_TABLE_ENTRIES`` read when raised; ``shape`` is its scenario
+    (L, R, S), if any."""
 
-    def __init__(self, what, shape=None):
-        self.cap = MAX_TABLE_ENTRIES
+    def __init__(self, what, shape=None, cap=None):
+        self.cap = MAX_TABLE_ENTRIES if cap is None else cap
         super().__init__(f"{what} exceeds the cap {self.cap}")
         self.shape = shape
 

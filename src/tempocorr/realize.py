@@ -231,7 +231,7 @@ def qutrit_vertex_realization(v: DeterministicVertex) -> SystemModel:
     """Exact realization of a length-2 vertex on an (S+1)-level system: the
     one-term :func:`mixture_realization`.  The realized behavior is 0/1
     exactly (up to floating-point roundoff)."""
-    return mixture_realization(ConvexDecomposition(((1.0, v),)))
+    return mixture_realization(ConvexDecomposition(v.scenario, [1.0], [v.outcomes]))
 
 
 @lru_cache(maxsize=16)

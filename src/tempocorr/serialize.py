@@ -20,7 +20,6 @@ import numpy as np
 from .correlations import (
     Behavior,
     ConvexDecomposition,
-    DeterministicVertex,
     Scenario,
     context_order,
     context_position,
@@ -225,8 +224,33 @@ def _assignment_to_json(scenario: Scenario, outcomes) -> dict[str, int]:
     return out
 
 
-def vertex_to_json(v: DeterministicVertex) -> dict:
-    return {**_scenario_to_json(v.scenario), "assignment": _assignment_to_json(v.scenario, v.outcomes)}
+_VERTEX_BLOCK = 4096  # vertex rows formatted, and written as text, at once
+
+
+def vertices_text(scenario: Scenario, outcomes: np.ndarray, orbits=None):
+    """The text of ``dumps`` of the vertex list (``L``, ``R``, ``S``,
+    ``count``, ``orbits`` when given, and ``vertices``, the assignment of
+    each row of ``outcomes``), one block of rows at a time.  "vertices"
+    sorts last; a row's keys depend only on its outcomes before step L, so
+    each such key set is formatted once, with a ``%d`` per outcome in
+    sorted-key order."""
+    head = {**_scenario_to_json(scenario), "count": len(outcomes)}
+    if orbits is not None:
+        head["orbits"] = orbits
+    yield dumps(head)[: -len("\n}\n")] + ',\n  "vertices": [\n'
+    inner = scenario.n_contexts - scenario.S**scenario.L
+    _, first, key_set = np.unique(outcomes[:, :inner], axis=0, return_index=True, return_inverse=True)
+    forms, orders = [], []
+    for row in outcomes[first].tolist():
+        keys = list(_assignment_to_json(scenario, row))
+        orders.append(sorted(range(len(keys)), key=keys.__getitem__))
+        forms.append("    {\n" + ",\n".join(f"      {json.dumps(keys[c])}: %d" for c in orders[-1]) + "\n    }")
+    orders, key_set = np.array(orders), key_set.reshape(-1)
+    for start in range(0, len(outcomes), _VERTEX_BLOCK):
+        ids = key_set[start : start + _VERTEX_BLOCK]
+        rows = np.take_along_axis(outcomes[start : start + _VERTEX_BLOCK], orders[ids], axis=1)
+        yield (",\n" if start else "") + ",\n".join([forms[k] % tuple(row) for k, row in zip(ids.tolist(), rows.tolist())])
+    yield "\n  ]\n}\n"
 
 
 def _assignment_from_json(scenario: Scenario, data, path: str) -> list[int]:
@@ -244,11 +268,6 @@ def _assignment_from_json(scenario: Scenario, data, path: str) -> list[int]:
     if len(data) != scenario.n_contexts:
         raise SchemaError(path, f"expected {scenario.n_contexts} contexts, got {len(data)}")
     return outcomes
-
-
-def vertex_from_json(data) -> DeterministicVertex:
-    scenario = _scenario_from_json(data)
-    return DeterministicVertex(scenario, _assignment_from_json(scenario, data.get("assignment"), "assignment"))
 
 
 def decomposition_to_json(d: ConvexDecomposition) -> dict:
@@ -271,7 +290,7 @@ def decomposition_from_json(data) -> ConvexDecomposition:
         weights.append(_number(entry.get("weight"), f"terms[{i}].weight"))
         outcomes.append(_assignment_from_json(scenario, entry.get("assignment"), f"terms[{i}].assignment"))
     try:
-        return ConvexDecomposition.from_arrays(scenario, weights, outcomes)
+        return ConvexDecomposition(scenario, weights, outcomes)
     except TempocorrError as exc:
         raise SchemaError("terms", str(exc)) from exc
 

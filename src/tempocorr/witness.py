@@ -28,7 +28,9 @@ from . import errors
 from .correlations import (
     QUBIT_UNREACHABLE_UNIT_ENTRIES,
     Behavior,
+    RelabelingGroup,
     Scenario,
+    relabel_behavior,
     require_member,
 )
 from .errors import (
@@ -1304,7 +1306,11 @@ def certify(b: Behavior) -> CertificationReport:
 
     B1 and B3 are compared against their analytic qubit bounds; B2 and B4
     against their numerically supported maxima, with the proven caps 3.5 and
-    2 + sqrt(2) reserved for certified statements.
+    2 + sqrt(2) reserved for certified statements.  A qubit reaches a
+    behavior exactly when it reaches each of its images under relabeling, so
+    the overall verdict and certified epsilon are the largest over the
+    witnesses on all eight images under ``RelabelingGroup.full``; the entries
+    are those of the behavior itself.
     """
     if b.scenario != Scenario(2, 2, 2):
         raise ScenarioMismatch(f"certification needs the (2,2,2) scenario, got {b.scenario}")
@@ -1318,29 +1324,29 @@ def certify(b: Behavior) -> CertificationReport:
         ("B4", c3, "numerically supported", B4_ANALYTIC_CAP),
     )
     functionals = builtin_functionals()
-    entries = []
-    for name, bound, kind, cap in plan:
-        value = evaluate(functionals[name], b)
-        # a member's entries may each stray 1e-9, so its value may leave [0, 4]; the
-        # epsilon arithmetic clamps it to the range epsilon_lower_bound accepts
-        at_edge = min(max(value, -1e-9), 4.0 + 1e-9)
-        eps = epsilon_lower_bound(at_edge, bound)
-        eps_cert = epsilon_lower_bound(at_edge, cap)
-        entries.append(
-            WitnessVerdict(
-                name=name,
-                value=value,
-                bound=bound,
-                bound_kind=kind,
-                analytic_cap=cap,
-                violates_bound=value > bound + VERDICT_TOL,
-                certified_dimension_above_2=value > cap + VERDICT_TOL,
-                epsilon_lower=eps.lower,
-                epsilon_cap=eps.cap,
-                epsilon_certified=eps_cert.lower,
-            )
-        )
-    certified = [e for e in entries if e.certified_dimension_above_2]
-    verdict = "dimension > 2" if certified else "qubit-compatible"
-    eps_overall = max((e.epsilon_certified for e in entries), default=0.0)
-    return CertificationReport(b.scenario, tuple(entries), verdict, eps_overall, VERDICT_TOL)
+    # the identity comes first
+    images = [relabel_behavior(b, g) for g in RelabelingGroup.full(b.scenario).elements]
+    every = [_witness_verdict(name, evaluate(functionals[name], image), bound, kind, cap)
+             for image in images for name, bound, kind, cap in plan]
+    verdict = "dimension > 2" if any(e.certified_dimension_above_2 for e in every) else "qubit-compatible"
+    eps_overall = max(e.epsilon_certified for e in every)
+    return CertificationReport(b.scenario, tuple(every[: len(plan)]), verdict, eps_overall, VERDICT_TOL)
+
+
+def _witness_verdict(name: str, value: float, bound: float, kind: str, cap: float) -> WitnessVerdict:
+    # a member's entries may each stray 1e-9, so its value may leave [0, 4]; the
+    # epsilon arithmetic clamps it to the range epsilon_lower_bound accepts
+    at_edge = min(max(value, -1e-9), 4.0 + 1e-9)
+    eps = epsilon_lower_bound(at_edge, bound)
+    return WitnessVerdict(
+        name=name,
+        value=value,
+        bound=bound,
+        bound_kind=kind,
+        analytic_cap=cap,
+        violates_bound=value > bound + VERDICT_TOL,
+        certified_dimension_above_2=value > cap + VERDICT_TOL,
+        epsilon_lower=eps.lower,
+        epsilon_cap=eps.cap,
+        epsilon_certified=epsilon_lower_bound(at_edge, cap).lower,
+    )

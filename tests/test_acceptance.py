@@ -12,6 +12,7 @@ import pytest
 
 from tempocorr import witness as w
 from tempocorr.correlations import (
+    DeterministicVertex,
     Scenario,
     check_membership,
     classify_vertices,
@@ -95,7 +96,8 @@ def test_criterion_03_vertex_realization_exactness():
     t0 = time.perf_counter()
     worst = 0.0
     for scenario in (Scenario(2, 2, 2), Scenario(2, 3, 2)):
-        for v in enumerate_vertices(scenario):
+        for row in enumerate_vertices(scenario):
+            v = DeterministicVertex(scenario, row)
             realized = full_behavior(qutrit_vertex_realization(v), 2)
             worst = max(worst, float(np.max(np.abs(realized.table - vertex_behavior(v).table))))
     elapsed = time.perf_counter() - t0

@@ -28,6 +28,7 @@ from tempocorr.correlations import (
     decompose_behavior,
     named_vertex,
     random_conditional_chain,
+    relabel_vertex,
     vertex_behavior,
 )
 from tempocorr.realize import canonical_protocols
@@ -95,6 +96,7 @@ class TestVertices:
             ((2, 2, 2), "bc2eb301e01bc4654e039922aea1a9ddf68989ad06a82e0088a94acaf7f53fd9"),
             ((3, 2, 2), "f6c5a95385905389dd18cb0da8c7adf5b8b98e5ac2cdcfdad729c2bc8c2c7bd1"),
             ((2, 2, 3), "bbbcd74ca28ec160cef82176e958d26b39094d55e66b476441cf69237bc2bea7"),
+            ((2, 3, 3), "0adec4bbcccc1b01fcf7fa82ca5649278ee3079f20d9b328bd250e18a9580a94"),
         ],
     )
     def test_out_file_pinned(self, capsys, tmp_path, dims, digest):
@@ -104,6 +106,33 @@ class TestVertices:
         code, out, _ = run(capsys, "vertices", *flags, "--out", str(out_file))
         assert code == 0 and out.endswith(f"wrote {out_file}\n")
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+    def test_vertex_set_past_the_budget_exits_2_before_allocation(self, capsys, tmp_path):
+        # 2^132 vertices fit under a cap of 10^50; their 132 outcomes each do not fit the budget
+        out_file = tmp_path / "v.json"
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "vertices", "--L", "2", "--R", "2", "--S", "11", "--cap", str(10**50), "--out", str(out_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "") and not out_file.exists()
+        assert err == (
+            "size cap exceeded: a vertex set of 5444517870735015415413993718908291383296 * 132 outcomes"
+            " exceeds the cap 16777216\n"
+        )
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("flags", [(), ("--out", "{out}")])
+    def test_relabeling_group_past_the_budget_exits_2_at_once(self, capsys, tmp_path, flags):
+        # 256 vertices, but 8! * 2^8 = 10,321,920 group elements
+        out_file = tmp_path / "v.json"
+        t0 = time.process_time()
+        flags = [f.format(out=out_file) for f in flags]
+        code, out, err = run(capsys, "vertices", "--L", "1", "--R", "2", "--S", "8", "--classify", *flags)
+        assert time.process_time() - t0 < 1.0
+        assert (code, out) == (2, "") and not out_file.exists()
+        assert err == "size cap exceeded: a relabeling group of S! * (R!)^S = 8! * 2!^8 elements exceeds the cap 1048576\n"
 
     def test_summary_enumerates_nothing(self, capsys, monkeypatch):
         from tempocorr import correlations
@@ -598,9 +627,9 @@ class TestDecomposeRealize:
     def test_too_many_terms_exit_2_before_allocation(self, capsys, tmp_path):
         # 1000 (2,2,2) terms would make 3000 x 3000 complex matrices of 144 MB each
         n = 1000
-        terms = tuple((1.0 / n, DeterministicVertex.from_index(Scenario(2, 2, 2), k % 64)) for k in range(n))
+        outcomes = [DeterministicVertex.from_index(Scenario(2, 2, 2), k % 64).outcomes for k in range(n)]
         decomp_file = tmp_path / "d.json"
-        decomp_file.write_text(se.dumps(se.decomposition_to_json(ConvexDecomposition(terms))))
+        decomp_file.write_text(se.dumps(se.decomposition_to_json(ConvexDecomposition(Scenario(2, 2, 2), [1.0 / n] * n, outcomes))))
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "realize", "--decomposition", str(decomp_file))
@@ -847,6 +876,21 @@ class TestMembersAtTheTolerance:
         assert "value: 4.0000000036" in out.splitlines()
         assert "verdict: dimension > 2" in out.splitlines()
         assert out.splitlines()[-1].startswith("overall: dimension > 2,")
+
+class TestWitnessUpToRelabeling:
+    def test_relabeled_e1_is_dimension_above_2(self, capsys, tmp_path):
+        # e1 with setting 1's outcomes swapped: no qubit reaches it, since
+        # swapping that setting's Kraus operators back would reach e1
+        swapped = relabel_vertex(named_vertex("e1"), ((0, 1), ((0, 1), (1, 0))))
+        path = tmp_path / "b.json"
+        path.write_text(se.dumps(se.behavior_to_json(vertex_behavior(swapped))))
+        code, out, err = run(capsys, "witness", "--behavior", str(path), "--functional", "B1")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        # the rows are the behavior's own; the overall verdict reads its images too
+        assert lines[:4] == ["functional: B1", "value: 1", "bound: 3 (analytic)", "verdict: qubit-compatible"]
+        assert lines[-1] == "overall: dimension > 2, certified epsilon >= 0.0833333333333"
+
 
 # Edge values a mutated leaf of an input file may take.
 EDGE_VALUES = (1e308, -1e308, 1e154, 5e-324, 0.0, -0.0, True, "1", [], {}, None)

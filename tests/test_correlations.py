@@ -29,13 +29,16 @@ from tempocorr.correlations import (
     mixture_behavior,
     named_vertex,
     random_conditional_chain,
+    relabel_behavior,
     relabel_vertex,
     uniform_behavior,
     vertex_behavior,
 )
+from tempocorr import errors
 from tempocorr.errors import (
     NotAMember,
     ShapeMismatch,
+    TableTooLarge,
     TooManyVertices,
     UnnormalizedConditional,
 )
@@ -112,10 +115,48 @@ class TestCounting:
         assert checked > 10
 
 
+class TestVertexArray:
+    @pytest.mark.parametrize("scenario", [Scenario(1, 3, 2), S222, Scenario(2, 3, 2), Scenario(3, 2, 2)])
+    def test_row_k_is_vertex_k(self, scenario):
+        outcomes = enumerate_vertices(scenario)
+        assert outcomes.shape == (count_vertices(scenario), scenario.n_contexts)
+        assert outcomes.dtype == np.uint8 and not outcomes.flags.writeable
+        for k in (0, 1, len(outcomes) // 3, len(outcomes) - 1):
+            assert DeterministicVertex(scenario, outcomes[k]) == DeterministicVertex.from_index(scenario, k)
+
+    def test_vertex_entries_refused_before_allocation(self):
+        # (2,2,11) has 2^132 vertices of 132 outcomes each; under a cap of 10^50,
+        # np.arange would fail on the count
+        with pytest.raises(TableTooLarge, match=r"vertex set of 5444517870735015415413993718908291383296 \* 132 outcomes exceeds the cap 16777216") as exc:
+            enumerate_vertices(Scenario(2, 2, 11), cap=10**50)
+        assert exc.value.cap == errors.MAX_VERTEX_ENTRIES and exc.value.shape == (2, 2, 11)
+        with pytest.raises(TableTooLarge, match="vertex set"):
+            classify_vertices(Scenario(3, 2, 3), cap=10**50)
+
+    def test_every_scenario_under_the_default_cap_fits(self):
+        # the most outcomes under 10^6 vertices: (1,2,19), 2^19 vertices of 19
+        for L, R, S in itertools.product(range(1, 5), range(2, 8), range(2, 20)):
+            s = Scenario(L, R, S)
+            if count_vertices(s) <= co.DEFAULT_VERTEX_CAP:
+                assert count_vertices(s) * s.n_contexts <= errors.MAX_VERTEX_ENTRIES, s
+
+    def test_relabeling_group_refused_before_it_is_built(self, monkeypatch):
+        # (2,3,3)'s group of 3! * 6^3 = 1,296 elements is built up to a budget of its order
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 1295)
+        with pytest.raises(TableTooLarge):
+            RelabelingGroup.full(Scenario(2, 3, 3))
+        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 1296)
+        assert RelabelingGroup.full(Scenario(2, 3, 3)).order == 1296
+        monkeypatch.undo()
+        # (1,2,8) has 256 vertices but 8! * 2^8 = 10,321,920 group elements
+        with pytest.raises(TableTooLarge, match=r"relabeling group of S! \* \(R!\)\^S = 8! \* 2!\^8 elements"):
+            classify_vertices(Scenario(1, 2, 8))
+
+
 class TestVertices:
     def test_length_one_vertices(self):
-        vertices = enumerate_vertices(Scenario(1, 2, 2))
-        tables = {tuple(vertex_behavior(v).table.reshape(-1)) for v in vertices}
+        s = Scenario(1, 2, 2)
+        tables = {tuple(vertex_behavior(DeterministicVertex(s, row)).table.reshape(-1)) for row in enumerate_vertices(s)}
         assert len(tables) == 4
 
     def test_named_vertices_are_pinned(self):
@@ -150,8 +191,8 @@ class TestVertices:
 
     def test_vertex_behaviors_distinct_and_members(self):
         seen = set()
-        for v in enumerate_vertices(S222):
-            b = vertex_behavior(v)
+        for row in enumerate_vertices(S222):
+            b = vertex_behavior(DeterministicVertex(S222, row))
             assert check_membership(b).is_member
             seen.add(b.table.tobytes())
         assert len(seen) == 64
@@ -424,6 +465,25 @@ class TestClassification:
             images = {relabel_vertex(rep, el).index for el in group.elements}
             assert images == set(orb)
 
+    @pytest.mark.parametrize("scenario", [S222, Scenario(2, 3, 2), Scenario(3, 2, 2), Scenario(1, 3, 3)])
+    def test_behavior_image_is_the_vertex_image(self, scenario):
+        outcomes, elements = enumerate_vertices(scenario), RelabelingGroup.full(scenario).elements
+        step = max(1, len(elements) // 72)  # every element of the smaller groups, 72 of (1,3,3)'s 1,296
+        picks = np.random.default_rng(11).choice(len(outcomes), size=min(len(outcomes), 12), replace=False)
+        for k in picks.tolist():
+            v = DeterministicVertex(scenario, outcomes[k])
+            for element in elements[k % step :: step]:
+                image = relabel_behavior(vertex_behavior(v), element)
+                assert np.array_equal(image.table, vertex_behavior(relabel_vertex(v, element)).table)
+
+    def test_behavior_image_of_a_mixture_is_the_mixture_of_images(self):
+        b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(5), Scenario(2, 3, 2)))
+        d = decompose_behavior(b)
+        for element in RelabelingGroup.full(d.scenario).elements[::7]:
+            images = [relabel_vertex(v, element).outcomes for _w, v in d.terms]
+            mixed = mixture_behavior(ConvexDecomposition(d.scenario, d.weights, images))
+            assert np.max(np.abs(relabel_behavior(b, element).table - mixed.table)) <= 1e-12
+
     def test_group_orders(self):
         assert RelabelingGroup.full(S222).order == 8
         assert RelabelingGroup.uniform_outcome(S222).order == 4
@@ -470,18 +530,12 @@ class TestDecomposition:
         assert np.max(np.abs(recon.table - b.table)) < 1e-9
 
     def test_weights_validated(self):
+        e1 = named_vertex("e1").outcomes
         with pytest.raises(ShapeMismatch):
-            ConvexDecomposition(((0.5, named_vertex("e1")),))
-        e1 = named_vertex("e1")
+            ConvexDecomposition(S222, [0.5], [e1])
         for w in (float("nan"), float("inf")):
             with pytest.raises(ShapeMismatch, match="not finite"):
-                ConvexDecomposition(((w, e1), (-w, e1), (1.0, e1)))
-
-    def test_vertices_share_one_scenario(self):
-        # same number of contexts as (2,2,2), different table shape
-        other = DeterministicVertex(Scenario(1, 2, 6), (0,) * 6)
-        with pytest.raises(ShapeMismatch, match="different scenarios"):
-            ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, other)))
+                ConvexDecomposition(S222, [w, -w, 1.0], [e1] * 3)
 
     def test_outcome_for_rejects_foreign_history(self):
         with pytest.raises(ShapeMismatch):
@@ -565,9 +619,9 @@ def reference_decompose(b):
         if w <= ZERO_MEASURE_TOL:
             break
         residual[support] -= w
-        terms.append((w, DeterministicVertex(s, outcomes[0].tolist())))
-    total = sum(w for w, _v in terms)
-    return ConvexDecomposition(tuple((w / total, v) for w, v in terms))
+        terms.append((w, outcomes[0].tolist()))
+    total = sum(w for w, _a in terms)
+    return ConvexDecomposition(s, [w / total for w, _a in terms], [a for _w, a in terms])
 
 
 def reference_mixture(decomp):
@@ -734,10 +788,7 @@ def repeating_decompositions(draw):
     n = draw(st.integers(2, 12))
     w = rng.random(n)
     w /= w.sum()
-    picks = rng.integers(len(pool), size=n)
-    return ConvexDecomposition(
-        tuple((wk, DeterministicVertex(s, pool[k].tolist())) for wk, k in zip(w.tolist(), picks))
-    )
+    return ConvexDecomposition(s, w, pool[rng.integers(len(pool), size=n)])
 
 
 class TestMixtureParity:
@@ -748,9 +799,9 @@ class TestMixtureParity:
 
     def test_terms_sum_in_term_order(self):
         # e1's weights sum to (0.1 + 0.2) + 0.3 or to (0.3 + 0.2) + 0.1, which differ in the last bit
-        e1, e2 = named_vertex("e1"), named_vertex("e2")
-        forward = ConvexDecomposition(((0.1, e1), (0.2, e1), (0.3, e1), (0.4, e2)))
-        backward = ConvexDecomposition(((0.3, e1), (0.2, e1), (0.1, e1), (0.4, e2)))
+        vertices = [named_vertex("e1").outcomes] * 3 + [named_vertex("e2").outcomes]
+        forward = ConvexDecomposition(S222, [0.1, 0.2, 0.3, 0.4], vertices)
+        backward = ConvexDecomposition(S222, [0.3, 0.2, 0.1, 0.4], vertices)
         tables = [mixture_behavior(d).table.tobytes() for d in (forward, backward)]
         assert tables[0] != tables[1]
         assert tables == [reference_mixture(d).tobytes() for d in (forward, backward)]
@@ -767,7 +818,7 @@ def refused(message):
 
 class TestDecompositionArrays:
     """A decomposition holds read-only weight and assignment arrays, checked
-    once, with the exception classes and messages of the per-term checks."""
+    once, with the exception classes and messages of a vertex's checks."""
 
     @pytest.mark.parametrize(
         "weights, message",
@@ -782,21 +833,12 @@ class TestDecompositionArrays:
         ],
     )
     def test_weights_refused_by_both_constructors(self, weights, message):
-        vertices = (E1, E2)[: len(weights)]
+        # the constructor, and dataclasses.replace, which runs its checks again
+        outcomes = [E1.outcomes, E2.outcomes][: len(weights)]
         with refused(message):
-            ConvexDecomposition(tuple(zip(weights, vertices)))
+            ConvexDecomposition(S222, weights, outcomes)
         with refused(message):
-            ConvexDecomposition.from_arrays(S222, weights, [v.outcomes for v in vertices])
-
-    def test_mixed_scenarios_refused_in_term_order(self):
-        other = DeterministicVertex(Scenario(3, 2, 2), (0,) * 14)
-        nan = float("nan")
-        with refused("decomposition mixes vertices of different scenarios"):
-            ConvexDecomposition(((0.5, E1), (0.5, other), (nan, E2)))
-        # each term's weight is checked before its vertex's scenario
-        for terms in (((nan, E1), (0.5, other)), ((0.5, E1), (nan, other))):
-            with refused("weight nan is not finite"):
-                ConvexDecomposition(terms)
+            dataclasses.replace(ConvexDecomposition(S222, [1.0], [E1.outcomes]), weights=weights, outcomes=outcomes)
 
     @pytest.mark.parametrize(
         "row, message",
@@ -811,22 +853,22 @@ class TestDecompositionArrays:
         with refused(message):
             DeterministicVertex(S222, row)
         with refused(message):
-            ConvexDecomposition.from_arrays(S222, [0.5, 0.5], [row, row])
+            ConvexDecomposition(S222, [0.5, 0.5], [row, row])
 
     def test_weight_and_assignment_counts_must_agree(self):
         with refused("weights of shape (2,) do not fit assignments of shape (1, 6)"):
-            ConvexDecomposition.from_arrays(S222, [0.5, 0.5], [E1.outcomes])
+            ConvexDecomposition(S222, [0.5, 0.5], [E1.outcomes])
 
     def test_arrays_are_read_only_copies(self):
         weights, outcomes = np.array([0.25, 0.75]), np.array([E1.outcomes, E2.outcomes])
-        d = ConvexDecomposition.from_arrays(S222, weights, outcomes)
+        d = ConvexDecomposition(S222, weights, outcomes)
         weights[0], outcomes[0, 0] = 0.5, 1
         assert d.weights.tolist() == [0.25, 0.75]
         assert d.outcomes.tolist() == [list(E1.outcomes), list(E2.outcomes)]
         assert d.outcomes.dtype == np.uint8
         assert not d.weights.flags.writeable and not d.outcomes.flags.writeable
         assert d.terms == ((0.25, E1), (0.75, E2)) and d.terms[1:] == ((0.75, E2),)
-        again = ConvexDecomposition(d.terms)
+        again = ConvexDecomposition(S222, [w for w, _v in d.terms], [v.outcomes for _w, v in d.terms])
         assert again.weights.tobytes() == d.weights.tobytes()
         assert again.outcomes.tobytes() == d.outcomes.tobytes()
 

@@ -161,15 +161,15 @@ class TestTableBudget:
 
     def test_long_sequence_rejected_before_the_walk(self):
         # run_sequence has no table; its last step alone would hold 3^(10^6) states
-        proto = mixture_realization(ConvexDecomposition(((1.0, DeterministicVertex.from_index(Scenario(2, 3, 2), 0)),)))
+        proto = qutrit_vertex_realization(DeterministicVertex.from_index(Scenario(2, 3, 2), 0))
         with pytest.raises(TableTooLarge, match=r"3\^1000000 \* 1 \* 3\^2"):
             run_sequence(proto, (0,) * 10**6)
 
     def test_largest_peel_output_fits(self):
         # a (2,3,3) peel has at most 81 terms: dimension 324, a last step of 3^2 * 324^2 entries
         s = Scenario(2, 3, 3)
-        terms = tuple((1 / 81, DeterministicVertex.from_index(s, 1009 * k)) for k in range(81))
-        system = mixture_realization(ConvexDecomposition(terms))
+        outcomes = [DeterministicVertex.from_index(s, 1009 * k).outcomes for k in range(81)]
+        system = mixture_realization(ConvexDecomposition(s, [1 / 81] * 81, outcomes))
         assert system.dim == 324 and 3**2 * 324**2 <= errors.MAX_TABLE_ENTRIES
         assert full_behavior(system, 2).table.shape == (9, 9)
 
@@ -188,7 +188,8 @@ class TestQutritRealization:
             assert np.allclose(real.instruments[s].effects[0], np.eye(3))
 
     def test_all_vertices_of_222_exact(self):
-        for v in co.enumerate_vertices(S222):
+        for row in co.enumerate_vertices(S222):
+            v = DeterministicVertex(S222, row)
             b = full_behavior(qutrit_vertex_realization(v), 2)
             assert np.max(np.abs(b.table - vertex_behavior(v).table)) < 1e-12
 
@@ -226,12 +227,12 @@ class TestQutritRealization:
 
 class TestMixtureRealization:
     def test_single_vertex(self):
-        d = ConvexDecomposition(((1.0, named_vertex("e4")),))
+        d = ConvexDecomposition(S222, [1.0], [named_vertex("e4").outcomes])
         b = full_behavior(mixture_realization(d), 2)
         assert np.max(np.abs(b.table - vertex_behavior(named_vertex("e4")).table)) < 1e-12
 
     def test_half_e1_half_e3(self):
-        d = ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, named_vertex("e3"))))
+        d = ConvexDecomposition(S222, [0.5, 0.5], [named_vertex("e1").outcomes, named_vertex("e3").outcomes])
         sys_model = mixture_realization(d)
         assert sys_model.dim == 6
         b = full_behavior(sys_model, 2)
@@ -246,7 +247,7 @@ class TestMixtureRealization:
             assert np.max(np.abs(resim.table - b.table)) < 1e-9
 
     def test_zero_weights_dropped(self):
-        d = ConvexDecomposition(((1.0, named_vertex("e1")), (0.0, named_vertex("e2"))))
+        d = ConvexDecomposition(S222, [1.0, 0.0], [named_vertex("e1").outcomes, named_vertex("e2").outcomes])
         assert mixture_realization(d).dim == 3
 
     def test_empty_decomposition(self):
@@ -357,7 +358,7 @@ def hand_built_decompositions(draw):
         raw[0] = 1.0
     total = sum(raw)
     return ConvexDecomposition(
-        tuple((w / total, DeterministicVertex.from_index(s, k)) for w, k in zip(raw, picks))
+        s, [w / total for w in raw], [DeterministicVertex.from_index(s, k).outcomes for k in picks]
     )
 
 
@@ -380,7 +381,8 @@ class TestReferenceParity:
         assert_same_system(mixture_realization(decomp), reference_mixture_realization(decomp))
 
     def test_all_vertices_of_222(self):
-        for v in co.enumerate_vertices(S222):
+        for row in co.enumerate_vertices(S222):
+            v = DeterministicVertex(S222, row)
             assert_same_system(qutrit_vertex_realization(v), reference_vertex_realization(v))
 
     def test_canonical_protocols(self):
@@ -414,7 +416,7 @@ class TestBlockLayout:
                 assert_same_system(mixture_realization(decomp), reference_mixture_realization(decomp))
 
 
-TWO_VERTICES = ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, named_vertex("e3"))))
+TWO_VERTICES = ConvexDecomposition(S222, [0.5, 0.5], [named_vertex("e1").outcomes, named_vertex("e3").outcomes])
 
 # builders of the arrays that realizations, simulations and validations return
 RETURNED_ARRAYS = {
@@ -498,12 +500,12 @@ class TestColumnMapInstruments:
         # realize run, ``realize --decomposition --out``
         if name == "mixture":
             b = compose_from_conditionals(random_conditional_chain(np.random.default_rng(0), S222))
-            decomp = decompose_behavior(b)
+            system = mixture_realization(decompose_behavior(b))
         elif name == "5":
-            decomp = ConvexDecomposition(((1.0, DeterministicVertex.from_index(Scenario(2, 2, 3), 5)),))
+            system = qutrit_vertex_realization(DeterministicVertex.from_index(Scenario(2, 2, 3), 5))
         else:
-            decomp = ConvexDecomposition(((1.0, named_vertex(name)),))
-        text = serialize.dumps(serialize.system_model_to_json(mixture_realization(decomp))).encode()
+            system = qutrit_vertex_realization(named_vertex(name))
+        text = serialize.dumps(serialize.system_model_to_json(system)).encode()
         assert len(text) == n_bytes
         assert hashlib.sha256(text).hexdigest() == digest
 
@@ -608,7 +610,7 @@ class TestDecompositionPins:
 class TestRealizationBudget:
     def test_budget_is_inclusive(self, monkeypatch):
         # two (2,2,2) blocks: dimension 6, S * R * 6^2 = 144 Kraus entries
-        d = ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, named_vertex("e3"))))
+        d = ConvexDecomposition(S222, [0.5, 0.5], [named_vertex("e1").outcomes, named_vertex("e3").outcomes])
         monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 144)
         assert mixture_realization(d).dim == 6
         monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 143)
@@ -618,7 +620,7 @@ class TestRealizationBudget:
         assert exc.value.cap == 143
 
     def test_zero_weight_terms_do_not_count(self, monkeypatch):
-        d = ConvexDecomposition(((1.0, named_vertex("e1")), (0.0, named_vertex("e2"))))
+        d = ConvexDecomposition(S222, [1.0, 0.0], [named_vertex("e1").outcomes, named_vertex("e2").outcomes])
         monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 36)
         assert mixture_realization(d).dim == 3
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import warnings
 
 import numpy as np
@@ -12,9 +13,13 @@ from tempocorr import serialize as se
 from tempocorr.correlations import (
     ConvexDecomposition,
     DeterministicVertex,
+    RelabelingGroup,
     Scenario,
+    classify_vertices,
     compose_from_conditionals,
+    count_vertices,
     decompose_behavior,
+    enumerate_vertices,
     named_vertex,
     random_conditional_chain,
 )
@@ -157,28 +162,43 @@ class TestBehavior:
             se.behavior_from_json(data)
 
 
+def one_term(v: DeterministicVertex) -> ConvexDecomposition:
+    return ConvexDecomposition(v.scenario, [1.0], [v.outcomes])
+
+
+def vertex_of(d: ConvexDecomposition) -> DeterministicVertex:
+    (w, v), = d.terms
+    assert w == 1.0
+    return v
+
+
 class TestVertexAndDecomposition:
+    """A vertex is written and read as the one term of a decomposition."""
+
     def test_vertex_roundtrip(self):
         for name in ("e1", "e2", "e3", "e4"):
             v = named_vertex(name)
-            assert se.vertex_from_json(se.vertex_to_json(v)) == v
+            assert vertex_of(roundtrip(one_term(v), se.decomposition_to_json, se.decomposition_from_json)) == v
 
     def test_vertex_key_format(self):
-        keys = set(se.vertex_to_json(named_vertex("e1"))["assignment"])
+        keys = set(se.decomposition_to_json(one_term(named_vertex("e1")))["terms"][0]["assignment"])
         assert "t=1;x=0;a=" in keys
         assert "t=2;x=01;a=0" in keys
 
     def test_vertex_missing_context(self):
-        data = se.vertex_to_json(named_vertex("e1"))
-        del data["assignment"]["t=1;x=0;a="]
-        with pytest.raises(SchemaError):
-            se.vertex_from_json(data)
+        data = se.decomposition_to_json(one_term(named_vertex("e1")))
+        del data["terms"][0]["assignment"]["t=1;x=0;a="]
+        with pytest.raises(SchemaError, match=r"^terms\[0\]\.assignment\.t=1;x=0;a=: missing context$"):
+            se.decomposition_from_json(data)
 
     def test_colliding_context_keys_refused_when_written(self):
         # at S = 11 the histories (1, 0, 10) and (10, 1, 0) both spell x=1010
         scenario = Scenario(3, 2, 11)
         v = DeterministicVertex(scenario, (0,) * scenario.n_contexts)
-        for write in (se.vertex_to_json, lambda v: se.decomposition_to_json(ConvexDecomposition(((1.0, v),)))):
+        for write in (
+            lambda v: se.decomposition_to_json(one_term(v)),
+            lambda v: "".join(se.vertices_text(scenario, np.array([v.outcomes]))),
+        ):
             with pytest.raises(SchemaError) as exc:
                 write(v)
             assert exc.value.path == "S"
@@ -188,7 +208,7 @@ class TestVertexAndDecomposition:
     def test_eleven_settings_round_trip_where_keys_are_distinct(self, L):
         scenario = Scenario(L, 2, 11)
         v = DeterministicVertex(scenario, tuple(i % 2 for i in range(scenario.n_contexts)))
-        assert roundtrip(v, se.vertex_to_json, se.vertex_from_json) == v
+        assert vertex_of(roundtrip(one_term(v), se.decomposition_to_json, se.decomposition_from_json)) == v
 
     def test_decomposition_roundtrip(self):
         rng = np.random.default_rng(41)
@@ -209,7 +229,7 @@ class TestVertexAndDecomposition:
         ],
     )
     def test_decomposition_refused_with_field_paths(self, term, key, value, path, message):
-        data = se.decomposition_to_json(ConvexDecomposition(((0.5, named_vertex("e1")), (0.5, named_vertex("e2")))))
+        data = se.decomposition_to_json(ConvexDecomposition(Scenario(2, 2, 2), [0.5, 0.5], [named_vertex("e1").outcomes, named_vertex("e2").outcomes]))
         entry = data["terms"][term]
         target = entry if key == "weight" else entry["assignment"]
         if value is None:
@@ -226,6 +246,61 @@ class TestVertexAndDecomposition:
         data["terms"][0]["weight"] = 0.5
         with pytest.raises(SchemaError):
             se.decomposition_from_json(data)
+
+
+def vertex_list_the_old_way(scenario, orbits=None):
+    """The ``vertices --out`` document built as a dict, one
+    ``DeterministicVertex`` and one assignment dict per vertex."""
+    doc = {"L": scenario.L, "R": scenario.R, "S": scenario.S, "count": count_vertices(scenario)}
+    if orbits is not None:
+        doc["orbits"] = [list(orb) for orb in orbits]
+    vertices = (DeterministicVertex.from_index(scenario, k) for k in range(count_vertices(scenario)))
+    doc["vertices"] = [se._assignment_to_json(scenario, v.outcomes) for v in vertices]
+    return se.dumps(doc)
+
+
+def assert_same_text(got, want):
+    """Equal texts, or a failure that shows where they first differ (pytest's
+    own diff of megabyte strings takes minutes)."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"{len(got)} != {len(want)} characters, first differing at {at}: {got[at - 60 : at + 60]!r} != {want[at - 60 : at + 60]!r}")
+
+
+class TestVertexList:
+    """``vertices_text`` writes, block by block, the bytes of ``dumps`` of
+    the dict document."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [Scenario(1, 2, S) for S in range(2, 12)]
+        + [Scenario(2, 2, 2), Scenario(2, 3, 2), Scenario(2, 2, 3), Scenario(3, 2, 2)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("classify", [False, True], ids=["plain", "orbits"])
+    def test_same_bytes_as_the_dict_document(self, monkeypatch, scenario, classify):
+        # a block of 7 rows: no count here is a multiple of it, so the last block is short
+        monkeypatch.setattr(se, "_VERTEX_BLOCK", 7)
+        # orbits under the full group where it is small, singletons past S = 5
+        group = (RelabelingGroup.full if scenario.S <= 5 else RelabelingGroup.identity)(scenario)
+        orbits = classify_vertices(scenario, group).orbits if classify else None
+        blocks = list(se.vertices_text(scenario, enumerate_vertices(scenario), orbits))
+        assert len(blocks) == 2 + -(-count_vertices(scenario) // 7)
+        assert_same_text("".join(blocks), vertex_list_the_old_way(scenario, orbits))
+
+    def test_default_block(self):
+        scenario = Scenario(3, 2, 2)
+        blocks = list(se.vertices_text(scenario, enumerate_vertices(scenario)))
+        assert len(blocks) == 2 + 16384 // se._VERTEX_BLOCK
+        assert_same_text("".join(blocks), vertex_list_the_old_way(scenario))
+
+    def test_rows_in_any_order(self):
+        # the key set of each row is read from the row, not from its position
+        scenario = Scenario(2, 3, 2)
+        rows = enumerate_vertices(scenario)[np.random.default_rng(2).permutation(729)[:50]]
+        doc = json.loads("".join(se.vertices_text(scenario, rows)))
+        assert doc["count"] == 50
+        assert doc["vertices"] == [se._assignment_to_json(scenario, row.tolist()) for row in rows]
 
 
 def decompose_behavior_of_e1():
@@ -302,12 +377,13 @@ def valid_documents():
         se.functional_from_json: se.functional_to_json(builtin_functionals()["B3"]),
         se.strategy_from_json: se.strategy_to_json(random_strategy(rng)),
         se.system_model_from_json: se.system_model_to_json(canonical_protocols()["qubit-B1-3"]),
-        se.vertex_from_json: se.vertex_to_json(named_vertex("e2")),
     }
 
 
 VALID = valid_documents()
 PARSERS = sorted(VALID, key=lambda f: f.__name__)
+# a one-term decomposition, as a single vertex is written
+ONE_TERM = se.decomposition_to_json(one_term(named_vertex("e2")))
 FIELD_NAMES = sorted(
     {"L", "R", "S", "table", "dim", "initial", "instruments", "kraus", "terms", "weight"}
     | {"assignment", "a", "b", "x", "coeff", "name", "post", "effects", "axis", "00", "01", "a=0;x=1"}
@@ -379,3 +455,11 @@ class TestParserFuzzing:
     @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
     def test_valid_documents_parse(self, parse):
         parse(VALID[parse])
+
+    def test_one_term_decomposition_parses(self):
+        assert vertex_of(se.decomposition_from_json(ONE_TERM)) == named_vertex("e2")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_near_valid_one_term_decompositions(self, data):
+        assert_parses_or_schema_error(se.decomposition_from_json, data.draw(mutated(ONE_TERM)))

@@ -16,9 +16,15 @@ from tempocorr import errors
 from tempocorr import witness as w
 from tempocorr.correlations import (
     Behavior,
+    DeterministicVertex,
+    RelabelingGroup,
     Scenario,
+    classify_vertices,
+    compose_from_conditionals,
     enumerate_vertices,
     named_vertex,
+    random_conditional_chain,
+    relabel_behavior,
     uniform_behavior,
     vertex_behavior,
 )
@@ -1650,7 +1656,8 @@ class TestLeakageBracket:
         # isometries, whose ranges W have flat faces that the chord normal closes
         rng = np.random.default_rng(29)
         projs = [random_projector(rng, 3) for _ in range(10)]
-        for v in enumerate_vertices(S222):
+        for row in enumerate_vertices(S222):
+            v = DeterministicVertex(S222, row)
             for inst in qutrit_vertex_realization(v).instruments:
                 for ops in inst.kraus_sets:
                     for proj in projs:
@@ -1762,6 +1769,36 @@ class TestCertify:
             report = certify(vertex_behavior(named_vertex(name)))
             for e in report.entries:
                 assert e.epsilon_lower <= e.epsilon_cap + 1e-15
+
+    def test_verdict_up_to_relabeling(self):
+        # a qubit reaching any relabeling image of e1..e4 would reach e1..e4:
+        # the 24 vertices of their orbits are certified as their named vertex
+        # is, and the 40 others are not
+        named = {named_vertex(name).index: name for name in ("e1", "e2", "e3", "e4")}
+        certified = 0
+        for orbit in classify_vertices(S222).orbits:
+            (name,) = [named[k] for k in orbit if k in named] or [None]
+            expected = certify(vertex_behavior(named_vertex(name))) if name else None
+            for k in orbit:
+                report = certify(vertex_behavior(DeterministicVertex.from_index(S222, k)))
+                if name:
+                    assert report.verdict == "dimension > 2", k
+                    assert report.epsilon_lower == expected.epsilon_lower
+                    certified += 1
+                else:
+                    assert (report.verdict, report.epsilon_lower) == ("qubit-compatible", 0.0), k
+        assert certified == 24
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 63), st.floats(0.5, 1.0), st.integers(0, 7))
+    def test_overall_verdict_is_relabeling_invariant(self, seed, k, weight, g):
+        # a random member moved toward a vertex, so that some are certified
+        member = compose_from_conditionals(random_conditional_chain(np.random.default_rng(seed), S222))
+        vertex = vertex_behavior(DeterministicVertex.from_index(S222, k))
+        b = Behavior(S222, weight * vertex.table + (1.0 - weight) * member.table)
+        image = relabel_behavior(b, RelabelingGroup.full(S222).elements[g])
+        before, after = certify(b), certify(image)
+        assert (after.verdict, after.epsilon_lower) == (before.verdict, before.epsilon_lower)
 
     def test_rejects_non_member(self):
         table = np.zeros((4, 4))
