@@ -489,10 +489,11 @@ def enumerate_vertices(scenario: Scenario, cap: int = DEFAULT_VERTEX_CAP) -> np.
     """All vertices in lexicographic order, as the read-only (n, n_contexts)
     outcome array whose row k is vertex k's assignment; see
     :func:`_capped_count` for what is refused before allocating."""
-    k = np.arange(_capped_count(scenario, cap))
-    out = np.empty((len(k), scenario.n_contexts), dtype=np.min_scalar_type(scenario.R))
-    for c in range(scenario.n_contexts - 1, -1, -1):
-        k, out[:, c] = np.divmod(k, scenario.R)
+    n, R = _capped_count(scenario, cap), scenario.R
+    out = np.empty((n, scenario.n_contexts), dtype=np.min_scalar_type(R))
+    for c in range(scenario.n_contexts):
+        # column c is digit c of the row index: each outcome in turn, R^(n_contexts-1-c) rows long
+        out.reshape(R**c, R, -1, scenario.n_contexts)[..., c] = np.arange(R, dtype=out.dtype)[:, None]
     out.setflags(write=False)
     return out
 
@@ -545,10 +546,7 @@ class RelabelingGroup:
         """All setting permutations combined with independent per-setting
         outcome permutations; order S! * (R!)^S, refused above
         ``errors.MAX_TABLE_ENTRIES`` before any element is built."""
-        order = math.factorial(scenario.S) * math.factorial(scenario.R) ** scenario.S
-        if exceeds_table_budget(order):
-            what = f"a relabeling group of S! * (R!)^S = {scenario.S}! * {scenario.R}!^{scenario.S} elements"
-            raise TableTooLarge(what, (scenario.L, scenario.R, scenario.S))
+        _refuse_full_group(scenario)
         elems = tuple(
             (sp, ops)
             for sp in itertools.permutations(range(scenario.S))
@@ -579,6 +577,29 @@ class RelabelingGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+def _refuse_full_group(scenario: Scenario) -> None:
+    order = math.factorial(scenario.S) * math.factorial(scenario.R) ** scenario.S
+    if exceeds_table_budget(order):
+        what = f"a relabeling group of S! * (R!)^S = {scenario.S}! * {scenario.R}!^{scenario.S} elements"
+        raise TableTooLarge(what, (scenario.L, scenario.R, scenario.S))
+
+
+def _full_group_generators(scenario: Scenario) -> list:
+    """Elements that generate :meth:`RelabelingGroup.full`: the adjacent
+    setting swaps and, per setting, the adjacent outcome swaps."""
+    S, R = scenario.S, scenario.R
+    settings, outcomes = tuple(range(S)), tuple(range(R))
+
+    def swap(n, i):
+        p = list(range(n))
+        p[i], p[i + 1] = i + 1, i
+        return tuple(p)
+
+    gens = [(swap(S, i), (outcomes,) * S) for i in range(S - 1)]
+    gens += [(settings, tuple(swap(R, j) if x == y else outcomes for y in range(S))) for x in range(S) for j in range(R - 1)]
+    return gens
 
 
 def _relabel_action(scenario: Scenario, element) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -645,28 +666,50 @@ def classify_vertices(
     group: RelabelingGroup | None = None,
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> VertexClassification:
-    """Partition all vertices into relabeling orbits (full group by default)."""
+    """Partition all vertices into relabeling orbits (full group by default).
+
+    Each vertex is labelled by the least index in its orbit: all labels
+    start at their own index, and each round lowers every label to the
+    label at its image under each generator, then to its label's label,
+    until a round changes none.  The full group's generators are the
+    adjacent swaps of :func:`_full_group_generators`, so its S! * (R!)^S
+    elements are never built (its order is refused as
+    :meth:`RelabelingGroup.full` refuses it); a group passed in is
+    generated by its own elements.  A generator's image indices are built
+    in int32, one context at a time.
+    """
     n = _capped_count(scenario, cap)
     if group is None:
-        group = RelabelingGroup.full(scenario)
-    if group.scenario != scenario:
+        _refuse_full_group(scenario)
+        generators = _full_group_generators(scenario)
+    elif group.scenario != scenario:
         raise ShapeMismatch("relabeling group belongs to a different scenario")
-    actions = [_relabel_action(scenario, element) for element in group.elements]
+    else:
+        generators = group.elements
+    # one contiguous row of outcomes per context
+    digits = np.ascontiguousarray(enumerate_vertices(scenario, cap).T)
+    # _capped_count keeps n * n_contexts <= 2^24, so every index fits int32
+    place = scenario.R ** np.arange(scenario.n_contexts - 1, -1, -1, dtype=np.int32)
+    actions = []
+    for element in generators:
+        src, omap = _relabel_action(scenario, element)
+        actions.append((src, np.array(omap, dtype=np.int32) * place[:, None]))
 
-    orbits = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        v = digits_of_index(start, scenario.R, scenario.n_contexts)
-        orbit = set()
-        for src, omap in actions:
-            img = (m[v[i]] for i, m in zip(src, omap))
-            orbit.add(index_of_digits(img, scenario.R))
-        for k in orbit:
-            seen[k] = True
-        orbits.append(tuple(sorted(orbit)))
-    return VertexClassification(scenario, tuple(orbits))
+    label, image = np.arange(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    while True:
+        before = label.copy()
+        for src, weights in actions:
+            image[:] = 0
+            for c, w in enumerate(weights):
+                image += w.take(digits[src[c]])
+            np.minimum(label, label[image], out=label)
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    del digits, image, before  # freed before the orbits' Python ints are built
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order])) + 1
+    return VertexClassification(scenario, tuple(tuple(o.tolist()) for o in np.split(order, starts)))
 
 
 # --- convex decomposition ---------------------------------------------------------

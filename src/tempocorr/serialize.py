@@ -403,27 +403,35 @@ def strategy_from_json(data) -> QubitStrategy:
 
 # --- reports -------------------------------------------------------------------------
 
-def report_to_json(r: CertificationReport) -> dict:
+def _verdict_to_json(e) -> dict:
     return {
+        "name": e.name,
+        "value": e.value,
+        "bound": e.bound,
+        "bound_kind": e.bound_kind,
+        "analytic_cap": e.analytic_cap,
+        "verdict": e.verdict,
+        "epsilon_lower": e.epsilon_lower,
+        "epsilon_cap": e.epsilon_cap,
+        "epsilon_certified": e.epsilon_certified,
+    }
+
+
+def report_to_json(r: CertificationReport) -> dict:
+    data = {
         "scenario": _scenario_to_json(r.scenario),
         "verdict": r.verdict,
         "epsilon_lower": r.epsilon_lower,
         "tolerance": r.tolerance,
-        "witnesses": [
-            {
-                "name": e.name,
-                "value": e.value,
-                "bound": e.bound,
-                "bound_kind": e.bound_kind,
-                "analytic_cap": e.analytic_cap,
-                "verdict": e.verdict,
-                "epsilon_lower": e.epsilon_lower,
-                "epsilon_cap": e.epsilon_cap,
-                "epsilon_certified": e.epsilon_certified,
-            }
-            for e in r.entries
-        ],
+        "witnesses": [_verdict_to_json(e) for e in r.entries],
     }
+    if r.relabeled:
+        settings, outcomes = r.relabeling
+        data["certified_by"] = {
+            "relabeling": {"settings": list(settings), "outcomes": [list(p) for p in outcomes]},
+            "witness": _verdict_to_json(r.certified_by),
+        }
+    return data
 
 
 def dumps(obj) -> str:

@@ -890,12 +890,9 @@ def b1_projective_profile(cos_gamma):
 
 
 def b3_profile(cos_gamma):
-    """Best B3 value over states for projective effects (which are optimal)."""
-    x = _check_domain(cos_gamma, "cos_gamma", -1.0, 1.0)
-    x0 = 2.0 + np.sqrt(np.clip(2.0 + 2.0 * x, 0.0, None))
-    x1 = 2.0 + np.sqrt(np.clip(2.0 - 2.0 * x, 0.0, None))
-    value = 0.25 * (x0 + x1 + np.sqrt(np.clip(x0**2 + x1**2 + 2.0 * x0 * x1 * x, 0.0, None)))
-    return value if value.ndim else float(value)
+    """Best B3 value over states for projective effects (which are optimal):
+    the B4 envelope at ``p = 1``."""
+    return b4_envelope(1.0, cos_gamma)
 
 
 def b3_profile_derivative(x: float) -> float:
@@ -1085,14 +1082,11 @@ def epsilon_lower_bound(b_value: float, c_value: float) -> EpsilonBound:
 
 @dataclass(frozen=True)
 class EpsilonSearchConfig:
-    """Accepted by :func:`system_epsilon` and validated (``restarts`` and
-    ``max_iterations`` must be >= 0), but it steers nothing: every branch is
-    bracketed by :func:`_leakage_bracket`, which takes no configuration."""
+    """Accepted by :func:`system_epsilon` and validated (``restarts`` must be
+    >= 0), but it steers nothing: every branch is bracketed by
+    :func:`_leakage_bracket`, which takes no configuration."""
 
     restarts: int = 8
-    seed: int = DEFAULT_SEED
-    max_iterations: int = 250
-    xtol: float = 1e-9
 
 
 # The leakage of a pure output phi = K psi is f = sqrt(a c) with a = |Q phi|^2,
@@ -1215,8 +1209,8 @@ def system_epsilon(
     single-Kraus branch, which can lie above its own.  ``cfg`` is validated
     and otherwise ignored.
     """
-    if cfg.restarts < 0 or cfg.max_iterations < 0:
-        raise ParamOutOfRange(f"restarts and max_iterations must be >= 0 in {cfg}")
+    if cfg.restarts < 0:
+        raise ParamOutOfRange(f"restarts must be >= 0 in {cfg}")
     p = np.asarray(proj, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise NotAProjector(f"projector must be square, got shape {p.shape}")
@@ -1264,11 +1258,31 @@ class WitnessVerdict:
     bound: float
     bound_kind: str
     analytic_cap: float
-    violates_bound: bool
-    certified_dimension_above_2: bool
-    epsilon_lower: float
-    epsilon_cap: float
-    epsilon_certified: float
+
+    @property
+    def violates_bound(self) -> bool:
+        return self.value > self.bound + VERDICT_TOL
+
+    @property
+    def certified_dimension_above_2(self) -> bool:
+        return self.value > self.analytic_cap + VERDICT_TOL
+
+    def _epsilon(self, c_value: float) -> EpsilonBound:
+        # a member's entries may each stray 1e-9, so its value may leave [0, 4]; the
+        # epsilon arithmetic clamps it to the range epsilon_lower_bound accepts
+        return epsilon_lower_bound(min(max(self.value, -1e-9), 4.0 + 1e-9), c_value)
+
+    @property
+    def epsilon_lower(self) -> float:
+        return self._epsilon(self.bound).lower
+
+    @property
+    def epsilon_cap(self) -> float:
+        return self._epsilon(self.bound).cap
+
+    @property
+    def epsilon_certified(self) -> float:
+        return self._epsilon(self.analytic_cap).lower
 
     @property
     def verdict(self) -> str:
@@ -1281,11 +1295,27 @@ class WitnessVerdict:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """Verdicts of B1..B4 on a behavior (``entries``) and the overall verdict
+    over all its images under relabeling.  ``certified_by`` is the witness
+    entry, on the image under the group element ``relabeling``, whose
+    ``epsilon_certified`` is the certified epsilon: the first in group
+    order, then in B1..B4 order, among those of largest epsilon."""
+
     scenario: Scenario
     entries: tuple[WitnessVerdict, ...]
     verdict: str
-    epsilon_lower: float
     tolerance: float
+    certified_by: WitnessVerdict
+    relabeling: tuple
+
+    @property
+    def epsilon_lower(self) -> float:
+        return self.certified_by.epsilon_certified
+
+    @property
+    def relabeled(self) -> bool:
+        """Whether the certified epsilon comes from an image other than the behavior itself."""
+        return self.relabeling != RelabelingGroup.identity(self.scenario).elements[0]
 
     def to_text(self) -> str:
         lines = [
@@ -1298,6 +1328,9 @@ class CertificationReport:
                 f"{e.verdict:>34s} {e.epsilon_lower:12.6g}"
             )
         lines.append(f"overall: {self.verdict}, certified epsilon >= {self.epsilon_lower:.12g}")
+        if self.relabeled:
+            e = self.certified_by
+            lines.append(f"certified by {e.name} = {e.value:.12g} on the image under relabeling {self.relabeling}")
         return "\n".join(lines)
 
 
@@ -1325,28 +1358,12 @@ def certify(b: Behavior) -> CertificationReport:
     )
     functionals = builtin_functionals()
     # the identity comes first
-    images = [relabel_behavior(b, g) for g in RelabelingGroup.full(b.scenario).elements]
-    every = [_witness_verdict(name, evaluate(functionals[name], image), bound, kind, cap)
-             for image in images for name, bound, kind, cap in plan]
+    elements = RelabelingGroup.full(b.scenario).elements
+    every = [WitnessVerdict(name, evaluate(functionals[name], relabel_behavior(b, g)), bound, kind, cap)
+             for g in elements for name, bound, kind, cap in plan]
     verdict = "dimension > 2" if any(e.certified_dimension_above_2 for e in every) else "qubit-compatible"
-    eps_overall = max(e.epsilon_certified for e in every)
-    return CertificationReport(b.scenario, tuple(every[: len(plan)]), verdict, eps_overall, VERDICT_TOL)
-
-
-def _witness_verdict(name: str, value: float, bound: float, kind: str, cap: float) -> WitnessVerdict:
-    # a member's entries may each stray 1e-9, so its value may leave [0, 4]; the
-    # epsilon arithmetic clamps it to the range epsilon_lower_bound accepts
-    at_edge = min(max(value, -1e-9), 4.0 + 1e-9)
-    eps = epsilon_lower_bound(at_edge, bound)
-    return WitnessVerdict(
-        name=name,
-        value=value,
-        bound=bound,
-        bound_kind=kind,
-        analytic_cap=cap,
-        violates_bound=value > bound + VERDICT_TOL,
-        certified_dimension_above_2=value > cap + VERDICT_TOL,
-        epsilon_lower=eps.lower,
-        epsilon_cap=eps.cap,
-        epsilon_certified=epsilon_lower_bound(at_edge, cap).lower,
+    # max keeps the first of equal epsilons
+    k = max(range(len(every)), key=lambda i: every[i].epsilon_certified)
+    return CertificationReport(
+        b.scenario, tuple(every[: len(plan)]), verdict, VERDICT_TOL, every[k], elements[k // len(plan)]
     )

@@ -889,7 +889,33 @@ class TestWitnessUpToRelabeling:
         lines = out.splitlines()
         # the rows are the behavior's own; the overall verdict reads its images too
         assert lines[:4] == ["functional: B1", "value: 1", "bound: 3 (analytic)", "verdict: qubit-compatible"]
-        assert lines[-1] == "overall: dimension > 2, certified epsilon >= 0.0833333333333"
+        # the overall verdict names the image and the witness that certify it
+        assert lines[-2:] == [
+            "overall: dimension > 2, certified epsilon >= 0.0833333333333",
+            "certified by B1 = 4 on the image under relabeling ((0, 1), ((0, 1), (1, 0)))",
+        ]
+        code, out, err = run(capsys, "witness", "--behavior", str(path), "--functional", "B1", "--format", "json")
+        assert (code, err) == (0, "")
+        by = json.loads(out)["certified_by"]
+        assert by["relabeling"] == {"settings": [0, 1], "outcomes": [[0, 1], [1, 0]]}
+        assert (by["witness"]["name"], by["witness"]["value"], by["witness"]["verdict"]) == ("B1", 4.0, "dimension > 2")
+        assert by["witness"]["epsilon_certified"] == json.loads(out)["epsilon_lower"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_only_relabeled_certificates_are_named(self, capsys, tmp_path, fmt):
+        # the line and the key appear only when the certifying image is not the behavior itself
+        named = {named_vertex(n).index for n in ("e1", "e2", "e3", "e4")}
+        relabeled = set()
+        for k in range(64):
+            path = tmp_path / f"v{k}.json"
+            path.write_text(se.dumps(se.behavior_to_json(vertex_behavior(DeterministicVertex.from_index(Scenario(2, 2, 2), k)))))
+            code, out, err = run(capsys, "witness", "--behavior", str(path), "--functional", "B3", "--format", fmt)
+            assert (code, err) == (0, "")
+            if fmt == "text" and out.splitlines()[-1].startswith("certified by B"):
+                relabeled.add(k)
+            elif fmt == "json" and "certified_by" in json.loads(out):
+                relabeled.add(k)
+        assert len(relabeled) == 20 and not relabeled & named
 
 
 # Edge values a mutated leaf of an input file may take.

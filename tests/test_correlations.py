@@ -438,7 +438,43 @@ class TestCompose:
                 assert np.max(np.abs(back.table - b.table)) < 1e-9
 
 
+def reference_orbits(scenario, group):
+    """Orbits by applying every group element to the least vertex of each
+    orbit not yet seen, in index order."""
+    actions = [co._relabel_action(scenario, element) for element in group.elements]
+    orbits, seen = [], set()
+    for start in range(count_vertices(scenario)):
+        if start in seen:
+            continue
+        v = co.digits_of_index(start, scenario.R, scenario.n_contexts)
+        orbit = {co.index_of_digits((m[v[i]] for i, m in zip(src, omap)), scenario.R) for src, omap in actions}
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
 class TestClassification:
+    @pytest.mark.parametrize(
+        "scenario",
+        [S222, Scenario(2, 2, 3), Scenario(3, 2, 2), Scenario(2, 3, 2), Scenario(1, 3, 3), Scenario(1, 2, 5), Scenario(2, 3, 3)],
+        ids=str,
+    )
+    def test_generators_give_the_orbits_of_every_element(self, scenario):
+        assert classify_vertices(scenario).orbits == reference_orbits(scenario, RelabelingGroup.full(scenario))
+
+    @pytest.mark.parametrize("scenario", [S222, Scenario(2, 2, 3), Scenario(2, 3, 2)], ids=str)
+    @pytest.mark.parametrize("make", [RelabelingGroup.identity, RelabelingGroup.uniform_outcome, RelabelingGroup.full])
+    def test_a_group_passed_in_generates_its_orbits(self, scenario, make):
+        group = make(scenario)
+        assert classify_vertices(scenario, group).orbits == reference_orbits(scenario, group)
+
+    def test_full_group_is_never_built(self):
+        # (1,2,7): one orbit of 128 vertices under 7! * 2^7 = 645,120 elements
+        start = time.process_time()
+        classes = classify_vertices(Scenario(1, 2, 7))
+        assert classes.orbits == (tuple(range(128)),)
+        assert time.process_time() - start < 1.0
+
     def test_ten_orbits(self):
         classes = classify_vertices(S222)
         assert classes.n_orbits == 10

@@ -363,6 +363,8 @@ class TestWitnessObjects:
         assert data["verdict"] == "dimension > 2"
         assert len(data["witnesses"]) == 4
         assert {w["name"] for w in data["witnesses"]} == {"B1", "B2", "B3", "B4"}
+        # e1 is certified by its own B1, so no relabeled image is named
+        assert "certified_by" not in data
 
 
 # --- parser fuzzing ---------------------------------------------------------------

@@ -495,9 +495,8 @@ class TestOptimizer:
 
     def test_epsilon_search_config_validated(self):
         proto, proj = canonical_protocols()["qutrit-e1"], np.diag([1.0, 1.0, 0.0])
-        for cfg in (EpsilonSearchConfig(restarts=-3), EpsilonSearchConfig(max_iterations=-1)):
-            with pytest.raises(ParamOutOfRange):
-                system_epsilon(proto, proj, cfg)
+        with pytest.raises(ParamOutOfRange, match="restarts must be >= 0"):
+            system_epsilon(proto, proj, EpsilonSearchConfig(restarts=-3))
         assert system_epsilon(proto, proj, EpsilonSearchConfig(restarts=0)) > 1.15
 
     def test_sampled_strategies_respect_bounds(self):
@@ -872,6 +871,13 @@ class TestLockstepNelderMead:
         assert maxiter <= len(calls) <= 1 + 2 * (maxiter - 1)
 
 
+def reference_b3_profile(x):
+    """The B3 profile by its own formula, for ``x`` in [-1, 1]."""
+    x0 = 2.0 + np.sqrt(np.clip(2.0 + 2.0 * x, 0.0, None))
+    x1 = 2.0 + np.sqrt(np.clip(2.0 - 2.0 * x, 0.0, None))
+    return 0.25 * (x0 + x1 + np.sqrt(np.clip(x0**2 + x1**2 + 2.0 * x0 * x1 * x, 0.0, None)))
+
+
 class TestProfiles:
     def test_b1_orthogonal_axes(self):
         assert b1_projective_profile(0.0) == pytest.approx(1.5 + math.sqrt(2.0), abs=1e-15)
@@ -894,9 +900,18 @@ class TestProfiles:
     def test_b3_near_reported_maximum(self):
         assert b3_profile(0.756) == pytest.approx(3.186, abs=5e-3)
 
-    def test_b4_matches_b3_at_rank_one(self):
-        xs = np.linspace(-1.0, 1.0, 1000)
-        assert np.max(np.abs(b4_envelope(1.0, xs) - b3_profile(xs))) < 1e-12
+    def test_b3_profile_is_the_b4_envelope_at_rank_one(self):
+        # bit for bit, and both equal the profile's own former formula
+        one = math.nextafter(1.0, 0.0)
+        edges = [1.0, -1.0, 0.0, -0.0, one, -one, 5e-324, -5e-324, c3_bound().cos_gamma_star]
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 2_000_001), edges])
+        bits = b3_profile(xs).view(np.uint64)
+        assert np.array_equal(bits, b4_envelope(1.0, xs).view(np.uint64))
+        assert np.array_equal(bits, reference_b3_profile(xs).view(np.uint64))
+        for x in edges:
+            value = b3_profile(x)
+            assert type(value) is float and math.copysign(1.0, value) == 1.0
+            assert value == b4_envelope(1.0, x) == float(reference_b3_profile(np.float64(x)))
 
     def test_b4_grid_max_and_cap(self):
         ps = np.linspace(0.0, 1.0, 201)
@@ -1736,7 +1751,82 @@ class TestLeakageBracket:
         assert system_epsilon(model, aligned) <= 1e-12
 
 
+def reference_verdict(name, value, bound, kind, cap):
+    """The ten fields of a verdict as certify once stored them."""
+    at_edge = min(max(value, -1e-9), 4.0 + 1e-9)
+    eps = epsilon_lower_bound(at_edge, bound)
+    certified = epsilon_lower_bound(at_edge, cap).lower
+    return (name, value, bound, kind, cap, value > bound + 1e-9, value > cap + 1e-9, eps.lower, eps.cap, certified)
+
+
+def verdict_fields(e):
+    return (
+        e.name, e.value, e.bound, e.bound_kind, e.analytic_cap, e.violates_bound,
+        e.certified_dimension_above_2, e.epsilon_lower, e.epsilon_cap, e.epsilon_certified,
+    )
+
+
+def certification_behaviors():
+    """e1..e4, the canonical protocols, all 64 (2,2,2) vertices and 200
+    seeded random members, each moved toward a vertex so that some are
+    certified."""
+    yield from (vertex_behavior(named_vertex(name)) for name in ("e1", "e2", "e3", "e4"))
+    yield from (full_behavior(model, 2) for model in canonical_protocols().values())
+    yield from (vertex_behavior(DeterministicVertex(S222, row)) for row in enumerate_vertices(S222))
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        member = compose_from_conditionals(random_conditional_chain(rng, S222))
+        vertex = vertex_behavior(DeterministicVertex.from_index(S222, i % 64))
+        weight = rng.uniform(0.0, 1.0)
+        yield Behavior(S222, weight * vertex.table + (1.0 - weight) * member.table)
+
+
 class TestCertify:
+    def test_derived_fields_match_the_stored_ones(self):
+        elements = RelabelingGroup.full(S222).elements
+        for b in certification_behaviors():
+            report = certify(b)
+            every = []
+            for g in elements:
+                image = relabel_behavior(b, g)
+                for e in report.entries:
+                    every.append(reference_verdict(e.name, evaluate(F[e.name], image), e.bound, e.bound_kind, e.analytic_cap))
+            assert [verdict_fields(e) for e in report.entries] == every[:4]
+            assert report.verdict == ("dimension > 2" if any(r[6] for r in every) else "qubit-compatible")
+            assert report.epsilon_lower == max(r[9] for r in every)
+            # the first element in group order, then the first witness, of largest epsilon
+            k = max(range(len(every)), key=lambda i: every[i][9])
+            assert (verdict_fields(report.certified_by), report.relabeling) == (every[k], elements[k // 4])
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-9 - 1e-12, -5e-10, 0.0, 3.0 + 1e-9, 3.5, 4.0, 4.0 + 5e-10, 4.0 + 1e-6])
+    def test_derived_fields_clamp_the_value(self, value):
+        # a member's rounded entries may take a value just outside [0, 4]
+        e = w.WitnessVerdict("B2", value, 3.0, "numerically supported", 3.5)
+        assert verdict_fields(e) == reference_verdict("B2", value, 3.0, "numerically supported", 3.5)
+
+    def test_certifying_image_named_on_the_orbits_of_e1_to_e4(self):
+        # every vertex of the four orbits is certified by its named vertex's
+        # witness on the first image in group order that is that vertex
+        elements = RelabelingGroup.full(S222).elements
+        named = {named_vertex(f"e{i}").index: f"B{i}" for i in range(1, 5)}
+        seen = 0
+        for orbit in classify_vertices(S222).orbits:
+            (k0,) = [k for k in orbit if k in named] or [None]
+            if k0 is None:
+                continue
+            target = vertex_behavior(DeterministicVertex.from_index(S222, k0)).table
+            for k in orbit:
+                b = vertex_behavior(DeterministicVertex.from_index(S222, k))
+                report = certify(b)
+                first = next(g for g in elements if np.array_equal(relabel_behavior(b, g).table, target))
+                assert (report.certified_by.name, report.relabeling) == (named[k0], first), k
+                assert report.certified_by.value == 4.0 and report.certified_by.certified_dimension_above_2
+                assert report.relabeled == (k != k0)
+                text = report.to_text().splitlines()
+                assert text[-1].startswith("certified by B") == (k != k0)
+                seen += 1
+        assert seen == 24
+
     def test_e1_behavior(self):
         report = certify(vertex_behavior(named_vertex("e1")))
         assert report.verdict == "dimension > 2"
