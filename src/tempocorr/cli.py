@@ -8,10 +8,10 @@ from --seed (default 1729).  Exit codes are a stable scripting contract:
 2 size cap exceeded (vertices: vertex count above --cap, with --out or
 --classify its count * n_contexts outcomes above errors.MAX_VERTEX_ENTRIES;
 vertices --classify: the relabeling group's S! * (R!)^S elements, simulate:
-behavior table or the states of its last step, realize: Kraus entries of the
-system, bounds: profile table, optimize: the restarts' initial simplices of
-6 * 5 entries each (so more than 34,952 restarts) or one row of the
-functional's per-term table, each above errors.MAX_TABLE_ENTRIES; every
+behavior table or last step, R^L * (d + 1) on diagonals or R^L * K * d^2,
+realize: Kraus entries, bounds: profile table, optimize: the restarts'
+initial simplices of 6 * 5 entries each (over 34,952 restarts) or one row of
+the functional's per-term table, each above errors.MAX_TABLE_ENTRIES; every
 check runs before the allocation it guards), 3 schema violation,
 or an input file that is missing, unreadable or not JSON, 4 behavior not
 in the polytope, 5 outside the implemented scope (sequence length != 2),

@@ -130,24 +130,24 @@ class Instrument:
     :func:`instrument_from_column_maps`; both give the induced effects
     ``E_r = sum_k K_{r,k}^dag K_{r,k}`` as read-only complex matrices.
 
-    ``column_maps[r]`` is set when outcome r has a single Kraus operator that
-    is a 0/1 partial permutation: every nonzero entry exactly ``1+0j`` (a +0.0
-    imaginary part) and no row or column with two of them.  It is then a
-    read-only int array whose entry i is the column of the 1 in row i, or -1
-    for a zero row, so ``(K rho K^dag)[i, j] = rho[map[i], map[j]]`` (zero
-    where either is -1) and ``E_r`` is the 0/1 diagonal of the columns it
-    holds.  Any other outcome has ``None``.
+    ``column_maps`` is set when every outcome has a single Kraus operator
+    that is a 0/1 partial permutation: every nonzero entry exactly ``1+0j``
+    (a +0.0 imaginary part) and no row or column with two of them.  It is
+    then one read-only (R, d) int array whose entry [r, i] is the column of
+    the 1 in row i of outcome r's operator, or -1 for a zero row, so
+    ``(K rho K^dag)[i, j] = rho[map[i], map[j]]`` (zero where either is -1)
+    and ``E_r`` is the 0/1 diagonal of the columns it holds.  Any other
+    instrument has ``None``.
 
-    An instrument whose every outcome has a column map holds its maps; the
-    operators and effects it was not given are built from them on first read
-    of ``kraus_sets`` or ``effects``, as rows of one read-only 0/1 (R, d, d)
-    stack, and kept.
+    An instrument with column maps holds them; the operators and effects it
+    was not given are built from them on first read of ``kraus_sets`` or
+    ``effects``, as rows of one read-only 0/1 (R, d, d) stack, and kept.
     """
 
-    column_maps: tuple[np.ndarray | None, ...]
+    column_maps: np.ndarray | None
 
     def __init__(self, column_maps, kraus_sets=None, effects=None):
-        object.__setattr__(self, "column_maps", tuple(column_maps))
+        object.__setattr__(self, "column_maps", column_maps)
         # a given view is kept where cached_property would keep a built one
         for name, value in (("kraus_sets", kraus_sets), ("effects", effects)):
             if value is not None:
@@ -157,7 +157,7 @@ class Instrument:
         """Rows of the read-only (R, d, d) stack of the operators, or of the
         effects, written from the column maps: 1+0j at (row, map[row]), or
         at (map[row], map[row]) for an effect."""
-        maps = np.array(self.column_maps)
+        maps = self.column_maps
         outcome, row = np.nonzero(maps >= 0)
         held = maps[outcome, row]
         stack = np.zeros(maps.shape + maps.shape[-1:], dtype=complex)
@@ -177,14 +177,11 @@ class Instrument:
 
     @property
     def dim(self) -> int:
-        for columns in self.column_maps:
-            if columns is not None:
-                return len(columns)
-        return self.kraus_sets[0][0].shape[0]
+        return (self.kraus_sets[0][0] if self.column_maps is None else self.column_maps).shape[-1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.column_maps)
+        return len(self.kraus_sets if self.column_maps is None else self.column_maps)
 
 
 @dataclass(frozen=True)
@@ -260,7 +257,7 @@ def _column_map(k: np.ndarray) -> np.ndarray | None:
         return None
     columns = np.full(dim, -1)
     columns[rows] = cols
-    return _frozen(columns)
+    return columns
 
 
 def instrument_from_column_maps(maps: np.ndarray, kraus=None) -> Instrument:
@@ -284,10 +281,10 @@ def validate_instrument(kraus_sets) -> Instrument:
 
     ``kraus_sets[r]`` is the nonempty list of Kraus operators of outcome ``r``.
     The operator sum over all outcomes must be the identity within tolerance,
-    and each induced effect must satisfy the effect constraints.  An outcome
-    whose single operator is a 0/1 partial permutation gets its column map
-    (see :class:`Instrument`); when every outcome has one, the instrument is
-    built around the given operators by :func:`instrument_from_column_maps`.
+    and each induced effect must satisfy the effect constraints.  When
+    every outcome's single operator is a 0/1 partial permutation, the
+    instrument is built around the given operators and their column maps
+    (see :class:`Instrument`) by :func:`instrument_from_column_maps`.
     """
     if not kraus_sets:
         raise WrongDimension("instrument needs at least one outcome")
@@ -323,7 +320,7 @@ def validate_instrument(kraus_sets) -> Instrument:
         raise NotTracePreserving(
             f"sum of K^dag K deviates from identity by {defect:.6e} > {TRACE_PRESERVING_TOL}"
         )
-    return Instrument(column_maps, normalized, effects)
+    return Instrument(None, normalized, effects)
 
 
 # --- Bloch parametrization (qubits) ------------------------------------------

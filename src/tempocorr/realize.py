@@ -32,48 +32,53 @@ from .qmath import (
 )
 
 
-def _kraus_count(sys: SystemModel) -> int:
-    """The most Kraus operators of any outcome, one for a column-mapped one,
-    so a column-mapped instrument's operators are not built to count them."""
-    return max(
-        1 if columns is not None else len(inst.kraus_sets[r])
-        for inst in sys.instruments
-        for r, columns in enumerate(inst.column_maps)
-    )
+def _stacks(sys: SystemModel) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """What :func:`_step` applies, for all settings at once: built on the
+    system's first simulation and kept on it, read-only (setdefault keeps
+    the first build for racing first calls).  When every instrument has
+    column maps, the gather indices (S, R, d + 1) into a diagonal of d
+    entries followed by one zero pad: entry j of outcome r reads entry
+    ``map[j]`` of its parent, and a zero row and the pad read the pad
+    (-1).  Otherwise the Kraus operators as one (S, R, K, d, d) stack and
+    the contiguous stack of their adjoints, K the most operators of any
+    outcome; shorter outcomes are padded with zero operators, which add
+    exact zeros to the sum."""
+    if "_walk_stack" in sys.__dict__:
+        return sys.__dict__["_walk_stack"]
+    S, R, d = sys.n_settings, sys.n_outcomes, sys.dim
+    if all(inst.column_maps is not None for inst in sys.instruments):
+        stack = np.full((S, R, d + 1), -1)
+        stack[..., :d] = [inst.column_maps for inst in sys.instruments]
+        stack.setflags(write=False)
+    else:
+        K = max(len(ops) for inst in sys.instruments for ops in inst.kraus_sets)
+        k = np.zeros((S, R, K, d, d), dtype=complex)
+        for x, inst in enumerate(sys.instruments):
+            for r, ops in enumerate(inst.kraus_sets):
+                k[x, r, : len(ops)] = ops
+        stack = k, np.ascontiguousarray(k.conj().swapaxes(-1, -2))
+        for a in stack:
+            a.setflags(write=False)
+    return sys.__dict__.setdefault("_walk_stack", stack)
+
+
+def _children_entries(stack) -> int:
+    """R * c, the entries of one state's children under one setting: R
+    padded diagonals of c = d + 1, or the R * K products of d x d that the
+    outcomes' operators make before they are summed, c = K * d^2."""
+    return (stack if isinstance(stack, np.ndarray) else stack[0])[0].size
 
 
 def _check_walk(sys: SystemModel, L: int) -> None:
-    """Refuse a simulation of length L whose last step would stack more than
-    ``errors.MAX_TABLE_ENTRIES`` complex entries: R^L * K states of d x d, K
-    the most Kraus operators of any outcome."""
-    n_k = _kraus_count(sys)
-    R, d = sys.n_outcomes, sys.dim
-    if exceeds_table_budget(R, L, n_k * d * d):
-        what = f"a simulation step of R^L * K * d^2 = {R}^{L} * {n_k} * {d}^2 entries"
-        raise TableTooLarge(what, (L, R, sys.n_settings))
-
-
-def _stacks(sys: SystemModel) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """What :func:`_step` applies, for all settings at once.  When every
-    outcome of every setting has a column map, the gather indices (S, R,
-    d + 1) into a diagonal of d entries followed by one zero pad: entry j of
-    outcome r reads entry ``map[j]`` of its parent, a zero row reads the pad,
-    and the pad reads itself.  Otherwise the Kraus operators as one (S, R, K,
-    d, d) stack and the stack of their adjoints, K the most operators of any
-    outcome; shorter outcomes are padded with zero operators, which add exact
-    zeros to the sum."""
-    S, R, d = sys.n_settings, sys.n_outcomes, sys.dim
-    maps = [c for inst in sys.instruments for c in inst.column_maps]
-    if all(c is not None for c in maps):
-        idx = np.full((S * R, d + 1), d)
-        c = np.array(maps)
-        idx[:, :d] = np.where(c < 0, d, c)
-        return idx.reshape(S, R, d + 1)
-    k = np.zeros((S, R, _kraus_count(sys), d, d), dtype=complex)
-    for x, inst in enumerate(sys.instruments):
-        for r, ops in enumerate(inst.kraus_sets):
-            k[x, r, : len(ops)] = ops
-    return k, k.conj().swapaxes(-1, -2)
+    """Refuse a simulation of length L whose last step would hold more than
+    ``errors.MAX_TABLE_ENTRIES`` entries, R^L * c (see
+    :func:`_children_entries`); the refusal names the formula of its path."""
+    stack = _stacks(sys)
+    R, d, c = sys.n_outcomes, sys.dim, _children_entries(stack) // sys.n_outcomes
+    if exceeds_table_budget(R, L, c):
+        diagonal = isinstance(stack, np.ndarray)
+        size = f"(d + 1) = {R}^{L} * ({d} + 1)" if diagonal else f"K * d^2 = {R}^{L} * {c // d**2} * {d}^2"
+        raise TableTooLarge(f"a simulation step of R^L * {size} entries", (L, R, sys.n_settings))
 
 
 def _root(sys: SystemModel, stack) -> np.ndarray:
@@ -140,13 +145,10 @@ def _traces(children: np.ndarray, stack) -> np.ndarray:
 
 def _settings_per_step(states: np.ndarray, stack) -> int:
     """How many settings one step from ``states`` covers: as many as fit in
-    ``errors.MAX_TABLE_ENTRIES`` at the step's size for one setting (R padded
-    diagonals or R * K matrices per state), and at least one."""
-    if isinstance(stack, np.ndarray):
-        per_setting = states.size * stack.shape[1]
-    else:
-        per_setting = states.size * stack[0].shape[1] * stack[0].shape[2]
-    return max(1, errors.MAX_TABLE_ENTRIES // per_setting)
+    ``errors.MAX_TABLE_ENTRIES`` at R * c entries per state and setting (see
+    :func:`_children_entries`), and at least one."""
+    n_states = states.size // states.shape[-1] ** (1 if isinstance(stack, np.ndarray) else 2)
+    return max(1, errors.MAX_TABLE_ENTRIES // (n_states * _children_entries(stack)))
 
 
 # A module-level function, not a closure over ``stack`` and ``table``: a
@@ -179,9 +181,9 @@ def run_sequence(sys: SystemModel, settings) -> np.ndarray:
     Each step applies the setting's operators to the states of every outcome
     prefix by two stacked products and puts the newest outcome first; the
     last traces are turned into table order once.  A system whose every
-    outcome has a column map chains diagonals only (see :func:`_step`).
-    Raises :class:`TableTooLarge` when the last step would stack more than
-    ``errors.MAX_TABLE_ENTRIES`` entries.
+    instrument has column maps chains diagonals only (see :func:`_step`).
+    Raises :class:`TableTooLarge` when the last step would hold more than
+    ``errors.MAX_TABLE_ENTRIES`` entries (see :func:`_check_walk`).
     """
     settings = tuple(int(x) for x in settings)
     if not settings:
@@ -205,12 +207,12 @@ def full_behavior(sys: SystemModel, L: int) -> Behavior:
     shared prefix state once, and each node steps all its settings at once,
     or in as few groups as the table budget allows, by two stacked products
     with the newest outcome first (see :func:`_step`); the leaves turn their
-    real traces into table order once.  A system whose every outcome has a
-    column map (realized mixtures and vertices, the canonical protocols)
-    walks diagonals of d + 1 entries instead of d x d states, since its
-    table needs only traces.  Raises
-    :class:`TableTooLarge` when the table, or the states of the walk's last
-    step, would have more than ``errors.MAX_TABLE_ENTRIES`` entries."""
+    real traces into table order once.  A system whose every instrument
+    has column maps (realized mixtures and vertices, the canonical
+    protocols) walks diagonals of d + 1 entries instead of d x d states,
+    since its table needs only traces.  Raises :class:`TableTooLarge` when
+    the table, or the walk's last step (see :func:`_check_walk`), would
+    have more than ``errors.MAX_TABLE_ENTRIES`` entries."""
     if L < 1:
         raise DimensionMismatch(f"sequence length must be >= 1, got {L}")
     S, R = sys.n_settings, sys.n_outcomes

@@ -1359,8 +1359,9 @@ def certify(b: Behavior) -> CertificationReport:
     functionals = builtin_functionals()
     # the identity comes first
     elements = RelabelingGroup.full(b.scenario).elements
-    every = [WitnessVerdict(name, evaluate(functionals[name], relabel_behavior(b, g)), bound, kind, cap)
-             for g in elements for name, bound, kind, cap in plan]
+    images = [relabel_behavior(b, g) for g in elements]
+    every = [WitnessVerdict(name, evaluate(functionals[name], image), bound, kind, cap)
+             for image in images for name, bound, kind, cap in plan]
     verdict = "dimension > 2" if any(e.certified_dimension_above_2 for e in every) else "qubit-compatible"
     # max keeps the first of equal epsilons
     k = max(range(len(every)), key=lambda i: every[i].epsilon_certified)

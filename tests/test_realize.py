@@ -139,16 +139,19 @@ class TestTableBudget:
             full_behavior(proto, 4)
 
     def test_walk_budget_is_inclusive(self, monkeypatch):
-        # qutrit-e1 at L = 3: a table of 64 entries, a last step of 2^3 * 1 * 3^2 = 72
+        # qutrit-e1 walks padded diagonals: at L = 3 a last step of
+        # 2^3 * (3 + 1) = 32 entries; at L = 1 a table of 4 entries and a
+        # last step of 2^1 * (3 + 1) = 8
         proto = canonical_protocols()["qutrit-e1"]
-        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 72)
-        assert full_behavior(proto, 3).table.size == 64
-        assert run_sequence(proto, (0, 1, 0)).size == 8
-        monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", 71)
-        for simulate in (lambda: full_behavior(proto, 3), lambda: run_sequence(proto, (0, 1, 0))):
-            with pytest.raises(TableTooLarge, match=r"R\^L \* K \* d\^2 = 2\^3 \* 1 \* 3\^2 ") as exc:
+        cases = [(32, lambda: run_sequence(proto, (0, 1, 0)), 8, r"2\^3 \* \(3 \+ 1\) ", 3),
+                 (8, lambda: full_behavior(proto, 1).table, 4, r"2\^1 \* \(3 \+ 1\) ", 1)]
+        for fits, simulate, size, formula, L in cases:
+            monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", fits)
+            assert simulate().size == size
+            monkeypatch.setattr(errors, "MAX_TABLE_ENTRIES", fits - 1)
+            with pytest.raises(TableTooLarge, match=r"a simulation step of R\^L \* \(d \+ 1\) = " + formula) as exc:
                 simulate()
-            assert exc.value.shape == (3, 2, 2) and exc.value.cap == 71
+            assert exc.value.shape == (L, 2, 2) and exc.value.cap == fits - 1
 
     def test_walk_budget_counts_kraus_operators(self, monkeypatch):
         # two Kraus operators per outcome double the last step: 2^2 * 2 * 2^2 = 32
@@ -162,7 +165,7 @@ class TestTableBudget:
     def test_long_sequence_rejected_before_the_walk(self):
         # run_sequence has no table; its last step alone would hold 3^(10^6) states
         proto = qutrit_vertex_realization(DeterministicVertex.from_index(Scenario(2, 3, 2), 0))
-        with pytest.raises(TableTooLarge, match=r"3\^1000000 \* 1 \* 3\^2"):
+        with pytest.raises(TableTooLarge, match=r"3\^1000000 \* \(3 \+ 1\)"):
             run_sequence(proto, (0,) * 10**6)
 
     def test_largest_peel_output_fits(self):
@@ -534,7 +537,8 @@ class TestDeferredViews:
 
     def test_views_built_on_first_read(self, decomp):
         system = mixture_realization(decomp)
-        assert realize._kraus_count(system) == 1
+        full_behavior(system, 2)
+        assert not any(name in inst.__dict__ for inst in system.instruments for name in ("kraus_sets", "effects"))
         digest = hashlib.sha256()
         for inst in system.instruments:
             kraus_sets, effects = inst.kraus_sets, inst.effects
@@ -758,7 +762,7 @@ class TestSimulationParity:
         # the dense path is taken exactly when some outcome has no column map
         assert isinstance(realize._stacks(sys_model), np.ndarray) == all(map(all, mapped))
         for inst, flags in zip(sys_model.instruments, mapped):
-            assert [c is not None for c in inst.column_maps] == flags
+            assert (inst.column_maps is not None) == all(flags)
             for ops, effect in zip(inst.kraus_sets, inst.effects):
                 assert_same_bits(effect, dense_effect(ops))
         mapped_only = tuple(inst for inst, flags in zip(sys_model.instruments, mapped) if all(flags))
@@ -867,7 +871,7 @@ class TestSettingGroups:
     @pytest.mark.parametrize("budget, group", [(16, 1), (24, 2)])
     def test_diagonal_groups_same_bits(self, monkeypatch, budget, group):
         # qubit-B1-3 at L = 2: 2^2 padded diagonals of 3 entries per setting
-        # in the last step; the walk budget is 2^2 * 1 * 2^2 = 16
+        # in the last step, R^L * (d + 1) = 12 entries
         proto = canonical_protocols()["qubit-B1-3"]
         assert isinstance(realize._stacks(proto), np.ndarray)
         sizes = self.last_step_groups(monkeypatch)
@@ -904,6 +908,70 @@ class TestSettingGroups:
         assert peaks[8 * one_step] > 8 * 2 * 16 * one_step
 
 
+class TestWalkStack:
+    """Each system builds the stack its walk applies once, on its first
+    simulation, and keeps it read-only; an instrument with one outcome that
+    is no 0/1 partial permutation has no column maps and walks dense."""
+
+    def test_mixed_instrument_walks_dense(self):
+        # outcome 0 is a partial permutation, outcome 1 maps |1> to |+>
+        plus = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex) / np.sqrt(2)
+        mixed = validate_instrument([[ketbra(0, 0, 2)], [plus]])
+        assert mixed.column_maps is None and mixed.n_outcomes == 2 and mixed.dim == 2
+        mapped = validate_instrument([[ketbra(0, 0, 2)], [ketbra(1, 1, 2)]])
+        system = SystemModel(DensityMatrix(np.eye(2) / 2), (mapped, mixed))
+        k, k_dag = realize._stacks(system)
+        assert k.shape == (2, 2, 1, 2, 2)
+        for L in (1, 2, 3):
+            assert_same_bits(full_behavior(system, L).table, reference_full_behavior(system, L))
+
+    @pytest.mark.parametrize("kind", ["gather", "dense"])
+    def test_later_calls_apply_the_kept_stack(self, kind):
+        if kind == "gather":
+            system = qutrit_vertex_realization(named_vertex("e1"))
+        else:
+            system = random_system_model(np.random.default_rng(34), 3, 2, 2, kraus_per_outcome=2)
+        full_behavior(system, 2)
+        stack = realize._stacks(system)
+        assert realize._stacks(system) is stack
+        for a in (stack,) if kind == "gather" else stack:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+        # the kept stack with its settings swapped is what the next walks
+        # apply: the tables of the system with its instruments swapped
+        system.__dict__["_walk_stack"] = stack[::-1] if kind == "gather" else tuple(a[::-1] for a in stack)
+        swapped = SystemModel(system.initial, system.instruments[::-1])
+        assert_same_bits(full_behavior(system, 2).table, full_behavior(swapped, 2).table)
+        assert_same_bits(run_sequence(system, (0, 1, 1)), run_sequence(swapped, (0, 1, 1)))
+
+    def test_racing_first_calls_share_one_stack(self):
+        # threads released together at a short switch interval ask fresh
+        # systems for their stacks: every first call returns the same object
+        n_threads, rounds = 8, 20
+        barrier = threading.Barrier(n_threads)
+        seen = [[] for _ in range(n_threads)]
+        systems = [qutrit_vertex_realization(named_vertex("e1")) for _ in range(rounds)]
+
+        def simulate(i):
+            for system in systems:
+                barrier.wait(timeout=30)
+                seen[i].append(id(realize._stacks(system)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=simulate, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(ids) == rounds for ids in seen)
+        assert all(ids == seen[0] for ids in seen)
+
+
 class TestSimulationMemory:
     @pytest.fixture(scope="class")
     def dim33(self):
@@ -911,6 +979,15 @@ class TestSimulationMemory:
         system = mixture_realization(decompose_behavior(b))
         assert system.dim == 33
         return system
+
+    def test_diagonal_walk_reaches_the_table_budget(self, dim33):
+        # the last step of L = 10 holds 2^10 * (33 + 1) entries, well within
+        # the budget; the table of 4^10 entries fills it
+        b10 = full_behavior(dim33, 10)
+        assert b10.table.size == errors.MAX_TABLE_ENTRIES
+        assert np.max(np.abs(co.marginal(b10, 2).table - full_behavior(dim33, 2).table)) <= 1e-12
+        with pytest.raises(TableTooLarge, match=r"a behavior table of S\^L \* R\^L = 2\^11 \* 2\^11 "):
+            full_behavior(dim33, 11)
 
     def test_peak_stays_on_one_path(self, dim33):
         # one root-to-leaf path holds at most 2 * 2 * 64 diagonals of 34
