@@ -11,9 +11,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("correlations", "errors", "qmath", "realize", "serialize", "witness")
+_MODULES = ("bounds", "correlations", "errors", "qmath", "realize", "serialize", "witness")
 
 _EXPORTS = {
+    "bounds": ("c1_bound", "c3_bound"),
     "correlations": (
         "Behavior",
         "ConvexDecomposition",
@@ -58,8 +59,6 @@ _EXPORTS = {
         "b3_profile",
         "b4_envelope",
         "builtin_functionals",
-        "c1_bound",
-        "c3_bound",
         "certify",
         "epsilon_lower_bound",
         "evaluate",

@@ -105,14 +105,18 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        defect = hermiticity_defect(m)
+        diagonal = m.diagonal()
+        # a state with a real diagonal and zeros off it, as a realized mixture
+        # starts in, is Hermitian and has its diagonal as spectrum
+        on_diagonal = np.count_nonzero(m) == np.count_nonzero(diagonal.real) and not diagonal.imag.any()
+        defect = 0.0 if on_diagonal else hermiticity_defect(m)
         if defect > HERMITICITY_TOL:
             raise NotHermitian(f"state deviates from Hermiticity by {defect:.3e} > {HERMITICITY_TOL}")
         with np.errstate(over="ignore", invalid="ignore"):
             tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceNotOne(f"state trace {float(tr)!r} deviates from 1 by {abs(tr - 1.0):.3e} > {TRACE_TOL}")
-        low = float(hermitian_eigenvalues(m)[0])
+        low = float(diagonal.real.min() if on_diagonal else hermitian_eigenvalues(m)[0])
         if low < -PSD_TOL:
             raise SpectrumOutOfRange(f"state has eigenvalue {low:.3e} below -{PSD_TOL}")
         object.__setattr__(self, "matrix", _frozen(m))

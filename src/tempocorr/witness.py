@@ -12,6 +12,10 @@ Exceeding an analytic bound certifies that the measured system is not a
 qubit, and quantifies how far it is from one: a system whose states and
 instrument outputs stay within trace distance eps of a two-dimensional
 subspace obeys B_i <= C_i + 12 eps.
+
+The bounds themselves (the caps, C1, the exact C3 root and the B4 envelope
+formula) live in :mod:`tempocorr.bounds`, which loads no numpy; this
+module re-exports them and evaluates the profiles on numpy arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +29,22 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
+from .bounds import (  # re-exported: the certified bounds live in tempocorr.bounds
+    B1_PROJECTIVE_MAX,
+    B2_ANALYTIC_CAP,
+    B4_ANALYTIC_CAP,
+    C1_VALUE,
+    C1Bound,
+    C3Bound,
+    _envelope,
+    _real_roots,
+    _sign,
+    b3_profile_derivative,
+    c1_bound,
+    c3_bound,
+    expanded_polynomial_coefficients,
+    nested_polynomial,
+)
 from .correlations import (
     QUBIT_UNREACHABLE_UNIT_ENTRIES,
     Behavior,
@@ -37,7 +57,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvalidStrategy,
-    NoValidRoot,
     NotAProjector,
     ParamOutOfRange,
     ScenarioMismatch,
@@ -55,11 +74,6 @@ from .qmath import (
 )
 
 DEFAULT_SEED = 1729
-
-C1_VALUE = 3.0
-B2_ANALYTIC_CAP = 3.5
-B4_ANALYTIC_CAP = 2.0 + math.sqrt(2.0)
-B1_PROJECTIVE_MAX = 1.5 + math.sqrt(2.0)
 
 
 class WitnessTerm(NamedTuple):
@@ -895,168 +909,22 @@ def b3_profile(cos_gamma):
     return b4_envelope(1.0, cos_gamma)
 
 
-def b3_profile_derivative(x: float) -> float:
-    """d(b3_profile)/d(cos_gamma), defined on the open interval (-1, 1)."""
-    if not -1.0 < x < 1.0:
-        raise DomainError("derivative of the B3 profile is defined on (-1, 1)")
-    x0 = 2.0 + math.sqrt(2.0 + 2.0 * x)
-    x1 = 2.0 + math.sqrt(2.0 - 2.0 * x)
-    d0 = 1.0 / math.sqrt(2.0 + 2.0 * x)
-    d1 = -1.0 / math.sqrt(2.0 - 2.0 * x)
-    radicand = x0 * x0 + x1 * x1 + 2.0 * x0 * x1 * x
-    droot = (x0 * d0 + x1 * d1 + (d0 * x1 + x0 * d1) * x + x0 * x1) / math.sqrt(radicand)
-    return 0.25 * (d0 + d1 + droot)
-
-
 def b4_envelope(p, cos_gamma):
     """Two-parameter envelope of B4 after optimizing all states.
 
     ``p`` scales the rank-1 part of the first measurement; ``p = 1`` makes
     all effects rank 1, where the envelope coincides with the B3 profile.
-    The envelope never exceeds 2 + sqrt(2).
+    The envelope never exceeds 2 + sqrt(2).  The formula is
+    ``bounds._envelope``, evaluated on arrays.
     """
     pp = _check_domain(p, "p", 0.0, 1.0)
     x = _check_domain(cos_gamma, "cos_gamma", -1.0, 1.0)
-    pp, x = np.broadcast_arrays(pp, x)
-    x0 = 1.0 + pp + np.sqrt(np.clip(pp**2 + 1.0 + 2.0 * pp * x, 0.0, None))
-    x1 = 3.0 - pp + np.sqrt(np.clip(pp**2 + 1.0 - 2.0 * pp * x, 0.0, None))
-    value = 0.25 * (
-        (2.0 - pp) * x0
-        + x1
-        + np.sqrt(np.clip((pp * x0) ** 2 + x1**2 + 2.0 * pp * x0 * x1 * x, 0.0, None))
-    )
+    value = _envelope(pp, x, _clipped_root)
     return value if value.ndim else float(value)
 
 
-# --- certified bounds --------------------------------------------------------------
-
-# Degree-10 polynomial whose relevant root locates the maximum of the B3
-# profile; nested form kept verbatim, coefficients read off it by evaluating
-# it on an exact polynomial.
-
-def nested_polynomial(x):
-    return 1 - x * (
-        42
-        - x * (-531 - 4 * x * (380 - x * (-24 - x * (-762 - x * (481 - 8 * x * (19 - 4 * x * (-3 + 2 * (1 + x) * x)))))))
-    )
-
-
-@lru_cache(maxsize=1)
-def expanded_polynomial_coefficients() -> tuple[int, ...]:
-    """Ascending integer coefficients of the nested degree-10 polynomial."""
-    x = np.polynomial.Polynomial(np.array([0, 1], dtype=object))
-    return tuple(int(c) for c in nested_polynomial(x).coef)
-
-
-def _sign(coeffs, n: int, d: int) -> int:
-    """Sign at n/d, d > 0, of the polynomial with ascending integer ``coeffs``,
-    from the integer d**deg * p(n/d)."""
-    value, scale = 0, 1
-    for c in reversed(coeffs):
-        value, scale = value * n + c * scale, scale * d
-    return (value > 0) - (value < 0)
-
-
-def _real_roots(coeffs) -> list[tuple]:
-    """Each distinct real root in [-1, 1] of the nonzero polynomial p with
-    ascending integer ``coeffs``, ascending, as ``(nearest float, lo, hi)``:
-    the only root in (lo, hi] ([-1, hi] for a root at -1), with Fraction
-    ends, hi - lo <= 2**-20.  A repeated root is counted once.
-
-    The Sturm sequence of p's square-free part (p, p' and the negated
-    remainders of Euclid's algorithm, each divided by gcd(p, p')) is built in
-    exact rational arithmetic and scaled to integers by positive factors.  By
-    Sturm's theorem (lo, hi] holds V(lo) - V(hi) distinct roots, V(x) the
-    sign changes of the sequence at x; halving on these counts isolates each
-    root, and halving on the exact sign of p at dyadic points narrows it
-    until both ends round to the same float or p vanishes at hi.
-    """
-    from fractions import Fraction  # imported here: only C3 needs it, and it loads decimal
-
-    P = np.polynomial.polynomial
-    seq = [np.array([Fraction(c) for c in coeffs], dtype=object)]
-    seq.append(P.polyder(seq[0]))
-    while any(seq[-1]):
-        seq.append(-P.polydiv(seq[-2], seq[-1])[1])
-    seq = [P.polydiv(s, seq[-2])[0] for s in seq[:-1]]
-    scales = [Fraction(math.lcm(*(c.denominator for c in s)), math.gcd(*(c.numerator for c in s))) for s in seq]
-    seq = [[int(c * k) for c in s] for s, k in zip(seq, scales)]
-
-    def changes(n, d):
-        signs = [s for s in (_sign(c, n, d) for c in seq) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    p, roots = seq[0], []
-    # (j / 2**k, (j + 1) / 2**k] with its counts; a root at -1 counts as if -1 were just below it
-    v = [changes(-1, 1) + (_sign(p, -1, 1) == 0), changes(0, 1), changes(1, 1)]
-    stack = [(0, 0, v[1], v[2], None), (-1, 0, v[0], v[1], None)]
-    while stack:
-        j, k, v_lo, v_hi, narrow = stack.pop()
-        if v_lo - v_hi == 1:
-            if narrow is None and k >= 20:
-                narrow = (Fraction(j, 2**k), Fraction(j + 1, 2**k))
-            s_hi = _sign(p, j + 1, 2**k)
-            if narrow and (s_hi == 0 or j / 2**k == (j + 1) / 2**k):
-                roots.append(((j + 1) / 2**k, *narrow))
-                continue
-        if v_lo > v_hi:
-            if v_lo - v_hi == 1:  # one root, simple: the signs of p at mid and hi tell its half
-                v_mid = v_lo if s_hi == 0 or _sign(p, 2 * j + 1, 2 ** (k + 1)) == -s_hi else v_hi
-            else:
-                v_mid = changes(2 * j + 1, 2 ** (k + 1))
-            stack += [(2 * j + 1, k + 1, v_mid, v_hi, narrow), (2 * j, k + 1, v_lo, v_mid, narrow)]
-    return roots
-
-
-@dataclass(frozen=True)
-class C3Bound:
-    """Maximum qubit value of B3 with its certificate data.
-
-    ``polynomial_roots`` are the nearest floats of all real roots in [-1, 1]
-    of the degree-10 polynomial, isolated in exact arithmetic.  ``certified``
-    says that the profile at both ends of [-1, 1] does not exceed ``value``.
-    """
-
-    value: float
-    cos_gamma_star: float
-    certified: bool
-    polynomial_roots: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class C1Bound:
-    """Qubit bound for B1 (3, analytic) and the projective sub-maximum."""
-
-    value: float
-    projective_maximum: float
-
-
-def c1_bound() -> C1Bound:
-    return C1Bound(C1_VALUE, B1_PROJECTIVE_MAX)
-
-
-@lru_cache(maxsize=1)
-def c3_bound() -> C3Bound:
-    """Locate C3 as the maximum of the B3 profile over [-1, 1].
-
-    Every critical point of the profile inside (-1, 1) is a root of the
-    degree-10 polynomial, and :func:`_real_roots` isolates them all exactly.
-    Squaring steps in the derivation of the polynomial created spurious
-    roots, so a root only counts when the unsquared derivative of the B3
-    profile goes from positive to negative across its isolating interval,
-    inside (-1, 1): a local maximum of the profile.  The largest one,
-    checked against both boundary values, is the bound.
-    """
-    roots = _real_roots(expanded_polynomial_coefficients())
-    floats = tuple(r for r, _, _ in roots)
-    slope = b3_profile_derivative
-    candidates = [r for r, lo, hi in roots if -1 < lo and hi < 1 and slope(float(lo)) > 0.0 > slope(float(hi))]
-    if not candidates:
-        listed = ", ".join(f"{r:.12g}" for r in floats)
-        raise NoValidRoot(f"no polynomial root satisfies the derivative condition; roots: {listed}")
-    star = max(candidates, key=b3_profile)
-    value = b3_profile(star)
-    return C3Bound(value, star, max(b3_profile(-1.0), b3_profile(1.0)) <= value, floats)
+def _clipped_root(v):
+    return np.sqrt(np.clip(v, 0.0, None))
 
 
 # --- distance from a qubit ---------------------------------------------------------

@@ -1023,6 +1023,7 @@ class TestMutatedInputFiles:
 
 
 PACKAGE_EXPORTS = {
+    "bounds": "c1_bound c3_bound",
     "correlations": (
         "Behavior ConvexDecomposition DeterministicVertex RelabelingGroup Scenario check_membership"
         " classify_vertices compose_from_conditionals count_vertices decompose_behavior"
@@ -1035,17 +1036,19 @@ PACKAGE_EXPORTS = {
     "realize": "canonical_protocols full_behavior mixture_realization qutrit_vertex_realization run_sequence",
     "witness": (
         "CertificationReport OptimizerConfig QubitStrategy WitnessFunctional b1_projective_profile"
-        " b3_profile b4_envelope builtin_functionals c1_bound c3_bound certify epsilon_lower_bound"
+        " b3_profile b4_envelope builtin_functionals certify epsilon_lower_bound"
         " evaluate optimize_qubit strategy_value system_epsilon"
     ),
 }
 
-# Runs in a fresh interpreter: prints, as JSON, the heavy packages loaded after
-# each step, the exit codes of the CLI calls and the OpenBLAS thread setting.
+# Runs in a fresh interpreter: prints, as JSON, the heavy packages and the
+# numpy-bound tempocorr modules loaded after each step, the exit codes of the
+# CLI calls and the OpenBLAS thread setting.
 START_UP_PROBE = """
 import contextlib, io, json, os, sys
+NUMPY_BOUND = {"tempocorr.correlations", "tempocorr.qmath", "tempocorr.witness"}
 def heavy():
-    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+    return sorted(({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}) | (set(sys.modules) & NUMPY_BOUND))
 report = {}
 if sys.argv[1] == "numpy-first":
     import numpy
@@ -1054,7 +1057,12 @@ import tempocorr
 report["import tempocorr"] = heavy()
 import tempocorr.cli
 report["import tempocorr.cli"] = heavy()
-for argv in (["--help"], ["simulate", "--L", "2"], ["bounds", "--which", "C1"]):
+from tempocorr import c3_bound
+report["from tempocorr import c3_bound"] = heavy()
+for argv in (
+    ["--help"], ["simulate", "--L", "2"], ["bounds", "--which", "C1"], ["bounds", "--which", "C3"],
+    ["bounds", "--which", "B3profile", "--grid", "3"],
+):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = tempocorr.cli.main(argv)
@@ -1069,9 +1077,11 @@ print(json.dumps(report))
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Start-up loads no numpy until a command runs, which then has one
-    OpenBLAS thread unless the user set a count; scipy never loads; the lazy
-    package resolves each of its public names to its home module."""
+    """Start-up loads no numpy until a command that needs it runs, which
+    then has one OpenBLAS thread unless the user set a count; the certified
+    bounds C1 and C3 load neither numpy nor a module that imports it; scipy
+    never loads; the lazy package resolves each of its public names to its
+    home module."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
@@ -1086,8 +1096,11 @@ def test_cli_import_leaves_scipy_unloaded():
         "import tempocorr": [],
         "import tempocorr.cli": [],
         "--help": [0, []],
+        "from tempocorr import c3_bound": [],
         "simulate --L 2": [64, []],
-        "bounds --which C1": [0, ["numpy"]],
+        "bounds --which C1": [0, []],
+        "bounds --which C3": [0, []],
+        "bounds --which B3profile --grid 3": [0, ["numpy", "tempocorr.correlations", "tempocorr.qmath", "tempocorr.witness"]],
         "threads": "1",
     }
     assert probe("fresh", OPENBLAS_NUM_THREADS="3")["threads"] == "3"

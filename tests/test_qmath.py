@@ -120,7 +120,54 @@ def diagonal_matrices(draw):
     return np.diag(np.array(real) + 1j * np.array(imag))
 
 
+def reference_state_error(m):
+    """The error DensityMatrix raises for ``m``, or None, by the checks it
+    makes on every matrix: Hermiticity, trace, then the least eigenvalue."""
+    m = qmath.as_complex_matrix(m)
+    defect = qmath.hermiticity_defect(m)
+    if defect > qmath.HERMITICITY_TOL:
+        return NotHermitian(f"state deviates from Hermiticity by {defect:.3e} > {qmath.HERMITICITY_TOL}")
+    tr = m.trace().real
+    if abs(tr - 1.0) > qmath.TRACE_TOL:
+        return TraceNotOne(f"state trace {float(tr)!r} deviates from 1 by {abs(tr - 1.0):.3e} > {qmath.TRACE_TOL}")
+    low = float(qmath.hermitian_eigenvalues(m)[0])
+    if low < -qmath.PSD_TOL:
+        return SpectrumOutOfRange(f"state has eigenvalue {low:.3e} below -{qmath.PSD_TOL}")
+    return None
+
+
+def assert_checked_as_every_state(m):
+    expected = reference_state_error(m)
+    if expected is None:
+        assert np.array_equal(DensityMatrix(m).matrix, m)
+    else:
+        with pytest.raises(type(expected)) as info:
+            DensityMatrix(m)
+        assert str(info.value) == str(expected)
+
+
 class TestDiagonalSpectrum:
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal_matrices(), st.booleans())
+    def test_diagonal_state_checked_as_every_state(self, m, unit_trace):
+        """A state with a real diagonal and zeros off it is checked on its
+        diagonal, with the errors and messages of the full check."""
+        tr = m.trace().real
+        if unit_trace and tr > 0.0:
+            m = m / tr
+        assert_checked_as_every_state(m)
+
+    @pytest.mark.parametrize("m", [
+        np.array([[1.0, -0.0], [0.0, 0.0]]),
+        np.array([[1.0 + 0j, 0.0], [0.0, -0.0 - 0j]]),
+        np.array([[0.5, 1e-300], [0.0, 0.5]]),
+        np.array([[0.5, 1e-3], [0.0, 0.5]]),
+        np.diag([0.5 + 1e-3j, 0.5]),
+        np.diag([1.5, -0.5 + 0j]),
+    ], ids=["signed-zero-off", "negative-zero-diagonal", "tiny-off", "non-hermitian-off", "imaginary-diagonal", "negative"])
+    def test_diagonal_edges_checked_as_every_state(self, m):
+        assert_checked_as_every_state(m)
+
     @settings(max_examples=300, deadline=None)
     @given(diagonal_matrices())
     def test_equals_lapack_exactly(self, m):

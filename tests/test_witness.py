@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tempocorr import errors
+from tempocorr import bounds, errors
 from tempocorr import witness as w
 from tempocorr.correlations import (
     Behavior,
@@ -878,6 +878,16 @@ def reference_b3_profile(x):
     return 0.25 * (x0 + x1 + np.sqrt(np.clip(x0**2 + x1**2 + 2.0 * x0 * x1 * x, 0.0, None)))
 
 
+_TINY = 2.0**-1074  # the least subnormal
+ENVELOPE_EDGES = {
+    "p": [0.0, -0.0, 1.0, _TINY, 2.0**-1030, 2.0**-1022, math.nextafter(1.0, 0.0)],
+    "x": [
+        0.0, -0.0, 1.0, -1.0, _TINY, -_TINY, 2.0**-1030, -(2.0**-1030),
+        math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), c3_bound().cos_gamma_star,
+    ],
+}
+
+
 class TestProfiles:
     def test_b1_orthogonal_axes(self):
         assert b1_projective_profile(0.0) == pytest.approx(1.5 + math.sqrt(2.0), abs=1e-15)
@@ -912,6 +922,24 @@ class TestProfiles:
             value = b3_profile(x)
             assert type(value) is float and math.copysign(1.0, value) == 1.0
             assert value == b4_envelope(1.0, x) == float(reference_b3_profile(np.float64(x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(ENVELOPE_EDGES["p"]), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from(ENVELOPE_EDGES["x"]), st.floats(-1.0, 1.0)),
+    )
+    def test_scalar_envelope_is_the_array_envelope(self, p, x):
+        """The one envelope formula on floats (the C3 certificate's profile)
+        and on numpy arrays (the profiles and tables) gives the same bits."""
+        value = bounds._envelope(p, x, bounds._root)
+        assert type(value) is float
+        assert value.hex() == b4_envelope(p, x).hex()
+        assert value.hex() == float(b4_envelope(np.array([p]), np.array([x]))[0]).hex()
+
+    def test_scalar_b3_profile_is_the_array_profile(self):
+        xs = np.linspace(-1.0, 1.0, 100_001)
+        scalar = np.array([bounds._b3_profile(x) for x in xs.tolist()])
+        assert np.array_equal(scalar.view(np.uint64), b3_profile(xs).view(np.uint64))
 
     def test_b4_grid_max_and_cap(self):
         ps = np.linspace(0.0, 1.0, 201)
@@ -1011,8 +1039,8 @@ class TestBounds:
         assert fresh.certified
 
     def test_certified_needs_both_ends_at_or_below_the_maximum(self, monkeypatch):
-        profile = w.b3_profile
-        monkeypatch.setattr(w, "b3_profile", lambda x: 3.5 if abs(x) == 1.0 else profile(x))
+        profile = bounds._b3_profile
+        monkeypatch.setattr(bounds, "_b3_profile", lambda x: 3.5 if abs(x) == 1.0 else profile(x))
         res = w.c3_bound.__wrapped__()
         assert not res.certified and res.value == c3_bound().value
 
